@@ -27,7 +27,7 @@ from .harness import (
     run_static_sweep,
 )
 from .simulate import generate_trajectory
-from .streams import StreamFormatError, fmt, write_frame, write_header, write_truth, write_truth_header
+from .streams import StreamFormatError, fmt, write_frame, write_header, write_truth
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -103,7 +103,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             write_frame(out, frame)
     if args.truth_out:
         with open(args.truth_out, "w") as out:
-            write_truth_header(out, config.grid)
+            write_header(out, config.grid)
             for frame, truth in frames:
                 write_truth(out, frame.timestamp, truth)
     return 0

@@ -10,7 +10,8 @@ be referenced by name instead of a path.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 from typing import Any, Optional, Union
@@ -18,29 +19,6 @@ from typing import Any, Optional, Union
 from .core import ConfigError, MarkerGrid, SoftnessParams, UsageError
 from .segmentation import SegmentationConfig
 from .simulate import SimScenario
-
-_GRID_KEYS = {"rows", "cols", "pitch", "origin"}
-_SCENARIO_KEYS = {
-    "contact_radius",
-    "max_indent",
-    "cor",
-    "stick_radius",
-    "theta_trajectory",
-    "translation_trajectory",
-    "decay_exponent",
-    "noise_sigma",
-    "rng_seed",
-}
-_SEGMENTATION_KEYS = {
-    "contact_threshold",
-    "normal_filter_ratio",
-    "delta_phi_th",
-    "min_stick_markers",
-    "epsilon_angle",
-}
-_SOFTNESS_KEYS = {"k", "l_xy", "l_yx"}
-_HARNESS_KEYS = {"trials", "rate_hz", "t_start", "t_end"}
-_SECTIONS = {"grid", "scenario", "segmentation", "softness", "harness"}
 
 
 @dataclass(frozen=True)
@@ -68,12 +46,42 @@ class FullConfig:
     harness: HarnessConfig
 
 
-def _check_keys(section: str, data: dict, allowed: set[str]) -> None:
-    unknown = set(data) - allowed
+_SECTION_TYPES = {
+    "grid": MarkerGrid,
+    "scenario": SimScenario,
+    "segmentation": SegmentationConfig,
+    "softness": SoftnessParams,
+    "harness": HarnessConfig,
+}
+# A section accepts the fields of its type, except fields named after another
+# section (the scenario's grid and softness), which that section fills.
+_SECTION_KEYS = {
+    section: {f.name for f in fields(cls)} - set(_SECTION_TYPES)
+    for section, cls in _SECTION_TYPES.items()
+}
+
+
+def _section(document: dict[str, Any], section: str) -> dict[str, Any]:
+    """A copy of one section, checked for unknown keys and non-finite numbers."""
+    data = document.get(section, {})
+    if not isinstance(data, dict):
+        raise ConfigError(f"config section '{section}' is not an object")
+    unknown = set(data) - _SECTION_KEYS[section]
     if unknown:
         raise ConfigError(
             f"unknown key(s) in section '{section}': {', '.join(sorted(unknown))}"
         )
+    for key, value in data.items():
+        _check_finite(f"{section}.{key}", value)
+    return dict(data)
+
+
+def _check_finite(key: str, value: Any) -> None:
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            _check_finite(key, item)
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"invalid config value: {key} must be finite, got {value}")
 
 
 def preset_path(name: str) -> Optional[Path]:
@@ -91,22 +99,17 @@ def build_config(document: dict[str, Any]) -> FullConfig:
     """Build the typed configuration from a parsed JSON document."""
     if not isinstance(document, dict):
         raise ConfigError("config document must be a JSON object")
-    unknown = set(document) - _SECTIONS
+    unknown = set(document) - set(_SECTION_TYPES)
     if unknown:
         raise ConfigError(f"unknown config section(s): {', '.join(sorted(unknown))}")
 
-    grid_raw = dict(document.get("grid", {}))
-    _check_keys("grid", grid_raw, _GRID_KEYS)
+    grid_raw = _section(document, "grid")
     if "origin" in grid_raw:
         grid_raw["origin"] = tuple(grid_raw["origin"])
-    scenario_raw = dict(document.get("scenario", {}))
-    _check_keys("scenario", scenario_raw, _SCENARIO_KEYS)
-    seg_raw = dict(document.get("segmentation", {}))
-    _check_keys("segmentation", seg_raw, _SEGMENTATION_KEYS)
-    soft_raw = dict(document.get("softness", {}))
-    _check_keys("softness", soft_raw, _SOFTNESS_KEYS)
-    harness_raw = dict(document.get("harness", {}))
-    _check_keys("harness", harness_raw, _HARNESS_KEYS)
+    scenario_raw = _section(document, "scenario")
+    seg_raw = _section(document, "segmentation")
+    soft_raw = _section(document, "softness")
+    harness_raw = _section(document, "harness")
 
     try:
         grid = MarkerGrid(**grid_raw)
@@ -130,24 +133,7 @@ def load_config(source: Union[str, Path, None] = None) -> FullConfig:
     ``source`` may be None (all defaults), the path of a JSON file, or the
     name of a shipped preset such as ``three-lift``.
     """
-    if source is None:
-        return build_config({})
-    path = Path(source)
-    if not path.is_file():
-        preset = preset_path(str(source))
-        if preset is None:
-            raise ConfigError(f"config file or preset not found: {source}")
-        path = preset
-    try:
-        text = path.read_text()
-        document = json.loads(text)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"config parse failure in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    return build_config(document)
+    return build_config(load_document(source))
 
 
 def apply_overrides(document: dict[str, Any], overrides: list[str]) -> dict[str, Any]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -100,6 +101,26 @@ class MarkerGrid:
             raise UsageError(f"marker index {index} outside grid of {self.n_markers}")
         return divmod(index, self.cols)
 
+    @cached_property
+    def neighbors(self) -> tuple[tuple[Optional[int], ...], ...]:
+        """The (left, right, up, down) 4-neighbours of every marker, by index.
+
+        Out-of-bounds sides are None. "Up" is the previous row
+        (``index - cols``). Built on first use, so grids that never grow a
+        region or walk their neighbours do not pay for it.
+        """
+        rows, cols = self.rows, self.cols
+        table = []
+        for index in range(rows * cols):
+            i, j = divmod(index, cols)
+            table.append((
+                index - 1 if j > 0 else None,
+                index + 1 if j < cols - 1 else None,
+                index - cols if i > 0 else None,
+                index + cols if i < rows - 1 else None,
+            ))
+        return tuple(table)
+
 
 def neighbor_indices(
     grid: MarkerGrid, index: int
@@ -108,12 +129,8 @@ def neighbor_indices(
 
     Out-of-bounds sides are None. "Up" is the previous row (``index - cols``).
     """
-    i, j = grid.row_col(index)
-    left = index - 1 if j > 0 else None
-    right = index + 1 if j < grid.cols - 1 else None
-    up = index - grid.cols if i > 0 else None
-    down = index + grid.cols if i < grid.rows - 1 else None
-    return left, right, up, down
+    grid.row_col(index)  # rejects indices outside the grid, including negative ones
+    return grid.neighbors[index]
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,21 +19,16 @@ from .core import Frame, LineFeatureAngles, MarkerGrid
 DEGENERATE_LENGTH_RATIO = 0.01
 
 
-def _neighbor_index_arrays(grid: MarkerGrid) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(neighbour index or -1, reference offset) for left/right/up/down."""
-    idx = np.arange(grid.n_markers)
-    i, j = np.divmod(idx, grid.cols)
-    p = grid.pitch
-    out = []
-    left = np.where(j > 0, idx - 1, -1)
-    out.append((left, np.array([-p, 0.0])))
-    right = np.where(j < grid.cols - 1, idx + 1, -1)
-    out.append((right, np.array([p, 0.0])))
-    up = np.where(i > 0, idx - grid.cols, -1)
-    out.append((up, np.array([0.0, -p])))
-    down = np.where(i < grid.rows - 1, idx + grid.cols, -1)
-    out.append((down, np.array([0.0, p])))
-    return out
+# Slices of a (rows, cols) array that pair each marker with its neighbour
+# on one side: ((reference offset / pitch), markers, their neighbours), in
+# the order left, right, up, down ("up" is the previous row).
+_ALL, _HEAD, _TAIL = slice(None), slice(1, None), slice(None, -1)
+_SIDES = (
+    ((-1.0, 0.0), (_ALL, _HEAD), (_ALL, _TAIL)),
+    ((1.0, 0.0), (_ALL, _TAIL), (_ALL, _HEAD)),
+    ((0.0, -1.0), (_HEAD, _ALL), (_TAIL, _ALL)),
+    ((0.0, 1.0), (_TAIL, _ALL), (_HEAD, _ALL)),
+)
 
 
 def line_feature_angles(grid: MarkerGrid, frame: Frame) -> LineFeatureAngles:
@@ -45,28 +40,27 @@ def line_feature_angles(grid: MarkerGrid, frame: Frame) -> LineFeatureAngles:
     still contribute.
     """
     frame.require_grid(grid)
-    disp = frame.displacements[:, :2]
-    n = grid.n_markers
-    angle_sum = np.zeros(n)
-    seg_count = np.zeros(n, dtype=int)
+    disp = frame.displacements[:, :2].reshape(grid.rows, grid.cols, 2)
+    angle_sum = np.zeros((grid.rows, grid.cols))
+    seg_count = np.zeros((grid.rows, grid.cols), dtype=int)
     min_len = DEGENERATE_LENGTH_RATIO * grid.pitch
 
-    for nbr, offset in _neighbor_index_arrays(grid):
-        present = nbr >= 0
-        safe = np.where(present, nbr, 0)
-        current = offset + disp[safe] - disp
-        length = np.hypot(current[:, 0], current[:, 1])
-        usable = present & (length >= min_len)
-        cross = offset[0] * current[:, 1] - offset[1] * current[:, 0]
-        dot = offset[0] * current[:, 0] + offset[1] * current[:, 1]
+    # Sides are summed in a fixed order: float addition is not associative.
+    for unit, own, nbr in _SIDES:
+        offset = grid.pitch * np.array(unit)
+        current = offset + disp[nbr] - disp[own]
+        length = np.hypot(current[..., 0], current[..., 1])
+        usable = length >= min_len
+        cross = offset[0] * current[..., 1] - offset[1] * current[..., 0]
+        dot = offset[0] * current[..., 0] + offset[1] * current[..., 1]
         seg_angle = np.degrees(np.arctan2(cross, dot))
-        angle_sum[usable] += seg_angle[usable]
-        seg_count[usable] += 1
+        angle_sum[own][usable] += seg_angle[usable]
+        seg_count[own][usable] += 1
 
     valid = seg_count >= 2
-    angles = np.zeros(n)
+    angles = np.zeros((grid.rows, grid.cols))
     angles[valid] = angle_sum[valid] / seg_count[valid]
-    return LineFeatureAngles(angles=angles, valid=valid)
+    return LineFeatureAngles(angles=angles.ravel(), valid=valid.ravel())
 
 
 def half_curl(grid: MarkerGrid, frame_prev: Frame, frame_next: Frame) -> np.ndarray:

@@ -17,7 +17,7 @@ from typing import IO, Optional
 import numpy as np
 
 from .config import FullConfig
-from .core import ContactState, InsufficientDataError
+from .core import ContactState, InsufficientDataError, UsageError
 from .estimation import RotationPipeline, baseline_least_squares, estimate_frame
 from .simulate import generate_frame, generate_trajectory, with_constant_theta
 from .streams import fmt, read_frames, read_header, write_csv_row
@@ -94,23 +94,40 @@ class CompareReport:
     overall_win_rate: float
 
 
-def _sweep_trials(config: FullConfig, trials: int):
-    """Yield (theta, trial, frame, mask, proposed_err, baseline_err|nan)."""
+def _sweep_errors(config: FullConfig, trials: int) -> tuple[np.ndarray, np.ndarray]:
+    """Absolute errors of the proposed and baseline estimators per trial.
+
+    Both arrays are (len(SWEEP_ANGLES), trials). A trial is a single
+    independently seeded frame at a fixed angle run through the unfiltered
+    pipeline. Baseline entries are nan where too few markers were flagged
+    for its fit.
+    """
+    if trials < 1:
+        raise UsageError(f"trials must be >= 1, got {trials}")
+    proposed = np.empty((len(SWEEP_ANGLES), trials))
+    baseline = np.empty_like(proposed)
     for angle_pos, theta in enumerate(SWEEP_ANGLES):
         scenario = with_constant_theta(config.scenario, float(theta))
         for trial in range(trials):
             frame_index = angle_pos * trials + trial
             frame, _truth = generate_frame(scenario, 0.0, frame_index=frame_index)
-            proposed, mask, _region = estimate_frame(
+            estimate, mask, _region = estimate_frame(
                 config.grid, frame, config.segmentation, config.softness
             )
-            p_err = abs(proposed.theta - theta)
+            proposed[angle_pos, trial] = abs(estimate.theta - theta)
             try:
                 base = baseline_least_squares(config.grid, frame, mask)
-                b_err = abs(base.theta - theta)
+                baseline[angle_pos, trial] = abs(base.theta - theta)
             except InsufficientDataError:
-                b_err = math.nan
-            yield theta, trial, p_err, b_err
+                baseline[angle_pos, trial] = math.nan
+    return proposed, baseline
+
+
+def _mean_std(errors: np.ndarray) -> tuple[float, float]:
+    """Mean and standard deviation of some errors; nan for none."""
+    if not errors.size:
+        return math.nan, math.nan
+    return float(errors.mean()), float(errors.std())
 
 
 def run_static_sweep(
@@ -126,55 +143,35 @@ def run_static_sweep(
     baseline.
     """
     trials = trials if trials is not None else config.harness.trials
-    per_angle: dict[float, dict[str, list[float]]] = {
-        float(a): {"proposed": [], "baseline": []} for a in SWEEP_ANGLES
-    }
-    for theta, _trial, p_err, b_err in _sweep_trials(config, trials):
-        per_angle[float(theta)]["proposed"].append(p_err)
-        per_angle[float(theta)]["baseline"].append(b_err)
+    proposed, baseline = _sweep_errors(config, trials)
+
+    rows = {"proposed": [], "baseline": []}
+    for theta, p, b_raw in zip(SWEEP_ANGLES, proposed, baseline):
+        b = b_raw[~np.isnan(b_raw)]
+        rows["proposed"].append(SweepRow(float(theta), trials, *_mean_std(p)))
+        rows["baseline"].append(SweepRow(float(theta), trials, *_mean_std(b), trials - b.size))
 
     if csv_out is not None:
         write_csv_row(csv_out, SWEEP_CSV_HEADER)
-
-    rows = {"proposed": [], "baseline": []}
-    all_errors = {"proposed": [], "baseline": []}
-    for theta in (float(a) for a in SWEEP_ANGLES):
-        p = np.asarray(per_angle[theta]["proposed"])
-        b_raw = np.asarray(per_angle[theta]["baseline"])
-        b = b_raw[~np.isnan(b_raw)]
-        n_fail = int(np.isnan(b_raw).sum())
-        rows["proposed"].append(
-            SweepRow(theta, len(p), float(p.mean()), float(p.std()), 0)
-        )
-        b_mae = float(b.mean()) if b.size else math.nan
-        b_std = float(b.std()) if b.size else math.nan
-        rows["baseline"].append(SweepRow(theta, len(b_raw), b_mae, b_std, n_fail))
-        all_errors["proposed"].extend(p)
-        all_errors["baseline"].extend(b)
-        if csv_out is not None:
+        for prop, base in zip(rows["proposed"], rows["baseline"]):
             write_csv_row(
                 csv_out,
                 (
-                    fmt(theta),
-                    str(len(p)),
-                    fmt(p.mean()),
-                    fmt(p.std()),
-                    fmt(b_mae),
-                    fmt(b_std),
-                    str(n_fail),
+                    fmt(prop.theta_true),
+                    str(prop.trials),
+                    fmt(prop.mean_abs_error),
+                    fmt(prop.std_error),
+                    fmt(base.mean_abs_error),
+                    fmt(base.std_error),
+                    str(base.failures),
                 ),
             )
 
-    reports = {}
-    for name in ("proposed", "baseline"):
-        errs = np.asarray(all_errors[name])
-        reports[name] = SweepReport(
-            estimator=name,
-            rows=tuple(rows[name]),
-            mare=float(errs.mean()) if errs.size else math.nan,
-            mare_std=float(errs.std()) if errs.size else math.nan,
-        )
-    return reports
+    overall = {"proposed": proposed.ravel(), "baseline": baseline[~np.isnan(baseline)]}
+    return {
+        name: SweepReport(name, tuple(rows[name]), *_mean_std(errors))
+        for name, errors in overall.items()
+    }
 
 
 @dataclass(frozen=True)
@@ -272,21 +269,14 @@ def compare_estimators(
     few markers count as failures and are excluded from the win rate.
     """
     trials = trials if trials is not None else config.harness.trials
-    per_angle: dict[float, dict[str, list[float]]] = {
-        float(a): {"proposed": [], "baseline": []} for a in SWEEP_ANGLES
-    }
-    for theta, _trial, p_err, b_err in _sweep_trials(config, trials):
-        per_angle[float(theta)]["proposed"].append(p_err)
-        per_angle[float(theta)]["baseline"].append(b_err)
+    proposed, baseline = _sweep_errors(config, trials)
 
     if csv_out is not None:
         write_csv_row(csv_out, COMPARE_CSV_HEADER)
     rows = []
     total_wins = 0
     total_valid = 0
-    for theta in (float(a) for a in SWEEP_ANGLES):
-        p = np.asarray(per_angle[theta]["proposed"])
-        b = np.asarray(per_angle[theta]["baseline"])
+    for theta, p, b in zip(SWEEP_ANGLES, proposed, baseline):
         ok = ~np.isnan(b)
         wins = int(np.sum(p[ok] < b[ok]))
         n_ok = int(ok.sum())
@@ -294,12 +284,12 @@ def compare_estimators(
         total_valid += n_ok
         win_rate = wins / n_ok if n_ok else math.nan
         row = CompareRow(
-            theta_true=theta,
-            trials=len(p),
+            theta_true=float(theta),
+            trials=trials,
             proposed_mae=float(p.mean()),
-            baseline_mae=float(b[ok].mean()) if n_ok else math.nan,
+            baseline_mae=_mean_std(b[ok])[0],
             win_rate=win_rate,
-            baseline_failures=len(p) - n_ok,
+            baseline_failures=trials - n_ok,
         )
         rows.append(row)
         if csv_out is not None:

@@ -15,7 +15,6 @@ from .core import (
     MarkerGrid,
     StickRegion,
     UsageError,
-    neighbor_indices,
 )
 from .features import normalized_angle_difference
 
@@ -113,31 +112,31 @@ def grow_stick_region(
             members=frozenset(), mean_angle=0.0, state=ContactState.MACRO_SLIP, stick_ratio=0.0
         )
 
+    neighbors = grid.neighbors
     pos = grid.reference_positions
-    cpos = pos[center]
-    phi = angles.angles
-    admissible = mask.flags & angles.valid
+    dist = np.hypot(pos[:, 0] - pos[center, 0], pos[:, 1] - pos[center, 1]).tolist()
+    phi = angles.angles.tolist()
+    admissible = (mask.flags & angles.valid).tolist()
 
     members: list[int] = [center]
-    mean = float(phi[center])
+    mean = phi[center]
     seen = {center}
     frontier: list[tuple[float, int]] = []
 
     def push_neighbors(index: int) -> None:
-        for nbr in neighbor_indices(grid, index):
+        for nbr in neighbors[index]:
             if nbr is None or nbr in seen or not admissible[nbr]:
                 continue
             seen.add(nbr)
-            dist = float(np.hypot(pos[nbr, 0] - cpos[0], pos[nbr, 1] - cpos[1]))
-            heapq.heappush(frontier, (dist, nbr))
+            heapq.heappush(frontier, (dist[nbr], nbr))
 
     push_neighbors(center)
     while frontier:
         _, idx = heapq.heappop(frontier)
-        diff = normalized_angle_difference(float(phi[idx]), mean, cfg.epsilon_angle)
+        diff = normalized_angle_difference(phi[idx], mean, cfg.epsilon_angle)
         if diff < cfg.delta_phi_th:
             members.append(idx)
-            mean += (float(phi[idx]) - mean) / len(members)
+            mean += (phi[idx] - mean) / len(members)
             push_neighbors(idx)
 
     member_set = frozenset(members)
@@ -147,7 +146,7 @@ def grow_stick_region(
         state = ContactState.STICK
     else:
         state = ContactState.INCIPIENT_SLIP
-    mean_angle = float(np.mean(phi[sorted(member_set)]))
+    mean_angle = float(np.mean(angles.angles[sorted(member_set)]))
     return StickRegion(
         members=member_set,
         mean_angle=mean_angle,

@@ -50,10 +50,6 @@ def write_frame(out: IO[str], frame: Frame) -> None:
     out.write(json.dumps({"t": frame.timestamp, "d": frame.displacements.tolist()}) + "\n")
 
 
-def write_truth_header(out: IO[str], grid: MarkerGrid) -> None:
-    write_header(out, grid)
-
-
 def write_truth(out: IO[str], t: float, truth: GroundTruth) -> None:
     out.write(
         json.dumps(
@@ -96,9 +92,11 @@ def read_frames(
     """Yield frames from NDJSON lines, skipping malformed ones with a warning.
 
     A line is skipped (never fatal) when it fails to parse, has the wrong
-    marker count, or contains non-finite components.
+    marker count, contains non-finite components, or is not later than the
+    last frame yielded (a duplicate or out-of-order line).
     """
     warn = warn if warn is not None else sys.stderr
+    last_t: Optional[float] = None
     for lineno, line in enumerate(lines, start=2):
         if not line.strip():
             continue
@@ -109,9 +107,15 @@ def read_frames(
                 raise ValueError(f"expected {grid.n_markers}x3 displacements, got {d.shape}")
             if not np.all(np.isfinite(d)) or not math.isfinite(float(obj["t"])):
                 raise ValueError("non-finite component")
-            yield Frame(timestamp=float(obj["t"]), displacements=d)
+            t = float(obj["t"])
+            if last_t is not None and not t > last_t:
+                raise ValueError(f"out-of-order frame: t={t} not after t={last_t}")
+            frame = Frame(timestamp=t, displacements=d)
         except (json.JSONDecodeError, KeyError, TypeError, ValueError, UsageError) as exc:
             print(f"warning: skipping frame line {lineno}: {exc}", file=warn)
+            continue
+        last_t = t
+        yield frame
 
 
 def write_csv_row(out: IO[str], cells: Iterable[str]) -> None:

@@ -7,12 +7,16 @@ the implementation.
 
 from __future__ import annotations
 
+import heapq
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pivotgauge import Frame, MarkerGrid
+import pivotgauge
+from pivotgauge import ContactState, Frame, MarkerGrid, normalized_angle_difference
 
 
 def brute_force_feature_angle(grid: MarkerGrid, frame: Frame, index: int) -> float | None:
@@ -46,6 +50,64 @@ def brute_force_feature_angle(grid: MarkerGrid, frame: Frame, index: int) -> flo
     return sum(angles) / len(angles)
 
 
+def loop_grow_stick_region(grid: MarkerGrid, mask, angles, cfg):
+    """Stick-region growth via plain loops: (members, mean_angle, state).
+
+    A heap of (distance to the centre, index) orders the frontier, and each
+    marker's 4-neighbours are worked out from its row and column per call.
+    """
+    if not mask.contact_detected:
+        return frozenset(), 0.0, ContactState.NO_CONTACT
+    center = mask.center_index
+    if not angles.valid[center]:
+        return frozenset(), 0.0, ContactState.MACRO_SLIP
+    rows, cols = grid.rows, grid.cols
+    pos = grid.reference_positions
+
+    def neighbours(index):
+        i, j = divmod(index, cols)
+        out = []
+        if j > 0:
+            out.append(index - 1)
+        if j < cols - 1:
+            out.append(index + 1)
+        if i > 0:
+            out.append(index - cols)
+        if i < rows - 1:
+            out.append(index + cols)
+        return out
+
+    members = [center]
+    mean = float(angles.angles[center])
+    seen = {center}
+    frontier = []
+
+    def push(index):
+        for nbr in neighbours(index):
+            if nbr in seen or not (mask.flags[nbr] and angles.valid[nbr]):
+                continue
+            seen.add(nbr)
+            dist = float(np.hypot(pos[nbr, 0] - pos[center, 0], pos[nbr, 1] - pos[center, 1]))
+            heapq.heappush(frontier, (dist, nbr))
+
+    push(center)
+    while frontier:
+        _, idx = heapq.heappop(frontier)
+        phi = float(angles.angles[idx])
+        if normalized_angle_difference(phi, mean, cfg.epsilon_angle) < cfg.delta_phi_th:
+            members.append(idx)
+            mean += (phi - mean) / len(members)
+            push(idx)
+
+    if len(members) < cfg.min_stick_markers:
+        state = ContactState.MACRO_SLIP
+    elif len(members) == int(mask.flags.sum()):
+        state = ContactState.STICK
+    else:
+        state = ContactState.INCIPIENT_SLIP
+    return frozenset(members), float(np.mean(angles.angles[sorted(members)])), state
+
+
 def brute_force_flags(frame: Frame, ratio: float) -> np.ndarray:
     dz = [row[2] for row in frame.displacements]
     top = max(dz)
@@ -60,6 +122,15 @@ def f1_against_mask(members, truth_mask: np.ndarray) -> float:
     fn = int((~recovered & truth_mask).sum())
     denom = 2 * tp + fp + fn
     return 2 * tp / denom if denom else 1.0
+
+
+def cli_env() -> dict[str, str]:
+    """Environment for a ``python -m pivotgauge.cli`` child process that
+    imports the same package as the tests, whether installed or not."""
+    package_root = str(Path(pivotgauge.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture

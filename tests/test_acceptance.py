@@ -30,7 +30,7 @@ from pivotgauge import (
 )
 from pivotgauge.config import build_config
 from pivotgauge.harness import SWEEP_ANGLES, measure_frame_latency, run_static_sweep
-from conftest import brute_force_feature_angle, brute_force_flags, f1_against_mask
+from conftest import brute_force_feature_angle, brute_force_flags, cli_env, f1_against_mask
 
 CFG = SegmentationConfig()
 RIGID = SoftnessParams()
@@ -249,7 +249,7 @@ def test_c09_determinism_round_trip(tmp_path):
     def run(args, **kw):
         proc = subprocess.run(
             [sys.executable, "-m", "pivotgauge.cli", *args],
-            capture_output=True, text=True, **kw,
+            capture_output=True, text=True, env=cli_env(), **kw,
         )
         assert proc.returncode == 0, proc.stderr
         return proc

@@ -44,6 +44,9 @@ def test_unknown_key_is_fatal():
         build_config({"scenario": {"contact_radiuss": 5.0}})
     with pytest.raises(ConfigError, match="segmentation"):
         build_config({"segmentation": {"delta_phi": 0.4}})
+    for key in ("grid", "softness"):
+        with pytest.raises(ConfigError, match=f"unknown key.*'scenario': {key}"):
+            build_config({"scenario": {key: {}}})
 
 
 def test_parse_error_reports_line(tmp_path):
@@ -61,6 +64,14 @@ def test_missing_config_path_is_config_error(tmp_path):
 def test_invalid_value_is_config_error():
     with pytest.raises(ConfigError, match="invalid config value"):
         build_config({"grid": {"rows": 1}})
+    with pytest.raises(ConfigError, match="invalid config value: softness.l_xy"):
+        build_config(apply_overrides({}, ["softness.l_xy=NaN"]))
+    with pytest.raises(ConfigError, match="invalid config value: scenario.theta_trajectory"):
+        build_config(apply_overrides({}, ["scenario.theta_trajectory=[[0, 0], [1, Infinity]]"]))
+    with pytest.raises(ConfigError, match="invalid config value: harness.t_end"):
+        build_config({"harness": {"t_end": float("-inf")}})
+    with pytest.raises(ConfigError, match="section 'grid' is not an object"):
+        build_config({"grid": 20})
 
 
 def test_piecewise_trajectories_from_document():
@@ -122,13 +133,14 @@ def test_read_frames_skips_malformed_lines():
     wrong_count = json.dumps({"t": 1.0, "d": [[0, 0, 0]] * 3})
     nan_line = '{"t": 2.0, "d": [[0, 0, NaN], [0,0,0], [0,0,0], [0,0,0]]}'
     later = json.dumps({"t": 3.0, "d": [[0, 0, 0]] * 4})
+    earlier = json.dumps({"t": 2.5, "d": [[0, 0, 0]] * 4})
+    last = json.dumps({"t": 4.0, "d": [[0, 0, 0]] * 4})
+    lines = [good, "not json", wrong_count, nan_line, later, later, earlier, last]
     warn = io.StringIO()
-    frames = list(
-        read_frames(iter([good, "not json", wrong_count, nan_line, later]), grid, warn=warn)
-    )
-    assert [f.timestamp for f in frames] == [0.0, 3.0]
+    frames = list(read_frames(iter(lines), grid, warn=warn))
+    assert [f.timestamp for f in frames] == [0.0, 3.0, 4.0]
     warnings = warn.getvalue().strip().splitlines()
-    assert len(warnings) == 3
+    assert len(warnings) == 5
     assert all("skipping frame line" in w for w in warnings)
 
 

@@ -65,6 +65,21 @@ def test_neighbor_indices_out_of_range():
 @given(
     rows=st.integers(min_value=2, max_value=30),
     cols=st.integers(min_value=2, max_value=30),
+)
+def test_neighbor_indices_match_row_col_definition(rows, cols):
+    grid = MarkerGrid(rows=rows, cols=cols)
+    for index in range(grid.n_markers):
+        i, j = grid.row_col(index)
+        expected = tuple(
+            grid.index_of(r, c) if 0 <= r < rows and 0 <= c < cols else None
+            for r, c in ((i, j - 1), (i, j + 1), (i - 1, j), (i + 1, j))
+        )
+        assert neighbor_indices(grid, index) == expected
+
+
+@given(
+    rows=st.integers(min_value=2, max_value=30),
+    cols=st.integers(min_value=2, max_value=30),
     data=st.data(),
 )
 def test_index_row_col_round_trip(rows, cols, data):

@@ -50,24 +50,30 @@ def test_rigid_rotation_exact_across_angles(grid20, theta):
     assert np.max(np.abs(result.angles[result.valid] - theta)) < 1e-9
 
 
-def test_matches_brute_force_everywhere(grid20):
-    scn = SimScenario(
-        theta_trajectory=9.0,
-        stick_radius=3.0,
-        contact_radius=6.0,
-        translation_trajectory=(0.3, 0.1),
-        noise_sigma=0.01,
-        rng_seed=5,
-    )
-    frame, _ = generate_frame(scn, 0.0)
-    result = line_feature_angles(grid20, frame)
-    for idx in range(grid20.n_markers):
-        oracle = brute_force_feature_angle(grid20, frame, idx)
-        if oracle is None:
-            assert not result.valid[idx]
-        else:
-            assert result.valid[idx]
-            assert result.angles[idx] == pytest.approx(oracle, abs=1e-9)
+def test_matches_brute_force_everywhere():
+    # The non-square grid catches a rows/cols mix-up that a square one hides.
+    for grid, contact_radius, stick_radius in (
+        (MarkerGrid(), 6.0, 3.0),
+        (MarkerGrid(rows=5, cols=9, pitch=0.7), 1.4, 0.7),
+    ):
+        scn = SimScenario(
+            grid=grid,
+            theta_trajectory=9.0,
+            stick_radius=stick_radius,
+            contact_radius=contact_radius,
+            translation_trajectory=(0.3, 0.1),
+            noise_sigma=0.01,
+            rng_seed=5,
+        )
+        frame, _ = generate_frame(scn, 0.0)
+        result = line_feature_angles(grid, frame)
+        for idx in range(grid.n_markers):
+            oracle = brute_force_feature_angle(grid, frame, idx)
+            if oracle is None:
+                assert not result.valid[idx]
+            else:
+                assert result.valid[idx]
+                assert result.angles[idx] == pytest.approx(oracle, abs=1e-9)
 
 
 def test_annulus_angle_bounded_by_brute_force_discretization():

@@ -17,6 +17,7 @@ from pivotgauge.harness import (
     run_dynamic,
     run_static_sweep,
 )
+from conftest import cli_env
 
 
 def config_with(scenario_overrides=None, harness_overrides=None):
@@ -199,10 +200,11 @@ def test_cli_estimate_from_file_and_stdin(tmp_path):
     rows = out_csv.read_text().splitlines()
     assert len(rows) == 1 + 7  # header + frames at 30 Hz over [0, 0.2]
 
-    proc = subprocess.run(
-        [sys.executable, "-m", "pivotgauge.cli", "estimate"],
-        stdin=open(ndjson), capture_output=True, text=True,
-    )
+    with open(ndjson) as stdin:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pivotgauge.cli", "estimate"],
+            stdin=stdin, capture_output=True, text=True, env=cli_env(),
+        )
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == rows
 
@@ -228,9 +230,21 @@ def test_cli_exit_codes(tmp_path):
     assert main(["sweep", "--config", str(bad_config)]) == 2
     assert main(["sweep", "--config", str(tmp_path / "missing.json")]) == 2
 
+    assert main(["dynamic", "--set", "softness.l_xy=NaN"]) == 2
+    assert main(["sweep", "--trials", "0"]) == 2
+
     bad_stream = tmp_path / "bad.ndjson"
     bad_stream.write_text("not a header\n")
     assert main(["estimate", "--in", str(bad_stream)]) == 1
+
+    stream = tmp_path / "frames.ndjson"
+    assert main(["simulate", "--out", str(stream), "--set", "harness.t_end=0.2"]) == 0
+    lines = stream.read_text().splitlines(keepends=True)
+    repeated = tmp_path / "repeated.ndjson"
+    repeated.write_text("".join(lines[:5] + [lines[4], lines[3]] + lines[5:]))
+    out_csv = tmp_path / "est.csv"
+    assert main(["estimate", "--in", str(repeated), "--out", str(out_csv)]) == 0
+    assert len(out_csv.read_text().splitlines()) == 1 + 7
 
 
 def test_cli_rejects_unknown_override_key():

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pivotgauge import (
+    ContactMask,
     ContactState,
     Frame,
     LineFeatureAngles,
@@ -20,7 +23,7 @@ from pivotgauge import (
     neighbor_indices,
     three_lift_scenario,
 )
-from conftest import brute_force_flags, f1_against_mask
+from conftest import brute_force_flags, f1_against_mask, loop_grow_stick_region
 
 
 CFG = SegmentationConfig()
@@ -169,6 +172,36 @@ def test_region_is_four_connected_and_contains_center(grid20):
                     nxt.append(nbr)
         frontier = nxt
     assert seen == set(region.members)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.integers(2, 24),
+    cols=st.integers(2, 24),
+    pitch=st.sampled_from([0.7, 1.0, 1.3]),
+    base=st.floats(-20.0, 20.0),
+    spread=st.floats(0.01, 5.0),
+    seed=st.integers(0, 2**31 - 1),
+    delta_phi_th=st.floats(0.05, 100.0),
+)
+def test_growth_matches_loop_oracle(rows, cols, pitch, base, spread, seed, delta_phi_th):
+    # Random contact masks and angle fields, so admission often hinges on
+    # the order in which the frontier is visited.
+    grid = MarkerGrid(rows=rows, cols=cols, pitch=pitch)
+    rng = np.random.default_rng(seed)
+    center = int(rng.integers(grid.n_markers))
+    flags = rng.random(grid.n_markers) < 0.85
+    valid = rng.random(grid.n_markers) < 0.95
+    flags[center] = valid[center] = True
+    phi = np.where(valid, base + spread * rng.standard_normal(grid.n_markers), 0.0)
+    mask = ContactMask(flags, contact_detected=True, center_index=center)
+    angles = LineFeatureAngles(phi, valid)
+    cfg = SegmentationConfig(delta_phi_th=delta_phi_th)
+    region = grow_stick_region(grid, mask, angles, cfg)
+    members, mean_angle, state = loop_grow_stick_region(grid, mask, angles, cfg)
+    assert region.members == members
+    assert region.mean_angle == mean_angle
+    assert region.state is state
 
 
 def test_growth_is_deterministic(grid20):
