@@ -7,7 +7,7 @@ region. A synthetic contact simulator with full ground truth, a
 least-squares baseline and an experiment harness round out the package.
 """
 
-from .config import FullConfig, HarnessConfig, load_config
+from .config import FullConfig, HarnessConfig, load_config, three_lift_scenario
 from .core import (
     ConfigError,
     ContactMask,
@@ -48,7 +48,6 @@ from .simulate import (
     analytic_local_rotation,
     generate_frame,
     generate_trajectory,
-    three_lift_scenario,
     with_constant_theta,
 )
 

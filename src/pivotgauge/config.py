@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 from typing import Any, Optional, Union
@@ -104,8 +104,6 @@ def build_config(document: dict[str, Any]) -> FullConfig:
         raise ConfigError(f"unknown config section(s): {', '.join(sorted(unknown))}")
 
     grid_raw = _section(document, "grid")
-    if "origin" in grid_raw:
-        grid_raw["origin"] = tuple(grid_raw["origin"])
     scenario_raw = _section(document, "scenario")
     seg_raw = _section(document, "segmentation")
     soft_raw = _section(document, "softness")
@@ -114,8 +112,6 @@ def build_config(document: dict[str, Any]) -> FullConfig:
     try:
         grid = MarkerGrid(**grid_raw)
         softness = SoftnessParams(**soft_raw)
-        if "cor" in scenario_raw:
-            scenario_raw["cor"] = tuple(scenario_raw["cor"])
         scenario = SimScenario(grid=grid, softness=softness, **scenario_raw)
         segmentation = SegmentationConfig(**seg_raw)
         harness = HarnessConfig(**harness_raw)
@@ -134,6 +130,27 @@ def load_config(source: Union[str, Path, None] = None) -> FullConfig:
     name of a shipped preset such as ``three-lift``.
     """
     return build_config(load_document(source))
+
+
+def three_lift_scenario(
+    grid: Optional[MarkerGrid] = None,
+    noise_sigma: Optional[float] = None,
+    rng_seed: Optional[int] = None,
+    softness: Optional[SoftnessParams] = None,
+) -> SimScenario:
+    """The ``three-lift`` preset's staged pivoting scenario over t in [0, 12] s.
+
+    The rotation ramps to plateaus near 6, 12 and 18 degrees and then past
+    20 degrees while the stick radius collapses below one marker pitch,
+    taking the contact from stable stick through incipient slip into macro
+    slip on the final ramp. Plateau stick radii keep the flagged patch
+    (whose stencils stay inside the stick zone) effectively rigid so the
+    plateau estimates track the commanded angle closely. Arguments that are
+    not None replace the preset's values.
+    """
+    changes = {"grid": grid, "noise_sigma": noise_sigma, "rng_seed": rng_seed, "softness": softness}
+    scenario = load_config("three-lift").scenario
+    return replace(scenario, **{k: v for k, v in changes.items() if v is not None})
 
 
 def apply_overrides(document: dict[str, Any], overrides: list[str]) -> dict[str, Any]:

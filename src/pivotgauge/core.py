@@ -15,11 +15,16 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Any, Optional
 
 import numpy as np
+
+# Largest grid a config or stream header may describe, far above any tactile
+# sensor's marker count; checked before any array of that size is allocated.
+MAX_MARKERS = 1_000_000
 
 
 class UsageError(ValueError):
@@ -32,6 +37,17 @@ class ConfigError(ValueError):
 
 class InsufficientDataError(RuntimeError):
     """Too few contact markers to perform the requested computation."""
+
+
+def finite_pair(value: Any, name: str) -> tuple[float, float]:
+    """``value`` as a pair of finite floats, or a UsageError naming ``name``."""
+    try:
+        x, y = np.asarray(value, dtype=float).tolist()
+        if math.isfinite(x) and math.isfinite(y):
+            return x, y
+    except (TypeError, ValueError):
+        pass
+    raise UsageError(f"{name} must be two finite numbers, got {value!r}")
 
 
 class ContactState(enum.Enum):
@@ -62,15 +78,24 @@ class MarkerGrid:
     origin: Optional[tuple[float, float]] = None
 
     def __post_init__(self) -> None:
+        for name in ("rows", "cols"):
+            value = getattr(self, name)
+            if isinstance(value, float) and value.is_integer():
+                value = int(value)
+            if not isinstance(value, (int, np.integer)):
+                raise UsageError(f"grid {name} must be a whole number, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.rows < 2 or self.cols < 2:
             raise UsageError(f"grid must be at least 2x2, got {self.rows}x{self.cols}")
+        if self.rows * self.cols > MAX_MARKERS:
+            raise UsageError(f"grid {self.rows}x{self.cols} exceeds {MAX_MARKERS} markers")
         if not self.pitch > 0:
             raise UsageError(f"pitch must be positive, got {self.pitch}")
         if self.origin is None:
             ox = -(self.cols - 1) * self.pitch / 2.0
             oy = -(self.rows - 1) * self.pitch / 2.0
         else:
-            ox, oy = float(self.origin[0]), float(self.origin[1])
+            ox, oy = finite_pair(self.origin, "origin")
         object.__setattr__(self, "origin", (ox, oy))
         jj, ii = np.meshgrid(np.arange(self.cols), np.arange(self.rows))
         pos = np.column_stack([ox + jj.ravel() * self.pitch, oy + ii.ravel() * self.pitch])

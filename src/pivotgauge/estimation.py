@@ -112,7 +112,6 @@ class EstimatorState:
 
     window: deque = field(default_factory=lambda: deque(maxlen=FILTER_WINDOW))
     zero_drift: float = 0.0
-    frames_seen: int = 0
     contact_seen: bool = False
     pre_contact_frames: int = 0
     last_timestamp: Optional[float] = None
@@ -137,7 +136,6 @@ def filter_step(
                 f"out-of-order frame: t={timestamp} after t={state.last_timestamp}"
             )
         state.last_timestamp = timestamp
-    state.frames_seen += 1
 
     if not state.contact_seen and not contact_now:
         state.pre_contact_frames += 1

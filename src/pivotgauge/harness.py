@@ -11,16 +11,16 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
-from typing import IO, Optional
+from dataclasses import astuple, dataclass
+from typing import IO, Iterable, Iterator, Optional
 
 import numpy as np
 
 from .config import FullConfig
-from .core import ContactState, InsufficientDataError, UsageError
+from .core import ContactState, Frame, InsufficientDataError, MarkerGrid, UsageError
 from .estimation import RotationPipeline, baseline_least_squares, estimate_frame
 from .simulate import generate_frame, generate_trajectory, with_constant_theta
-from .streams import fmt, read_frames, read_header, write_csv_row
+from .streams import read_frames, read_header, write_csv_row
 
 SWEEP_ANGLES = tuple(range(2, 21))
 VALID_RANGE = (2.0, 20.0)
@@ -34,14 +34,6 @@ SWEEP_CSV_HEADER = (
     "baseline_std_deg",
     "baseline_failures",
 )
-DYNAMIC_CSV_HEADER = (
-    "t",
-    "theta_true_deg",
-    "theta_raw_deg",
-    "theta_filtered_deg",
-    "state",
-    "stick_ratio",
-)
 ESTIMATE_CSV_HEADER = (
     "t",
     "theta_raw_deg",
@@ -49,6 +41,8 @@ ESTIMATE_CSV_HEADER = (
     "state",
     "stick_ratio",
 )
+# A dynamic row is an estimate row with the true angle inserted after t.
+DYNAMIC_CSV_HEADER = ("t", "theta_true_deg", *ESTIMATE_CSV_HEADER[1:])
 COMPARE_CSV_HEADER = (
     "theta_true_deg",
     "trials",
@@ -154,18 +148,10 @@ def run_static_sweep(
     if csv_out is not None:
         write_csv_row(csv_out, SWEEP_CSV_HEADER)
         for prop, base in zip(rows["proposed"], rows["baseline"]):
-            write_csv_row(
-                csv_out,
-                (
-                    fmt(prop.theta_true),
-                    str(prop.trials),
-                    fmt(prop.mean_abs_error),
-                    fmt(prop.std_error),
-                    fmt(base.mean_abs_error),
-                    fmt(base.std_error),
-                    str(base.failures),
-                ),
-            )
+            write_csv_row(csv_out, (
+                prop.theta_true, prop.trials, prop.mean_abs_error, prop.std_error,
+                base.mean_abs_error, base.std_error, base.failures,
+            ))
 
     overall = {"proposed": proposed.ravel(), "baseline": baseline[~np.isnan(baseline)]}
     return {
@@ -181,11 +167,15 @@ class DynamicResult:
     mare: float
 
 
-def _in_valid_range(theta_true: float, state: ContactState) -> bool:
-    return (
-        VALID_RANGE[0] <= abs(theta_true) <= VALID_RANGE[1]
-        and state is not ContactState.MACRO_SLIP
-    )
+def _estimate_rows(frames: Iterable[Frame], grid: MarkerGrid, config: FullConfig) -> Iterator:
+    """Drive one filtered pipeline over ``frames``; yield each frame's filtered
+    estimate and its row of ``ESTIMATE_CSV_HEADER`` values."""
+    pipeline = RotationPipeline(grid, config.segmentation, config.softness)
+    for frame in frames:
+        filtered = pipeline.process_frame(frame)
+        raw = pipeline.last_raw
+        yield filtered, (frame.timestamp, raw.theta, filtered.theta, filtered.state,
+                         filtered.stick_ratio)
 
 
 def run_dynamic(config: FullConfig, csv_out: Optional[IO[str]] = None) -> DynamicResult:
@@ -195,31 +185,21 @@ def run_dynamic(config: FullConfig, csv_out: Optional[IO[str]] = None) -> Dynami
     [2, 20] degrees and no macro slip.
     """
     harness = config.harness
-    pipeline = RotationPipeline(config.grid, config.segmentation, config.softness)
     if csv_out is not None:
         write_csv_row(csv_out, DYNAMIC_CSV_HEADER)
+    trajectory = generate_trajectory(
+        config.scenario, harness.t_start, harness.t_end, harness.rate_hz
+    )
+    rows = _estimate_rows((frame for frame, _truth in trajectory), config.grid, config)
     errors = []
     n = 0
-    for frame, truth in generate_trajectory(
-        config.scenario, harness.t_start, harness.t_end, harness.rate_hz
-    ):
-        filtered = pipeline.process_frame(frame)
-        raw = pipeline.last_raw
+    for (_frame, truth), (filtered, row) in zip(trajectory, rows):
         n += 1
-        if _in_valid_range(truth.theta, filtered.state):
+        in_range = VALID_RANGE[0] <= abs(truth.theta) <= VALID_RANGE[1]
+        if in_range and filtered.state is not ContactState.MACRO_SLIP:
             errors.append(abs(filtered.theta - truth.theta))
         if csv_out is not None:
-            write_csv_row(
-                csv_out,
-                (
-                    fmt(frame.timestamp),
-                    fmt(truth.theta),
-                    fmt(raw.theta),
-                    fmt(filtered.theta),
-                    str(filtered.state),
-                    fmt(filtered.stick_ratio),
-                ),
-            )
+            write_csv_row(csv_out, (row[0], truth.theta, *row[1:]))
     mare = float(np.mean(errors)) if errors else math.nan
     return DynamicResult(n_frames=n, in_range_frames=len(errors), mare=mare)
 
@@ -237,23 +217,11 @@ def estimate_from_stream(
     frames processed.
     """
     grid = read_header(lines)
-    pipeline = RotationPipeline(grid, config.segmentation, config.softness)
     write_csv_row(csv_out, ESTIMATE_CSV_HEADER)
     n = 0
-    for frame in read_frames(lines, grid, warn=warn):
-        filtered = pipeline.process_frame(frame)
-        raw = pipeline.last_raw
+    for _filtered, row in _estimate_rows(read_frames(lines, grid, warn=warn), grid, config):
         n += 1
-        write_csv_row(
-            csv_out,
-            (
-                fmt(frame.timestamp),
-                fmt(raw.theta),
-                fmt(filtered.theta),
-                str(filtered.state),
-                fmt(filtered.stick_ratio),
-            ),
-        )
+        write_csv_row(csv_out, row)
     return n
 
 
@@ -293,17 +261,7 @@ def compare_estimators(
         )
         rows.append(row)
         if csv_out is not None:
-            write_csv_row(
-                csv_out,
-                (
-                    fmt(theta),
-                    str(row.trials),
-                    fmt(row.proposed_mae),
-                    fmt(row.baseline_mae),
-                    fmt(row.win_rate),
-                    str(row.baseline_failures),
-                ),
-            )
+            write_csv_row(csv_out, astuple(row))
     overall = total_wins / total_valid if total_valid else math.nan
     return CompareReport(rows=tuple(rows), overall_win_rate=overall)
 

@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence, Union
+from typing import Any, Callable, Sequence, Union
 
 import numpy as np
 
-from .core import Frame, MarkerGrid, SoftnessParams, UsageError
+from .core import Frame, MarkerGrid, SoftnessParams, UsageError, finite_pair
 
 TimeScalarFn = Callable[[float], float]
 TimeVectorFn = Callable[[float], np.ndarray]
@@ -58,34 +58,26 @@ class PiecewiseLinear:
         return out
 
 
-def _as_scalar_fn(value, name: str) -> TimeScalarFn:
+def _time_fn(value, name: str, shape: tuple[int, ...]) -> Callable[[float], Any]:
+    """A function of time from a callable, a constant of ``shape`` (``()`` or
+    ``(2,)``) or a breakpoint list of ``(t, value...)`` rows."""
     if callable(value):
         return value
-    if isinstance(value, (int, float)):
-        v = float(value)
-        return lambda t: v
-    if isinstance(value, PiecewiseLinear):
-        return value
     try:
-        return PiecewiseLinear(value)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"{name} must be a number, callable or breakpoint list") from exc
-
-
-def _as_vector_fn(value, name: str) -> TimeVectorFn:
-    if isinstance(value, PiecewiseLinear):
-        return value
-    if callable(value):
-        return lambda t: np.asarray(value(t), dtype=float)
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 1 and arr.size == 2:
-        vec = arr.copy()
-        return lambda t: vec
-    try:
-        pw = PiecewiseLinear(value)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"{name} must be a 2-vector, callable or breakpoint list") from exc
-    return pw
+        # No float dtype here: it would parse strings and read null as NaN,
+        # where isfinite raises TypeError for both.
+        arr = np.array(value)
+        if not all(map(math.isfinite, arr.ravel().tolist())):
+            raise ValueError(f"not finite numbers: {value!r}")
+        if arr.shape == shape:
+            constant = arr.astype(float) if shape else float(arr)
+            return lambda t: constant
+        if arr.ndim != 2 or arr.shape[1] != 1 + math.prod(shape):
+            raise ValueError(f"breakpoint rows must be {1 + math.prod(shape)} wide")
+        return PiecewiseLinear(arr)
+    except (TypeError, ValueError) as exc:  # UsageError included
+        kind = "a 2-vector" if shape else "a number"
+        raise UsageError(f"{name} must be {kind}, callable or breakpoint list") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,8 +86,10 @@ class SimScenario:
 
     ``theta_trajectory`` and ``stick_radius`` accept a constant, a callable
     of time, or a breakpoint list; ``translation_trajectory`` likewise with
-    2-vector values. ``decay_exponent`` controls how sharply the slip
-    annulus decouples from the stick core (larger = sharper boundary).
+    2-vector values. A stick radius must lie in (0, contact_radius]: checked
+    here for a constant or breakpoints, at each evaluation for a callable.
+    ``decay_exponent`` controls how sharply the slip annulus decouples from
+    the stick core (larger = sharper boundary).
     """
 
     grid: MarkerGrid = field(default_factory=MarkerGrid)
@@ -123,12 +117,17 @@ class SimScenario:
                 f"got {self.contact_radius}"
             )
         stick = self.stick_radius if self.stick_radius is not None else self.contact_radius
-        object.__setattr__(self, "cor", (float(self.cor[0]), float(self.cor[1])))
-        object.__setattr__(self, "_stick_fn", _as_scalar_fn(stick, "stick_radius"))
-        object.__setattr__(self, "_theta_fn", _as_scalar_fn(self.theta_trajectory, "theta_trajectory"))
-        object.__setattr__(
-            self, "_translation_fn", _as_vector_fn(self.translation_trajectory, "translation_trajectory")
-        )
+        object.__setattr__(self, "cor", finite_pair(self.cor, "cor"))
+        object.__setattr__(self, "_stick_fn", _time_fn(stick, "stick_radius", ()))
+        object.__setattr__(self, "_theta_fn", _time_fn(self.theta_trajectory, "theta_trajectory", ()))
+        translation_fn = _time_fn(self.translation_trajectory, "translation_trajectory", (2,))
+        object.__setattr__(self, "_translation_fn", translation_fn)
+        if not callable(stick):  # piecewise linear, so its extremes lie at the breakpoints
+            for r_s in map(float, [row[1] for row in stick] if np.iterable(stick) else [stick]):
+                if not 0 < r_s <= self.contact_radius:
+                    raise UsageError(
+                        f"stick_radius {r_s} outside (0, contact_radius={self.contact_radius}]"
+                    )
 
     def theta_at(self, t: float) -> float:
         return float(self._theta_fn(t))  # type: ignore[attr-defined]
@@ -281,42 +280,6 @@ def analytic_local_rotation(scenario: SimScenario, t: float, position: Sequence[
     decay = _decay_profile(rho, scenario.stick_radius_at(t), scenario.contact_radius,
                            scenario.decay_exponent)
     return float(scenario.theta_at(t) * decay[0] / (1.0 + scenario.softness.k))
-
-
-def three_lift_scenario(
-    grid: Optional[MarkerGrid] = None,
-    noise_sigma: float = 0.005,
-    rng_seed: int = 7,
-    softness: Optional[SoftnessParams] = None,
-) -> SimScenario:
-    """Staged three-lift pivoting trajectory over t in [0, 12] s.
-
-    The rotation ramps to plateaus near 6, 12 and 18 degrees and then past
-    20 degrees while the stick radius collapses below one marker pitch,
-    taking the contact from stable stick through incipient slip into macro
-    slip on the final ramp. Plateau stick radii keep the flagged patch
-    (whose stencils stay inside the stick zone) effectively rigid so the
-    plateau estimates track the commanded angle closely.
-    """
-    return SimScenario(
-        grid=grid if grid is not None else MarkerGrid(),
-        contact_radius=8.0,
-        max_indent=0.5,
-        cor=(0.5, 0.5),
-        stick_radius=PiecewiseLinear(
-            [(0.0, 7.6), (3.5, 7.6), (4.5, 7.4), (6.5, 7.4), (7.5, 7.2),
-             (9.5, 7.2), (11.0, 0.4), (12.0, 0.4)]
-        ),
-        theta_trajectory=PiecewiseLinear(
-            [(0.0, 0.0), (0.5, 0.0), (1.5, 6.0), (3.5, 6.0), (4.5, 12.0),
-             (6.5, 12.0), (7.5, 18.0), (9.5, 18.0), (11.5, 24.0), (12.0, 24.0)]
-        ),
-        translation_trajectory=(0.0, 0.0),
-        decay_exponent=1.5,
-        softness=softness if softness is not None else SoftnessParams(),
-        noise_sigma=noise_sigma,
-        rng_seed=rng_seed,
-    )
 
 
 def with_constant_theta(scenario: SimScenario, theta: float) -> SimScenario:

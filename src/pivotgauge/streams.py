@@ -7,7 +7,8 @@ Floats are serialized with full round-trip precision, so piping a stream
 through a file reproduces bit-identical values.
 
 CSV output is RFC-4180-style with a header row, ``.`` decimal separator
-and 6 significant digits for all numeric columns.
+and 6 significant digits for every float cell; other cells (counts,
+states) are written with ``str``.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ from __future__ import annotations
 import json
 import math
 import sys
-from typing import IO, Iterable, Iterator, Optional
+from typing import IO, Any, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .core import Frame, MarkerGrid, UsageError
+from .core import Frame, MarkerGrid, UsageError, finite_pair
 from .simulate import GroundTruth
 
 
@@ -75,10 +76,11 @@ def read_header(lines: Iterator[str]) -> MarkerGrid:
     try:
         obj = json.loads(line)
         return MarkerGrid(
-            rows=int(obj["rows"]),
-            cols=int(obj["cols"]),
-            pitch=float(obj["pitch"]),
-            origin=(float(obj["origin"][0]), float(obj["origin"][1])),
+            rows=obj["rows"],
+            cols=obj["cols"],
+            pitch=obj["pitch"],
+            # A header must state its origin: null is not the centred default.
+            origin=finite_pair(obj["origin"], "origin"),
         )
     except (json.JSONDecodeError, KeyError, TypeError, ValueError, UsageError) as exc:
         raise StreamFormatError(f"bad stream header: {exc}") from exc
@@ -118,5 +120,6 @@ def read_frames(
         yield frame
 
 
-def write_csv_row(out: IO[str], cells: Iterable[str]) -> None:
-    out.write(",".join(cells) + "\n")
+def write_csv_row(out: IO[str], values: Iterable[Any]) -> None:
+    """Write one CSV row: a float cell through ``fmt``, any other through ``str``."""
+    out.write(",".join(fmt(v) if isinstance(v, float) else str(v) for v in values) + "\n")

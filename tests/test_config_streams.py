@@ -2,18 +2,21 @@ from __future__ import annotations
 
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from pivotgauge import ConfigError, MarkerGrid, generate_frame, load_config
+from pivotgauge import ConfigError, ContactState, MarkerGrid, generate_frame, load_config
 from pivotgauge.config import apply_overrides, build_config
+from pivotgauge.core import MAX_MARKERS
 from pivotgauge.simulate import SimScenario
 from pivotgauge.streams import (
     StreamFormatError,
     fmt,
     read_frames,
     read_header,
+    write_csv_row,
     write_frame,
     write_header,
 )
@@ -72,6 +75,22 @@ def test_invalid_value_is_config_error():
         build_config({"harness": {"t_end": float("-inf")}})
     with pytest.raises(ConfigError, match="section 'grid' is not an object"):
         build_config({"grid": 20})
+    for override, message in [
+        ("grid.origin=[1]", "origin must be two finite numbers"),
+        ('grid.origin=["a","b"]', "origin must be two finite numbers"),
+        ("scenario.cor=[1]", "cor must be two finite numbers"),
+        ("grid.rows=2.5", "grid rows must be a whole number"),
+        (f"grid.cols={MAX_MARKERS // 20 + 1}", f"grid 20x{MAX_MARKERS // 20 + 1} exceeds"),
+        ("scenario.theta_trajectory=[[0,1,2],[1,2,3]]", "theta_trajectory must be a number"),
+        ("scenario.theta_trajectory=null", "theta_trajectory must be a number"),
+        ('scenario.theta_trajectory="3.5"', "theta_trajectory must be a number"),
+        ("scenario.translation_trajectory=[[0,0],[1,1]]", "translation_trajectory must be a 2-vector"),
+        ("scenario.translation_trajectory=ab", "translation_trajectory must be a 2-vector"),
+        ("scenario.stick_radius=9", "stick_radius 9.0 outside"),
+        ("scenario.stick_radius=[[0,4],[1,0]]", "stick_radius 0.0 outside"),
+    ]:
+        with pytest.raises(ConfigError, match=f"invalid config value: {message}"):
+            build_config(apply_overrides({}, [override]))
 
 
 def test_piecewise_trajectories_from_document():
@@ -107,6 +126,10 @@ def test_fmt_six_significant_digits():
     assert fmt(12.3456789) == "12.3457"
     assert fmt(0.000123456789) == "0.000123457"
     assert fmt(float("nan")) == "nan"
+    buf = io.StringIO()
+    cells = (12.3456789, np.float64(2.0), 1234567, "theta_true_deg", ContactState.INCIPIENT_SLIP)
+    write_csv_row(buf, cells)
+    assert buf.getvalue() == "12.3457,2,1234567,theta_true_deg,IncipientSlip\n"
 
 
 def test_ndjson_round_trip_is_exact():
@@ -151,6 +174,20 @@ def test_bad_header_is_fatal():
         read_header(iter([]))
     with pytest.raises(StreamFormatError):
         read_header(iter([json.dumps({"rows": 20})]))
+    good = {"rows": 20, "cols": 20, "pitch": 1.0, "origin": [-9.5, -9.5]}
+    for change in ({"origin": [0]}, {"origin": [float("nan"), 0]}, {"origin": None},
+                   {"rows": 2.5}, {"rows": "20"}):
+        with pytest.raises(StreamFormatError, match="bad stream header"):
+            read_header(iter([json.dumps({**good, **change})]))
+    # A grid over the size limit is refused before its arrays are allocated.
+    tracemalloc.start()
+    try:
+        with pytest.raises(StreamFormatError, match="exceeds"):
+            read_header(iter([json.dumps({**good, "rows": 2, "cols": MAX_MARKERS // 2 + 1})]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_header_defines_grid():

@@ -15,6 +15,7 @@ from pivotgauge import (
     UsageError,
     neighbor_indices,
 )
+from pivotgauge.core import MAX_MARKERS
 
 
 def test_grid_defaults_centered():
@@ -32,6 +33,12 @@ def test_grid_rejects_degenerate_shapes():
         MarkerGrid(rows=5, cols=1)
     with pytest.raises(UsageError):
         MarkerGrid(pitch=0.0)
+    for kwargs in ({"rows": 2.5}, {"cols": "20"}, {"origin": (1.0,)}, {"origin": ("a", "b")},
+                   {"origin": (float("nan"), 0.0)}, {"rows": 2, "cols": MAX_MARKERS // 2 + 1}):
+        with pytest.raises(UsageError):
+            MarkerGrid(**kwargs)
+    grid = MarkerGrid(rows=4.0, cols=np.int64(3))
+    assert (grid.rows, grid.cols) == (4, 3) and type(grid.rows) is type(grid.cols) is int
 
 
 def test_reference_positions_exactly_affine():

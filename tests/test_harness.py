@@ -231,6 +231,9 @@ def test_cli_exit_codes(tmp_path):
     assert main(["sweep", "--config", str(tmp_path / "missing.json")]) == 2
 
     assert main(["dynamic", "--set", "softness.l_xy=NaN"]) == 2
+    rejected_csv = tmp_path / "rejected.csv"
+    assert main(["dynamic", "--out", str(rejected_csv), "--set", "scenario.stick_radius=9"]) == 2
+    assert not rejected_csv.exists()  # refused at load, before any output
     assert main(["sweep", "--trials", "0"]) == 2
 
     bad_stream = tmp_path / "bad.ndjson"

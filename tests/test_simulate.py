@@ -205,9 +205,13 @@ def test_scenario_validation():
         SimScenario(noise_sigma=-0.1)
     with pytest.raises(UsageError):
         SimScenario(decay_exponent=0.0)
-    scn = SimScenario(stick_radius=9.0, contact_radius=8.0)
+    with pytest.raises(UsageError, match="stick_radius 9.0 outside"):
+        SimScenario(stick_radius=9.0, contact_radius=8.0)  # above contact radius
+    with pytest.raises(UsageError, match="stick_radius 0.0 outside"):
+        SimScenario(stick_radius=[(0.0, 4.0), (1.0, 0.0)])  # a breakpoint at 0
+    scn = SimScenario(stick_radius=lambda t: 9.0, contact_radius=8.0)
     with pytest.raises(UsageError):
-        generate_frame(scn, 0.0)  # stick radius above contact radius
+        generate_frame(scn, 0.0)  # callables are checked when evaluated
 
 
 def test_analytic_local_rotation_stick_zone():
