@@ -16,7 +16,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Optional, Union
 
-from .core import ConfigError, MarkerGrid, SoftnessParams, UsageError
+from .core import ConfigError, MarkerGrid, SoftnessParams, UsageError, whole_number
 from .segmentation import SegmentationConfig
 from .simulate import SimScenario
 
@@ -31,6 +31,7 @@ class HarnessConfig:
     t_end: float = 1.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "trials", whole_number(self.trials, "harness.trials"))
         if self.trials < 1:
             raise ConfigError("harness.trials must be >= 1")
         if not self.rate_hz > 0:
@@ -149,7 +150,9 @@ def three_lift_scenario(
     not None replace the preset's values.
     """
     changes = {"grid": grid, "noise_sigma": noise_sigma, "rng_seed": rng_seed, "softness": softness}
-    scenario = load_config("three-lift").scenario
+    # By preset path: a file named "three-lift" in the working directory
+    # would shadow the name.
+    scenario = load_config(preset_path("three-lift")).scenario
     return replace(scenario, **{k: v for k, v in changes.items() if v is not None})
 
 

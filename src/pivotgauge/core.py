@@ -50,6 +50,16 @@ def finite_pair(value: Any, name: str) -> tuple[float, float]:
     raise UsageError(f"{name} must be two finite numbers, got {value!r}")
 
 
+def whole_number(value: Any, name: str) -> int:
+    """``value`` as an int (a whole float such as ``25.0`` included), or a
+    UsageError naming ``name``."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if not isinstance(value, (int, np.integer)):
+        raise UsageError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 class ContactState(enum.Enum):
     """Contact-surface state reported alongside every rotation estimate."""
 
@@ -79,23 +89,21 @@ class MarkerGrid:
 
     def __post_init__(self) -> None:
         for name in ("rows", "cols"):
-            value = getattr(self, name)
-            if isinstance(value, float) and value.is_integer():
-                value = int(value)
-            if not isinstance(value, (int, np.integer)):
-                raise UsageError(f"grid {name} must be a whole number, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, whole_number(getattr(self, name), f"grid {name}"))
         if self.rows < 2 or self.cols < 2:
             raise UsageError(f"grid must be at least 2x2, got {self.rows}x{self.cols}")
         if self.rows * self.cols > MAX_MARKERS:
             raise UsageError(f"grid {self.rows}x{self.cols} exceeds {MAX_MARKERS} markers")
-        if not self.pitch > 0:
-            raise UsageError(f"pitch must be positive, got {self.pitch}")
+        if not (self.pitch > 0 and math.isfinite(self.pitch)):
+            raise UsageError(f"pitch must be positive and finite, got {self.pitch}")
         if self.origin is None:
             ox = -(self.cols - 1) * self.pitch / 2.0
             oy = -(self.rows - 1) * self.pitch / 2.0
         else:
             ox, oy = finite_pair(self.origin, "origin")
+        far = (ox + (self.cols - 1) * self.pitch, oy + (self.rows - 1) * self.pitch)
+        if not all(map(math.isfinite, (ox, oy, *far))):
+            raise UsageError(f"grid positions overflow with pitch {self.pitch} from {(ox, oy)}")
         object.__setattr__(self, "origin", (ox, oy))
         jj, ii = np.meshgrid(np.arange(self.cols), np.arange(self.rows))
         pos = np.column_stack([ox + jj.ravel() * self.pitch, oy + ii.ravel() * self.pitch])

@@ -122,6 +122,8 @@ class SimScenario:
         object.__setattr__(self, "_theta_fn", _time_fn(self.theta_trajectory, "theta_trajectory", ()))
         translation_fn = _time_fn(self.translation_trajectory, "translation_trajectory", (2,))
         object.__setattr__(self, "_translation_fn", translation_fn)
+        # generate_frame's (t, noiseless displacements, truth) of the last t.
+        object.__setattr__(self, "_field_memo", None)
         if not callable(stick):  # piecewise linear, so its extremes lie at the breakpoints
             for r_s in map(float, [row[1] for row in stick] if np.iterable(stick) else [stick]):
                 if not 0 < r_s <= self.contact_radius:
@@ -202,14 +204,10 @@ def _rotate_offsets(d: np.ndarray, angle_rad: np.ndarray) -> np.ndarray:
     return np.column_stack([c * d[:, 0] - s * d[:, 1], s * d[:, 0] + c * d[:, 1]])
 
 
-def generate_frame(
-    scenario: SimScenario, t: float, frame_index: int = 0
-) -> tuple[Frame, GroundTruth]:
-    """Generate the displacement frame and its ground truth at time t.
+def _noiseless_field(scenario: SimScenario, t: float) -> tuple[np.ndarray, GroundTruth]:
+    """The read-only (n, 3) noiseless displacements and the ground truth at t.
 
-    ``frame_index`` seeds the per-frame noise stream; frames of a
-    trajectory can therefore be generated independently (and in parallel)
-    with reproducible output.
+    Both depend only on ``(scenario, t)``, never on a frame's noise.
     """
     grid = scenario.grid
     theta = scenario.theta_at(t)
@@ -231,13 +229,7 @@ def generate_frame(
     tangential += trans * _translation_taper(rho, a)[:, None]
 
     displacements = np.column_stack([tangential, dz])
-    if scenario.noise_sigma > 0:
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=scenario.rng_seed, spawn_key=(frame_index,))
-        )
-        displacements = displacements + scenario.noise_sigma * rng.standard_normal(
-            displacements.shape
-        )
+    displacements.setflags(write=False)
 
     # Ground truth: the object-side surface moves rigidly with the
     # attenuated surface angle (equal to theta for a rigid object), so the
@@ -254,6 +246,33 @@ def generate_frame(
         slip_field=slip_field,
         contact_mask_true=contact_mask,
     )
+    return displacements, truth
+
+
+def generate_frame(
+    scenario: SimScenario, t: float, frame_index: int = 0
+) -> tuple[Frame, GroundTruth]:
+    """Generate the displacement frame and its ground truth at time t.
+
+    ``frame_index`` seeds the per-frame noise stream; frames of a
+    trajectory can therefore be generated independently (and in parallel)
+    with reproducible output. The scenario keeps the noiseless field of the
+    last ``t`` it was asked for, so repeated trials at one time (the static
+    sweep) draw only their noise; its time inputs must be pure functions.
+    """
+    memo = scenario._field_memo  # type: ignore[attr-defined]
+    if memo is not None and memo[0] == t:
+        _t, displacements, truth = memo
+    else:
+        displacements, truth = _noiseless_field(scenario, t)
+        object.__setattr__(scenario, "_field_memo", (t, displacements, truth))
+    if scenario.noise_sigma > 0:
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=scenario.rng_seed, spawn_key=(frame_index,))
+        )
+        displacements = displacements + scenario.noise_sigma * rng.standard_normal(
+            displacements.shape
+        )
     return Frame(timestamp=t, displacements=displacements), truth
 
 

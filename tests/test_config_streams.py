@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from pivotgauge import ConfigError, ContactState, MarkerGrid, generate_frame, load_config
-from pivotgauge.config import apply_overrides, build_config
+from pivotgauge.cli import main
+from pivotgauge.config import apply_overrides, build_config, three_lift_scenario
 from pivotgauge.core import MAX_MARKERS
 from pivotgauge.simulate import SimScenario
 from pivotgauge.streams import (
@@ -35,6 +36,17 @@ def test_three_lift_preset_loads_by_name():
     assert config.scenario.theta_at(2.5) == pytest.approx(6.0)
     assert config.harness.t_end == 12.0
     assert config.scenario.rng_seed == 7
+
+
+def test_three_lift_scenario_reads_the_shipped_preset(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "three-lift").write_text("{}")
+    scenario = three_lift_scenario()
+    assert scenario.theta_at(2.5) == pytest.approx(6.0)
+    assert scenario.rng_seed == 7
+    # A name is tried as a path first, so there the file in the working
+    # directory is what loads.
+    assert load_config("three-lift").scenario.theta_at(2.5) == 0.0
 
 
 def test_unknown_section_is_fatal():
@@ -64,7 +76,7 @@ def test_missing_config_path_is_config_error(tmp_path):
         load_config(tmp_path / "nope.json")
 
 
-def test_invalid_value_is_config_error():
+def test_invalid_value_is_config_error(tmp_path):
     with pytest.raises(ConfigError, match="invalid config value"):
         build_config({"grid": {"rows": 1}})
     with pytest.raises(ConfigError, match="invalid config value: softness.l_xy"):
@@ -80,6 +92,7 @@ def test_invalid_value_is_config_error():
         ('grid.origin=["a","b"]', "origin must be two finite numbers"),
         ("scenario.cor=[1]", "cor must be two finite numbers"),
         ("grid.rows=2.5", "grid rows must be a whole number"),
+        ("harness.trials=2.5", "harness.trials must be a whole number"),
         (f"grid.cols={MAX_MARKERS // 20 + 1}", f"grid 20x{MAX_MARKERS // 20 + 1} exceeds"),
         ("scenario.theta_trajectory=[[0,1,2],[1,2,3]]", "theta_trajectory must be a number"),
         ("scenario.theta_trajectory=null", "theta_trajectory must be a number"),
@@ -91,6 +104,11 @@ def test_invalid_value_is_config_error():
     ]:
         with pytest.raises(ConfigError, match=f"invalid config value: {message}"):
             build_config(apply_overrides({}, [override]))
+    trials = build_config({"harness": {"trials": 25.0}}).harness.trials
+    assert trials == 25 and type(trials) is int
+    rejected_csv = tmp_path / "rejected.csv"
+    assert main(["sweep", "--out", str(rejected_csv), "--set", "harness.trials=2.5"]) == 2
+    assert not rejected_csv.exists()
 
 
 def test_piecewise_trajectories_from_document():
@@ -167,7 +185,7 @@ def test_read_frames_skips_malformed_lines():
     assert all("skipping frame line" in w for w in warnings)
 
 
-def test_bad_header_is_fatal():
+def test_bad_header_is_fatal(tmp_path, capsys):
     with pytest.raises(StreamFormatError):
         read_header(iter(["{not json"]))
     with pytest.raises(StreamFormatError):
@@ -176,9 +194,14 @@ def test_bad_header_is_fatal():
         read_header(iter([json.dumps({"rows": 20})]))
     good = {"rows": 20, "cols": 20, "pitch": 1.0, "origin": [-9.5, -9.5]}
     for change in ({"origin": [0]}, {"origin": [float("nan"), 0]}, {"origin": None},
-                   {"rows": 2.5}, {"rows": "20"}):
+                   {"rows": 2.5}, {"rows": "20"}, {"pitch": float("inf")}, {"pitch": 1e308},
+                   {"pitch": 1e307, "origin": [1.7e308, 0]}):
         with pytest.raises(StreamFormatError, match="bad stream header"):
             read_header(iter([json.dumps({**good, **change})]))
+    stream = tmp_path / "inf_pitch.ndjson"
+    stream.write_text(json.dumps({**good, "pitch": float("inf")}) + "\n")
+    assert main(["estimate", "--in", str(stream)]) == 1
+    assert "bad stream header: pitch must be positive and finite" in capsys.readouterr().err
     # A grid over the size limit is refused before its arrays are allocated.
     tracemalloc.start()
     try:

@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 
-from pivotgauge import load_config
+from pivotgauge import harness, load_config
 from pivotgauge.cli import main
 from pivotgauge.config import build_config
 from pivotgauge.harness import (
@@ -44,6 +44,24 @@ def test_sweep_csv_deterministic():
     assert outputs[0] == outputs[1]
     header = outputs[0].splitlines()[0]
     assert header.startswith("theta_true_deg,trials,proposed_mae_deg")
+
+
+def test_sweep_and_compare_generate_one_frame_per_trial(monkeypatch):
+    # A trial is one harness.generate_frame call with its own frame index.
+    indices = []
+    generate = harness.generate_frame
+
+    def counting(scenario, t, frame_index=0):
+        indices.append(frame_index)
+        return generate(scenario, t, frame_index=frame_index)
+
+    monkeypatch.setattr(harness, "generate_frame", counting)
+    config = load_config(None)
+    for run in (run_static_sweep, compare_estimators):
+        indices.clear()
+        run(config, trials=2)
+        assert len(indices) == 38 == 2 * len(SWEEP_ANGLES)
+        assert sorted(indices) == list(range(38))
 
 
 def test_sweep_trend_incipient_slip():

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import gc
 import math
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from pivotgauge import (
     generate_trajectory,
     half_curl,
     three_lift_scenario,
+    with_constant_theta,
 )
 
 
@@ -157,6 +161,47 @@ def test_generator_is_deterministic_per_seed_and_frame_index():
     assert np.array_equal(t1.slip_field, t2.slip_field)
     f3, _ = generate_frame(scn, 0.0, frame_index=5)
     assert not np.array_equal(f1.displacements, f3.displacements)
+
+
+def _frame_and_truth_bytes(frame, truth):
+    return (
+        frame.timestamp, frame.displacements.tobytes(), truth.theta,
+        truth.stick_mask.tobytes(), truth.slip_field.tobytes(), truth.contact_mask_true.tobytes(),
+    )
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.005])
+@pytest.mark.parametrize("settings", [{}, {"stick_radius": 3.0, "contact_radius": 6.0}])
+def test_repeated_time_matches_fresh_scenario(settings, sigma):
+    # Static-sweep use: many trials at one time of one scenario.
+    scn = with_constant_theta(SimScenario(noise_sigma=sigma, **settings), 12.0)
+    for i in (0, 1, 2, 1):
+        assert _frame_and_truth_bytes(*generate_frame(scn, 0.0, i)) == \
+            _frame_and_truth_bytes(*generate_frame(replace(scn), 0.0, i))
+    # Returning to an earlier time gives that time's field again.
+    ramp = replace(scn, theta_trajectory=[[0.0, 0.0], [1.0, 10.0]])
+    for t, i in ((0.0, 0), (0.5, 1), (0.5, 2), (0.0, 3), (0.5, 1)):
+        assert _frame_and_truth_bytes(*generate_frame(ramp, t, i)) == \
+            _frame_and_truth_bytes(*generate_frame(replace(ramp), t, i))
+
+
+def test_scenario_is_collectable_after_generating():
+    scn = annulus(theta=8.0, sigma=0.01)
+    generate_frame(scn, 0.0)
+    generate_frame(scn, 0.0, frame_index=1)
+    ref = weakref.ref(scn)
+    del scn
+    gc.collect()
+    assert ref() is None
+
+
+def test_out_of_range_callable_stick_radius_raises_on_every_call():
+    scn = SimScenario(stick_radius=lambda t: 4.0 if t < 1.0 else 9.0, contact_radius=8.0)
+    generate_frame(scn, 0.0)
+    for i in range(3):
+        with pytest.raises(UsageError, match="stick radius 9.0 at t=1.0"):
+            generate_frame(scn, 1.0, frame_index=i)
+    generate_frame(scn, 0.0)
 
 
 def test_trajectory_uniform_timestamps():
