@@ -16,7 +16,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Optional, Union
 
-from .core import ConfigError, MarkerGrid, SoftnessParams, UsageError, whole_number
+from .core import MAX_FRAMES, ConfigError, MarkerGrid, SoftnessParams, UsageError, whole_number
 from .segmentation import SegmentationConfig
 from .simulate import SimScenario
 
@@ -36,6 +36,8 @@ class HarnessConfig:
             raise ConfigError("harness.trials must be >= 1")
         if not self.rate_hz > 0:
             raise ConfigError("harness.rate_hz must be positive")
+        if not self.rate_hz * (self.t_end - self.t_start) <= MAX_FRAMES:
+            raise UsageError(f"harness.rate_hz x (t_end - t_start) exceeds {MAX_FRAMES} frames")
 
 
 @dataclass(frozen=True)
@@ -116,7 +118,7 @@ def build_config(document: dict[str, Any]) -> FullConfig:
         scenario = SimScenario(grid=grid, softness=softness, **scenario_raw)
         segmentation = SegmentationConfig(**seg_raw)
         harness = HarnessConfig(**harness_raw)
-    except (UsageError, TypeError) as exc:
+    except (UsageError, TypeError, OverflowError) as exc:
         raise ConfigError(f"invalid config value: {exc}") from exc
     return FullConfig(
         grid=grid, scenario=scenario, segmentation=segmentation,

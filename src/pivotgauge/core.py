@@ -25,6 +25,9 @@ import numpy as np
 # Largest grid a config or stream header may describe, far above any tactile
 # sensor's marker count; checked before any array of that size is allocated.
 MAX_MARKERS = 1_000_000
+# Longest trajectory a config or caller may ask for, as rate x duration (over
+# nine hours at 30 Hz); checked before any frame is generated.
+MAX_FRAMES = 1_000_000
 
 
 class UsageError(ValueError):

@@ -40,26 +40,26 @@ def line_feature_angles(grid: MarkerGrid, frame: Frame) -> LineFeatureAngles:
     still contribute.
     """
     frame.require_grid(grid)
-    disp = frame.displacements[:, :2].reshape(grid.rows, grid.cols, 2)
-    angle_sum = np.zeros((grid.rows, grid.cols))
-    seg_count = np.zeros((grid.rows, grid.cols), dtype=int)
-    min_len = DEGENERATE_LENGTH_RATIO * grid.pitch
+    rows, cols, pitch = grid.rows, grid.cols, grid.pitch
+    x, y = np.ascontiguousarray(frame.displacements[:, :2].T).reshape(2, rows, cols)
+    angle_sum = np.zeros((rows, cols))
+    seg_count = np.zeros((rows, cols), dtype=int)
+    min_len = DEGENERATE_LENGTH_RATIO * pitch
 
     # Sides are summed in a fixed order: float addition is not associative.
-    for unit, own, nbr in _SIDES:
-        offset = grid.pitch * np.array(unit)
-        current = offset + disp[nbr] - disp[own]
-        length = np.hypot(current[..., 0], current[..., 1])
-        usable = length >= min_len
-        cross = offset[0] * current[..., 1] - offset[1] * current[..., 0]
-        dot = offset[0] * current[..., 0] + offset[1] * current[..., 1]
-        seg_angle = np.degrees(np.arctan2(cross, dot))
-        angle_sum[own][usable] += seg_angle[usable]
-        seg_count[own][usable] += 1
+    # Adding 0.0 for an unusable segment is exact: the sum starts at +0.0
+    # and so never becomes -0.0.
+    for (ux, uy), own, nbr in _SIDES:
+        ox, oy = pitch * ux, pitch * uy
+        cx = ox + x[nbr] - x[own]
+        cy = oy + y[nbr] - y[own]
+        usable = np.hypot(cx, cy) >= min_len
+        seg_angle = np.degrees(np.arctan2(ox * cy - oy * cx, ox * cx + oy * cy))
+        angle_sum[own] += np.where(usable, seg_angle, 0.0)
+        seg_count[own] += usable
 
     valid = seg_count >= 2
-    angles = np.zeros((grid.rows, grid.cols))
-    angles[valid] = angle_sum[valid] / seg_count[valid]
+    angles = np.where(valid, angle_sum, 0.0) / np.maximum(seg_count, 1)
     return LineFeatureAngles(angles=angles.ravel(), valid=valid.ravel())
 
 

@@ -17,7 +17,7 @@ from typing import IO, Iterable, Iterator, Optional
 import numpy as np
 
 from .config import FullConfig
-from .core import ContactState, Frame, InsufficientDataError, MarkerGrid, UsageError
+from .core import ContactState, Frame, InsufficientDataError, MarkerGrid, UsageError, whole_number
 from .estimation import RotationPipeline, baseline_least_squares, estimate_frame
 from .simulate import generate_frame, generate_trajectory, with_constant_theta
 from .streams import read_frames, read_header, write_csv_row
@@ -88,6 +88,14 @@ class CompareReport:
     overall_win_rate: float
 
 
+def _trial_count(config: FullConfig, trials: Optional[int]) -> int:
+    """``trials``, or the configured count when None, as a whole number >= 1."""
+    trials = whole_number(config.harness.trials if trials is None else trials, "trials")
+    if trials < 1:
+        raise UsageError(f"trials must be >= 1, got {trials}")
+    return trials
+
+
 def _sweep_errors(config: FullConfig, trials: int) -> tuple[np.ndarray, np.ndarray]:
     """Absolute errors of the proposed and baseline estimators per trial.
 
@@ -96,8 +104,6 @@ def _sweep_errors(config: FullConfig, trials: int) -> tuple[np.ndarray, np.ndarr
     pipeline. Baseline entries are nan where too few markers were flagged
     for its fit.
     """
-    if trials < 1:
-        raise UsageError(f"trials must be >= 1, got {trials}")
     proposed = np.empty((len(SWEEP_ANGLES), trials))
     baseline = np.empty_like(proposed)
     for angle_pos, theta in enumerate(SWEEP_ANGLES):
@@ -136,7 +142,7 @@ def run_static_sweep(
     overall for both the stick-region estimator and the least-squares
     baseline.
     """
-    trials = trials if trials is not None else config.harness.trials
+    trials = _trial_count(config, trials)
     proposed, baseline = _sweep_errors(config, trials)
 
     rows = {"proposed": [], "baseline": []}
@@ -236,7 +242,7 @@ def compare_estimators(
     strictly smaller than the baseline's. Trials where the baseline has too
     few markers count as failures and are excluded from the win rate.
     """
-    trials = trials if trials is not None else config.harness.trials
+    trials = _trial_count(config, trials)
     proposed, baseline = _sweep_errors(config, trials)
 
     if csv_out is not None:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,10 +73,12 @@ def detect_contact(grid: MarkerGrid, frame: Frame, cfg: SegmentationConfig) -> C
 
     pos = grid.reference_positions[flagged_idx]
     centroid = pos.mean(axis=0)
-    tang = np.hypot(disp[flagged_idx, 0], disp[flagged_idx, 1])
+    flagged = disp[flagged_idx]
+    tang = np.hypot(flagged[:, 0], flagged[:, 1])
+    tang_mean = tang.mean()
     score = (
         np.hypot(pos[:, 0] - centroid[0], pos[:, 1] - centroid[1]) / grid.pitch
-        + np.abs(tang - tang.mean()) / (tang.mean() + _SCORE_EPSILON_MM)
+        + np.abs(tang - tang_mean) / (tang_mean + _SCORE_EPSILON_MM)
     )
     center = int(flagged_idx[np.argmin(score)])
 
@@ -106,7 +108,6 @@ def grow_stick_region(
             members=frozenset(), mean_angle=0.0, state=ContactState.NO_CONTACT, stick_ratio=0.0
         )
     center = mask.center_index
-    n_flagged = mask.n_flagged
     if center is None or not angles.valid[center]:
         return StickRegion(
             members=frozenset(), mean_angle=0.0, state=ContactState.MACRO_SLIP, stick_ratio=0.0
@@ -118,38 +119,34 @@ def grow_stick_region(
     phi = angles.angles.tolist()
     admissible = (mask.flags & angles.valid).tolist()
 
-    members: list[int] = [center]
+    epsilon, threshold = cfg.epsilon_angle, cfg.delta_phi_th
+    members: list[int] = []
     mean = phi[center]
-    seen = {center}
-    frontier: list[tuple[float, int]] = []
-
-    def push_neighbors(index: int) -> None:
-        for nbr in neighbors[index]:
-            if nbr is None or nbr in seen or not admissible[nbr]:
-                continue
-            seen.add(nbr)
-            heapq.heappush(frontier, (dist[nbr], nbr))
-
-    push_neighbors(center)
+    # A marker's admissible entry is cleared when it is pushed, so the list
+    # is also the seen-set. The centre is popped first and always admitted
+    # (its difference to itself is 0).
+    admissible[center] = False
+    frontier = [(0.0, center)]
     while frontier:
-        _, idx = heapq.heappop(frontier)
-        diff = normalized_angle_difference(phi[idx], mean, cfg.epsilon_angle)
-        if diff < cfg.delta_phi_th:
+        _, idx = heappop(frontier)
+        if normalized_angle_difference(phi[idx], mean, epsilon) < threshold:
             members.append(idx)
             mean += (phi[idx] - mean) / len(members)
-            push_neighbors(idx)
+            for nbr in neighbors[idx]:
+                if nbr is not None and admissible[nbr]:
+                    admissible[nbr] = False
+                    heappush(frontier, (dist[nbr], nbr))
 
-    member_set = frozenset(members)
-    if len(member_set) < cfg.min_stick_markers:
+    n_flagged = mask.n_flagged
+    if len(members) < cfg.min_stick_markers:
         state = ContactState.MACRO_SLIP
-    elif len(member_set) == n_flagged:
+    elif len(members) == n_flagged:
         state = ContactState.STICK
     else:
         state = ContactState.INCIPIENT_SLIP
-    mean_angle = float(np.mean(angles.angles[sorted(member_set)]))
     return StickRegion(
-        members=member_set,
-        mean_angle=mean_angle,
+        members=frozenset(members),
+        mean_angle=float(np.mean(angles.angles[sorted(members)])),
         state=state,
-        stick_ratio=len(member_set) / n_flagged,
+        stick_ratio=len(members) / n_flagged,
     )

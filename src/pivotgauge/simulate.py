@@ -22,7 +22,7 @@ from typing import Any, Callable, Sequence, Union
 
 import numpy as np
 
-from .core import Frame, MarkerGrid, SoftnessParams, UsageError, finite_pair
+from .core import MAX_FRAMES, Frame, MarkerGrid, SoftnessParams, UsageError, finite_pair
 
 TimeScalarFn = Callable[[float], float]
 TimeVectorFn = Callable[[float], np.ndarray]
@@ -284,6 +284,8 @@ def generate_trajectory(
         raise UsageError(f"empty time range [{t0}, {t1}]")
     if not rate > 0:
         raise UsageError(f"rate must be positive, got {rate}")
+    if not (t1 - t0) * rate <= MAX_FRAMES:
+        raise UsageError(f"{rate} Hz over [{t0}, {t1}] exceeds {MAX_FRAMES} frames")
     n = int(math.floor((t1 - t0) * rate + 1e-9)) + 1
     return [generate_frame(scenario, t0 + i / rate, frame_index=i) for i in range(n)]
 

@@ -20,12 +20,18 @@ from typing import IO, Any, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .core import Frame, MarkerGrid, UsageError, finite_pair
+from .core import Frame, MarkerGrid, finite_pair
 from .simulate import GroundTruth
 
 
 class StreamFormatError(RuntimeError):
     """The NDJSON header is missing or unusable (fatal for the stream)."""
+
+
+# What a malformed line raises while it is parsed and checked: a JSON or value
+# error (UsageError included), a missing key, a wrong type, an integer beyond
+# float range, or nesting deeper than the JSON parser's recursion limit.
+_MALFORMED = (KeyError, TypeError, ValueError, OverflowError, RecursionError)
 
 
 def fmt(value: float) -> str:
@@ -82,7 +88,7 @@ def read_header(lines: Iterator[str]) -> MarkerGrid:
             # A header must state its origin: null is not the centred default.
             origin=finite_pair(obj["origin"], "origin"),
         )
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError, UsageError) as exc:
+    except _MALFORMED as exc:
         raise StreamFormatError(f"bad stream header: {exc}") from exc
 
 
@@ -113,7 +119,7 @@ def read_frames(
             if last_t is not None and not t > last_t:
                 raise ValueError(f"out-of-order frame: t={t} not after t={last_t}")
             frame = Frame(timestamp=t, displacements=d)
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError, UsageError) as exc:
+        except _MALFORMED as exc:
             print(f"warning: skipping frame line {lineno}: {exc}", file=warn)
             continue
         last_t = t

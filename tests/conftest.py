@@ -16,7 +16,15 @@ import numpy as np
 import pytest
 
 import pivotgauge
-from pivotgauge import ContactState, Frame, MarkerGrid, normalized_angle_difference
+from pivotgauge import (
+    ContactState,
+    Frame,
+    LineFeatureAngles,
+    MarkerGrid,
+    StickRegion,
+    normalized_angle_difference,
+)
+from pivotgauge.features import DEGENERATE_LENGTH_RATIO
 
 
 def brute_force_feature_angle(grid: MarkerGrid, frame: Frame, index: int) -> float | None:
@@ -48,6 +56,44 @@ def brute_force_feature_angle(grid: MarkerGrid, frame: Frame, index: int) -> flo
     if len(angles) < 2:
         return None
     return sum(angles) / len(angles)
+
+
+# Slices of a (rows, cols) array that pair each marker with its neighbour on
+# one side, in the order left, right, up, down. A copy of the package's own
+# table, so that a change to the package's order fails the reference test.
+_ALL, _HEAD, _TAIL = slice(None), slice(1, None), slice(None, -1)
+_SIDES = (
+    ((-1.0, 0.0), (_ALL, _HEAD), (_ALL, _TAIL)),
+    ((1.0, 0.0), (_ALL, _TAIL), (_ALL, _HEAD)),
+    ((0.0, -1.0), (_HEAD, _ALL), (_TAIL, _ALL)),
+    ((0.0, 1.0), (_TAIL, _ALL), (_HEAD, _ALL)),
+)
+
+
+def reference_line_feature_angles(grid: MarkerGrid, frame: Frame) -> LineFeatureAngles:
+    """The interleaved-view line-feature kernel the planar one must match bit
+    for bit: same arithmetic per segment, boolean-mask accumulation."""
+    frame.require_grid(grid)
+    disp = frame.displacements[:, :2].reshape(grid.rows, grid.cols, 2)
+    angle_sum = np.zeros((grid.rows, grid.cols))
+    seg_count = np.zeros((grid.rows, grid.cols), dtype=int)
+    min_len = DEGENERATE_LENGTH_RATIO * grid.pitch
+
+    for unit, own, nbr in _SIDES:
+        offset = grid.pitch * np.array(unit)
+        current = offset + disp[nbr] - disp[own]
+        length = np.hypot(current[..., 0], current[..., 1])
+        usable = length >= min_len
+        cross = offset[0] * current[..., 1] - offset[1] * current[..., 0]
+        dot = offset[0] * current[..., 0] + offset[1] * current[..., 1]
+        seg_angle = np.degrees(np.arctan2(cross, dot))
+        angle_sum[own][usable] += seg_angle[usable]
+        seg_count[own][usable] += 1
+
+    valid = seg_count >= 2
+    angles = np.zeros((grid.rows, grid.cols))
+    angles[valid] = angle_sum[valid] / seg_count[valid]
+    return LineFeatureAngles(angles=angles.ravel(), valid=valid.ravel())
 
 
 def loop_grow_stick_region(grid: MarkerGrid, mask, angles, cfg):
@@ -106,6 +152,13 @@ def loop_grow_stick_region(grid: MarkerGrid, mask, angles, cfg):
     else:
         state = ContactState.INCIPIENT_SLIP
     return frozenset(members), float(np.mean(angles.angles[sorted(members)])), state
+
+
+def reference_grow_stick_region(grid: MarkerGrid, mask, angles, cfg) -> StickRegion:
+    """``loop_grow_stick_region`` as the package's ``StickRegion``."""
+    members, mean_angle, state = loop_grow_stick_region(grid, mask, angles, cfg)
+    ratio = len(members) / mask.n_flagged if mask.contact_detected else 0.0
+    return StickRegion(members=members, mean_angle=mean_angle, state=state, stick_ratio=ratio)
 
 
 def brute_force_flags(frame: Frame, ratio: float) -> np.ndarray:

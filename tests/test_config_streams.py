@@ -2,15 +2,20 @@ from __future__ import annotations
 
 import io
 import json
+import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pivotgauge import ConfigError, ContactState, MarkerGrid, generate_frame, load_config
 from pivotgauge.cli import main
 from pivotgauge.config import apply_overrides, build_config, three_lift_scenario
-from pivotgauge.core import MAX_MARKERS
+from pivotgauge import simulate
+from pivotgauge.core import MAX_FRAMES, MAX_MARKERS
 from pivotgauge.simulate import SimScenario
 from pivotgauge.streams import (
     StreamFormatError,
@@ -76,6 +81,9 @@ def test_missing_config_path_is_config_error(tmp_path):
         load_config(tmp_path / "nope.json")
 
 
+_FRAME_BOUND = rf"harness.rate_hz x \(t_end - t_start\) exceeds {MAX_FRAMES} frames"
+
+
 def test_invalid_value_is_config_error(tmp_path):
     with pytest.raises(ConfigError, match="invalid config value"):
         build_config({"grid": {"rows": 1}})
@@ -101,6 +109,9 @@ def test_invalid_value_is_config_error(tmp_path):
         ("scenario.translation_trajectory=ab", "translation_trajectory must be a 2-vector"),
         ("scenario.stick_radius=9", "stick_radius 9.0 outside"),
         ("scenario.stick_radius=[[0,4],[1,0]]", "stick_radius 0.0 outside"),
+        ("harness.t_end=1e15", _FRAME_BOUND),
+        ("harness.t_start=-1e15", _FRAME_BOUND),
+        ("harness.rate_hz=1e300", _FRAME_BOUND),
     ]:
         with pytest.raises(ConfigError, match=f"invalid config value: {message}"):
             build_config(apply_overrides({}, [override]))
@@ -109,6 +120,28 @@ def test_invalid_value_is_config_error(tmp_path):
     rejected_csv = tmp_path / "rejected.csv"
     assert main(["sweep", "--out", str(rejected_csv), "--set", "harness.trials=2.5"]) == 2
     assert not rejected_csv.exists()
+
+
+def test_frame_count_is_bounded_at_load(tmp_path, capsys, monkeypatch):
+    with pytest.raises(ConfigError, match=_FRAME_BOUND):
+        build_config({"harness": {"rate_hz": float(MAX_FRAMES), "t_end": 1.0 + 1e-9}})
+    at_limit = build_config({"harness": {"rate_hz": float(MAX_FRAMES), "t_end": 1.0}})
+    assert at_limit.harness.rate_hz == MAX_FRAMES
+    # The CLI refuses before any output and before a frame is generated.
+    def no_frames(*args, **kwargs):
+        raise AssertionError("a frame was generated")
+
+    monkeypatch.setattr(simulate, "generate_frame", no_frames)
+    out = tmp_path / "huge.csv"
+    tracemalloc.start()
+    try:
+        assert main(["dynamic", "--out", str(out), "--set", "harness.t_end=1e15"]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert not out.exists()
+    assert re.search(f"error: invalid config value: {_FRAME_BOUND}", capsys.readouterr().err)
 
 
 def test_piecewise_trajectories_from_document():
@@ -183,6 +216,97 @@ def test_read_frames_skips_malformed_lines():
     warnings = warn.getvalue().strip().splitlines()
     assert len(warnings) == 5
     assert all("skipping frame line" in w for w in warnings)
+
+
+# Number tokens that no frame or header may let through: non-finite
+# literals, a float literal beyond range and an integer beyond float range.
+_HOSTILE_NUMBERS = ("NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400)
+_LINE_DEFECTS = ("none", "truncated", "hostile number", "wrong shape", "missing key",
+                 "duplicate", "not an object", "blank", "deep")
+
+
+def _defective_lines(draw, t: float, d: list, defect: str) -> list[str]:
+    line = json.dumps({"t": t, "d": d})
+    if defect == "truncated":
+        return [line[:draw(st.integers(0, len(line) - 1))]]
+    if defect == "hostile number":
+        token = draw(st.sampled_from(_HOSTILE_NUMBERS))
+        if draw(st.booleans()):
+            return [json.dumps({"t": "@", "d": d}).replace('"@"', token)]
+        marker = draw(st.integers(0, len(d) - 1))
+        d = [row if i != marker else [row[0], "@", row[2]] for i, row in enumerate(d)]
+        return [json.dumps({"t": t, "d": d}).replace('"@"', token)]
+    if defect == "wrong shape":
+        shapes = (d[:-1], d + d[:1], [row[:2] for row in d], [row + [0.0] for row in d],
+                  3.0, {"d": d}, [d])
+        return [json.dumps({"t": t, "d": draw(st.sampled_from(shapes))})]
+    if defect == "missing key":
+        return [json.dumps(draw(st.sampled_from([{"d": d}, {"t": t}])))]
+    if defect == "duplicate":
+        return [line, line]
+    if defect == "not an object":
+        return [draw(st.sampled_from(["[1, 2]", '"frame"', "3", "null", "{"]))]
+    if defect == "blank":
+        return ["   \n", line]
+    if defect == "deep":
+        return ["[" * 100_000]
+    return [line]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_read_frames_survives_hostile_lines(data):
+    grid = MarkerGrid(rows=data.draw(st.integers(2, 3)), cols=data.draw(st.integers(2, 3)))
+    component = st.floats(-5.0, 5.0, allow_nan=False)
+    lines = []
+    for t in data.draw(st.lists(st.floats(-1e3, 1e3, allow_nan=False), max_size=8)):
+        d = data.draw(st.lists(st.lists(component, min_size=3, max_size=3),
+                               min_size=grid.n_markers, max_size=grid.n_markers))
+        lines += _defective_lines(data.draw, t, d, data.draw(st.sampled_from(_LINE_DEFECTS)))
+    if data.draw(st.booleans()):
+        lines = data.draw(st.permutations(lines))
+
+    warn = io.StringIO()
+    frames = list(read_frames(iter(lines), grid, warn=warn))
+
+    times = [frame.timestamp for frame in frames]
+    assert all(later > earlier for earlier, later in zip(times, times[1:]))
+    for frame in frames:
+        assert frame.displacements.shape == (grid.n_markers, 3)
+        assert np.all(np.isfinite(frame.displacements)) and math.isfinite(frame.timestamp)
+    # One warning per skipped line, naming that line; blank lines are ignored.
+    warnings = warn.getvalue().splitlines()
+    prefix = "warning: skipping frame line "
+    assert all(w.startswith(prefix) for w in warnings)
+    warned = [int(w[len(prefix):].split(":")[0]) for w in warnings]
+    nonblank = [lineno for lineno, line in enumerate(lines, start=2) if line.strip()]
+    assert len(set(warned)) == len(warned) and set(warned) <= set(nonblank)
+    assert len(frames) + len(warnings) == len(nonblank)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_read_header_gives_grid_or_format_error(data):
+    hostile = st.one_of(
+        st.integers(-3, 40), st.floats(), st.none(), st.text(max_size=3),
+        st.lists(st.floats(), max_size=3), st.just(10**400), st.just([10**400, 0]),
+    )
+    header = {"rows": 20, "cols": 20, "pitch": 1.0, "origin": [-9.5, -9.5]}
+    for key in list(header):
+        change = data.draw(st.sampled_from(["keep", "replace", "drop"]))
+        if change == "replace":
+            header[key] = data.draw(hostile)
+        elif change == "drop":
+            del header[key]
+    text = json.dumps(header)
+    text = data.draw(st.sampled_from([text, text[:data.draw(st.integers(0, len(text)))],
+                                      "[" + text + "]", "[" * 100_000]))
+    try:
+        grid = read_header(iter(["", "  \n", text]))
+    except StreamFormatError:
+        return
+    assert 2 <= grid.rows and 2 <= grid.cols and grid.n_markers <= MAX_MARKERS
+    assert np.all(np.isfinite(grid.reference_positions))
 
 
 def test_bad_header_is_fatal(tmp_path, capsys):

@@ -18,7 +18,7 @@ from pivotgauge import (
     line_feature_angles,
     normalized_angle_difference,
 )
-from conftest import brute_force_feature_angle
+from conftest import brute_force_feature_angle, reference_line_feature_angles
 
 
 def rigid_rotation_frame(grid: MarkerGrid, theta_deg: float, center=(0.0, 0.0), t=0.0) -> Frame:
@@ -74,6 +74,64 @@ def test_matches_brute_force_everywhere():
             else:
                 assert result.valid[idx]
                 assert result.angles[idx] == pytest.approx(oracle, abs=1e-9)
+
+
+def _hostile_field(grid: MarkerGrid, d: np.ndarray, rng, zeros: float, collapsed: int,
+                   reversed_: int) -> np.ndarray:
+    """``d`` with exact zeros, collapsed segments (shorter than the degenerate
+    length, or exactly zero) and axis-aligned segments turned back on
+    themselves, whose cross product is a signed zero and dot product negative."""
+    d = d.copy()
+    rows, cols, pitch = grid.rows, grid.cols, grid.pitch
+    d[rng.random(d.shape) < zeros] = 0.0
+    d[rng.random(grid.n_markers) < zeros, :2] = 0.0
+    for _ in range(collapsed):
+        m = int(rng.integers(grid.n_markers))
+        if m % cols + 1 < cols:
+            d[m + 1, :2] = d[m, :2] + (-pitch + rng.choice([0.0, 0.005 * pitch]), 0.0)
+    for _ in range(reversed_):
+        m = int(rng.integers(grid.n_markers))
+        vertical = bool(rng.integers(2))
+        step = cols if vertical else 1
+        if (m // cols if vertical else m % cols) + 1 < (rows if vertical else cols):
+            d[m, :2] *= rng.choice([0.0, -0.0, 1.0])
+            d[m + step, :2] = d[m, :2]
+            d[m + step, int(vertical)] -= 2 * pitch
+    return d
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.integers(2, 24),
+    cols=st.integers(2, 24),
+    pitch=st.sampled_from([0.7, 1.0, 1.3]),
+    simulated=st.booleans(),
+    scale=st.sampled_from([0.0, 0.001, 0.05, 0.5, 2.0]),
+    zeros=st.sampled_from([0.0, 0.3, 0.9]),
+    collapsed=st.integers(0, 6),
+    reversed_=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_planar_kernel_matches_reference_bit_for_bit(rows, cols, pitch, simulated, scale, zeros,
+                                                     collapsed, reversed_, seed):
+    # Bit identity, not a tolerance: estimates downstream must not move at all.
+    grid = MarkerGrid(rows=rows, cols=cols, pitch=pitch)
+    rng = np.random.default_rng(seed)
+    if simulated:
+        contact = rng.uniform(0.3, 1.0) * grid.half_extent
+        scn = SimScenario(grid=grid, contact_radius=contact,
+                          stick_radius=rng.uniform(0.1, 1.0) * contact,
+                          theta_trajectory=rng.uniform(-25.0, 25.0),
+                          translation_trajectory=tuple(rng.normal(0.0, 0.2, 2)),
+                          noise_sigma=scale, rng_seed=seed)
+        d = generate_frame(scn, 0.0)[0].displacements
+    else:
+        d = rng.normal(0.0, scale, (grid.n_markers, 3))
+    frame = Frame(0.0, _hostile_field(grid, d, rng, zeros, collapsed, reversed_))
+    result = line_feature_angles(grid, frame)
+    expected = reference_line_feature_angles(grid, frame)
+    assert result.angles.tobytes() == expected.angles.tobytes()
+    assert np.array_equal(result.valid, expected.valid)
 
 
 def test_annulus_angle_bounded_by_brute_force_discretization():

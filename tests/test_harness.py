@@ -6,8 +6,9 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
-from pivotgauge import harness, load_config
+from pivotgauge import UsageError, estimation, harness, load_config
 from pivotgauge.cli import main
 from pivotgauge.config import build_config
 from pivotgauge.harness import (
@@ -17,7 +18,7 @@ from pivotgauge.harness import (
     run_dynamic,
     run_static_sweep,
 )
-from conftest import cli_env
+from conftest import cli_env, reference_grow_stick_region, reference_line_feature_angles
 
 
 def config_with(scenario_overrides=None, harness_overrides=None):
@@ -62,6 +63,52 @@ def test_sweep_and_compare_generate_one_frame_per_trial(monkeypatch):
         run(config, trials=2)
         assert len(indices) == 38 == 2 * len(SWEEP_ANGLES)
         assert sorted(indices) == list(range(38))
+
+
+def test_sweep_api_trials_must_be_whole():
+    config = load_config(None)
+    for run in (run_static_sweep, compare_estimators):
+        with pytest.raises(UsageError, match="trials must be a whole number, got 2.5"):
+            run(config, trials=2.5)
+    as_float, as_int = io.StringIO(), io.StringIO()
+    report = run_static_sweep(config, trials=3.0, csv_out=as_float)
+    assert report == run_static_sweep(config, trials=3, csv_out=as_int)
+    assert as_float.getvalue() == as_int.getvalue()
+    assert all(type(row.trials) is int for row in report["proposed"].rows)
+
+
+def test_outputs_match_reference_kernels(monkeypatch):
+    # Every CSV byte must survive a swap back to the reference line-feature
+    # kernel and the reference growth loop.
+    compare_settings = config_with({"stick_radius": 3.0, "contact_radius": 6.0})
+    runs = (
+        lambda out: run_dynamic(load_config("three-lift"), csv_out=out),
+        lambda out: run_static_sweep(compare_settings, trials=3, csv_out=out),
+        lambda out: compare_estimators(compare_settings, trials=3, csv_out=out),
+    )
+
+    def outputs():
+        texts = []
+        for run in runs:
+            buf = io.StringIO()
+            run(buf)
+            texts.append(buf.getvalue())
+        return texts
+
+    package_outputs = outputs()
+    calls = []
+
+    def counted(kernel):
+        def wrapper(*args):
+            calls.append(kernel)
+            return kernel(*args)
+        return wrapper
+
+    monkeypatch.setattr(estimation, "line_feature_angles", counted(reference_line_feature_angles))
+    monkeypatch.setattr(estimation, "grow_stick_region", counted(reference_grow_stick_region))
+    assert outputs() == package_outputs
+    assert calls.count(reference_line_feature_angles) == calls.count(reference_grow_stick_region)
+    assert calls.count(reference_grow_stick_region) >= 361 + 2 * 3 * len(SWEEP_ANGLES)
 
 
 def test_sweep_trend_incipient_slip():

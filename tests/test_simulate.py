@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import math
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -22,6 +23,8 @@ from pivotgauge import (
     three_lift_scenario,
     with_constant_theta,
 )
+from pivotgauge import simulate
+from pivotgauge.core import MAX_FRAMES
 
 
 def annulus(theta=10.0, r_s=4.0, a=6.0, gamma=2.0, k=0.0, sigma=0.0, cor=(0.0, 0.0), seed=0):
@@ -234,6 +237,26 @@ def test_trajectory_rejects_empty_range():
         generate_trajectory(scn, 1.0, 1.0, 30.0)
     with pytest.raises(UsageError):
         generate_trajectory(scn, 0.0, 1.0, 0.0)
+
+
+def test_trajectory_refuses_too_many_frames(monkeypatch):
+    # Refused before the first frame: were the check gone, the patched
+    # generator would fail at once instead of building the trajectory.
+    def no_frames(*args, **kwargs):
+        raise AssertionError("a frame was generated")
+
+    monkeypatch.setattr(simulate, "generate_frame", no_frames)
+    scn = annulus()
+    tracemalloc.start()
+    try:
+        for t1, rate in ((1e15, 30.0), (MAX_FRAMES / 30.0 + 1.0, 30.0), (1.0, math.inf),
+                         (math.inf, 30.0)):
+            with pytest.raises(UsageError, match=f"exceeds {MAX_FRAMES} frames"):
+                generate_trajectory(scn, 0.0, t1, rate)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_piecewise_trajectory_domain_enforced():
