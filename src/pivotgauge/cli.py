@@ -76,6 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _load(args: argparse.Namespace) -> FullConfig:
     document = load_document(args.config)
     apply_overrides(document, args.overrides)
+    if getattr(args, "trials", None) is not None:
+        # Checked at load with the config's own trials, before any output.
+        apply_overrides(document, [f"harness.trials={args.trials}"])
     config = build_config(document)
     if args.seed is not None:
         config = replace(config, scenario=replace(config.scenario, rng_seed=args.seed))
@@ -129,7 +132,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _load(args)
     with _open_out(args.out) as out:
-        reports = run_static_sweep(config, trials=args.trials, csv_out=out)
+        reports = run_static_sweep(config, csv_out=out)
     for name in ("proposed", "baseline"):
         rep = reports[name]
         print(
@@ -155,7 +158,7 @@ def _cmd_dynamic(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     config = _load(args)
     with _open_out(args.out) as out:
-        report = compare_estimators(config, trials=args.trials, csv_out=out)
+        report = compare_estimators(config, csv_out=out)
     failures = sum(r.baseline_failures for r in report.rows)
     print(
         f"proposed wins {fmt(report.overall_win_rate)} of valid trials; "

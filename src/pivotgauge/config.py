@@ -21,6 +21,24 @@ from .segmentation import SegmentationConfig
 from .simulate import SimScenario
 
 
+# Integer rotation angles of the static sweep, degrees.
+SWEEP_ANGLES = tuple(range(2, 21))
+
+
+def trial_count(value: Any, name: str) -> int:
+    """``value`` as a number of sweep trials per angle, or a UsageError naming
+    ``name``: a whole number >= 1 whose sweep stays within MAX_FRAMES frames,
+    checked before anything is allocated."""
+    trials = whole_number(value, name)
+    if trials < 1:
+        raise UsageError(f"{name} must be >= 1, got {trials}")
+    if len(SWEEP_ANGLES) * trials > MAX_FRAMES:
+        raise UsageError(
+            f"{name} x {len(SWEEP_ANGLES)} sweep angles exceeds {MAX_FRAMES} frames, got {trials}"
+        )
+    return trials
+
+
 @dataclass(frozen=True)
 class HarnessConfig:
     """Experiment-harness parameters shared by the CLI subcommands."""
@@ -31,9 +49,7 @@ class HarnessConfig:
     t_end: float = 1.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "trials", whole_number(self.trials, "harness.trials"))
-        if self.trials < 1:
-            raise ConfigError("harness.trials must be >= 1")
+        object.__setattr__(self, "trials", trial_count(self.trials, "harness.trials"))
         if not self.rate_hz > 0:
             raise ConfigError("harness.rate_hz must be positive")
         if not self.rate_hz * (self.t_end - self.t_start) <= MAX_FRAMES:
@@ -174,6 +190,8 @@ def apply_overrides(document: dict[str, Any], overrides: list[str]) -> dict[str,
             value = json.loads(value_text)
         except json.JSONDecodeError:
             value = value_text
+        except RecursionError as exc:
+            raise ConfigError(f"override {target} is nested too deeply to parse") from exc
         document.setdefault(section, {})
         if not isinstance(document[section], dict):
             raise ConfigError(f"config section '{section}' is not an object")
@@ -197,5 +215,7 @@ def load_document(source: Union[str, Path, None]) -> dict[str, Any]:
         raise ConfigError(
             f"config parse failure in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise ConfigError(f"config {path} is nested too deeply to parse") from exc
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc

@@ -48,7 +48,7 @@ def finite_pair(value: Any, name: str) -> tuple[float, float]:
         x, y = np.asarray(value, dtype=float).tolist()
         if math.isfinite(x) and math.isfinite(y):
             return x, y
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         pass
     raise UsageError(f"{name} must be two finite numbers, got {value!r}")
 
@@ -97,7 +97,11 @@ class MarkerGrid:
             raise UsageError(f"grid must be at least 2x2, got {self.rows}x{self.cols}")
         if self.rows * self.cols > MAX_MARKERS:
             raise UsageError(f"grid {self.rows}x{self.cols} exceeds {MAX_MARKERS} markers")
-        if not (self.pitch > 0 and math.isfinite(self.pitch)):
+        try:
+            finite = math.isfinite(self.pitch)
+        except OverflowError:  # an int beyond float range
+            finite = False
+        if not (self.pitch > 0 and finite):
             raise UsageError(f"pitch must be positive and finite, got {self.pitch}")
         if self.origin is None:
             ox = -(self.cols - 1) * self.pitch / 2.0

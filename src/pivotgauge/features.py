@@ -10,6 +10,7 @@ translation, which is what makes it usable for pivot measurement.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -95,3 +96,33 @@ def normalized_angle_difference(phi_i: float, phi_bar: float, epsilon: float = 0
     if abs(phi_i) > epsilon and abs(phi_bar) > epsilon:
         return math.inf
     return abs(phi_i - phi_bar) / epsilon
+
+
+# Relative slack of the admission certificate. It covers the rounding of the
+# rule's own arithmetic and of a running mean, a few ulps (~1e-16) per step.
+_CERTIFICATE_MARGIN = 1e-9
+
+
+def admission_certain(phi: np.ndarray, threshold: float, epsilon: float = 0.05) -> bool:
+    """True when ``normalized_angle_difference(a, m, epsilon) < threshold``
+    holds for every angle ``a`` in ``phi`` and every running mean ``m`` of
+    angles in ``phi``; False when that cannot be shown.
+
+    A bound on that one rule. Angles of one sign are mirrored to positive and
+    span ``[lo, hi]``; a running mean is a convex combination of them, so it
+    stays in ``[lo, hi]``. With ``lo > epsilon`` every pair takes the
+    geometric branch, and ``|a - b| / sqrt(a * b)`` on ``[lo, hi]`` is
+    largest at ``(lo, hi)``. Mixed signs, angles near zero and wide spreads
+    fail. Both tests keep a relative margin of 1e-9, and ``epsilon`` must
+    square to a normal float, so that rounding cannot turn a near-miss into
+    a pass. ``phi`` must be non-empty.
+    """
+    lo, hi = float(phi.min()), float(phi.max())
+    if hi < 0.0:
+        lo, hi = -hi, -lo
+    return (
+        lo > epsilon * (1.0 + _CERTIFICATE_MARGIN)
+        and epsilon * epsilon >= sys.float_info.min
+        # sqrt(lo) * sqrt(hi) rather than sqrt(lo * hi): the product may overflow.
+        and (hi - lo) / (math.sqrt(lo) * math.sqrt(hi)) < threshold * (1.0 - _CERTIFICATE_MARGIN)
+    )

@@ -10,19 +10,17 @@ order and is byte-deterministic under a fixed seed.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import astuple, dataclass
 from typing import IO, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .config import FullConfig
-from .core import ContactState, Frame, InsufficientDataError, MarkerGrid, UsageError, whole_number
+from .config import SWEEP_ANGLES, FullConfig, trial_count
+from .core import ContactState, Frame, InsufficientDataError, MarkerGrid
 from .estimation import RotationPipeline, baseline_least_squares, estimate_frame
 from .simulate import generate_frame, generate_trajectory, with_constant_theta
 from .streams import read_frames, read_header, write_csv_row
 
-SWEEP_ANGLES = tuple(range(2, 21))
 VALID_RANGE = (2.0, 20.0)
 
 SWEEP_CSV_HEADER = (
@@ -89,11 +87,8 @@ class CompareReport:
 
 
 def _trial_count(config: FullConfig, trials: Optional[int]) -> int:
-    """``trials``, or the configured count when None, as a whole number >= 1."""
-    trials = whole_number(config.harness.trials if trials is None else trials, "trials")
-    if trials < 1:
-        raise UsageError(f"trials must be >= 1, got {trials}")
-    return trials
+    """``trials``, or the configured count when None, checked by ``trial_count``."""
+    return trial_count(config.harness.trials if trials is None else trials, "trials")
 
 
 def _sweep_errors(config: FullConfig, trials: int) -> tuple[np.ndarray, np.ndarray]:
@@ -271,23 +266,3 @@ def compare_estimators(
     overall = total_wins / total_valid if total_valid else math.nan
     return CompareReport(rows=tuple(rows), overall_win_rate=overall)
 
-
-def measure_frame_latency(config: FullConfig, n_frames: int = 1000) -> dict[str, float]:
-    """Wall-clock per-frame pipeline latency over a synthetic stream, seconds."""
-    scenario = with_constant_theta(config.scenario, 10.0)
-    frames = [
-        generate_frame(scenario, i / config.harness.rate_hz, frame_index=i)[0]
-        for i in range(n_frames)
-    ]
-    pipeline = RotationPipeline(config.grid, config.segmentation, config.softness)
-    samples = []
-    for frame in frames:
-        start = time.perf_counter()
-        pipeline.process_frame(frame)
-        samples.append(time.perf_counter() - start)
-    arr = np.sort(np.asarray(samples))
-    return {
-        "mean": float(arr.mean()),
-        "p99": float(arr[min(len(arr) - 1, int(math.ceil(0.99 * len(arr))) - 1)]),
-        "max": float(arr[-1]),
-    }

@@ -16,7 +16,7 @@ from .core import (
     StickRegion,
     UsageError,
 )
-from .features import normalized_angle_difference
+from .features import admission_certain, normalized_angle_difference
 
 # Keeps the tangential-deviation score term finite for a motionless patch.
 _SCORE_EPSILON_MM = 1e-6
@@ -101,7 +101,11 @@ def grow_stick_region(
     its normalized angle difference against the running region mean stays
     below ``delta_phi_th``, and the mean is updated after every admission.
     Rejected markers are not re-tested. Flagged markers without a valid
-    angle are not admissible and do not carry connectivity.
+    angle are not admissible and do not carry connectivity. When every
+    pair of admissible angles provably passes the admission test
+    (``features.admission_certain``), growth reduces to the 4-connected
+    component of admissible markers around the centre, found without the
+    heap or the per-marker test; the result is the same.
     """
     if not mask.contact_detected:
         return StickRegion(
@@ -114,28 +118,40 @@ def grow_stick_region(
         )
 
     neighbors = grid.neighbors
-    pos = grid.reference_positions
-    dist = np.hypot(pos[:, 0] - pos[center, 0], pos[:, 1] - pos[center, 1]).tolist()
-    phi = angles.angles.tolist()
-    admissible = (mask.flags & angles.valid).tolist()
-
-    epsilon, threshold = cfg.epsilon_angle, cfg.delta_phi_th
-    members: list[int] = []
-    mean = phi[center]
-    # A marker's admissible entry is cleared when it is pushed, so the list
-    # is also the seen-set. The centre is popped first and always admitted
-    # (its difference to itself is 0).
+    admissible_mask = mask.flags & angles.valid
+    admissible = admissible_mask.tolist()
+    # A marker's admissible entry is cleared when it is reached, so the list
+    # is also the seen-set. The centre is flagged and valid, so the
+    # certificate covers its angle too.
     admissible[center] = False
-    frontier = [(0.0, center)]
-    while frontier:
-        _, idx = heappop(frontier)
-        if normalized_angle_difference(phi[idx], mean, epsilon) < threshold:
-            members.append(idx)
-            mean += (phi[idx] - mean) / len(members)
+    if admission_certain(angles.angles[admissible_mask], cfg.delta_phi_th, cfg.epsilon_angle):
+        # Every admission test would pass, so the region is the centre's
+        # 4-connected admissible component, whatever the visiting order.
+        members = [center]
+        for idx in members:  # appended to while walked: breadth first
             for nbr in neighbors[idx]:
                 if nbr is not None and admissible[nbr]:
                     admissible[nbr] = False
-                    heappush(frontier, (dist[nbr], nbr))
+                    members.append(nbr)
+    else:
+        pos = grid.reference_positions
+        dist = np.hypot(pos[:, 0] - pos[center, 0], pos[:, 1] - pos[center, 1]).tolist()
+        phi = angles.angles.tolist()
+        epsilon, threshold = cfg.epsilon_angle, cfg.delta_phi_th
+        members = []
+        mean = phi[center]
+        # The centre is popped first and always admitted (its difference to
+        # itself is 0).
+        frontier = [(0.0, center)]
+        while frontier:
+            _, idx = heappop(frontier)
+            if normalized_angle_difference(phi[idx], mean, epsilon) < threshold:
+                members.append(idx)
+                mean += (phi[idx] - mean) / len(members)
+                for nbr in neighbors[idx]:
+                    if nbr is not None and admissible[nbr]:
+                        admissible[nbr] = False
+                        heappush(frontier, (dist[nbr], nbr))
 
     n_flagged = mask.n_flagged
     if len(members) < cfg.min_stick_markers:

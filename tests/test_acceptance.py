@@ -29,7 +29,7 @@ from pivotgauge import (
     with_constant_theta,
 )
 from pivotgauge.config import build_config
-from pivotgauge.harness import SWEEP_ANGLES, measure_frame_latency, run_static_sweep
+from pivotgauge.harness import SWEEP_ANGLES, run_static_sweep
 from conftest import brute_force_feature_angle, brute_force_flags, cli_env, f1_against_mask
 
 CFG = SegmentationConfig()
@@ -233,6 +233,27 @@ def test_c07_macro_slip_detection():
         flips_ok and false_positives == 0,
         f"flips ok {flips_ok}, false positives {false_positives}/100",
     )
+
+
+def measure_frame_latency(config, n_frames: int = 1000) -> dict[str, float]:
+    """Wall-clock per-frame pipeline latency over a synthetic stream, seconds."""
+    scenario = with_constant_theta(config.scenario, 10.0)
+    frames = [
+        generate_frame(scenario, i / config.harness.rate_hz, frame_index=i)[0]
+        for i in range(n_frames)
+    ]
+    pipeline = RotationPipeline(config.grid, config.segmentation, config.softness)
+    samples = []
+    for frame in frames:
+        start = time.perf_counter()
+        pipeline.process_frame(frame)
+        samples.append(time.perf_counter() - start)
+    arr = np.sort(np.asarray(samples))
+    return {
+        "mean": float(arr.mean()),
+        "p99": float(arr[min(len(arr) - 1, int(math.ceil(0.99 * len(arr))) - 1)]),
+        "max": float(arr[-1]),
+    }
 
 
 def test_c08_real_time_budget():

@@ -76,6 +76,22 @@ def test_parse_error_reports_line(tmp_path):
         load_config(path)
 
 
+def test_deeply_nested_config_is_config_error(tmp_path, capsys):
+    # Deeper than the JSON parser's recursion limit.
+    nested = "[" * 100_000 + "]" * 100_000
+    path = tmp_path / "nested.json"
+    path.write_text('{"scenario": {"cor": ' + nested + "}}")
+    with pytest.raises(ConfigError, match="nested too deeply"):
+        load_config(path)
+    out = tmp_path / "nested.csv"
+    assert main(["dynamic", "--config", str(path), "--out", str(out)]) == 2
+    assert "nested too deeply" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["dynamic", "--set", f"scenario.cor={nested}", "--out", str(out)]) == 2
+    assert "override scenario.cor is nested too deeply" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config_path_is_config_error(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         load_config(tmp_path / "nope.json")

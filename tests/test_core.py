@@ -15,7 +15,7 @@ from pivotgauge import (
     UsageError,
     neighbor_indices,
 )
-from pivotgauge.core import MAX_MARKERS
+from pivotgauge.core import MAX_MARKERS, finite_pair
 
 
 def test_grid_defaults_centered():
@@ -39,6 +39,19 @@ def test_grid_rejects_degenerate_shapes():
             MarkerGrid(**kwargs)
     grid = MarkerGrid(rows=4.0, cols=np.int64(3))
     assert (grid.rows, grid.cols) == (4, 3) and type(grid.rows) is type(grid.cols) is int
+
+
+def test_grid_rejects_ints_beyond_float_range():
+    with pytest.raises(UsageError, match="pitch must be positive and finite"):
+        MarkerGrid(pitch=10**400)
+    with pytest.raises(UsageError, match="origin must be two finite numbers"):
+        MarkerGrid(origin=(10**400, 0))
+
+
+def test_finite_pair_rejects_ints_beyond_float_range():
+    with pytest.raises(UsageError, match="cor must be two finite numbers"):
+        finite_pair([10**400, 0], "cor")
+    assert finite_pair([10**300, 0], "cor") == (1e300, 0.0)
 
 
 def test_reference_positions_exactly_affine():

@@ -18,6 +18,7 @@ from pivotgauge import (
     line_feature_angles,
     normalized_angle_difference,
 )
+from pivotgauge.features import admission_certain
 from conftest import brute_force_feature_angle, reference_line_feature_angles
 
 
@@ -331,3 +332,24 @@ def test_normalized_angle_difference_noise_floor():
 def test_normalized_angle_difference_total_and_nonnegative(phi_i, phi_bar):
     value = normalized_angle_difference(phi_i, phi_bar)
     assert value >= 0.0
+
+
+@pytest.mark.parametrize(
+    "phi, threshold, epsilon",
+    [
+        ([1e100, 1e200, 1e300], 1e9, 0.05),  # lo * hi overflows to inf
+        ([1e-180, 1.01e-180], 0.4, 1e-200),  # the rule's products underflow to 0
+        ([-3.0, -2.0], 0.4, 0.05),  # bound 1/sqrt(6) just over the threshold
+        ([2.0, 2.5, -2.0], 100.0, 0.05),  # mixed signs
+        ([0.0, 0.01], 0.1, 0.05),  # below the noise floor
+    ],
+)
+def test_admission_certificate_refuses_where_the_rule_can_fail(phi, threshold, epsilon):
+    rule = [normalized_angle_difference(a, b, epsilon) for a in phi for b in phi]
+    assert max(rule) >= threshold
+    assert not admission_certain(np.array(phi), threshold, epsilon)
+
+
+def test_admission_certificate_holds_for_narrow_same_sign_ranges():
+    for phi in ([2.0, 2.1, 2.05], [-2.0, -2.1], [7.5]):
+        assert admission_certain(np.array(phi), 0.4)

@@ -4,13 +4,15 @@ import io
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from pivotgauge import UsageError, estimation, harness, load_config
+from pivotgauge import ConfigError, UsageError, estimation, harness, load_config
 from pivotgauge.cli import main
-from pivotgauge.config import build_config
+from pivotgauge.config import build_config, trial_count
+from pivotgauge.core import MAX_FRAMES
 from pivotgauge.harness import (
     SWEEP_ANGLES,
     compare_estimators,
@@ -75,6 +77,37 @@ def test_sweep_api_trials_must_be_whole():
     assert report == run_static_sweep(config, trials=3, csv_out=as_int)
     assert as_float.getvalue() == as_int.getvalue()
     assert all(type(row.trials) is int for row in report["proposed"].rows)
+
+
+def test_sweep_trials_are_bounded_before_allocating(monkeypatch, capsys, tmp_path):
+    most = MAX_FRAMES // len(SWEEP_ANGLES)
+    assert trial_count(most, "trials") == most
+    over = most + 1
+    bound = f"trials x {len(SWEEP_ANGLES)} sweep angles exceeds {MAX_FRAMES} frames"
+    with pytest.raises(ConfigError, match=f"invalid config value: harness.{bound}"):
+        build_config({"harness": {"trials": over}})
+
+    def no_frames(*args, **kwargs):
+        raise AssertionError("a frame was generated")
+
+    monkeypatch.setattr(harness, "generate_frame", no_frames)
+    config = load_config(None)
+    for run in (run_static_sweep, compare_estimators):
+        with pytest.raises(UsageError, match=bound):
+            run(config, trials=over)
+    out = tmp_path / "refused.csv"
+    tracemalloc.start()
+    try:
+        for command in ("sweep", "compare"):
+            for flags in (["--trials", str(over)], ["--trials", "100000000000"],
+                          ["--set", f"harness.trials={over}"]):
+                assert main([command, "--out", str(out), *flags]) == 2
+                assert f"error: invalid config value: harness.{bound}" in capsys.readouterr().err
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert not out.exists()  # refused at load, before any output
 
 
 def test_outputs_match_reference_kernels(monkeypatch):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from pivotgauge import (
@@ -21,8 +21,10 @@ from pivotgauge import (
     grow_stick_region,
     line_feature_angles,
     neighbor_indices,
+    normalized_angle_difference,
     three_lift_scenario,
 )
+from pivotgauge import segmentation
 from conftest import brute_force_flags, f1_against_mask, loop_grow_stick_region
 
 
@@ -174,8 +176,39 @@ def test_region_is_four_connected_and_contains_center(grid20):
     assert seen == set(region.members)
 
 
-@settings(max_examples=100, deadline=None)
+def _spread_for_bound(bound: float) -> float:
+    """The relative width w with w / sqrt(1 + w) == bound: angles in
+    [lo, lo * (1 + w)] have a normalized difference of at most ``bound``."""
+    return (bound * bound + math.sqrt(bound ** 4 + 4.0 * bound * bound)) / 2.0
+
+
+def _grow_with_branch(grid, mask, angles, cfg):
+    """``grow_stick_region`` and whether its admission certificate held."""
+    certificate, held = segmentation.admission_certain, []
+
+    def recording(*args):
+        held.append(certificate(*args))
+        return held[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(segmentation, "admission_certain", recording)
+        region = grow_stick_region(grid, mask, angles, cfg)
+    assert len(held) == 1
+    return region, held[0]
+
+
+# Field kinds: "random" has base +- spread angles, often mixed in sign, so
+# admission often hinges on the order in which the frontier is visited;
+# "certified" has a narrow same-sign range whose bound is well below the
+# threshold; "edge" puts the threshold within 1e-9 (down to a few ulps) of
+# the bound of a lo/hi field; "near_eps" puts the smallest magnitude within
+# 1e-9 of epsilon; "mixed" holds admissible angles of both signs.
+FIELD_KINDS = ("random", "certified", "edge", "near_eps", "mixed")
+
+
+@settings(max_examples=300, deadline=None)
 @given(
+    kind=st.sampled_from(FIELD_KINDS),
     rows=st.integers(2, 24),
     cols=st.integers(2, 24),
     pitch=st.sampled_from([0.7, 1.0, 1.3]),
@@ -183,25 +216,77 @@ def test_region_is_four_connected_and_contains_center(grid20):
     spread=st.floats(0.01, 5.0),
     seed=st.integers(0, 2**31 - 1),
     delta_phi_th=st.floats(0.05, 100.0),
+    sign=st.sampled_from([1.0, -1.0]),
+    lo=st.floats(0.06, 20.0),
+    fraction=st.floats(0.0, 0.9),
+    rel=st.one_of(st.floats(-3e-9, 3e-9), st.integers(-4, 4).map(lambda k: k * 2.0**-52)),
 )
-def test_growth_matches_loop_oracle(rows, cols, pitch, base, spread, seed, delta_phi_th):
-    # Random contact masks and angle fields, so admission often hinges on
-    # the order in which the frontier is visited.
+def test_growth_matches_loop_oracle(kind, rows, cols, pitch, base, spread, seed, delta_phi_th,
+                                    sign, lo, fraction, rel):
     grid = MarkerGrid(rows=rows, cols=cols, pitch=pitch)
     rng = np.random.default_rng(seed)
-    center = int(rng.integers(grid.n_markers))
-    flags = rng.random(grid.n_markers) < 0.85
-    valid = rng.random(grid.n_markers) < 0.95
+    n = grid.n_markers
+    center = int(rng.integers(n))
+    other = (center + 1) % n
+    flags = rng.random(n) < 0.85
+    valid = rng.random(n) < 0.95
     flags[center] = valid[center] = True
-    phi = np.where(valid, base + spread * rng.standard_normal(grid.n_markers), 0.0)
+    phi = base + spread * rng.standard_normal(n)
+    epsilon = SegmentationConfig().epsilon_angle
+    if kind == "certified":
+        width = _spread_for_bound(fraction * delta_phi_th)
+        phi = np.where(flags, sign * lo * (1.0 + width * rng.random(n)), -phi)
+    elif kind == "edge":
+        hi = lo * (1.0 + _spread_for_bound(fraction * delta_phi_th))
+        phi = sign * np.where(rng.random(n) < 0.5, lo, hi)
+        phi[center] = sign * lo
+        delta_phi_th = max(normalized_angle_difference(hi, lo, epsilon) * (1.0 + rel), 1e-300)
+    elif kind == "near_eps":
+        small = epsilon * (1.0 + rel)
+        phi = sign * small * (1.0 + _spread_for_bound(fraction) * rng.random(n))
+        phi[center] = sign * small
+    elif kind == "mixed":
+        flags[other] = valid[other] = True
+        phi = sign * (0.06 + np.abs(phi))
+        phi[other] = -phi[center]
+    phi = np.where(valid, phi, 0.0)
     mask = ContactMask(flags, contact_detected=True, center_index=center)
     angles = LineFeatureAngles(phi, valid)
     cfg = SegmentationConfig(delta_phi_th=delta_phi_th)
-    region = grow_stick_region(grid, mask, angles, cfg)
+    region, certified = _grow_with_branch(grid, mask, angles, cfg)
+    event(f"{kind}, certified={certified}")
     members, mean_angle, state = loop_grow_stick_region(grid, mask, angles, cfg)
     assert region.members == members
     assert region.mean_angle == mean_angle
     assert region.state is state
+    assert region.stick_ratio == len(members) / mask.n_flagged
+    # Both branches are hit: certified fields of either sign take the
+    # component walk, fields with both signs take the loop.
+    if kind == "certified":
+        assert certified
+    elif kind == "mixed":
+        assert not certified
+
+
+def test_growth_rejects_at_exact_threshold():
+    # The threshold equals the rule's own value for the pair (hi, lo), so
+    # the loop rejects every hi marker next to a lo centre; rounding alone
+    # must not let the certificate claim otherwise.
+    grid = MarkerGrid(rows=3, cols=3)
+    center = grid.index_of(1, 1)
+    mask = ContactMask(np.ones(grid.n_markers, bool), contact_detected=True, center_index=center)
+    rng = np.random.default_rng(5)
+    for lo, width in zip(rng.uniform(0.1, 20.0, 200), rng.uniform(1e-3, 0.5, 200)):
+        for sign in (1.0, -1.0):
+            phi = np.full(grid.n_markers, sign * lo * (1.0 + width))
+            phi[center] = sign * lo
+            cfg = SegmentationConfig(
+                delta_phi_th=normalized_angle_difference(phi[0], phi[center], CFG.epsilon_angle)
+            )
+            angles = LineFeatureAngles(phi, np.ones(grid.n_markers, bool))
+            region = grow_stick_region(grid, mask, angles, cfg)
+            assert region.members == {center}
+            assert region.state is ContactState.MACRO_SLIP
 
 
 def test_growth_is_deterministic(grid20):
