@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
-from dataclasses import replace
 
 from .config import ConfigError, FullConfig, apply_overrides, build_config, load_document
 from .core import UsageError
@@ -74,15 +73,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args: argparse.Namespace) -> FullConfig:
+    # --seed and --trials are shorthands for overrides: applied after the
+    # --set values, so they win, and checked at load before any output.
+    flags = {"scenario.rng_seed": args.seed, "harness.trials": getattr(args, "trials", None)}
     document = load_document(args.config)
-    apply_overrides(document, args.overrides)
-    if getattr(args, "trials", None) is not None:
-        # Checked at load with the config's own trials, before any output.
-        apply_overrides(document, [f"harness.trials={args.trials}"])
-    config = build_config(document)
-    if args.seed is not None:
-        config = replace(config, scenario=replace(config.scenario, rng_seed=args.seed))
-    return config
+    apply_overrides(document, [
+        *args.overrides, *(f"{key}={value}" for key, value in flags.items() if value is not None)
+    ])
+    return build_config(document)
 
 
 @contextlib.contextmanager

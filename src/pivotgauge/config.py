@@ -51,7 +51,7 @@ class HarnessConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "trials", trial_count(self.trials, "harness.trials"))
         if not self.rate_hz > 0:
-            raise ConfigError("harness.rate_hz must be positive")
+            raise UsageError(f"harness.rate_hz must be positive, got {self.rate_hz}")
         if not self.rate_hz * (self.t_end - self.t_start) <= MAX_FRAMES:
             raise UsageError(f"harness.rate_hz x (t_end - t_start) exceeds {MAX_FRAMES} frames")
 
@@ -151,12 +151,7 @@ def load_config(source: Union[str, Path, None] = None) -> FullConfig:
     return build_config(load_document(source))
 
 
-def three_lift_scenario(
-    grid: Optional[MarkerGrid] = None,
-    noise_sigma: Optional[float] = None,
-    rng_seed: Optional[int] = None,
-    softness: Optional[SoftnessParams] = None,
-) -> SimScenario:
+def three_lift_scenario(noise_sigma: Optional[float] = None) -> SimScenario:
     """The ``three-lift`` preset's staged pivoting scenario over t in [0, 12] s.
 
     The rotation ramps to plateaus near 6, 12 and 18 degrees and then past
@@ -164,14 +159,13 @@ def three_lift_scenario(
     taking the contact from stable stick through incipient slip into macro
     slip on the final ramp. Plateau stick radii keep the flagged patch
     (whose stencils stay inside the stick zone) effectively rigid so the
-    plateau estimates track the commanded angle closely. Arguments that are
-    not None replace the preset's values.
+    plateau estimates track the commanded angle closely. A ``noise_sigma``
+    that is not None replaces the preset's.
     """
-    changes = {"grid": grid, "noise_sigma": noise_sigma, "rng_seed": rng_seed, "softness": softness}
     # By preset path: a file named "three-lift" in the working directory
     # would shadow the name.
     scenario = load_config(preset_path("three-lift")).scenario
-    return replace(scenario, **{k: v for k, v in changes.items() if v is not None})
+    return scenario if noise_sigma is None else replace(scenario, noise_sigma=noise_sigma)
 
 
 def apply_overrides(document: dict[str, Any], overrides: list[str]) -> dict[str, Any]:

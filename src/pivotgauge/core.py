@@ -199,11 +199,8 @@ class Frame:
     def n_markers(self) -> int:
         return self.displacements.shape[0]
 
-    def matches(self, grid: MarkerGrid) -> bool:
-        return self.n_markers == grid.n_markers
-
     def require_grid(self, grid: MarkerGrid) -> None:
-        if not self.matches(grid):
+        if self.n_markers != grid.n_markers:
             raise UsageError(
                 f"frame has {self.n_markers} markers, grid expects {grid.n_markers}"
             )
@@ -287,6 +284,14 @@ class SoftnessParams:
     l_yx: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("k", "l_xy", "l_yx"):
+            value = getattr(self, name)
+            try:
+                finite = math.isfinite(value)
+            except (TypeError, OverflowError):  # not a number, or an int beyond float range
+                finite = False
+            if not finite:
+                raise UsageError(f"softness {name} must be a finite number, got {value!r}")
         if self.k < 0:
             raise UsageError(f"softness ratio k must be >= 0, got {self.k}")
 

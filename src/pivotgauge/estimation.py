@@ -34,7 +34,7 @@ from .core import (
     UsageError,
 )
 from .features import line_feature_angles
-from .segmentation import SegmentationConfig, detect_contact, grow_stick_region
+from .segmentation import NO_CONTACT_REGION, SegmentationConfig, detect_contact, grow_stick_region
 
 FILTER_WINDOW = 5
 
@@ -161,10 +161,7 @@ def estimate_frame(
     """Single-frame (unfiltered) estimate with its intermediate products."""
     mask = detect_contact(grid, frame, cfg)
     if not mask.contact_detected:
-        region = StickRegion(
-            members=frozenset(), mean_angle=0.0, state=ContactState.NO_CONTACT, stick_ratio=0.0
-        )
-        return estimate_rotation(region, softness), mask, region
+        return estimate_rotation(NO_CONTACT_REGION, softness), mask, NO_CONTACT_REGION
     angles = line_feature_angles(grid, frame)
     region = grow_stick_region(grid, mask, angles, cfg)
     return estimate_rotation(region, softness), mask, region
@@ -175,8 +172,7 @@ class RotationPipeline:
 
     Frames must be processed in strictly increasing timestamp order. The
     pipeline keeps the filter state; the most recent raw (unfiltered)
-    estimate, contact mask and stick region remain available as
-    ``last_raw``, ``last_mask`` and ``last_region`` after each call.
+    estimate remains available as ``last_raw`` after each call.
     """
 
     def __init__(
@@ -190,13 +186,11 @@ class RotationPipeline:
         self.softness = softness if softness is not None else SoftnessParams()
         self.state = EstimatorState()
         self.last_raw: Optional[RotationEstimate] = None
-        self.last_mask: Optional[ContactMask] = None
-        self.last_region: Optional[StickRegion] = None
 
     def process_frame(self, frame: Frame) -> RotationEstimate:
         """Run the full pipeline on one frame and return the filtered estimate."""
-        raw, mask, region = estimate_frame(self.grid, frame, self.cfg, self.softness)
-        self.last_raw, self.last_mask, self.last_region = raw, mask, region
+        raw, mask, _region = estimate_frame(self.grid, frame, self.cfg, self.softness)
+        self.last_raw = raw
         self.state, filtered = filter_step(
             self.state, raw, mask.contact_detected, timestamp=frame.timestamp
         )

@@ -15,7 +15,7 @@ from typing import IO, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .config import SWEEP_ANGLES, FullConfig, trial_count
+from .config import SWEEP_ANGLES, FullConfig
 from .core import ContactState, Frame, InsufficientDataError, MarkerGrid
 from .estimation import RotationPipeline, baseline_least_squares, estimate_frame
 from .simulate import generate_frame, generate_trajectory, with_constant_theta
@@ -86,11 +86,6 @@ class CompareReport:
     overall_win_rate: float
 
 
-def _trial_count(config: FullConfig, trials: Optional[int]) -> int:
-    """``trials``, or the configured count when None, checked by ``trial_count``."""
-    return trial_count(config.harness.trials if trials is None else trials, "trials")
-
-
 def _sweep_errors(config: FullConfig, trials: int) -> tuple[np.ndarray, np.ndarray]:
     """Absolute errors of the proposed and baseline estimators per trial.
 
@@ -127,7 +122,6 @@ def _mean_std(errors: np.ndarray) -> tuple[float, float]:
 
 def run_static_sweep(
     config: FullConfig,
-    trials: Optional[int] = None,
     csv_out: Optional[IO[str]] = None,
 ) -> dict[str, SweepReport]:
     """Static rotation sweep over integer angles 2..20 degrees.
@@ -137,7 +131,7 @@ def run_static_sweep(
     overall for both the stick-region estimator and the least-squares
     baseline.
     """
-    trials = _trial_count(config, trials)
+    trials = config.harness.trials
     proposed, baseline = _sweep_errors(config, trials)
 
     rows = {"proposed": [], "baseline": []}
@@ -228,7 +222,6 @@ def estimate_from_stream(
 
 def compare_estimators(
     config: FullConfig,
-    trials: Optional[int] = None,
     csv_out: Optional[IO[str]] = None,
 ) -> CompareReport:
     """Side-by-side per-angle errors plus the proposed-vs-baseline win rate.
@@ -237,7 +230,7 @@ def compare_estimators(
     strictly smaller than the baseline's. Trials where the baseline has too
     few markers count as failures and are excluded from the win rate.
     """
-    trials = _trial_count(config, trials)
+    trials = config.harness.trials
     proposed, baseline = _sweep_errors(config, trials)
 
     if csv_out is not None:

@@ -21,6 +21,11 @@ from .features import admission_certain, normalized_angle_difference
 # Keeps the tangential-deviation score term finite for a motionless patch.
 _SCORE_EPSILON_MM = 1e-6
 
+# The region of every frame without a detected contact.
+NO_CONTACT_REGION = StickRegion(
+    members=frozenset(), mean_angle=0.0, state=ContactState.NO_CONTACT, stick_ratio=0.0
+)
+
 
 @dataclass(frozen=True)
 class SegmentationConfig:
@@ -108,9 +113,7 @@ def grow_stick_region(
     heap or the per-marker test; the result is the same.
     """
     if not mask.contact_detected:
-        return StickRegion(
-            members=frozenset(), mean_angle=0.0, state=ContactState.NO_CONTACT, stick_ratio=0.0
-        )
+        return NO_CONTACT_REGION
     center = mask.center_index
     if center is None or not angles.valid[center]:
         return StickRegion(
@@ -124,10 +127,12 @@ def grow_stick_region(
     # is also the seen-set. The centre is flagged and valid, so the
     # certificate covers its angle too.
     admissible[center] = False
+    # The centre is admitted untested: for angles and epsilon_angle below
+    # ~1e-162 their squares underflow and its difference to itself is inf.
+    members = [center]
     if admission_certain(angles.angles[admissible_mask], cfg.delta_phi_th, cfg.epsilon_angle):
         # Every admission test would pass, so the region is the centre's
         # 4-connected admissible component, whatever the visiting order.
-        members = [center]
         for idx in members:  # appended to while walked: breadth first
             for nbr in neighbors[idx]:
                 if nbr is not None and admissible[nbr]:
@@ -138,20 +143,19 @@ def grow_stick_region(
         dist = np.hypot(pos[:, 0] - pos[center, 0], pos[:, 1] - pos[center, 1]).tolist()
         phi = angles.angles.tolist()
         epsilon, threshold = cfg.epsilon_angle, cfg.delta_phi_th
-        members = []
         mean = phi[center]
-        # The centre is popped first and always admitted (its difference to
-        # itself is 0).
-        frontier = [(0.0, center)]
+        frontier = [(0.0, center)]  # popped first: only the centre is at distance 0
         while frontier:
             _, idx = heappop(frontier)
-            if normalized_angle_difference(phi[idx], mean, epsilon) < threshold:
+            if idx != center:
+                if not normalized_angle_difference(phi[idx], mean, epsilon) < threshold:
+                    continue
                 members.append(idx)
                 mean += (phi[idx] - mean) / len(members)
-                for nbr in neighbors[idx]:
-                    if nbr is not None and admissible[nbr]:
-                        admissible[nbr] = False
-                        heappush(frontier, (dist[nbr], nbr))
+            for nbr in neighbors[idx]:
+                if nbr is not None and admissible[nbr]:
+                    admissible[nbr] = False
+                    heappush(frontier, (dist[nbr], nbr))
 
     n_flagged = mask.n_flagged
     if len(members) < cfg.min_stick_markers:

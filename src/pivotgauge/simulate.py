@@ -22,7 +22,15 @@ from typing import Any, Callable, Sequence, Union
 
 import numpy as np
 
-from .core import MAX_FRAMES, Frame, MarkerGrid, SoftnessParams, UsageError, finite_pair
+from .core import (
+    MAX_FRAMES,
+    Frame,
+    MarkerGrid,
+    SoftnessParams,
+    UsageError,
+    finite_pair,
+    whole_number,
+)
 
 TimeScalarFn = Callable[[float], float]
 TimeVectorFn = Callable[[float], np.ndarray]
@@ -111,6 +119,9 @@ class SimScenario:
             raise UsageError(f"decay_exponent must be positive, got {self.decay_exponent}")
         if self.noise_sigma < 0:
             raise UsageError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        object.__setattr__(self, "rng_seed", whole_number(self.rng_seed, "rng_seed"))
+        if self.rng_seed < 0:
+            raise UsageError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if not 0 < self.contact_radius <= self.grid.half_extent:
             raise UsageError(
                 f"contact_radius must lie in (0, {self.grid.half_extent}], "

@@ -308,7 +308,8 @@ def test_c09_determinism_round_trip(tmp_path):
 
 def test_c10_static_sweep_regression():
     config = build_config({})
-    trials = 25
+    trials = config.harness.trials
+    assert trials == 25
 
     oracle_errors = []
     for angle_pos, theta in enumerate(SWEEP_ANGLES):
@@ -323,7 +324,7 @@ def test_c10_static_sweep_regression():
             oracle_errors.append(abs(-sum(angles) / len(angles) - theta))
     oracle_mare = float(np.mean(oracle_errors))
 
-    reports = run_static_sweep(config, trials=trials)
+    reports = run_static_sweep(config)
     sweep_mare = reports["proposed"].mare
     tol = 0.2 * GOLDEN_SWEEP_MARE_DEG
     ok = abs(sweep_mare - GOLDEN_SWEEP_MARE_DEG) <= tol and abs(

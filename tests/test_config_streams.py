@@ -128,14 +128,24 @@ def test_invalid_value_is_config_error(tmp_path):
         ("harness.t_end=1e15", _FRAME_BOUND),
         ("harness.t_start=-1e15", _FRAME_BOUND),
         ("harness.rate_hz=1e300", _FRAME_BOUND),
+        ("harness.rate_hz=0", "harness.rate_hz must be positive"),
+        ("scenario.rng_seed=-1", "rng_seed must be >= 0"),
+        ("scenario.rng_seed=1.5", "rng_seed must be a whole number"),
+        ("scenario.rng_seed=x", "rng_seed must be a whole number"),
+        ("softness.l_xy=abc", "softness l_xy must be a finite number"),
+        ("softness.l_yx=[1]", "softness l_yx must be a finite number"),
+        (f"softness.k={10**400}", "softness k must be a finite number"),
     ]:
         with pytest.raises(ConfigError, match=f"invalid config value: {message}"):
             build_config(apply_overrides({}, [override]))
     trials = build_config({"harness": {"trials": 25.0}}).harness.trials
     assert trials == 25 and type(trials) is int
     rejected_csv = tmp_path / "rejected.csv"
-    assert main(["sweep", "--out", str(rejected_csv), "--set", "harness.trials=2.5"]) == 2
-    assert not rejected_csv.exists()
+    for flags in (["sweep", "--set", "harness.trials=2.5"], ["dynamic", "--seed", "-1"],
+                  ["dynamic", "--set", "scenario.rng_seed=x"],
+                  ["dynamic", "--set", "softness.l_xy=abc"]):
+        assert main([*flags, "--out", str(rejected_csv)]) == 2
+        assert not rejected_csv.exists()
 
 
 def test_frame_count_is_bounded_at_load(tmp_path, capsys, monkeypatch):

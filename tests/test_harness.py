@@ -11,7 +11,7 @@ import pytest
 
 from pivotgauge import ConfigError, UsageError, estimation, harness, load_config
 from pivotgauge.cli import main
-from pivotgauge.config import build_config, trial_count
+from pivotgauge.config import HarnessConfig, build_config, trial_count
 from pivotgauge.core import MAX_FRAMES
 from pivotgauge.harness import (
     SWEEP_ANGLES,
@@ -29,8 +29,8 @@ def config_with(scenario_overrides=None, harness_overrides=None):
 
 
 def test_sweep_noiseless_full_stick_exact():
-    config = config_with({"noise_sigma": 0.0})
-    reports = run_static_sweep(config, trials=2)
+    config = config_with({"noise_sigma": 0.0}, {"trials": 2})
+    reports = run_static_sweep(config)
     assert reports["proposed"].mare < 1e-6
     assert reports["baseline"].mare < 1e-6
     assert all(row.trials == 2 for row in reports["proposed"].rows)
@@ -38,11 +38,11 @@ def test_sweep_noiseless_full_stick_exact():
 
 
 def test_sweep_csv_deterministic():
-    config = config_with({"noise_sigma": 0.005, "rng_seed": 5})
+    config = config_with({"noise_sigma": 0.005, "rng_seed": 5}, {"trials": 1})
     outputs = []
     for _ in range(2):
         buf = io.StringIO()
-        run_static_sweep(config, trials=1, csv_out=buf)
+        run_static_sweep(config, csv_out=buf)
         outputs.append(buf.getvalue())
     assert outputs[0] == outputs[1]
     header = outputs[0].splitlines()[0]
@@ -59,22 +59,21 @@ def test_sweep_and_compare_generate_one_frame_per_trial(monkeypatch):
         return generate(scenario, t, frame_index=frame_index)
 
     monkeypatch.setattr(harness, "generate_frame", counting)
-    config = load_config(None)
+    config = config_with(harness_overrides={"trials": 2})
     for run in (run_static_sweep, compare_estimators):
         indices.clear()
-        run(config, trials=2)
+        run(config)
         assert len(indices) == 38 == 2 * len(SWEEP_ANGLES)
         assert sorted(indices) == list(range(38))
 
 
 def test_sweep_api_trials_must_be_whole():
-    config = load_config(None)
-    for run in (run_static_sweep, compare_estimators):
-        with pytest.raises(UsageError, match="trials must be a whole number, got 2.5"):
-            run(config, trials=2.5)
+    # The sweep APIs take their trial count from harness.trials, checked at load.
+    with pytest.raises(ConfigError, match="harness.trials must be a whole number, got 2.5"):
+        config_with(harness_overrides={"trials": 2.5})
     as_float, as_int = io.StringIO(), io.StringIO()
-    report = run_static_sweep(config, trials=3.0, csv_out=as_float)
-    assert report == run_static_sweep(config, trials=3, csv_out=as_int)
+    report = run_static_sweep(config_with(harness_overrides={"trials": 3.0}), csv_out=as_float)
+    assert report == run_static_sweep(config_with(harness_overrides={"trials": 3}), csv_out=as_int)
     assert as_float.getvalue() == as_int.getvalue()
     assert all(type(row.trials) is int for row in report["proposed"].rows)
 
@@ -91,10 +90,9 @@ def test_sweep_trials_are_bounded_before_allocating(monkeypatch, capsys, tmp_pat
         raise AssertionError("a frame was generated")
 
     monkeypatch.setattr(harness, "generate_frame", no_frames)
-    config = load_config(None)
-    for run in (run_static_sweep, compare_estimators):
-        with pytest.raises(UsageError, match=bound):
-            run(config, trials=over)
+    # The sweep APIs read harness.trials, which cannot hold the count.
+    with pytest.raises(UsageError, match=bound):
+        HarnessConfig(trials=over)
     out = tmp_path / "refused.csv"
     tracemalloc.start()
     try:
@@ -113,11 +111,11 @@ def test_sweep_trials_are_bounded_before_allocating(monkeypatch, capsys, tmp_pat
 def test_outputs_match_reference_kernels(monkeypatch):
     # Every CSV byte must survive a swap back to the reference line-feature
     # kernel and the reference growth loop.
-    compare_settings = config_with({"stick_radius": 3.0, "contact_radius": 6.0})
+    compare_settings = config_with({"stick_radius": 3.0, "contact_radius": 6.0}, {"trials": 3})
     runs = (
         lambda out: run_dynamic(load_config("three-lift"), csv_out=out),
-        lambda out: run_static_sweep(compare_settings, trials=3, csv_out=out),
-        lambda out: compare_estimators(compare_settings, trials=3, csv_out=out),
+        lambda out: run_static_sweep(compare_settings, csv_out=out),
+        lambda out: compare_estimators(compare_settings, csv_out=out),
     )
 
     def outputs():
@@ -154,9 +152,10 @@ def test_sweep_trend_incipient_slip():
             "decay_exponent": 4.0,
             "noise_sigma": 0.005,
             "rng_seed": 77,
-        }
+        },
+        {"trials": 10},
     )
-    reports = run_static_sweep(config, trials=10)
+    reports = run_static_sweep(config)
     proposed = [row.mean_abs_error for row in reports["proposed"].rows]
     baseline = {row.theta_true: row.mean_abs_error for row in reports["baseline"].rows}
     assert max(proposed) < 0.3
@@ -241,8 +240,8 @@ def test_stream_replay_empty_after_header():
 
 
 def test_compare_full_stick_win_rate_near_half():
-    config = config_with({"noise_sigma": 0.005, "rng_seed": 21})
-    report = compare_estimators(config, trials=20)
+    config = config_with({"noise_sigma": 0.005, "rng_seed": 21}, {"trials": 20})
+    report = compare_estimators(config)
     assert 0.25 <= report.overall_win_rate <= 0.75
     for row in report.rows:
         assert row.baseline_failures == 0
@@ -257,17 +256,20 @@ def test_compare_incipient_slip_win_rate_high():
             "decay_exponent": 4.0,
             "noise_sigma": 0.005,
             "rng_seed": 13,
-        }
+        },
+        {"trials": 10},
     )
-    report = compare_estimators(config, trials=10)
+    report = compare_estimators(config)
     high_angle_rows = [row for row in report.rows if row.theta_true >= 10.0]
     for row in high_angle_rows:
         assert row.win_rate >= 0.9
 
 
 def test_compare_reports_insufficient_baseline_data():
-    config = config_with({"contact_radius": 0.8, "cor": [0.5, 0.5], "noise_sigma": 0.0})
-    report = compare_estimators(config, trials=2)
+    config = config_with(
+        {"contact_radius": 0.8, "cor": [0.5, 0.5], "noise_sigma": 0.0}, {"trials": 2}
+    )
+    report = compare_estimators(config)
     for row in report.rows:
         assert row.baseline_failures == 2
         assert math.isnan(row.baseline_mae)
@@ -286,6 +288,20 @@ def test_cli_sweep_and_compare_write_csv(tmp_path):
     cmp_csv = tmp_path / "cmp.csv"
     assert main(["compare", "--trials", "1", "--out", str(cmp_csv)]) == 0
     assert cmp_csv.read_text().startswith("theta_true_deg,trials,proposed_mae_deg")
+
+
+def test_cli_seed_is_an_override(tmp_path, capsys):
+    # --seed N is scenario.rng_seed=N, applied after every --set.
+    def dynamic(*flags):
+        out = tmp_path / "dynamic.csv"
+        assert main(["dynamic", "--config", "three-lift", "--set", "harness.t_end=1",
+                     "--out", str(out), *flags]) == 0
+        return out.read_bytes(), capsys.readouterr()
+
+    seeded = dynamic("--seed", "3")
+    assert seeded == dynamic("--set", "scenario.rng_seed=3")
+    assert seeded == dynamic("--set", "scenario.rng_seed=5", "--seed", "3")
+    assert seeded != dynamic("--set", "scenario.rng_seed=5")
 
 
 def test_cli_estimate_from_file_and_stdin(tmp_path):

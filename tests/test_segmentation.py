@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from pivotgauge import (
@@ -202,8 +202,9 @@ def _grow_with_branch(grid, mask, angles, cfg):
 # "certified" has a narrow same-sign range whose bound is well below the
 # threshold; "edge" puts the threshold within 1e-9 (down to a few ulps) of
 # the bound of a lo/hi field; "near_eps" puts the smallest magnitude within
-# 1e-9 of epsilon; "mixed" holds admissible angles of both signs.
-FIELD_KINDS = ("random", "certified", "edge", "near_eps", "mixed")
+# 1e-9 of epsilon; "mixed" holds admissible angles of both signs;
+# "underflow" has angles and epsilon so small that their squares are 0.
+FIELD_KINDS = ("random", "certified", "edge", "near_eps", "mixed", "underflow")
 
 
 @settings(max_examples=300, deadline=None)
@@ -221,6 +222,10 @@ FIELD_KINDS = ("random", "certified", "edge", "near_eps", "mixed")
     fraction=st.floats(0.0, 0.9),
     rel=st.one_of(st.floats(-3e-9, 3e-9), st.integers(-4, 4).map(lambda k: k * 2.0**-52)),
 )
+# A 3x3 field of 1e-170 with epsilon 1e-200, every marker flagged and valid
+# and the centre at index 4: the centre's difference to itself is inf.
+@example(kind="underflow", rows=3, cols=3, pitch=1.0, base=0.0, spread=1.0, seed=241,
+         delta_phi_th=0.4, sign=1.0, lo=1.0, fraction=0.0, rel=0.0)
 def test_growth_matches_loop_oracle(kind, rows, cols, pitch, base, spread, seed, delta_phi_th,
                                     sign, lo, fraction, rel):
     grid = MarkerGrid(rows=rows, cols=cols, pitch=pitch)
@@ -249,10 +254,13 @@ def test_growth_matches_loop_oracle(kind, rows, cols, pitch, base, spread, seed,
         flags[other] = valid[other] = True
         phi = sign * (0.06 + np.abs(phi))
         phi[other] = -phi[center]
+    elif kind == "underflow":
+        epsilon = 1e-200
+        phi = sign * 1e-170 * (1.0 + fraction * rng.random(n))
     phi = np.where(valid, phi, 0.0)
     mask = ContactMask(flags, contact_detected=True, center_index=center)
     angles = LineFeatureAngles(phi, valid)
-    cfg = SegmentationConfig(delta_phi_th=delta_phi_th)
+    cfg = SegmentationConfig(delta_phi_th=delta_phi_th, epsilon_angle=epsilon)
     region, certified = _grow_with_branch(grid, mask, angles, cfg)
     event(f"{kind}, certified={certified}")
     members, mean_angle, state = loop_grow_stick_region(grid, mask, angles, cfg)
