@@ -58,11 +58,20 @@ class HarnessConfig:
 
 @dataclass(frozen=True)
 class FullConfig:
-    grid: MarkerGrid
+    """One loaded configuration document. The grid and softness sections
+    are held by the scenario, and read through it."""
+
     scenario: SimScenario
     segmentation: SegmentationConfig
-    softness: SoftnessParams
     harness: HarnessConfig
+
+    @property
+    def grid(self) -> MarkerGrid:
+        return self.scenario.grid
+
+    @property
+    def softness(self) -> SoftnessParams:
+        return self.scenario.softness
 
 
 _SECTION_TYPES = {
@@ -91,14 +100,18 @@ def _section(document: dict[str, Any], section: str) -> dict[str, Any]:
             f"unknown key(s) in section '{section}': {', '.join(sorted(unknown))}"
         )
     for key, value in data.items():
-        _check_finite(f"{section}.{key}", value)
+        _check_value(f"{section}.{key}", value)
     return dict(data)
 
 
-def _check_finite(key: str, value: Any) -> None:
+def _check_value(key: str, value: Any) -> None:
+    """Refuse a non-finite number or a boolean anywhere in a value: no key
+    takes a boolean, and Python would otherwise read one as 0 or 1."""
     if isinstance(value, (list, tuple)):
         for item in value:
-            _check_finite(key, item)
+            _check_value(key, item)
+    elif isinstance(value, bool):
+        raise ConfigError(f"invalid config value: {key} must not be a boolean, got {value}")
     elif isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"invalid config value: {key} must be finite, got {value}")
 
@@ -136,10 +149,7 @@ def build_config(document: dict[str, Any]) -> FullConfig:
         harness = HarnessConfig(**harness_raw)
     except (UsageError, TypeError, OverflowError) as exc:
         raise ConfigError(f"invalid config value: {exc}") from exc
-    return FullConfig(
-        grid=grid, scenario=scenario, segmentation=segmentation,
-        softness=softness, harness=harness,
-    )
+    return FullConfig(scenario=scenario, segmentation=segmentation, harness=harness)
 
 
 def load_config(source: Union[str, Path, None] = None) -> FullConfig:

@@ -54,11 +54,11 @@ def finite_pair(value: Any, name: str) -> tuple[float, float]:
 
 
 def whole_number(value: Any, name: str) -> int:
-    """``value`` as an int (a whole float such as ``25.0`` included), or a
-    UsageError naming ``name``."""
+    """``value`` as an int (a whole float such as ``25.0`` included, a bool
+    not), or a UsageError naming ``name``."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    if not isinstance(value, (int, np.integer)):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise UsageError(f"{name} must be a whole number, got {value!r}")
     return int(value)
 
@@ -101,7 +101,7 @@ class MarkerGrid:
             finite = math.isfinite(self.pitch)
         except OverflowError:  # an int beyond float range
             finite = False
-        if not (self.pitch > 0 and finite):
+        if isinstance(self.pitch, bool) or not (self.pitch > 0 and finite):
             raise UsageError(f"pitch must be positive and finite, got {self.pitch}")
         if self.origin is None:
             ox = -(self.cols - 1) * self.pitch / 2.0
@@ -177,14 +177,18 @@ def neighbor_indices(
 class Frame:
     """Per-marker 3-component displacement field at one timestamp.
 
-    ``displacements`` is (n_markers, 3): tangential dx, dy and normal dz,
-    all in mm, cumulative relative to the reference configuration.
+    ``timestamp`` is a finite number of seconds. ``displacements`` is
+    (n_markers, 3): tangential dx, dy and normal dz, all in mm, cumulative
+    relative to the reference configuration, all finite.
     """
 
     timestamp: float
     displacements: np.ndarray
 
     def __post_init__(self) -> None:
+        t = float(self.timestamp)
+        if not math.isfinite(t):
+            raise UsageError(f"frame timestamp must be finite, got {t}")
         d = np.asarray(self.displacements, dtype=float)
         if d.ndim != 2 or d.shape[1] != 3:
             raise UsageError(f"displacements must be (n, 3), got shape {d.shape}")
@@ -193,7 +197,7 @@ class Frame:
         d = np.ascontiguousarray(d)
         d.setflags(write=False)
         object.__setattr__(self, "displacements", d)
-        object.__setattr__(self, "timestamp", float(self.timestamp))
+        object.__setattr__(self, "timestamp", t)
 
     @property
     def n_markers(self) -> int:
@@ -210,22 +214,23 @@ class Frame:
 class ContactMask:
     """Markers flagged as belonging to the contact patch.
 
-    ``center_index`` is the assumed stick centre; it is present only when
-    contact was detected and always refers to a flagged marker.
+    ``center_index`` is the assumed stick centre and always refers to a
+    flagged marker; contact is detected exactly when it is present.
     """
 
     flags: np.ndarray
-    contact_detected: bool
     center_index: Optional[int] = None
 
     def __post_init__(self) -> None:
         flags = np.asarray(self.flags, dtype=bool)
         flags.setflags(write=False)
         object.__setattr__(self, "flags", flags)
-        if not self.contact_detected and self.center_index is not None:
-            raise UsageError("center_index must be absent when no contact is detected")
         if self.center_index is not None and not flags[self.center_index]:
             raise UsageError("center_index must refer to a flagged marker")
+
+    @property
+    def contact_detected(self) -> bool:
+        return self.center_index is not None
 
     @property
     def n_flagged(self) -> int:

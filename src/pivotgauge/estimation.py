@@ -10,7 +10,10 @@ Two estimators are provided:
 
 The streaming entry point is :class:`RotationPipeline`, which composes
 contact detection, feature angles, region growth, estimation and the
-causal window-5 filter with zero-drift compensation.
+causal window-5 mean filter. The filter's window starts at the first
+contact and no-contact frames report 0. It has no zero-drift term: every
+estimate before the first contact is a no-contact estimate, which is 0 by
+contract, so their mean would always be 0.
 """
 
 from __future__ import annotations
@@ -105,51 +108,34 @@ def baseline_least_squares(
 class EstimatorState:
     """Mutable per-stream filter state: single owner, one stream at a time.
 
-    ``zero_drift`` accumulates the running mean of raw estimates before the
-    first contact and freezes at the no-contact -> contact transition;
-    ``window`` holds the last raw estimates after contact.
+    ``window`` holds the last raw estimates from the first contact on.
     """
 
     window: deque = field(default_factory=lambda: deque(maxlen=FILTER_WINDOW))
-    zero_drift: float = 0.0
     contact_seen: bool = False
-    pre_contact_frames: int = 0
     last_timestamp: Optional[float] = None
 
 
 def filter_step(
-    state: EstimatorState,
-    raw: RotationEstimate,
-    contact_now: bool,
-    timestamp: Optional[float] = None,
-) -> tuple[EstimatorState, RotationEstimate]:
+    state: EstimatorState, raw: RotationEstimate, timestamp: float
+) -> RotationEstimate:
     """Advance the causal window-5 mean filter by one frame.
 
-    Before the first contact the output is pinned to zero while the raw
-    estimates feed the zero-drift accumulator; afterwards the output is the
-    window mean minus the frozen drift. Frames must arrive in strictly
-    increasing timestamp order when timestamps are supplied.
+    Contact is read from the estimate: every state but NoContact. Before the
+    first contact the output is 0; afterwards it is the window mean, except
+    that a no-contact frame reports 0. Frames must arrive in strictly
+    increasing timestamp order.
     """
-    if timestamp is not None:
-        if state.last_timestamp is not None and timestamp <= state.last_timestamp:
-            raise UsageError(
-                f"out-of-order frame: t={timestamp} after t={state.last_timestamp}"
-            )
-        state.last_timestamp = timestamp
+    if state.last_timestamp is not None and timestamp <= state.last_timestamp:
+        raise UsageError(f"out-of-order frame: t={timestamp} after t={state.last_timestamp}")
+    state.last_timestamp = timestamp
 
-    if not state.contact_seen and not contact_now:
-        state.pre_contact_frames += 1
-        state.zero_drift += (raw.theta - state.zero_drift) / state.pre_contact_frames
-        theta = 0.0
-    else:
+    contact = raw.state is not ContactState.NO_CONTACT
+    if contact or state.contact_seen:
         state.contact_seen = True
         state.window.append(raw.theta)
-        theta = sum(state.window) / len(state.window) - state.zero_drift
-    if raw.state is ContactState.NO_CONTACT:
-        theta = 0.0  # no-contact estimates are pinned to zero by contract
-    return state, RotationEstimate(
-        theta=theta, state=raw.state, stick_ratio=raw.stick_ratio, cor=raw.cor
-    )
+    theta = sum(state.window) / len(state.window) if contact else 0.0
+    return RotationEstimate(theta=theta, state=raw.state, stick_ratio=raw.stick_ratio, cor=raw.cor)
 
 
 def estimate_frame(
@@ -189,9 +175,6 @@ class RotationPipeline:
 
     def process_frame(self, frame: Frame) -> RotationEstimate:
         """Run the full pipeline on one frame and return the filtered estimate."""
-        raw, mask, _region = estimate_frame(self.grid, frame, self.cfg, self.softness)
+        raw, _mask, _region = estimate_frame(self.grid, frame, self.cfg, self.softness)
         self.last_raw = raw
-        self.state, filtered = filter_step(
-            self.state, raw, mask.contact_detected, timestamp=frame.timestamp
-        )
-        return filtered
+        return filter_step(self.state, raw, frame.timestamp)

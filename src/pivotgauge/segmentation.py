@@ -15,6 +15,7 @@ from .core import (
     MarkerGrid,
     StickRegion,
     UsageError,
+    whole_number,
 )
 from .features import admission_certain, normalized_angle_difference
 
@@ -51,6 +52,9 @@ class SegmentationConfig:
             raise UsageError("normal_filter_ratio must lie in (0, 1)")
         if not self.delta_phi_th > 0:
             raise UsageError("delta_phi_th must be positive")
+        object.__setattr__(
+            self, "min_stick_markers", whole_number(self.min_stick_markers, "min_stick_markers")
+        )
         if self.min_stick_markers < 1:
             raise UsageError("min_stick_markers must be >= 1")
         if not self.epsilon_angle > 0:
@@ -74,7 +78,7 @@ def detect_contact(grid: MarkerGrid, frame: Frame, cfg: SegmentationConfig) -> C
     flags = dz >= cfg.normal_filter_ratio * dz.max()
     flagged_idx = np.flatnonzero(flags)
     if flagged_idx.size == 0:
-        return ContactMask(flags=np.zeros(grid.n_markers, dtype=bool), contact_detected=False)
+        return ContactMask(flags=np.zeros(grid.n_markers, dtype=bool))
 
     pos = grid.reference_positions[flagged_idx]
     centroid = pos.mean(axis=0)
@@ -89,8 +93,8 @@ def detect_contact(grid: MarkerGrid, frame: Frame, cfg: SegmentationConfig) -> C
 
     modulus = float(np.linalg.norm(disp[center]))
     if modulus <= cfg.contact_threshold:
-        return ContactMask(flags=np.zeros(grid.n_markers, dtype=bool), contact_detected=False)
-    return ContactMask(flags=flags, contact_detected=True, center_index=center)
+        return ContactMask(flags=np.zeros(grid.n_markers, dtype=bool))
+    return ContactMask(flags=flags, center_index=center)
 
 
 def grow_stick_region(
@@ -112,10 +116,10 @@ def grow_stick_region(
     component of admissible markers around the centre, found without the
     heap or the per-marker test; the result is the same.
     """
-    if not mask.contact_detected:
-        return NO_CONTACT_REGION
     center = mask.center_index
-    if center is None or not angles.valid[center]:
+    if center is None:
+        return NO_CONTACT_REGION
+    if not angles.valid[center]:
         return StickRegion(
             members=frozenset(), mean_angle=0.0, state=ContactState.MACRO_SLIP, stick_ratio=0.0
         )

@@ -117,7 +117,7 @@ class SimScenario:
             raise UsageError(f"max_indent must be positive, got {self.max_indent}")
         if not self.decay_exponent > 0:
             raise UsageError(f"decay_exponent must be positive, got {self.decay_exponent}")
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:
             raise UsageError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         object.__setattr__(self, "rng_seed", whole_number(self.rng_seed, "rng_seed"))
         if self.rng_seed < 0:

@@ -14,11 +14,8 @@ states) are written with ``str``.
 from __future__ import annotations
 
 import json
-import math
 import sys
 from typing import IO, Any, Iterable, Iterator, Optional
-
-import numpy as np
 
 from .core import Frame, MarkerGrid, finite_pair
 from .simulate import GroundTruth
@@ -110,19 +107,14 @@ def read_frames(
             continue
         try:
             obj = json.loads(line)
-            d = np.asarray(obj["d"], dtype=float)
-            if d.shape != (grid.n_markers, 3):
-                raise ValueError(f"expected {grid.n_markers}x3 displacements, got {d.shape}")
-            if not np.all(np.isfinite(d)) or not math.isfinite(float(obj["t"])):
-                raise ValueError("non-finite component")
-            t = float(obj["t"])
-            if last_t is not None and not t > last_t:
-                raise ValueError(f"out-of-order frame: t={t} not after t={last_t}")
-            frame = Frame(timestamp=t, displacements=d)
+            frame = Frame(timestamp=obj["t"], displacements=obj["d"])
+            frame.require_grid(grid)
+            if last_t is not None and not frame.timestamp > last_t:
+                raise ValueError(f"out-of-order frame: t={frame.timestamp} not after t={last_t}")
         except _MALFORMED as exc:
             print(f"warning: skipping frame line {lineno}: {exc}", file=warn)
             continue
-        last_t = t
+        last_t = frame.timestamp
         yield frame
 
 

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,6 +35,16 @@ def test_default_config_builds():
     assert config.segmentation.delta_phi_th == 0.4
     assert config.harness.trials == 25
     assert config.softness.k == 0.0
+
+
+def test_config_grid_and_softness_are_the_scenarios():
+    config = load_config(None)
+    assert config.grid is config.scenario.grid
+    assert config.softness is config.scenario.softness
+    grid = MarkerGrid(rows=12, cols=12)
+    changed = replace(config, scenario=replace(config.scenario, grid=grid, contact_radius=4.0))
+    assert changed.grid is changed.scenario.grid is grid
+    assert changed.softness is changed.scenario.softness
 
 
 def test_three_lift_preset_loads_by_name():
@@ -100,7 +111,7 @@ def test_missing_config_path_is_config_error(tmp_path):
 _FRAME_BOUND = rf"harness.rate_hz x \(t_end - t_start\) exceeds {MAX_FRAMES} frames"
 
 
-def test_invalid_value_is_config_error(tmp_path):
+def test_invalid_value_is_config_error(tmp_path, capsys):
     with pytest.raises(ConfigError, match="invalid config value"):
         build_config({"grid": {"rows": 1}})
     with pytest.raises(ConfigError, match="invalid config value: softness.l_xy"):
@@ -146,6 +157,18 @@ def test_invalid_value_is_config_error(tmp_path):
                   ["dynamic", "--set", "softness.l_xy=abc"]):
         assert main([*flags, "--out", str(rejected_csv)]) == 2
         assert not rejected_csv.exists()
+    # No key takes a boolean (Python would read true as 1), and the marker
+    # count threshold is a whole number.
+    capsys.readouterr()
+    for override in ("harness.trials=true", "scenario.rng_seed=true", "softness.k=true",
+                     "scenario.noise_sigma=true", "grid.pitch=true", "harness.t_end=true",
+                     "segmentation.min_stick_markers=true",
+                     "segmentation.min_stick_markers=2.5"):
+        assert main(["dynamic", "--set", override, "--out", str(rejected_csv)]) == 2, override
+        assert "invalid config value:" in capsys.readouterr().err, override
+        assert not rejected_csv.exists()
+    seg = build_config({"segmentation": {"min_stick_markers": 4.0}}).segmentation
+    assert seg.min_stick_markers == 4 and type(seg.min_stick_markers) is int
 
 
 def test_frame_count_is_bounded_at_load(tmp_path, capsys, monkeypatch):
@@ -316,6 +339,7 @@ def test_read_header_gives_grid_or_format_error(data):
     hostile = st.one_of(
         st.integers(-3, 40), st.floats(), st.none(), st.text(max_size=3),
         st.lists(st.floats(), max_size=3), st.just(10**400), st.just([10**400, 0]),
+        st.booleans(),
     )
     header = {"rows": 20, "cols": 20, "pitch": 1.0, "origin": [-9.5, -9.5]}
     for key in list(header):
@@ -332,6 +356,7 @@ def test_read_header_gives_grid_or_format_error(data):
     except StreamFormatError:
         return
     assert 2 <= grid.rows and 2 <= grid.cols and grid.n_markers <= MAX_MARKERS
+    assert not any(isinstance(v, bool) for v in (grid.rows, grid.cols, grid.pitch))
     assert np.all(np.isfinite(grid.reference_positions))
 
 
@@ -352,6 +377,9 @@ def test_bad_header_is_fatal(tmp_path, capsys):
     stream.write_text(json.dumps({**good, "pitch": float("inf")}) + "\n")
     assert main(["estimate", "--in", str(stream)]) == 1
     assert "bad stream header: pitch must be positive and finite" in capsys.readouterr().err
+    stream.write_text(json.dumps({**good, "pitch": True}) + "\n")
+    assert main(["estimate", "--in", str(stream)]) == 1
+    assert "pitch must be positive and finite, got True" in capsys.readouterr().err
     # A grid over the size limit is refused before its arrays are allocated.
     tracemalloc.start()
     try:

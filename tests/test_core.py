@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -119,6 +121,12 @@ def test_frame_validates_shape_and_finiteness():
         Frame(0.0, bad)
 
 
+def test_frame_refuses_non_finite_timestamp():
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(UsageError, match="timestamp must be finite"):
+            Frame(t, np.zeros((4, 3)))
+
+
 def test_frame_is_read_only():
     frame = Frame(0.0, np.zeros((4, 3)))
     with pytest.raises(ValueError):
@@ -128,11 +136,11 @@ def test_frame_is_read_only():
 def test_contact_mask_invariants():
     flags = np.array([True, False, True])
     with pytest.raises(UsageError):
-        ContactMask(flags=flags, contact_detected=False, center_index=0)
-    with pytest.raises(UsageError):
-        ContactMask(flags=flags, contact_detected=True, center_index=1)
-    mask = ContactMask(flags=flags, contact_detected=True, center_index=2)
+        ContactMask(flags=flags, center_index=1)
+    mask = ContactMask(flags=flags, center_index=2)
     assert mask.n_flagged == 2
+    assert mask.contact_detected
+    assert not ContactMask(flags).contact_detected
 
 
 def test_softness_rejects_negative_ratio():

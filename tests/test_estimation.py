@@ -113,7 +113,7 @@ def test_baseline_needs_three_markers(grid20):
     flags[:2] = True
     from pivotgauge import ContactMask
 
-    mask = ContactMask(flags=flags, contact_detected=True, center_index=0)
+    mask = ContactMask(flags=flags, center_index=0)
     frame = Frame(0.0, np.zeros((grid20.n_markers, 3)))
     with pytest.raises(InsufficientDataError):
         baseline_least_squares(grid20, frame, mask)
@@ -159,71 +159,55 @@ def test_soft_mode_consistency(grid20):
     assert abs(soft_est.theta - 10.0) < 1e-6
 
 
-def test_filter_constant_input_is_fixed_point():
+def run_filter(estimates):
+    """Filtered thetas of ``estimates`` fed one per second from t = 0."""
     state = EstimatorState()
-    out = None
-    for _ in range(6):
-        state, out = filter_step(state, make_estimate(5.0), contact_now=True)
-    assert out.theta == pytest.approx(5.0, abs=1e-12)
+    return [filter_step(state, raw, float(t)).theta for t, raw in enumerate(estimates)]
+
+
+NO_CONTACT = RotationEstimate(theta=0.0, state=ContactState.NO_CONTACT, stick_ratio=0.0)
+
+
+def test_filter_constant_input_is_fixed_point():
+    assert run_filter([make_estimate(5.0)] * 6)[-1] == pytest.approx(5.0, abs=1e-12)
 
 
 def test_filter_ramp_mean():
-    state = EstimatorState()
-    outputs = []
-    for value in (1.0, 2.0, 3.0, 4.0, 5.0):
-        state, out = filter_step(state, make_estimate(value), contact_now=True)
-        outputs.append(out.theta)
+    outputs = run_filter(make_estimate(v) for v in (1.0, 2.0, 3.0, 4.0, 5.0))
     assert outputs[-1] == pytest.approx(3.0, abs=1e-12)
 
 
 def test_filter_window_is_five():
-    state = EstimatorState()
-    for value in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0):
-        state, out = filter_step(state, make_estimate(value), contact_now=True)
-    assert out.theta == pytest.approx(4.0, abs=1e-12)  # mean of 2..6
+    outputs = run_filter(make_estimate(v) for v in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0))
+    assert outputs[-1] == pytest.approx(4.0, abs=1e-12)  # mean of 2..6
 
 
-def test_filter_zero_drift_compensation():
-    # pre-contact raw estimates feed the drift accumulator; contact_now
-    # (not the raw state) drives the transition
-    state = EstimatorState()
-    for _ in range(10):
-        state, out = filter_step(state, make_estimate(0.3), contact_now=False)
-        assert out.theta == 0.0
-    assert state.zero_drift == pytest.approx(0.3, abs=1e-12)
-    for _ in range(5):
-        state, out = filter_step(state, make_estimate(10.3), contact_now=True)
-    assert out.theta == pytest.approx(10.0, abs=1e-12)
-
-
-def test_filter_drift_frozen_after_contact():
-    state = EstimatorState()
-    state, _ = filter_step(state, make_estimate(0.5), contact_now=False)
-    state, _ = filter_step(state, make_estimate(4.0), contact_now=True)
-    drift_after_contact = state.zero_drift
-    state, _ = filter_step(state, make_estimate(9.0), contact_now=False)
-    assert state.zero_drift == drift_after_contact
+def test_filter_window_starts_at_first_contact():
+    # Contact is read from the estimate's state; frames before it are
+    # no-contact estimates (0 by contract) and stay out of the window.
+    assert run_filter([NO_CONTACT] * 3 + [make_estimate(6.0)]) == [0.0, 0.0, 0.0, 6.0]
 
 
 def test_filter_pins_no_contact_output_to_zero():
     # a contact dropout after contact was seen must not leak a nonzero
-    # window mean into a no-contact estimate
+    # window mean into a no-contact estimate; the dropout's 0 stays in the
+    # window, so the next contact frame averages it in
     state = EstimatorState()
-    for _ in range(5):
-        state, _ = filter_step(state, make_estimate(8.0), contact_now=True)
-    dropout = RotationEstimate(theta=0.0, state=ContactState.NO_CONTACT, stick_ratio=0.0)
-    state, out = filter_step(state, dropout, contact_now=False)
+    for t in range(5):
+        filter_step(state, make_estimate(8.0), float(t))
+    out = filter_step(state, NO_CONTACT, 5.0)
     assert out.theta == 0.0
     assert out.state is ContactState.NO_CONTACT
+    assert filter_step(state, make_estimate(8.0), 6.0).theta == pytest.approx(6.4, abs=1e-12)
 
 
 def test_filter_rejects_out_of_order_timestamps():
     state = EstimatorState()
-    state, _ = filter_step(state, make_estimate(1.0), contact_now=True, timestamp=1.0)
+    filter_step(state, make_estimate(1.0), 1.0)
     with pytest.raises(UsageError):
-        filter_step(state, make_estimate(1.0), contact_now=True, timestamp=0.5)
+        filter_step(state, make_estimate(1.0), 0.5)
     with pytest.raises(UsageError):
-        filter_step(state, make_estimate(1.0), contact_now=True, timestamp=1.0)
+        filter_step(state, make_estimate(1.0), 1.0)
 
 
 def test_pipeline_zero_frame_reports_no_contact(grid20):
@@ -249,6 +233,13 @@ def test_pipeline_rejects_out_of_order_frames(grid20):
     pipeline.process_frame(frame)
     with pytest.raises(UsageError):
         pipeline.process_frame(frame)
+    # A non-finite timestamp is refused by Frame, so it can never become
+    # the last timestamp and switch the order check off.
+    for t in (math.nan, math.inf):
+        with pytest.raises(UsageError, match="timestamp must be finite"):
+            pipeline.process_frame(Frame(t, frame.displacements))
+        with pytest.raises(UsageError, match="out-of-order"):
+            pipeline.process_frame(frame)
 
 
 def test_pipeline_tracks_three_lift_trajectory():

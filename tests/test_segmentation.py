@@ -258,7 +258,7 @@ def test_growth_matches_loop_oracle(kind, rows, cols, pitch, base, spread, seed,
         epsilon = 1e-200
         phi = sign * 1e-170 * (1.0 + fraction * rng.random(n))
     phi = np.where(valid, phi, 0.0)
-    mask = ContactMask(flags, contact_detected=True, center_index=center)
+    mask = ContactMask(flags, center_index=center)
     angles = LineFeatureAngles(phi, valid)
     cfg = SegmentationConfig(delta_phi_th=delta_phi_th, epsilon_angle=epsilon)
     region, certified = _grow_with_branch(grid, mask, angles, cfg)
@@ -282,7 +282,7 @@ def test_growth_rejects_at_exact_threshold():
     # must not let the certificate claim otherwise.
     grid = MarkerGrid(rows=3, cols=3)
     center = grid.index_of(1, 1)
-    mask = ContactMask(np.ones(grid.n_markers, bool), contact_detected=True, center_index=center)
+    mask = ContactMask(np.ones(grid.n_markers, bool), center_index=center)
     rng = np.random.default_rng(5)
     for lo, width in zip(rng.uniform(0.1, 20.0, 200), rng.uniform(1e-3, 0.5, 200)):
         for sign in (1.0, -1.0):

@@ -269,8 +269,11 @@ def test_piecewise_trajectory_domain_enforced():
 def test_scenario_validation():
     with pytest.raises(UsageError):
         SimScenario(contact_radius=20.0)  # beyond grid half-extent
-    with pytest.raises(UsageError):
-        SimScenario(noise_sigma=-0.1)
+    for sigma in (-0.1, math.nan):  # NaN would otherwise mean no noise
+        with pytest.raises(UsageError, match="noise_sigma must be >= 0"):
+            SimScenario(noise_sigma=sigma)
+    with pytest.raises(UsageError, match="rng_seed must be a whole number"):
+        SimScenario(rng_seed=True)  # a bool is an int to Python, not a seed
     with pytest.raises(UsageError):
         SimScenario(decay_exponent=0.0)
     with pytest.raises(UsageError, match="stick_radius 9.0 outside"):
