@@ -3,22 +3,24 @@
 One file carries five sections: ``grid``, ``scenario``, ``segmentation``,
 ``softness`` and ``harness``. Every section and every key is optional
 (defaults apply), but unknown sections or keys are fatal so typos cannot
-silently change an experiment. Named presets shipped with the package can
-be referenced by name instead of a path.
+silently change an experiment: the loader checks sections and keys, and the
+types check the values. Named presets shipped with the package can be
+referenced by name instead of a path.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 from typing import Any, Optional, Union
 
-from .core import MAX_FRAMES, ConfigError, MarkerGrid, SoftnessParams, UsageError, whole_number
+from .core import (
+    MAX_FRAMES, ConfigError, MarkerGrid, SoftnessParams, UsageError, finite_number, whole_number
+)
 from .segmentation import SegmentationConfig
-from .simulate import SimScenario
+from .simulate import SimScenario, frame_count
 
 
 # Integer rotation angles of the static sweep, degrees.
@@ -50,10 +52,8 @@ class HarnessConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "trials", trial_count(self.trials, "harness.trials"))
-        if not self.rate_hz > 0:
-            raise UsageError(f"harness.rate_hz must be positive, got {self.rate_hz}")
-        if not self.rate_hz * (self.t_end - self.t_start) <= MAX_FRAMES:
-            raise UsageError(f"harness.rate_hz x (t_end - t_start) exceeds {MAX_FRAMES} frames")
+        keys = ("t_start", "t_end", "rate_hz")  # frame_count's t0, t1 and rate
+        frame_count(*(finite_number(getattr(self, key), f"harness.{key}") for key in keys))
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,7 @@ _SECTION_KEYS = {
 
 
 def _section(document: dict[str, Any], section: str) -> dict[str, Any]:
-    """A copy of one section, checked for unknown keys and non-finite numbers."""
+    """A copy of one section, checked for unknown keys; its type checks the values."""
     data = document.get(section, {})
     if not isinstance(data, dict):
         raise ConfigError(f"config section '{section}' is not an object")
@@ -99,21 +99,7 @@ def _section(document: dict[str, Any], section: str) -> dict[str, Any]:
         raise ConfigError(
             f"unknown key(s) in section '{section}': {', '.join(sorted(unknown))}"
         )
-    for key, value in data.items():
-        _check_value(f"{section}.{key}", value)
     return dict(data)
-
-
-def _check_value(key: str, value: Any) -> None:
-    """Refuse a non-finite number or a boolean anywhere in a value: no key
-    takes a boolean, and Python would otherwise read one as 0 or 1."""
-    if isinstance(value, (list, tuple)):
-        for item in value:
-            _check_value(key, item)
-    elif isinstance(value, bool):
-        raise ConfigError(f"invalid config value: {key} must not be a boolean, got {value}")
-    elif isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"invalid config value: {key} must be finite, got {value}")
 
 
 def preset_path(name: str) -> Optional[Path]:

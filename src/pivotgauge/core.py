@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Optional
@@ -42,15 +43,26 @@ class InsufficientDataError(RuntimeError):
     """Too few contact markers to perform the requested computation."""
 
 
+def finite_number(value: Any, name: str) -> float:
+    """``value`` as a float, or a UsageError naming ``name``: a finite int,
+    float or numpy number, never a bool, a string, None, NaN, +-inf or an
+    int beyond float range. The one rule for every numeric input."""
+    if type(value) is float and math.isfinite(value):
+        return value
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        with suppress(OverflowError):  # raised for an int beyond float range
+            if math.isfinite(value):
+                return float(value)
+    raise UsageError(f"{name} must be a finite number, got {value!r}")
+
+
 def finite_pair(value: Any, name: str) -> tuple[float, float]:
     """``value`` as a pair of finite floats, or a UsageError naming ``name``."""
     try:
-        x, y = np.asarray(value, dtype=float).tolist()
-        if math.isfinite(x) and math.isfinite(y):
-            return x, y
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise UsageError(f"{name} must be two finite numbers, got {value!r}")
+        x, y = value
+        return finite_number(x, name), finite_number(y, name)
+    except (TypeError, ValueError):  # UsageError included
+        raise UsageError(f"{name} must be two finite numbers, got {value!r}") from None
 
 
 def whole_number(value: Any, name: str) -> int:
@@ -92,28 +104,26 @@ class MarkerGrid:
 
     def __post_init__(self) -> None:
         for name in ("rows", "cols"):
-            object.__setattr__(self, name, whole_number(getattr(self, name), f"grid {name}"))
+            object.__setattr__(self, name, whole_number(getattr(self, name), f"grid.{name}"))
         if self.rows < 2 or self.cols < 2:
             raise UsageError(f"grid must be at least 2x2, got {self.rows}x{self.cols}")
         if self.rows * self.cols > MAX_MARKERS:
             raise UsageError(f"grid {self.rows}x{self.cols} exceeds {MAX_MARKERS} markers")
-        try:
-            finite = math.isfinite(self.pitch)
-        except OverflowError:  # an int beyond float range
-            finite = False
-        if isinstance(self.pitch, bool) or not (self.pitch > 0 and finite):
-            raise UsageError(f"pitch must be positive and finite, got {self.pitch}")
+        # The field keeps its number (a header writes an int pitch as an int).
+        pitch = finite_number(self.pitch, "grid.pitch")
+        if not pitch > 0:
+            raise UsageError(f"grid.pitch must be positive, got {self.pitch!r}")
         if self.origin is None:
-            ox = -(self.cols - 1) * self.pitch / 2.0
-            oy = -(self.rows - 1) * self.pitch / 2.0
+            ox = -(self.cols - 1) * pitch / 2.0
+            oy = -(self.rows - 1) * pitch / 2.0
         else:
-            ox, oy = finite_pair(self.origin, "origin")
-        far = (ox + (self.cols - 1) * self.pitch, oy + (self.rows - 1) * self.pitch)
+            ox, oy = finite_pair(self.origin, "grid.origin")
+        far = (ox + (self.cols - 1) * pitch, oy + (self.rows - 1) * pitch)
         if not all(map(math.isfinite, (ox, oy, *far))):
             raise UsageError(f"grid positions overflow with pitch {self.pitch} from {(ox, oy)}")
         object.__setattr__(self, "origin", (ox, oy))
         jj, ii = np.meshgrid(np.arange(self.cols), np.arange(self.rows))
-        pos = np.column_stack([ox + jj.ravel() * self.pitch, oy + ii.ravel() * self.pitch])
+        pos = np.column_stack([ox + jj.ravel() * pitch, oy + ii.ravel() * pitch])
         pos.setflags(write=False)
         object.__setattr__(self, "_positions", pos)
 
@@ -186,9 +196,7 @@ class Frame:
     displacements: np.ndarray
 
     def __post_init__(self) -> None:
-        t = float(self.timestamp)
-        if not math.isfinite(t):
-            raise UsageError(f"frame timestamp must be finite, got {t}")
+        t = finite_number(self.timestamp, "frame timestamp")
         d = np.asarray(self.displacements, dtype=float)
         if d.ndim != 2 or d.shape[1] != 3:
             raise UsageError(f"displacements must be (n, 3), got shape {d.shape}")
@@ -290,15 +298,9 @@ class SoftnessParams:
 
     def __post_init__(self) -> None:
         for name in ("k", "l_xy", "l_yx"):
-            value = getattr(self, name)
-            try:
-                finite = math.isfinite(value)
-            except (TypeError, OverflowError):  # not a number, or an int beyond float range
-                finite = False
-            if not finite:
-                raise UsageError(f"softness {name} must be a finite number, got {value!r}")
+            finite_number(getattr(self, name), f"softness.{name}")
         if self.k < 0:
-            raise UsageError(f"softness ratio k must be >= 0, got {self.k}")
+            raise UsageError(f"softness.k must be >= 0, got {self.k!r}")
 
 
 @dataclass(frozen=True)
@@ -315,7 +317,6 @@ class RotationEstimate:
     cor: Optional[tuple[float, float]] = None
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.theta):
-            raise UsageError("estimate theta must be finite")
+        finite_number(self.theta, "estimate theta")
         if self.state is ContactState.NO_CONTACT and self.theta != 0.0:
             raise UsageError("theta must be 0 when no contact is detected")

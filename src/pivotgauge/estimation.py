@@ -112,7 +112,6 @@ class EstimatorState:
     """
 
     window: deque = field(default_factory=lambda: deque(maxlen=FILTER_WINDOW))
-    contact_seen: bool = False
     last_timestamp: Optional[float] = None
 
 
@@ -131,8 +130,7 @@ def filter_step(
     state.last_timestamp = timestamp
 
     contact = raw.state is not ContactState.NO_CONTACT
-    if contact or state.contact_seen:
-        state.contact_seen = True
+    if contact or state.window:
         state.window.append(raw.theta)
     theta = sum(state.window) / len(state.window) if contact else 0.0
     return RotationEstimate(theta=theta, state=raw.state, stick_ratio=raw.stick_ratio, cor=raw.cor)

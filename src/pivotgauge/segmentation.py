@@ -15,6 +15,7 @@ from .core import (
     MarkerGrid,
     StickRegion,
     UsageError,
+    finite_number,
     whole_number,
 )
 from .features import admission_certain, normalized_angle_difference
@@ -46,19 +47,17 @@ class SegmentationConfig:
     epsilon_angle: float = 0.05
 
     def __post_init__(self) -> None:
-        if not self.contact_threshold > 0:
-            raise UsageError("contact_threshold must be positive")
-        if not 0 < self.normal_filter_ratio < 1:
-            raise UsageError("normal_filter_ratio must lie in (0, 1)")
-        if not self.delta_phi_th > 0:
-            raise UsageError("delta_phi_th must be positive")
-        object.__setattr__(
-            self, "min_stick_markers", whole_number(self.min_stick_markers, "min_stick_markers")
-        )
-        if self.min_stick_markers < 1:
-            raise UsageError("min_stick_markers must be >= 1")
-        if not self.epsilon_angle > 0:
-            raise UsageError("epsilon_angle must be positive")
+        for name in ("contact_threshold", "delta_phi_th", "epsilon_angle"):
+            value = getattr(self, name)
+            if not finite_number(value, f"segmentation.{name}") > 0:
+                raise UsageError(f"segmentation.{name} must be positive, got {value!r}")
+        ratio = finite_number(self.normal_filter_ratio, "segmentation.normal_filter_ratio")
+        if not 0 < ratio < 1:
+            raise UsageError(f"segmentation.normal_filter_ratio must lie in (0, 1), got {ratio}")
+        markers = whole_number(self.min_stick_markers, "segmentation.min_stick_markers")
+        if markers < 1:
+            raise UsageError(f"segmentation.min_stick_markers must be >= 1, got {markers}")
+        object.__setattr__(self, "min_stick_markers", markers)
 
 
 def detect_contact(grid: MarkerGrid, frame: Frame, cfg: SegmentationConfig) -> ContactMask:

@@ -28,6 +28,7 @@ from .core import (
     MarkerGrid,
     SoftnessParams,
     UsageError,
+    finite_number,
     finite_pair,
     whole_number,
 )
@@ -47,7 +48,7 @@ class PiecewiseLinear:
         arr = np.asarray(points, dtype=float)
         if arr.ndim != 2 or arr.shape[0] < 2 or arr.shape[1] < 2:
             raise UsageError("piecewise-linear input needs >= 2 rows of (t, value...)")
-        if not np.all(np.diff(arr[:, 0]) > 0):
+        if not np.all(arr[1:, 0] > arr[:-1, 0]):  # no subtraction to overflow
             raise UsageError("piecewise-linear breakpoints must have strictly increasing t")
         self._t = arr[:, 0]
         self._v = arr[:, 1:]
@@ -66,24 +67,31 @@ class PiecewiseLinear:
         return out
 
 
+def _floats(value: Any, name: str, depth: int) -> Any:
+    """``value`` as floats by ``finite_number``, in lists nested at most ``depth`` deep."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if depth and isinstance(value, (list, tuple)):
+        return [_floats(item, name, depth - 1) for item in value]
+    return finite_number(value, name)
+
+
 def _time_fn(value, name: str, shape: tuple[int, ...]) -> Callable[[float], Any]:
     """A function of time from a callable, a constant of ``shape`` (``()`` or
-    ``(2,)``) or a breakpoint list of ``(t, value...)`` rows."""
+    ``(2,)``) or a breakpoint list of ``(t, value...)`` rows, for ``scenario.name``."""
     if callable(value):
         return value
+    name = f"scenario.{name}"
     try:
-        # No float dtype here: it would parse strings and read null as NaN,
-        # where isfinite raises TypeError for both.
-        arr = np.array(value)
-        if not all(map(math.isfinite, arr.ravel().tolist())):
-            raise ValueError(f"not finite numbers: {value!r}")
+        arr = np.array(_floats(value, name, 2))
         if arr.shape == shape:
-            constant = arr.astype(float) if shape else float(arr)
+            constant = arr if shape else float(arr)
             return lambda t: constant
         if arr.ndim != 2 or arr.shape[1] != 1 + math.prod(shape):
             raise ValueError(f"breakpoint rows must be {1 + math.prod(shape)} wide")
         return PiecewiseLinear(arr)
-    except (TypeError, ValueError) as exc:  # UsageError included
+    # UsageError included; RecursionError from the repr of a value nested very deep.
+    except (TypeError, ValueError, RecursionError) as exc:
         kind = "a 2-vector" if shape else "a number"
         raise UsageError(f"{name} must be {kind}, callable or breakpoint list") from exc
 
@@ -113,22 +121,23 @@ class SimScenario:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.max_indent > 0:
-            raise UsageError(f"max_indent must be positive, got {self.max_indent}")
-        if not self.decay_exponent > 0:
-            raise UsageError(f"decay_exponent must be positive, got {self.decay_exponent}")
-        if not self.noise_sigma >= 0:
-            raise UsageError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        object.__setattr__(self, "rng_seed", whole_number(self.rng_seed, "rng_seed"))
+        for name in ("max_indent", "decay_exponent"):
+            value = getattr(self, name)
+            if not finite_number(value, f"scenario.{name}") > 0:
+                raise UsageError(f"scenario.{name} must be positive, got {value!r}")
+        if not finite_number(self.noise_sigma, "scenario.noise_sigma") >= 0:
+            raise UsageError(f"scenario.noise_sigma must be >= 0, got {self.noise_sigma!r}")
+        object.__setattr__(self, "rng_seed", whole_number(self.rng_seed, "scenario.rng_seed"))
         if self.rng_seed < 0:
-            raise UsageError(f"rng_seed must be >= 0, got {self.rng_seed}")
-        if not 0 < self.contact_radius <= self.grid.half_extent:
+            raise UsageError(f"scenario.rng_seed must be >= 0, got {self.rng_seed}")
+        radius = finite_number(self.contact_radius, "scenario.contact_radius")
+        if not 0 < radius <= self.grid.half_extent:
             raise UsageError(
-                f"contact_radius must lie in (0, {self.grid.half_extent}], "
+                f"scenario.contact_radius must lie in (0, {self.grid.half_extent}], "
                 f"got {self.contact_radius}"
             )
         stick = self.stick_radius if self.stick_radius is not None else self.contact_radius
-        object.__setattr__(self, "cor", finite_pair(self.cor, "cor"))
+        object.__setattr__(self, "cor", finite_pair(self.cor, "scenario.cor"))
         object.__setattr__(self, "_stick_fn", _time_fn(stick, "stick_radius", ()))
         object.__setattr__(self, "_theta_fn", _time_fn(self.theta_trajectory, "theta_trajectory", ()))
         translation_fn = _time_fn(self.translation_trajectory, "translation_trajectory", (2,))
@@ -287,17 +296,23 @@ def generate_frame(
     return Frame(timestamp=t, displacements=displacements), truth
 
 
+def frame_count(t0: float, t1: float, rate: float) -> int:
+    """Number of timestamps t0, t0 + 1/rate, ..., <= t1, checked before any
+    frame exists; messages name a config's ``t_start``, ``t_end``, ``rate_hz``."""
+    if not t1 > t0:
+        raise UsageError(f"t_end must exceed t_start, got t_start={t0}, t_end={t1}")
+    if not rate > 0:
+        raise UsageError(f"rate_hz must be positive, got {rate}")
+    if not (t1 - t0) * rate <= MAX_FRAMES:
+        raise UsageError(f"rate_hz x (t_end - t_start) exceeds {MAX_FRAMES} frames")
+    return int(math.floor((t1 - t0) * rate + 1e-9)) + 1
+
+
 def generate_trajectory(
     scenario: SimScenario, t0: float, t1: float, rate: float
 ) -> list[tuple[Frame, GroundTruth]]:
     """Generate frames at uniform timestamps t0, t0 + 1/rate, ..., <= t1."""
-    if not t1 > t0:
-        raise UsageError(f"empty time range [{t0}, {t1}]")
-    if not rate > 0:
-        raise UsageError(f"rate must be positive, got {rate}")
-    if not (t1 - t0) * rate <= MAX_FRAMES:
-        raise UsageError(f"{rate} Hz over [{t0}, {t1}] exceeds {MAX_FRAMES} frames")
-    n = int(math.floor((t1 - t0) * rate + 1e-9)) + 1
+    n = frame_count(t0, t1, rate)
     return [generate_frame(scenario, t0 + i / rate, frame_index=i) for i in range(n)]
 
 

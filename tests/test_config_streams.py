@@ -108,7 +108,7 @@ def test_missing_config_path_is_config_error(tmp_path):
         load_config(tmp_path / "nope.json")
 
 
-_FRAME_BOUND = rf"harness.rate_hz x \(t_end - t_start\) exceeds {MAX_FRAMES} frames"
+_FRAME_BOUND = rf"rate_hz x \(t_end - t_start\) exceeds {MAX_FRAMES} frames"
 
 
 def test_invalid_value_is_config_error(tmp_path, capsys):
@@ -123,29 +123,29 @@ def test_invalid_value_is_config_error(tmp_path, capsys):
     with pytest.raises(ConfigError, match="section 'grid' is not an object"):
         build_config({"grid": 20})
     for override, message in [
-        ("grid.origin=[1]", "origin must be two finite numbers"),
-        ('grid.origin=["a","b"]', "origin must be two finite numbers"),
-        ("scenario.cor=[1]", "cor must be two finite numbers"),
-        ("grid.rows=2.5", "grid rows must be a whole number"),
+        ("grid.origin=[1]", "grid.origin must be two finite numbers"),
+        ('grid.origin=["a","b"]', "grid.origin must be two finite numbers"),
+        ("scenario.cor=[1]", "scenario.cor must be two finite numbers"),
+        ("grid.rows=2.5", "grid.rows must be a whole number"),
         ("harness.trials=2.5", "harness.trials must be a whole number"),
         (f"grid.cols={MAX_MARKERS // 20 + 1}", f"grid 20x{MAX_MARKERS // 20 + 1} exceeds"),
-        ("scenario.theta_trajectory=[[0,1,2],[1,2,3]]", "theta_trajectory must be a number"),
-        ("scenario.theta_trajectory=null", "theta_trajectory must be a number"),
-        ('scenario.theta_trajectory="3.5"', "theta_trajectory must be a number"),
-        ("scenario.translation_trajectory=[[0,0],[1,1]]", "translation_trajectory must be a 2-vector"),
-        ("scenario.translation_trajectory=ab", "translation_trajectory must be a 2-vector"),
+        ("scenario.theta_trajectory=[[0,1,2],[1,2,3]]", "scenario.theta_trajectory must be a number"),
+        ("scenario.theta_trajectory=null", "scenario.theta_trajectory must be a number"),
+        ('scenario.theta_trajectory="3.5"', "scenario.theta_trajectory must be a number"),
+        ("scenario.translation_trajectory=[[0,0],[1,1]]", "scenario.translation_trajectory must be a 2-vector"),
+        ("scenario.translation_trajectory=ab", "scenario.translation_trajectory must be a 2-vector"),
         ("scenario.stick_radius=9", "stick_radius 9.0 outside"),
         ("scenario.stick_radius=[[0,4],[1,0]]", "stick_radius 0.0 outside"),
         ("harness.t_end=1e15", _FRAME_BOUND),
         ("harness.t_start=-1e15", _FRAME_BOUND),
         ("harness.rate_hz=1e300", _FRAME_BOUND),
-        ("harness.rate_hz=0", "harness.rate_hz must be positive"),
-        ("scenario.rng_seed=-1", "rng_seed must be >= 0"),
-        ("scenario.rng_seed=1.5", "rng_seed must be a whole number"),
-        ("scenario.rng_seed=x", "rng_seed must be a whole number"),
-        ("softness.l_xy=abc", "softness l_xy must be a finite number"),
-        ("softness.l_yx=[1]", "softness l_yx must be a finite number"),
-        (f"softness.k={10**400}", "softness k must be a finite number"),
+        ("harness.rate_hz=0", "rate_hz must be positive"),
+        ("scenario.rng_seed=-1", "scenario.rng_seed must be >= 0"),
+        ("scenario.rng_seed=1.5", "scenario.rng_seed must be a whole number"),
+        ("scenario.rng_seed=x", "scenario.rng_seed must be a whole number"),
+        ("softness.l_xy=abc", "softness.l_xy must be a finite number"),
+        ("softness.l_yx=[1]", "softness.l_yx must be a finite number"),
+        (f"softness.k={10**400}", "softness.k must be a finite number"),
     ]:
         with pytest.raises(ConfigError, match=f"invalid config value: {message}"):
             build_config(apply_overrides({}, [override]))
@@ -376,10 +376,10 @@ def test_bad_header_is_fatal(tmp_path, capsys):
     stream = tmp_path / "inf_pitch.ndjson"
     stream.write_text(json.dumps({**good, "pitch": float("inf")}) + "\n")
     assert main(["estimate", "--in", str(stream)]) == 1
-    assert "bad stream header: pitch must be positive and finite" in capsys.readouterr().err
+    assert "bad stream header: grid.pitch must be a finite number" in capsys.readouterr().err
     stream.write_text(json.dumps({**good, "pitch": True}) + "\n")
     assert main(["estimate", "--in", str(stream)]) == 1
-    assert "pitch must be positive and finite, got True" in capsys.readouterr().err
+    assert "grid.pitch must be a finite number, got True" in capsys.readouterr().err
     # A grid over the size limit is refused before its arrays are allocated.
     tracemalloc.start()
     try:

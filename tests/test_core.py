@@ -44,7 +44,7 @@ def test_grid_rejects_degenerate_shapes():
 
 
 def test_grid_rejects_ints_beyond_float_range():
-    with pytest.raises(UsageError, match="pitch must be positive and finite"):
+    with pytest.raises(UsageError, match="grid.pitch must be a finite number"):
         MarkerGrid(pitch=10**400)
     with pytest.raises(UsageError, match="origin must be two finite numbers"):
         MarkerGrid(origin=(10**400, 0))
@@ -123,7 +123,7 @@ def test_frame_validates_shape_and_finiteness():
 
 def test_frame_refuses_non_finite_timestamp():
     for t in (math.nan, math.inf, -math.inf):
-        with pytest.raises(UsageError, match="timestamp must be finite"):
+        with pytest.raises(UsageError, match="timestamp must be a finite number"):
             Frame(t, np.zeros((4, 3)))
 
 

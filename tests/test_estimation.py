@@ -236,7 +236,7 @@ def test_pipeline_rejects_out_of_order_frames(grid20):
     # A non-finite timestamp is refused by Frame, so it can never become
     # the last timestamp and switch the order check off.
     for t in (math.nan, math.inf):
-        with pytest.raises(UsageError, match="timestamp must be finite"):
+        with pytest.raises(UsageError, match="timestamp must be a finite number"):
             pipeline.process_frame(Frame(t, frame.displacements))
         with pytest.raises(UsageError, match="out-of-order"):
             pipeline.process_frame(frame)

@@ -269,8 +269,9 @@ def test_piecewise_trajectory_domain_enforced():
 def test_scenario_validation():
     with pytest.raises(UsageError):
         SimScenario(contact_radius=20.0)  # beyond grid half-extent
-    for sigma in (-0.1, math.nan):  # NaN would otherwise mean no noise
-        with pytest.raises(UsageError, match="noise_sigma must be >= 0"):
+    # NaN would otherwise mean no noise.
+    for sigma, message in ((-0.1, "must be >= 0"), (math.nan, "must be a finite number")):
+        with pytest.raises(UsageError, match=f"noise_sigma {message}"):
             SimScenario(noise_sigma=sigma)
     with pytest.raises(UsageError, match="rng_seed must be a whole number"):
         SimScenario(rng_seed=True)  # a bool is an int to Python, not a seed

@@ -1,0 +1,255 @@
+"""One rule per value: every numeric input, whichever route it takes (a
+config document, a stream header or line, or a Python constructor), is
+checked by ``core.finite_number``, and every trajectory length by
+``simulate.frame_count``."""
+
+from __future__ import annotations
+
+import io
+import json
+import math
+import sys
+from dataclasses import fields
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pivotgauge import (
+    ConfigError,
+    Frame,
+    HarnessConfig,
+    MarkerGrid,
+    SegmentationConfig,
+    SimScenario,
+    SoftnessParams,
+    UsageError,
+)
+from pivotgauge.cli import main
+from pivotgauge.config import build_config
+from pivotgauge.core import MAX_FRAMES, finite_number
+from pivotgauge.simulate import frame_count
+from pivotgauge.streams import read_frames, write_header
+
+_NOT_NUMBERS = (True, "1", None, math.nan, math.inf, 10**400)
+
+# Every float field of the types a config builds, by section and key.
+_NUMBER_FIELDS = (
+    (MarkerGrid, "grid", "pitch"),
+    (SoftnessParams, "softness", "k"),
+    (SoftnessParams, "softness", "l_xy"),
+    (SoftnessParams, "softness", "l_yx"),
+    (SegmentationConfig, "segmentation", "contact_threshold"),
+    (SegmentationConfig, "segmentation", "normal_filter_ratio"),
+    (SegmentationConfig, "segmentation", "delta_phi_th"),
+    (SegmentationConfig, "segmentation", "epsilon_angle"),
+    (SimScenario, "scenario", "contact_radius"),
+    (SimScenario, "scenario", "max_indent"),
+    (SimScenario, "scenario", "decay_exponent"),
+    (SimScenario, "scenario", "noise_sigma"),
+    (HarnessConfig, "harness", "rate_hz"),
+    (HarnessConfig, "harness", "t_start"),
+    (HarnessConfig, "harness", "t_end"),
+)
+# The whole-number fields; 10**400 is a whole number, refused or not by range.
+_WHOLE_FIELDS = (
+    (MarkerGrid, "grid", "rows"),
+    (MarkerGrid, "grid", "cols"),
+    (SimScenario, "scenario", "rng_seed"),
+    (SegmentationConfig, "segmentation", "min_stick_markers"),
+    (HarnessConfig, "harness", "trials"),
+)
+
+
+def test_finite_number_accepts_numbers_only():
+    for value in (1, -2.5, 0, np.float32(0.5), np.int64(3), np.float64(1e308), 10**308):
+        number = finite_number(value, "x")
+        assert type(number) is float and number == float(value)
+    for value in (*_NOT_NUMBERS, False, np.True_, -math.inf, -(10**400), np.float32("inf"),
+                  np.float64("nan"), [1.0], np.array(1.0), b"1"):
+        with pytest.raises(UsageError, match=r"^x must be a finite number, got "):
+            finite_number(value, "x")
+
+
+@pytest.mark.parametrize("cls, section, key, value", [
+    pytest.param(cls, section, key, value, id=f"{section}.{key}={value!r:.8}")
+    for fields_, values in ((_NUMBER_FIELDS, _NOT_NUMBERS), (_WHOLE_FIELDS, _NOT_NUMBERS[:-1]))
+    for cls, section, key in fields_
+    for value in values
+])
+def test_every_numeric_field_refuses_non_numbers(cls, section, key, value):
+    with pytest.raises(UsageError, match=rf"^{section}\.{key} must be a"):
+        cls(**{key: value})
+    with pytest.raises(ConfigError, match=rf"^invalid config value: {section}\.{key} must be a"):
+        build_config({section: {key: value}})
+
+
+@pytest.mark.parametrize("value", _NOT_NUMBERS, ids=repr)
+def test_frame_timestamp_refuses_non_numbers(value):
+    with pytest.raises(UsageError, match="^frame timestamp must be a finite number"):
+        Frame(value, np.zeros((4, 3)))
+
+
+def test_fields_keep_the_numbers_they_were_given():
+    grid = MarkerGrid(pitch=1)
+    out = io.StringIO()
+    write_header(out, grid)
+    assert json.loads(out.getvalue())["pitch"] == 1 and '"pitch": 1,' in out.getvalue()
+    assert grid.reference_positions.dtype == float
+    assert type(SoftnessParams(k=1).k) is int and type(HarnessConfig(t_end=3).t_end) is int
+
+
+def test_boolean_breakpoints_are_refused():
+    breakpoints = [[0, True], [1, 2]]
+    with pytest.raises(UsageError, match="scenario.theta_trajectory must be a number"):
+        SimScenario(theta_trajectory=breakpoints)
+    with pytest.raises(ConfigError, match="invalid config value: scenario.theta_trajectory"):
+        build_config({"scenario": {"theta_trajectory": breakpoints}})
+    with pytest.raises(ConfigError, match="invalid config value: scenario.translation_traj"):
+        build_config({"scenario": {"translation_trajectory": [[0, 0, 1], [1, 2, False]]}})
+    # The walk stops two lists deep; a deeper value is refused, not recursed into.
+    deep = 1.0
+    for _ in range(5000):
+        deep = [deep]
+    with pytest.raises(UsageError, match="scenario.stick_radius must be a number"):
+        SimScenario(stick_radius=[[0, deep], [1, 2]])
+
+
+def test_frame_count_is_the_one_rule():
+    assert frame_count(0.0, 1.0, 30.0) == 31
+    assert frame_count(0.0, 12.0, 30.0) == 361
+    with pytest.raises(UsageError, match="t_end must exceed t_start"):
+        frame_count(5.0, 1.0, 30.0)
+    with pytest.raises(UsageError, match="rate_hz must be positive"):
+        frame_count(0.0, 1.0, 0.0)
+    with pytest.raises(UsageError, match=f"exceeds {MAX_FRAMES} frames"):
+        frame_count(0.0, MAX_FRAMES, 1.0 + 1e-9)
+    for harness in ({"t_end": 0}, {"t_start": 5}, {"t_start": 1.0, "t_end": 1.0}):
+        with pytest.raises(ConfigError, match="invalid config value: t_end must exceed t_start"):
+            build_config({"harness": harness})
+
+
+@pytest.mark.parametrize("override", ["harness.t_end=0", "harness.t_start=5"])
+def test_empty_time_range_is_refused_before_output(override, tmp_path, capsys):
+    out = tmp_path / "dynamic.csv"
+    assert main(["dynamic", "--set", override, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: invalid config value: t_end must exceed t_start" in captured.err
+    assert not out.exists()
+
+
+def test_header_and_stream_numbers_follow_the_rule(tmp_path, capsys):
+    header = {"rows": 2, "cols": 2, "pitch": 1.0, "origin": [True, False]}
+    stream = tmp_path / "origin.ndjson"
+    stream.write_text(json.dumps(header) + "\n")
+    assert main(["estimate", "--in", str(stream)]) == 1
+    assert "bad stream header: origin must be two finite numbers" in capsys.readouterr().err
+
+    grid = MarkerGrid(rows=2, cols=2)
+    d = [[0.0, 0.0, 0.0]] * 4
+    lines = [json.dumps({"t": t, "d": d}) for t in ("0.5", True, 1.0)]
+    warn = io.StringIO()
+    frames = list(read_frames(iter(lines), grid, warn=warn))
+    assert [frame.timestamp for frame in frames] == [1.0]
+    warnings = warn.getvalue().splitlines()
+    assert warnings == [
+        "warning: skipping frame line 2: frame timestamp must be a finite number, got '0.5'",
+        "warning: skipping frame line 3: frame timestamp must be a finite number, got True",
+    ]
+
+
+# Config fuzzing: random JSON values for every key of every section.
+_SECTIONS = {
+    "grid": MarkerGrid,
+    "scenario": SimScenario,
+    "segmentation": SegmentationConfig,
+    "softness": SoftnessParams,
+    "harness": HarnessConfig,
+}
+_KEYS = {
+    section: [f.name for f in fields(cls) if f.name not in _SECTIONS]
+    for section, cls in _SECTIONS.items()
+}
+# Small integers keep every grid small: a grid or trajectory over its limit is
+# refused before anything of that size is allocated.
+_SCALARS = st.one_of(
+    st.booleans(), st.none(), st.text(max_size=3), st.integers(-3, 40),
+    st.floats(-50.0, 50.0), st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([10**400, -(10**400), 10**300, 1e308, 0.5, 2.0]),
+)
+# Breakpoint lists of any width, wrong ones included, and unordered times.
+_BREAKPOINTS = st.lists(
+    st.lists(st.one_of(st.floats(-20.0, 20.0), _SCALARS), min_size=0, max_size=4),
+    min_size=0, max_size=4,
+)
+_HOSTILE = st.one_of(
+    _SCALARS,
+    _BREAKPOINTS,
+    st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=3), max_leaves=6),
+)
+# Values a key may well hold, so that some documents load and their fields
+# can be inspected; each document also carries up to two hostile values.
+_PAIR = st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=2)
+_RAMP = st.one_of(
+    st.floats(0.1, 4.0),
+    st.tuples(st.floats(0.1, 4.0), st.floats(0.1, 4.0)).map(lambda v: [[0, v[0]], [1, v[1]]]),
+)
+_PLAUSIBLE = {"origin": _PAIR, "cor": _PAIR, "translation_trajectory": _PAIR,
+              "theta_trajectory": _RAMP, "stick_radius": _RAMP,
+              **{key: st.integers(2, 12) for _cls, _section, key in _WHOLE_FIELDS}}
+_SMALL = st.one_of(st.integers(1, 12), st.floats(0.01, 0.9), st.floats(0.01, 12.0))
+
+
+@st.composite
+def _documents(draw):
+    document = {}
+    for section, keys in _KEYS.items():
+        chosen = draw(st.lists(st.sampled_from(keys), unique=True, max_size=len(keys)))
+        if chosen or draw(st.booleans()):
+            document[section] = {key: draw(_PLAUSIBLE.get(key, _SMALL)) for key in chosen}
+    present = [(section, key) for section in document for key in document[section]]
+    if present:
+        for section, key in draw(st.lists(st.sampled_from(present), max_size=2)):
+            document[section][key] = draw(_HOSTILE)
+    return document
+
+
+def _numbers_in(value):
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _numbers_in(item)
+    else:
+        yield value
+
+
+@settings(max_examples=300, deadline=None)
+@given(document=_documents())
+def test_build_config_returns_or_raises_config_error(document):
+    try:
+        config = build_config(json.loads(json.dumps(document)))
+    except ConfigError:
+        return
+    for section in _SECTIONS:
+        typed = getattr(config, section)
+        for key in _KEYS[section]:
+            for value in _numbers_in(getattr(typed, key)):
+                assert not isinstance(value, bool), (section, key, value)
+                if isinstance(value, (int, float)):
+                    assert -sys.float_info.max <= value <= sys.float_info.max, (section, key)
+
+
+@settings(max_examples=10, deadline=None)
+@given(document=_documents())
+def test_cli_gives_exit_0_or_2_on_fuzzed_documents(document, tmp_path_factory):
+    # A short trajectory, so a document that loads runs in a moment.
+    document["harness"] = {"t_end": 0.1}
+    directory = tmp_path_factory.mktemp("fuzz")
+    path = directory / "config.json"
+    path.write_text(json.dumps(document))
+    out = directory / "out.csv"
+    assert main(["dynamic", "--config", str(path), "--out", str(out)]) in (0, 2)
+
