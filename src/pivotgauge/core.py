@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
@@ -29,6 +30,7 @@ MAX_MARKERS = 1_000_000
 # Longest trajectory a config or caller may ask for, as rate x duration (over
 # nine hours at 30 Hz); checked before any frame is generated.
 MAX_FRAMES = 1_000_000
+_FLOAT_MAX = sys.float_info.max  # an int beyond it has no float value
 
 
 class UsageError(ValueError):
@@ -49,6 +51,8 @@ def finite_number(value: Any, name: str) -> float:
     int beyond float range. The one rule for every numeric input."""
     if type(value) is float and math.isfinite(value):
         return value
+    if type(value) is int and -_FLOAT_MAX <= value <= _FLOAT_MAX:  # exact int-float compare
+        return float(value)
     if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
         with suppress(OverflowError):  # raised for an int beyond float range
             if math.isfinite(value):
@@ -67,11 +71,13 @@ def finite_pair(value: Any, name: str) -> tuple[float, float]:
 
 def whole_number(value: Any, name: str) -> int:
     """``value`` as an int (a whole float such as ``25.0`` included, a bool
-    not), or a UsageError naming ``name``."""
+    not), or a UsageError naming ``name``. Like every number, it must lie
+    within float range (``finite_number``)."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise UsageError(f"{name} must be a whole number, got {value!r}")
+    finite_number(value, name)
     return int(value)
 
 

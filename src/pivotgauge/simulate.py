@@ -41,13 +41,19 @@ class PiecewiseLinear:
     """Piecewise-linear time function over the closed domain of its breakpoints.
 
     ``points`` is a sequence of (t, v0[, v1...]) rows with strictly
-    increasing t. Evaluation outside the domain is a usage error.
+    increasing t, each entry a finite number by ``core.finite_number``.
+    Evaluation outside the domain is a usage error.
     """
 
     def __init__(self, points: Sequence[Sequence[float]]):
-        arr = np.asarray(points, dtype=float)
+        if isinstance(points, np.ndarray) and points.dtype == np.float64:
+            arr = points  # a float array, as ``_time_fn`` passes after its own walk
+        else:
+            arr = np.array(_floats(points, "piecewise-linear breakpoint", 2))
         if arr.ndim != 2 or arr.shape[0] < 2 or arr.shape[1] < 2:
             raise UsageError("piecewise-linear input needs >= 2 rows of (t, value...)")
+        if not np.isfinite(arr).all():
+            raise UsageError("piecewise-linear breakpoints must be finite numbers")
         if not np.all(arr[1:, 0] > arr[:-1, 0]):  # no subtraction to overflow
             raise UsageError("piecewise-linear breakpoints must have strictly increasing t")
         self._t = arr[:, 0]
@@ -61,10 +67,9 @@ class PiecewiseLinear:
         t0, t1 = self.domain
         if t < t0 - 1e-12 or t > t1 + 1e-12:
             raise UsageError(f"t={t} outside trajectory domain [{t0}, {t1}]")
-        out = np.array([np.interp(t, self._t, self._v[:, j]) for j in range(self._v.shape[1])])
-        if out.size == 1:
-            return float(out[0])
-        return out
+        if self._v.shape[1] == 1:
+            return float(np.interp(t, self._t, self._v[:, 0]))
+        return np.array([np.interp(t, self._t, self._v[:, j]) for j in range(self._v.shape[1])])
 
 
 def _floats(value: Any, name: str, depth: int) -> Any:
@@ -73,7 +78,10 @@ def _floats(value: Any, name: str, depth: int) -> Any:
         value = value.tolist()
     if depth and isinstance(value, (list, tuple)):
         return [_floats(item, name, depth - 1) for item in value]
-    return finite_number(value, name)
+    try:
+        return finite_number(value, name)
+    except RecursionError:  # from the repr of a value nested very deep
+        raise UsageError(f"{name} must be a finite number, got a list nested too deep") from None
 
 
 def _time_fn(value, name: str, shape: tuple[int, ...]) -> Callable[[float], Any]:
@@ -90,8 +98,7 @@ def _time_fn(value, name: str, shape: tuple[int, ...]) -> Callable[[float], Any]
         if arr.ndim != 2 or arr.shape[1] != 1 + math.prod(shape):
             raise ValueError(f"breakpoint rows must be {1 + math.prod(shape)} wide")
         return PiecewiseLinear(arr)
-    # UsageError included; RecursionError from the repr of a value nested very deep.
-    except (TypeError, ValueError, RecursionError) as exc:
+    except (TypeError, ValueError) as exc:  # UsageError included
         kind = "a 2-vector" if shape else "a number"
         raise UsageError(f"{name} must be {kind}, callable or breakpoint list") from exc
 
@@ -144,6 +151,8 @@ class SimScenario:
         object.__setattr__(self, "_translation_fn", translation_fn)
         # generate_frame's (t, noiseless displacements, truth) of the last t.
         object.__setattr__(self, "_field_memo", None)
+        # _noiseless_field's time-invariant arrays, once it is walked through time.
+        object.__setattr__(self, "_geometry", None)
         if not callable(stick):  # piecewise linear, so its extremes lie at the breakpoints
             for r_s in map(float, [row[1] for row in stick] if np.iterable(stick) else [stick]):
                 if not 0 < r_s <= self.contact_radius:
@@ -229,24 +238,34 @@ def _noiseless_field(scenario: SimScenario, t: float) -> tuple[np.ndarray, Groun
 
     Both depend only on ``(scenario, t)``, never on a frame's noise.
     """
-    grid = scenario.grid
     theta = scenario.theta_at(t)
     trans = scenario.translation_at(t)
     r_s = scenario.stick_radius_at(t)
     a = scenario.contact_radius
     k = scenario.softness.k
 
-    d = grid.reference_positions - np.asarray(scenario.cor)
-    rho = np.hypot(d[:, 0], d[:, 1])
-
+    geometry = scenario._geometry  # type: ignore[attr-defined]
+    if geometry is None:
+        d = scenario.grid.reference_positions - np.asarray(scenario.cor)
+        rho = np.hypot(d[:, 0], d[:, 1])
+        geometry = (d, rho, rho <= a, _hertz_dz(rho, a, scenario.max_indent),
+                    _translation_taper(rho, a)[:, None])
+        # A second distinct t: the scenario is walked through time, so keep
+        # them. A scenario asked for one t (a sweep angle) holds only its memo.
+        if scenario._field_memo is not None:  # type: ignore[attr-defined]
+            for arr in geometry:
+                arr.setflags(write=False)
+            object.__setattr__(scenario, "_geometry", geometry)
+    d, rho, contact_mask, dz, taper = geometry
     decay = _decay_profile(rho, r_s, a, scenario.decay_exponent)
-    dz = _hertz_dz(rho, a, scenario.max_indent)
 
     # Elastomer surface rotates opposite to the reported angle, attenuated
     # by the softness ratio.
     beta_rad = np.radians(-theta * decay / (1.0 + k))
+    del decay  # and beta_rad below, so the first call's memory peak does not grow
     tangential = _rotate_offsets(d, beta_rad) - d
-    tangential += trans * _translation_taper(rho, a)[:, None]
+    del beta_rad
+    tangential += trans * taper
 
     displacements = np.column_stack([tangential, dz])
     displacements.setflags(write=False)
@@ -258,8 +277,7 @@ def _noiseless_field(scenario: SimScenario, t: float) -> tuple[np.ndarray, Groun
     object_disp = _rotate_offsets(d, np.full_like(rho, surf_rad)) - d + trans
     slip_field = object_disp - tangential
 
-    stick_mask = (rho <= r_s) & (rho <= a)
-    contact_mask = rho <= a
+    stick_mask = (rho <= r_s) & contact_mask
     truth = GroundTruth(
         theta=theta,
         stick_mask=stick_mask,
@@ -299,6 +317,9 @@ def generate_frame(
 def frame_count(t0: float, t1: float, rate: float) -> int:
     """Number of timestamps t0, t0 + 1/rate, ..., <= t1, checked before any
     frame exists; messages name a config's ``t_start``, ``t_end``, ``rate_hz``."""
+    t0 = finite_number(t0, "t_start")
+    t1 = finite_number(t1, "t_end")
+    rate = finite_number(rate, "rate_hz")
     if not t1 > t0:
         raise UsageError(f"t_end must exceed t_start, got t_start={t0}, t_end={t1}")
     if not rate > 0:

@@ -60,8 +60,8 @@ def write_truth(out: IO[str], t: float, truth: GroundTruth) -> None:
             {
                 "t": t,
                 "theta": truth.theta,
-                "stick": [int(v) for v in truth.stick_mask],
-                "contact": [int(v) for v in truth.contact_mask_true],
+                "stick": truth.stick_mask.astype(int).tolist(),
+                "contact": truth.contact_mask_true.astype(int).tolist(),
                 "slip": truth.slip_field.tolist(),
             }
         )

@@ -8,6 +8,7 @@ the implementation.
 from __future__ import annotations
 
 import heapq
+import json
 import math
 import os
 from pathlib import Path
@@ -25,6 +26,14 @@ from pivotgauge import (
     normalized_angle_difference,
 )
 from pivotgauge.features import DEGENERATE_LENGTH_RATIO
+from pivotgauge.simulate import (
+    GroundTruth,
+    SimScenario,
+    _decay_profile,
+    _hertz_dz,
+    _rotate_offsets,
+    _translation_taper,
+)
 
 
 def brute_force_feature_angle(grid: MarkerGrid, frame: Frame, index: int) -> float | None:
@@ -159,6 +168,62 @@ def reference_grow_stick_region(grid: MarkerGrid, mask, angles, cfg) -> StickReg
     members, mean_angle, state = loop_grow_stick_region(grid, mask, angles, cfg)
     ratio = len(members) / mask.n_flagged if mask.contact_detected else 0.0
     return StickRegion(members=members, mean_angle=mean_angle, state=state, stick_ratio=ratio)
+
+
+def reference_noiseless_field(scenario: SimScenario, t: float) -> tuple[np.ndarray, GroundTruth]:
+    """The field kernel that rebuilds its time-invariant arrays on every
+    call; the package's kernel, which keeps them per scenario, must match it
+    bit for bit."""
+    grid = scenario.grid
+    theta = scenario.theta_at(t)
+    trans = scenario.translation_at(t)
+    r_s = scenario.stick_radius_at(t)
+    a = scenario.contact_radius
+    k = scenario.softness.k
+
+    d = grid.reference_positions - np.asarray(scenario.cor)
+    rho = np.hypot(d[:, 0], d[:, 1])
+
+    decay = _decay_profile(rho, r_s, a, scenario.decay_exponent)
+    dz = _hertz_dz(rho, a, scenario.max_indent)
+
+    beta_rad = np.radians(-theta * decay / (1.0 + k))
+    tangential = _rotate_offsets(d, beta_rad) - d
+    tangential += trans * _translation_taper(rho, a)[:, None]
+
+    displacements = np.column_stack([tangential, dz])
+    displacements.setflags(write=False)
+
+    surf_rad = math.radians(-theta / (1.0 + k))
+    object_disp = _rotate_offsets(d, np.full_like(rho, surf_rad)) - d + trans
+    slip_field = object_disp - tangential
+
+    stick_mask = (rho <= r_s) & (rho <= a)
+    contact_mask = rho <= a
+    truth = GroundTruth(
+        theta=theta,
+        stick_mask=stick_mask,
+        slip_field=slip_field,
+        contact_mask_true=contact_mask,
+    )
+    return displacements, truth
+
+
+def reference_write_truth(out, t: float, truth: GroundTruth) -> None:
+    """The truth-line writer with a Python loop per mask entry; the
+    package's writer must give the same bytes."""
+    out.write(
+        json.dumps(
+            {
+                "t": t,
+                "theta": truth.theta,
+                "stick": [int(v) for v in truth.stick_mask],
+                "contact": [int(v) for v in truth.contact_mask_true],
+                "slip": truth.slip_field.tolist(),
+            }
+        )
+        + "\n"
+    )
 
 
 def brute_force_flags(frame: Frame, ratio: float) -> np.ndarray:

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import gc
+import io
 import math
 import tracemalloc
 import weakref
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pivotgauge import (
     Frame,
@@ -25,6 +29,10 @@ from pivotgauge import (
 )
 from pivotgauge import simulate
 from pivotgauge.core import MAX_FRAMES
+from pivotgauge.simulate import GroundTruth
+from pivotgauge.streams import write_frame, write_truth
+
+from conftest import reference_noiseless_field, reference_write_truth
 
 
 def annulus(theta=10.0, r_s=4.0, a=6.0, gamma=2.0, k=0.0, sigma=0.0, cor=(0.0, 0.0), seed=0):
@@ -192,10 +200,100 @@ def test_scenario_is_collectable_after_generating():
     scn = annulus(theta=8.0, sigma=0.01)
     generate_frame(scn, 0.0)
     generate_frame(scn, 0.0, frame_index=1)
+    generate_trajectory(scn, 0.0, 0.3, 10.0)
+    assert scn._geometry is not None
     ref = weakref.ref(scn)
     del scn
     gc.collect()
     assert ref() is None
+
+
+def test_scenario_keeps_geometry_only_when_walked_through_time():
+    # A static-sweep angle asks for one t: it holds its field memo and no more.
+    scn = annulus(theta=8.0, sigma=0.01)
+    for i in range(3):
+        generate_frame(scn, 0.0, frame_index=i)
+    assert scn._geometry is None
+    generate_frame(scn, 0.1, frame_index=3)
+    assert not any(arr.flags.writeable for arr in scn._geometry)
+
+
+def _time_input(draw, values):
+    """A time input of values drawn from ``values``: a constant, two
+    breakpoints over [0, 1] or a callable that steps at t = 0.15."""
+    kind = draw(st.sampled_from(["constant", "breakpoints", "callable"]))
+    first, second = draw(values), draw(values)
+    if kind == "constant":
+        return first
+    if kind == "breakpoints":
+        return [[0.0, *np.atleast_1d(first).tolist()], [1.0, *np.atleast_1d(second).tolist()]]
+    return lambda t: first if t < 0.15 else second
+
+
+@st.composite
+def _scenarios(draw):
+    grid = MarkerGrid(
+        rows=draw(st.integers(2, 24)),
+        cols=draw(st.integers(2, 24)),
+        pitch=draw(st.sampled_from([0.7, 1.0, 1.3])),
+    )
+    # A centre of rotation on a marker gives that marker an exact-zero offset.
+    cor = tuple(grid.reference_positions[draw(st.integers(0, grid.n_markers - 1))])
+    a = grid.half_extent * draw(st.floats(0.05, 1.0))
+    rho = np.hypot(*(grid.reference_positions - np.asarray(cor)).T)
+    radii = rho[(rho > 0) & (rho <= grid.half_extent)]
+    if radii.size and draw(st.booleans()):
+        a = float(draw(st.sampled_from(radii)))  # a marker exactly on the contact edge
+    shift = st.floats(-0.5, 0.5)
+    return SimScenario(
+        grid=grid,
+        contact_radius=a,
+        cor=cor,
+        theta_trajectory=_time_input(draw, st.floats(-20.0, 20.0)),
+        stick_radius=_time_input(draw, st.floats(0.05, 1.0).map(lambda f: a * f)),
+        translation_trajectory=_time_input(draw, st.tuples(shift, shift)),
+        decay_exponent=draw(st.sampled_from([1.0, 2.0, 3.5])),
+        softness=SoftnessParams(k=draw(st.floats(0.01, 5.0))),
+        noise_sigma=draw(st.sampled_from([0.0, 0.005])),
+        rng_seed=draw(st.integers(0, 2**16)),
+    )
+
+
+def _stream_bytes(trajectory, truth_writer) -> tuple[str, str]:
+    frames, truths = io.StringIO(), io.StringIO()
+    for frame, truth in trajectory:
+        write_frame(frames, frame)
+        truth_writer(truths, frame.timestamp, truth)
+    return frames.getvalue(), truths.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(scn=_scenarios(), rate=st.sampled_from([10.0, 30.0]))
+def test_trajectory_streams_match_the_reference_kernels(scn, rate):
+    with mock.patch.object(simulate, "_noiseless_field", reference_noiseless_field):
+        expected = _stream_bytes(generate_trajectory(replace(scn), 0.0, 0.3, rate),
+                                 reference_write_truth)
+    assert _stream_bytes(generate_trajectory(scn, 0.0, 0.3, rate), write_truth) == expected
+    assert scn._geometry is not None  # frames after the second used the kept geometry
+
+
+@pytest.mark.parametrize(
+    "as_mask",
+    [lambda m: m, lambda m: m.astype(int), lambda m: m.tolist(), lambda m: m.astype(int).tolist()],
+    ids=["bool-array", "int-array", "bool-list", "int-list"],
+)
+def test_truth_masks_write_as_the_reference(as_mask):
+    _, truth = generate_frame(annulus(theta=5.0, r_s=3.0), 0.0)
+    given_truth = GroundTruth(
+        theta=truth.theta,
+        stick_mask=as_mask(truth.stick_mask),
+        slip_field=truth.slip_field,
+        contact_mask_true=as_mask(truth.contact_mask_true),
+    )
+    out, ref = io.StringIO(), io.StringIO()
+    write_truth(out, 0.0, given_truth)
+    reference_write_truth(ref, 0.0, given_truth)
+    assert out.getvalue() == ref.getvalue()
 
 
 def test_out_of_range_callable_stick_radius_raises_on_every_call():
@@ -249,9 +347,12 @@ def test_trajectory_refuses_too_many_frames(monkeypatch):
     scn = annulus()
     tracemalloc.start()
     try:
-        for t1, rate in ((1e15, 30.0), (MAX_FRAMES / 30.0 + 1.0, 30.0), (1.0, math.inf),
-                         (math.inf, 30.0)):
+        for t1, rate in ((1e15, 30.0), (MAX_FRAMES / 30.0 + 1.0, 30.0)):
             with pytest.raises(UsageError, match=f"exceeds {MAX_FRAMES} frames"):
+                generate_trajectory(scn, 0.0, t1, rate)
+        # An infinite bound is not a number of frames at all.
+        for t1, rate, name in ((1.0, math.inf, "rate_hz"), (math.inf, 30.0, "t_end")):
+            with pytest.raises(UsageError, match=f"{name} must be a finite number"):
                 generate_trajectory(scn, 0.0, t1, rate)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

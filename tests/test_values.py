@@ -21,10 +21,12 @@ from pivotgauge import (
     Frame,
     HarnessConfig,
     MarkerGrid,
+    PiecewiseLinear,
     SegmentationConfig,
     SimScenario,
     SoftnessParams,
     UsageError,
+    generate_trajectory,
 )
 from pivotgauge.cli import main
 from pivotgauge.config import build_config
@@ -52,7 +54,7 @@ _NUMBER_FIELDS = (
     (HarnessConfig, "harness", "t_start"),
     (HarnessConfig, "harness", "t_end"),
 )
-# The whole-number fields; 10**400 is a whole number, refused or not by range.
+# The whole-number fields; 10**400 is whole, and refused as beyond float range.
 _WHOLE_FIELDS = (
     (MarkerGrid, "grid", "rows"),
     (MarkerGrid, "grid", "cols"),
@@ -74,7 +76,7 @@ def test_finite_number_accepts_numbers_only():
 
 @pytest.mark.parametrize("cls, section, key, value", [
     pytest.param(cls, section, key, value, id=f"{section}.{key}={value!r:.8}")
-    for fields_, values in ((_NUMBER_FIELDS, _NOT_NUMBERS), (_WHOLE_FIELDS, _NOT_NUMBERS[:-1]))
+    for fields_, values in ((_NUMBER_FIELDS, _NOT_NUMBERS), (_WHOLE_FIELDS, _NOT_NUMBERS))
     for cls, section, key in fields_
     for value in values
 ])
@@ -114,6 +116,13 @@ def test_boolean_breakpoints_are_refused():
         deep = [deep]
     with pytest.raises(UsageError, match="scenario.stick_radius must be a number"):
         SimScenario(stick_radius=[[0, deep], [1, 2]])
+    # Called directly, PiecewiseLinear holds the same rule; a float array is
+    # only checked for finiteness, as SimScenario's own walk hands it one.
+    for points in ([[0, "1"], [1, True]], [[0, 1.0], [1, True]], [[0, deep], [1, 2]],
+                   np.array([[False, True], [True, True]]), np.array([[0.0, 1.0], [1.0, math.nan]])):
+        with pytest.raises(UsageError, match="piecewise-linear breakpoint"):
+            PiecewiseLinear(points)
+    assert PiecewiseLinear([[0, 1], [2, 3]])(1) == 2.0
 
 
 def test_frame_count_is_the_one_rule():
@@ -128,6 +137,21 @@ def test_frame_count_is_the_one_rule():
     for harness in ({"t_end": 0}, {"t_start": 5}, {"t_start": 1.0, "t_end": 1.0}):
         with pytest.raises(ConfigError, match="invalid config value: t_end must exceed t_start"):
             build_config({"harness": harness})
+
+
+@pytest.mark.parametrize("value", _NOT_NUMBERS)
+@pytest.mark.parametrize("position, name", [(0, "t_start"), (1, "t_end"), (2, "rate_hz")])
+def test_trajectory_numbers_follow_the_rule(position, name, value):
+    args = [0.0, 2.0, 1.0]
+    args[position] = value
+    with pytest.raises(UsageError, match=f"{name} must be a finite number"):
+        generate_trajectory(SimScenario(), *args)
+
+
+def test_trajectory_of_int_inputs_keeps_its_timestamps():
+    ints = [frame.timestamp for frame, _ in generate_trajectory(SimScenario(), 1, 2, 3)]
+    floats = [frame.timestamp for frame, _ in generate_trajectory(SimScenario(), 1.0, 2.0, 3.0)]
+    assert ints == floats and all(type(t) is float for t in ints)
 
 
 @pytest.mark.parametrize("override", ["harness.t_end=0", "harness.t_start=5"])
