@@ -20,7 +20,6 @@ from .core import (
     SoftnessParams,
     StickRegion,
     UsageError,
-    neighbor_indices,
 )
 from .estimation import (
     EstimatorState,
@@ -90,7 +89,6 @@ __all__ = [
     "half_curl",
     "line_feature_angles",
     "load_config",
-    "neighbor_indices",
     "normalized_angle_difference",
     "run_dynamic",
     "run_static_sweep",

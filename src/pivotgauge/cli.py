@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import sys
 
 from .config import ConfigError, FullConfig, apply_overrides, build_config, load_document
@@ -120,6 +121,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         close = True
     try:
         with _open_out(args.out) as out:
+            if isinstance(out, io.TextIOWrapper):  # a file or pipe: each row as its frame is read
+                out.reconfigure(line_buffering=True)
             estimate_from_stream(iter(source), config, out, warn=sys.stderr)
     finally:
         if close:

@@ -11,7 +11,7 @@ referenced by name instead of a path.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 from typing import Any, Optional, Union
@@ -147,7 +147,7 @@ def load_config(source: Union[str, Path, None] = None) -> FullConfig:
     return build_config(load_document(source))
 
 
-def three_lift_scenario(noise_sigma: Optional[float] = None) -> SimScenario:
+def three_lift_scenario() -> SimScenario:
     """The ``three-lift`` preset's staged pivoting scenario over t in [0, 12] s.
 
     The rotation ramps to plateaus near 6, 12 and 18 degrees and then past
@@ -155,13 +155,11 @@ def three_lift_scenario(noise_sigma: Optional[float] = None) -> SimScenario:
     taking the contact from stable stick through incipient slip into macro
     slip on the final ramp. Plateau stick radii keep the flagged patch
     (whose stencils stay inside the stick zone) effectively rigid so the
-    plateau estimates track the commanded angle closely. A ``noise_sigma``
-    that is not None replaces the preset's.
+    plateau estimates track the commanded angle closely.
     """
     # By preset path: a file named "three-lift" in the working directory
     # would shadow the name.
-    scenario = load_config(preset_path("three-lift")).scenario
-    return scenario if noise_sigma is None else replace(scenario, noise_sigma=noise_sigma)
+    return load_config(preset_path("three-lift")).scenario
 
 
 def apply_overrides(document: dict[str, Any], overrides: list[str]) -> dict[str, Any]:

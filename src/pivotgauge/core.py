@@ -20,6 +20,7 @@ import sys
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Any, Optional
 
 import numpy as np
@@ -31,6 +32,7 @@ MAX_MARKERS = 1_000_000
 # nine hours at 30 Hz); checked before any frame is generated.
 MAX_FRAMES = 1_000_000
 _FLOAT_MAX = sys.float_info.max  # an int beyond it has no float value
+_REALS = (int, float, np.integer, np.floating)  # bool is an int: refused separately
 
 
 class UsageError(ValueError):
@@ -53,7 +55,7 @@ def finite_number(value: Any, name: str) -> float:
         return value
     if type(value) is int and -_FLOAT_MAX <= value <= _FLOAT_MAX:  # exact int-float compare
         return float(value)
-    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+    if isinstance(value, _REALS) and not isinstance(value, bool):
         with suppress(OverflowError):  # raised for an int beyond float range
             if math.isfinite(value):
                 return float(value)
@@ -67,6 +69,27 @@ def finite_pair(value: Any, name: str) -> tuple[float, float]:
         return finite_number(x, name), finite_number(y, name)
     except (TypeError, ValueError):  # UsageError included
         raise UsageError(f"{name} must be two finite numbers, got {value!r}") from None
+
+
+def _rows_of_three(rows: Any) -> np.ndarray:
+    """``rows`` as an (n, 3) float array, or a UsageError: n >= 1 rows of
+    three ints or floats (numpy reals included, bools not), as a stream
+    line's ``"d"`` gives them."""
+    try:
+        n = len(rows)
+        widths = set(map(len, rows))
+        types = set(map(type, chain.from_iterable(rows))) - {int, float}
+    except TypeError:  # not a sequence of sized rows
+        raise UsageError("displacements must be a sequence of rows of 3 numbers") from None
+    if widths != {3}:
+        raise UsageError(f"displacements must be rows of 3 numbers, got widths {sorted(widths)}")
+    bad = sorted(t.__name__ for t in types if issubclass(t, bool) or not issubclass(t, _REALS))
+    if bad:
+        raise UsageError(f"displacements must be finite numbers, got {', '.join(bad)}")
+    try:
+        return np.fromiter(chain.from_iterable(rows), float, count=3 * n).reshape(n, 3)
+    except OverflowError:  # an int beyond float range
+        raise UsageError("displacements contain non-finite values") from None
 
 
 def whole_number(value: Any, name: str) -> int:
@@ -147,16 +170,6 @@ class MarkerGrid:
         """(n_markers, 2) array of reference xy positions, row-major."""
         return self._positions  # type: ignore[attr-defined]
 
-    def index_of(self, row: int, col: int) -> int:
-        if not (0 <= row < self.rows and 0 <= col < self.cols):
-            raise UsageError(f"marker ({row}, {col}) outside {self.rows}x{self.cols} grid")
-        return row * self.cols + col
-
-    def row_col(self, index: int) -> tuple[int, int]:
-        if not (0 <= index < self.n_markers):
-            raise UsageError(f"marker index {index} outside grid of {self.n_markers}")
-        return divmod(index, self.cols)
-
     @cached_property
     def neighbors(self) -> tuple[tuple[Optional[int], ...], ...]:
         """The (left, right, up, down) 4-neighbours of every marker, by index.
@@ -178,24 +191,14 @@ class MarkerGrid:
         return tuple(table)
 
 
-def neighbor_indices(
-    grid: MarkerGrid, index: int
-) -> tuple[Optional[int], Optional[int], Optional[int], Optional[int]]:
-    """Return the (left, right, up, down) 4-neighbours of a marker.
-
-    Out-of-bounds sides are None. "Up" is the previous row (``index - cols``).
-    """
-    grid.row_col(index)  # rejects indices outside the grid, including negative ones
-    return grid.neighbors[index]
-
-
 @dataclass(frozen=True, eq=False)
 class Frame:
     """Per-marker 3-component displacement field at one timestamp.
 
     ``timestamp`` is a finite number of seconds. ``displacements`` is
     (n_markers, 3): tangential dx, dy and normal dz, all in mm, cumulative
-    relative to the reference configuration, all finite.
+    relative to the reference configuration, all finite. It is given as an
+    int, uint or float array, or as rows of numbers by the number rule.
     """
 
     timestamp: float
@@ -203,7 +206,12 @@ class Frame:
 
     def __post_init__(self) -> None:
         t = finite_number(self.timestamp, "frame timestamp")
-        d = np.asarray(self.displacements, dtype=float)
+        d = self.displacements
+        if not isinstance(d, np.ndarray):
+            d = _rows_of_three(d)
+        elif d.dtype.kind not in "iuf":
+            raise UsageError(f"displacements must be real numbers, got dtype {d.dtype}")
+        d = np.asarray(d, dtype=float)
         if d.ndim != 2 or d.shape[1] != 3:
             raise UsageError(f"displacements must be (n, 3), got shape {d.shape}")
         if not np.all(np.isfinite(d)):

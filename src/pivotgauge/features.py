@@ -82,7 +82,7 @@ def half_curl(grid: MarkerGrid, frame_prev: Frame, frame_next: Frame) -> np.ndar
     return np.degrees(0.5 * (ddy_dx - ddx_dy)).ravel()
 
 
-def normalized_angle_difference(phi_i: float, phi_bar: float, epsilon: float = 0.05) -> float:
+def normalized_angle_difference(phi_i: float, phi_bar: float, epsilon: float) -> float:
     """Dimensionless dissimilarity between a marker angle and a region mean.
 
     Same-sign angles well above the noise floor compare as
@@ -103,7 +103,7 @@ def normalized_angle_difference(phi_i: float, phi_bar: float, epsilon: float = 0
 _CERTIFICATE_MARGIN = 1e-9
 
 
-def admission_certain(phi: np.ndarray, threshold: float, epsilon: float = 0.05) -> bool:
+def admission_certain(phi: np.ndarray, threshold: float, epsilon: float) -> bool:
     """True when ``normalized_angle_difference(a, m, epsilon) < threshold``
     holds for every angle ``a`` in ``phi`` and every running mean ``m`` of
     angles in ``phi``; False when that cannot be shown.

@@ -196,29 +196,22 @@ class GroundTruth:
             object.__setattr__(self, name, arr)
 
 
-def _decay_profile(rho: np.ndarray, r_s: float, a: float, gamma: float) -> np.ndarray:
-    """Local-rotation attenuation: 1 in the stick core, power law in the
-    slip annulus, tapered to 0 between a and 2a, 0 beyond."""
-    decay = np.zeros_like(rho)
-    stick = rho <= r_s
-    decay[stick] = 1.0
-    annulus = (rho > r_s) & (rho <= a)
-    decay[annulus] = (r_s / rho[annulus]) ** gamma
-    fringe = (rho > a) & (rho <= 2 * a)
-    decay[fringe] = (r_s / rho[fringe]) ** gamma * _edge_taper(rho[fringe], a)
+def _decay_profile(rho: np.ndarray, taper: np.ndarray, r_s: float, gamma: float) -> np.ndarray:
+    """Local-rotation attenuation: the contact taper (1 within the contact
+    radius, so in the whole stick core) times the power law (r_s / rho) **
+    gamma beyond the stick radius."""
+    decay = taper.copy()
+    slip = rho > r_s
+    decay[slip] *= (r_s / rho[slip]) ** gamma
     return decay
 
 
-def _edge_taper(rho: np.ndarray, a: float) -> np.ndarray:
-    return np.sqrt(np.maximum(0.0, 1.0 - ((rho - a) / a) ** 2))
-
-
-def _translation_taper(rho: np.ndarray, a: float) -> np.ndarray:
+def _contact_taper(rho: np.ndarray, a: float) -> np.ndarray:
+    """1 within the contact radius a, a quarter ellipse down to 0 at 2a, 0 beyond."""
     taper = np.zeros_like(rho)
-    inside = rho <= a
-    taper[inside] = 1.0
+    taper[rho <= a] = 1.0
     fringe = (rho > a) & (rho <= 2 * a)
-    taper[fringe] = _edge_taper(rho[fringe], a)
+    taper[fringe] = np.sqrt(np.maximum(0.0, 1.0 - ((rho[fringe] - a) / a) ** 2))
     return taper
 
 
@@ -249,7 +242,7 @@ def _noiseless_field(scenario: SimScenario, t: float) -> tuple[np.ndarray, Groun
         d = scenario.grid.reference_positions - np.asarray(scenario.cor)
         rho = np.hypot(d[:, 0], d[:, 1])
         geometry = (d, rho, rho <= a, _hertz_dz(rho, a, scenario.max_indent),
-                    _translation_taper(rho, a)[:, None])
+                    _contact_taper(rho, a))
         # A second distinct t: the scenario is walked through time, so keep
         # them. A scenario asked for one t (a sweep angle) holds only its memo.
         if scenario._field_memo is not None:  # type: ignore[attr-defined]
@@ -257,7 +250,7 @@ def _noiseless_field(scenario: SimScenario, t: float) -> tuple[np.ndarray, Groun
                 arr.setflags(write=False)
             object.__setattr__(scenario, "_geometry", geometry)
     d, rho, contact_mask, dz, taper = geometry
-    decay = _decay_profile(rho, r_s, a, scenario.decay_exponent)
+    decay = _decay_profile(rho, taper, r_s, scenario.decay_exponent)
 
     # Elastomer surface rotates opposite to the reported angle, attenuated
     # by the softness ratio.
@@ -265,7 +258,7 @@ def _noiseless_field(scenario: SimScenario, t: float) -> tuple[np.ndarray, Groun
     del decay  # and beta_rad below, so the first call's memory peak does not grow
     tangential = _rotate_offsets(d, beta_rad) - d
     del beta_rad
-    tangential += trans * taper
+    tangential += trans * taper[:, None]
 
     displacements = np.column_stack([tangential, dz])
     displacements.setflags(write=False)
@@ -345,8 +338,8 @@ def analytic_local_rotation(scenario: SimScenario, t: float, position: Sequence[
     """
     pos = np.asarray(position, dtype=float)
     rho = np.array([math.hypot(pos[0] - scenario.cor[0], pos[1] - scenario.cor[1])])
-    decay = _decay_profile(rho, scenario.stick_radius_at(t), scenario.contact_radius,
-                           scenario.decay_exponent)
+    decay = _decay_profile(rho, _contact_taper(rho, scenario.contact_radius),
+                           scenario.stick_radius_at(t), scenario.decay_exponent)
     return float(scenario.theta_at(t) * decay[0] / (1.0 + scenario.softness.k))
 
 

@@ -29,10 +29,9 @@ from pivotgauge.features import DEGENERATE_LENGTH_RATIO
 from pivotgauge.simulate import (
     GroundTruth,
     SimScenario,
-    _decay_profile,
+    _contact_taper,
     _hertz_dz,
     _rotate_offsets,
-    _translation_taper,
 )
 
 
@@ -170,10 +169,25 @@ def reference_grow_stick_region(grid: MarkerGrid, mask, angles, cfg) -> StickReg
     return StickRegion(members=members, mean_angle=mean_angle, state=state, stick_ratio=ratio)
 
 
+def reference_decay_profile(rho: np.ndarray, r_s: float, a: float, gamma: float) -> np.ndarray:
+    """The local-rotation decay built band by band: 1 in the stick core, the
+    power law in the slip annulus, the power law times the edge taper
+    between a and 2a, 0 beyond. The package starts from its kept contact
+    taper instead and must match this bit for bit."""
+    decay = np.zeros_like(rho)
+    decay[rho <= r_s] = 1.0
+    annulus = (rho > r_s) & (rho <= a)
+    decay[annulus] = (r_s / rho[annulus]) ** gamma
+    fringe = (rho > a) & (rho <= 2 * a)
+    edge = np.sqrt(np.maximum(0.0, 1.0 - ((rho[fringe] - a) / a) ** 2))
+    decay[fringe] = (r_s / rho[fringe]) ** gamma * edge
+    return decay
+
+
 def reference_noiseless_field(scenario: SimScenario, t: float) -> tuple[np.ndarray, GroundTruth]:
-    """The field kernel that rebuilds its time-invariant arrays on every
-    call; the package's kernel, which keeps them per scenario, must match it
-    bit for bit."""
+    """The field kernel that rebuilds its time-invariant arrays and its
+    decay bands on every call; the package's kernel, which keeps them per
+    scenario, must match it bit for bit."""
     grid = scenario.grid
     theta = scenario.theta_at(t)
     trans = scenario.translation_at(t)
@@ -184,12 +198,12 @@ def reference_noiseless_field(scenario: SimScenario, t: float) -> tuple[np.ndarr
     d = grid.reference_positions - np.asarray(scenario.cor)
     rho = np.hypot(d[:, 0], d[:, 1])
 
-    decay = _decay_profile(rho, r_s, a, scenario.decay_exponent)
+    decay = reference_decay_profile(rho, r_s, a, scenario.decay_exponent)
     dz = _hertz_dz(rho, a, scenario.max_indent)
 
     beta_rad = np.radians(-theta * decay / (1.0 + k))
     tangential = _rotate_offsets(d, beta_rad) - d
-    tangential += trans * _translation_taper(rho, a)[:, None]
+    tangential += trans * _contact_taper(rho, a)[:, None]
 
     displacements = np.column_stack([tangential, dz])
     displacements.setflags(write=False)
@@ -244,9 +258,12 @@ def f1_against_mask(members, truth_mask: np.ndarray) -> float:
 
 def cli_env() -> dict[str, str]:
     """Environment for a ``python -m pivotgauge.cli`` child process that
-    imports the same package as the tests, whether installed or not."""
+    imports the same package as the tests, whether installed or not. It
+    drops ``PYTHONUNBUFFERED``, so the child buffers its output as it would
+    in a shell that does not set it."""
     package_root = str(Path(pivotgauge.__file__).resolve().parents[1])
     env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     return env
 

@@ -15,7 +15,6 @@ from pivotgauge import (
     RotationEstimate,
     SoftnessParams,
     UsageError,
-    neighbor_indices,
 )
 from pivotgauge.core import MAX_MARKERS, finite_pair
 
@@ -61,27 +60,19 @@ def test_reference_positions_exactly_affine():
     pos = grid.reference_positions
     for i in (0, 3, 6):
         for j in (0, 2, 4):
-            idx = grid.index_of(i, j)
+            idx = i * grid.cols + j
             assert pos[idx, 0] == 1.25 + j * 0.31
             assert pos[idx, 1] == -4.5 + i * 0.31
 
 
 def test_neighbor_indices_interior_marker():
     grid = MarkerGrid(rows=3, cols=3)
-    assert neighbor_indices(grid, 4) == (3, 5, 1, 7)
+    assert grid.neighbors[4] == (3, 5, 1, 7)
 
 
 def test_neighbor_indices_corner_marker():
     grid = MarkerGrid(rows=3, cols=3)
-    assert neighbor_indices(grid, 0) == (None, 1, None, 3)
-
-
-def test_neighbor_indices_out_of_range():
-    grid = MarkerGrid(rows=3, cols=3)
-    with pytest.raises(UsageError):
-        neighbor_indices(grid, 9)
-    with pytest.raises(UsageError):
-        neighbor_indices(grid, -1)
+    assert grid.neighbors[0] == (None, 1, None, 3)
 
 
 @given(
@@ -90,26 +81,14 @@ def test_neighbor_indices_out_of_range():
 )
 def test_neighbor_indices_match_row_col_definition(rows, cols):
     grid = MarkerGrid(rows=rows, cols=cols)
-    for index in range(grid.n_markers):
-        i, j = grid.row_col(index)
+    assert len(grid.neighbors) == rows * cols
+    for index, neighbors in enumerate(grid.neighbors):
+        i, j = divmod(index, cols)
         expected = tuple(
-            grid.index_of(r, c) if 0 <= r < rows and 0 <= c < cols else None
+            r * cols + c if 0 <= r < rows and 0 <= c < cols else None
             for r, c in ((i, j - 1), (i, j + 1), (i - 1, j), (i + 1, j))
         )
-        assert neighbor_indices(grid, index) == expected
-
-
-@given(
-    rows=st.integers(min_value=2, max_value=30),
-    cols=st.integers(min_value=2, max_value=30),
-    data=st.data(),
-)
-def test_index_row_col_round_trip(rows, cols, data):
-    grid = MarkerGrid(rows=rows, cols=cols)
-    index = data.draw(st.integers(min_value=0, max_value=rows * cols - 1))
-    i, j = grid.row_col(index)
-    assert grid.index_of(i, j) == index
-    assert 0 <= i < rows and 0 <= j < cols
+        assert neighbors == expected
 
 
 def test_frame_validates_shape_and_finiteness():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -243,7 +244,7 @@ def test_pipeline_rejects_out_of_order_frames(grid20):
 
 
 def test_pipeline_tracks_three_lift_trajectory():
-    scn = three_lift_scenario(noise_sigma=0.0)
+    scn = replace(three_lift_scenario(), noise_sigma=0.0)
     pipeline = RotationPipeline(scn.grid)
     trace = []
     for frame, truth in generate_trajectory(scn, 0.0, 12.0, 30.0):

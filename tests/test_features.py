@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from pivotgauge import (
     Frame,
     MarkerGrid,
+    SegmentationConfig,
     SimScenario,
     UsageError,
     analytic_local_rotation,
@@ -20,6 +21,8 @@ from pivotgauge import (
 )
 from pivotgauge.features import admission_certain
 from conftest import brute_force_feature_angle, reference_line_feature_angles
+
+EPSILON = SegmentationConfig().epsilon_angle
 
 
 def rigid_rotation_frame(grid: MarkerGrid, theta_deg: float, center=(0.0, 0.0), t=0.0) -> Frame:
@@ -149,7 +152,7 @@ def test_annulus_angle_bounded_by_brute_force_discretization():
     )
     frame, _ = generate_frame(scn, 0.0)
     grid = scn.grid
-    idx = grid.index_of(10, 18)  # position (8.5, 0.5): rho = 8 from the cor
+    idx = 10 * grid.cols + 18  # position (8.5, 0.5): rho = 8 from the cor
     assert math.hypot(*(grid.reference_positions[idx] - np.array([0.5, 0.5]))) == 8.0
     analytic = analytic_local_rotation(scn, 0.0, grid.reference_positions[idx])
     assert analytic == pytest.approx(10.0 * (4.0 / 8.0) ** 2)
@@ -164,20 +167,20 @@ def test_annulus_angle_bounded_by_brute_force_discretization():
 def test_border_markers_stay_valid_with_two_segments(grid20):
     frame = rigid_rotation_frame(grid20, 3.0)
     result = line_feature_angles(grid20, frame)
-    corner = grid20.index_of(0, 0)
+    corner = 0
     assert result.valid[corner]
     assert result.angles[corner] == pytest.approx(3.0, abs=1e-9)
 
 
 def test_degenerate_segments_invalidate_marker(grid20):
     disp = np.zeros((grid20.n_markers, 3))
-    idx = grid20.index_of(10, 10)
+    idx = 10 * grid20.cols + 10
     # collapse all four segments onto the centre marker
     for nbr, off in [
-        (grid20.index_of(10, 9), (1.0, 0.0)),
-        (grid20.index_of(10, 11), (-1.0, 0.0)),
-        (grid20.index_of(9, 10), (0.0, 1.0)),
-        (grid20.index_of(11, 10), (0.0, -1.0)),
+        (idx - 1, (1.0, 0.0)),
+        (idx + 1, (-1.0, 0.0)),
+        (idx - grid20.cols, (0.0, 1.0)),
+        (idx + grid20.cols, (0.0, -1.0)),
     ]:
         disp[nbr, :2] = off
     result = line_feature_angles(grid20, Frame(0.0, disp))
@@ -307,22 +310,22 @@ def test_feature_angle_increment_agrees_with_half_curl(grid20):
 
 
 def test_normalized_angle_difference_identical_angles():
-    assert normalized_angle_difference(10.0, 10.0) == 0.0
+    assert normalized_angle_difference(10.0, 10.0, EPSILON) == 0.0
 
 
 def test_normalized_angle_difference_reference_value():
-    assert normalized_angle_difference(10.0, 10.5) == pytest.approx(0.5 / math.sqrt(105.0))
+    assert normalized_angle_difference(10.0, 10.5, EPSILON) == pytest.approx(0.5 / math.sqrt(105.0))
 
 
 def test_normalized_angle_difference_opposite_signs_infinite():
-    assert normalized_angle_difference(5.0, -5.0) == math.inf
-    assert normalized_angle_difference(-0.06, 0.06) == math.inf
+    assert normalized_angle_difference(5.0, -5.0, EPSILON) == math.inf
+    assert normalized_angle_difference(-0.06, 0.06, EPSILON) == math.inf
 
 
 def test_normalized_angle_difference_noise_floor():
-    assert normalized_angle_difference(0.0, 0.0) == 0.0
-    assert normalized_angle_difference(0.04, -0.04, epsilon=0.05) == pytest.approx(0.08 / 0.05)
-    assert normalized_angle_difference(0.0, 0.02, epsilon=0.05) == pytest.approx(0.4)
+    assert normalized_angle_difference(0.0, 0.0, EPSILON) == 0.0
+    assert normalized_angle_difference(0.04, -0.04, 0.05) == pytest.approx(0.08 / 0.05)
+    assert normalized_angle_difference(0.0, 0.02, 0.05) == pytest.approx(0.4)
 
 
 @given(
@@ -330,7 +333,7 @@ def test_normalized_angle_difference_noise_floor():
     phi_bar=st.floats(-25.0, 25.0, allow_nan=False),
 )
 def test_normalized_angle_difference_total_and_nonnegative(phi_i, phi_bar):
-    value = normalized_angle_difference(phi_i, phi_bar)
+    value = normalized_angle_difference(phi_i, phi_bar, EPSILON)
     assert value >= 0.0
 
 
@@ -352,4 +355,4 @@ def test_admission_certificate_refuses_where_the_rule_can_fail(phi, threshold, e
 
 def test_admission_certificate_holds_for_narrow_same_sign_ranges():
     for phi in ([2.0, 2.1, 2.05], [-2.0, -2.1], [7.5]):
-        assert admission_certain(np.array(phi), 0.4)
+        assert admission_certain(np.array(phi), 0.4, EPSILON)

@@ -4,6 +4,7 @@ import io
 import math
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -321,6 +322,35 @@ def test_cli_estimate_from_file_and_stdin(tmp_path):
         )
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == rows
+
+
+def test_cli_estimate_writes_each_row_as_its_frame_arrives(tmp_path):
+    # cli_env() leaves PYTHONUNBUFFERED unset, so a row reaches the pipe
+    # before more input only if estimate flushes it itself.
+    ndjson = tmp_path / "frames.ndjson"
+    assert main(["simulate", "--out", str(ndjson), "--set", "harness.t_end=0.1"]) == 0
+    header, first, *rest = ndjson.read_text().splitlines(keepends=True)
+    with subprocess.Popen(
+        [sys.executable, "-m", "pivotgauge.cli", "estimate"], stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=cli_env(),
+    ) as proc:
+        proc.stdin.write(header + first)
+        proc.stdin.flush()
+        rows = []
+        # The CSV header row and the first frame's row.
+        reader = threading.Thread(target=lambda: rows.extend(proc.stdout.readline() for _ in range(2)))
+        reader.start()
+        reader.join(timeout=10)
+        live = not reader.is_alive()
+        if not live:
+            proc.kill()  # which ends the reader's wait
+            reader.join()
+        assert live, "no CSV row within 10 s of its frame"
+        assert rows[0].startswith("t,") and rows[1].startswith("0,")
+        proc.stdin.writelines(rest)
+        proc.stdin.close()
+        assert len(proc.stdout.read().splitlines()) == len(rest)
+        assert proc.wait(timeout=60) == 0, proc.stderr.read()
 
 
 def test_cli_truth_output(tmp_path):

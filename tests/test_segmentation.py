@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from pivotgauge import (
     generate_frame,
     grow_stick_region,
     line_feature_angles,
-    neighbor_indices,
     normalized_angle_difference,
     three_lift_scenario,
 )
@@ -168,7 +168,7 @@ def test_region_is_four_connected_and_contains_center(grid20):
     while frontier:
         nxt = []
         for idx in frontier:
-            for nbr in neighbor_indices(grid20, idx):
+            for nbr in grid20.neighbors[idx]:
                 if nbr is not None and nbr in region.members and nbr not in seen:
                     seen.add(nbr)
                     nxt.append(nbr)
@@ -281,7 +281,7 @@ def test_growth_rejects_at_exact_threshold():
     # the loop rejects every hi marker next to a lo centre; rounding alone
     # must not let the certificate claim otherwise.
     grid = MarkerGrid(rows=3, cols=3)
-    center = grid.index_of(1, 1)
+    center = 1 * grid.cols + 1
     mask = ContactMask(np.ones(grid.n_markers, bool), center_index=center)
     rng = np.random.default_rng(5)
     for lo, width in zip(rng.uniform(0.1, 20.0, 200), rng.uniform(1e-3, 0.5, 200)):
@@ -361,7 +361,7 @@ def test_smaller_stick_radius_gives_nested_region(grid20):
 
 
 def test_stick_ratio_non_increasing_across_preset_plateaus():
-    scn = three_lift_scenario(noise_sigma=0.0)
+    scn = replace(three_lift_scenario(), noise_sigma=0.0)
     ratios = []
     for t in (2.5, 5.5, 8.5):  # plateau midpoints
         frame, _ = generate_frame(scn, t)

@@ -184,6 +184,60 @@ def test_header_and_stream_numbers_follow_the_rule(tmp_path, capsys):
     ]
 
 
+def test_frame_displacements_follow_the_rule():
+    with pytest.raises(UsageError, match="^displacements must be finite numbers, got bool$"):
+        Frame(0.0, [[True, False, 1]])
+    for d in ([[0.0, 0.0, "1"]], [[0.0, 0.0, None]], [[0.0, [1.0], 0.0]], [[np.True_, 0, 0]],
+              [[10**400, 0, 0]], [[0.0, 0.0]], [], 3.0, None, np.zeros((1, 3), dtype=bool),
+              np.zeros((1, 3), dtype=object), np.zeros((1, 3), dtype=complex)):
+        with pytest.raises(UsageError, match="^displacements "):
+            Frame(0.0, d)
+    # numpy reals pass in rows as in finite_number; arrays need a real dtype.
+    row = [np.float32(0.5), np.int64(3), np.uint8(2)]
+    assert Frame(0.0, [row]).displacements.tobytes() == np.asarray([row], float).tobytes()
+    for dtype in (np.int32, np.uint16, np.float32):
+        array = np.arange(6, dtype=dtype).reshape(2, 3)
+        assert np.array_equal(Frame(0.0, array).displacements, array.astype(float))
+
+
+# Values no displacement component may be, as a stream line's JSON gives them.
+_NOT_COMPONENTS = ("1", True, False, None, [1.0], [[1.0, 2.0, 3.0]], {"x": 1.0},
+                   10**400, -(10**400))
+
+
+@st.composite
+def _displacement_lists(draw, n):
+    """A stream line's ``"d"`` for n markers, and whether it breaks the rule."""
+    number = st.one_of(st.floats(-5.0, 5.0), st.integers(-(2**64), 2**64), st.just(10**300))
+    d = draw(st.lists(st.lists(number, min_size=3, max_size=3), min_size=n, max_size=n))
+    defect = draw(st.sampled_from(["none", "none", "component", "width", "not rows"]))
+    row = draw(st.integers(0, n - 1))
+    if defect == "component":
+        d[row][draw(st.integers(0, 2))] = draw(st.sampled_from(_NOT_COMPONENTS))
+    elif defect == "width":
+        d[row] = draw(st.sampled_from([[], d[row][:2], d[row] + [0.0]]))
+    elif defect == "not rows":
+        d = draw(st.sampled_from([None, 1.0, "abc", {"d": d}, d[row]]))
+    return d, defect != "none"
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_stream_displacements_follow_the_rule(data):
+    grid = MarkerGrid(rows=2, cols=data.draw(st.integers(2, 3)))
+    drawn = data.draw(st.lists(_displacement_lists(grid.n_markers), min_size=1, max_size=6))
+    lines = [json.dumps({"t": t, "d": d}) for t, (d, _bad) in enumerate(drawn)]
+    warn = io.StringIO()
+    frames = list(read_frames(iter(lines), grid, warn=warn))
+    # A good line gives the bytes that a plain float conversion gives.
+    assert [(frame.timestamp, frame.displacements.tobytes()) for frame in frames] == [
+        (t, np.asarray(d, dtype=float).tobytes()) for t, (d, bad) in enumerate(drawn) if not bad
+    ]
+    # A bad line is skipped with one warning that names it.
+    warned = [int(w.split()[4].rstrip(":")) for w in warn.getvalue().splitlines()]
+    assert warned == [lineno for lineno, (_d, bad) in enumerate(drawn, start=2) if bad]
+
+
 # Config fuzzing: random JSON values for every key of every section.
 _SECTIONS = {
     "grid": MarkerGrid,
