@@ -85,11 +85,12 @@ def _load(args: argparse.Namespace) -> FullConfig:
 
 
 @contextlib.contextmanager
-def _open_out(path):
+def _open(path, mode="w"):
+    """The file at ``path`` in ``mode`` "r" or "w", or stdin/stdout for None or "-"."""
     if path is None or path == "-":
-        yield sys.stdout
+        yield sys.stdin if mode == "r" else sys.stdout
     else:
-        with open(path, "w", newline="") as handle:
+        with open(path, mode, newline=None if mode == "r" else "") as handle:
             yield handle
 
 
@@ -99,7 +100,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     frames = generate_trajectory(
         config.scenario, harness.t_start, harness.t_end, harness.rate_hz
     )
-    with _open_out(args.out) as out:
+    with _open(args.out) as out:
         write_header(out, config.grid)
         for frame, _truth in frames:
             write_frame(out, frame)
@@ -113,26 +114,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     config = _load(args)
-    if args.input is None or args.input == "-":
-        source = sys.stdin
-        close = False
-    else:
-        source = open(args.input)
-        close = True
-    try:
-        with _open_out(args.out) as out:
-            if isinstance(out, io.TextIOWrapper):  # a file or pipe: each row as its frame is read
-                out.reconfigure(line_buffering=True)
-            estimate_from_stream(iter(source), config, out, warn=sys.stderr)
-    finally:
-        if close:
-            source.close()
+    with _open(args.input, "r") as source, _open(args.out) as out:
+        if isinstance(out, io.TextIOWrapper):  # a file or pipe: each row as its frame is read
+            out.reconfigure(line_buffering=True)
+        estimate_from_stream(source, config, out, warn=sys.stderr)
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _load(args)
-    with _open_out(args.out) as out:
+    with _open(args.out) as out:
         reports = run_static_sweep(config, csv_out=out)
     for name in ("proposed", "baseline"):
         rep = reports[name]
@@ -146,7 +137,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_dynamic(args: argparse.Namespace) -> int:
     config = _load(args)
-    with _open_out(args.out) as out:
+    with _open(args.out) as out:
         result = run_dynamic(config, csv_out=out)
     print(
         f"dynamic MARE {fmt(result.mare)} deg over {result.in_range_frames} in-range "
@@ -158,7 +149,7 @@ def _cmd_dynamic(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     config = _load(args)
-    with _open_out(args.out) as out:
+    with _open(args.out) as out:
         report = compare_estimators(config, csv_out=out)
     failures = sum(r.baseline_failures for r in report.rows)
     print(

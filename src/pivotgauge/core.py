@@ -71,25 +71,29 @@ def finite_pair(value: Any, name: str) -> tuple[float, float]:
         raise UsageError(f"{name} must be two finite numbers, got {value!r}") from None
 
 
-def _rows_of_three(rows: Any) -> np.ndarray:
-    """``rows`` as an (n, 3) float array, or a UsageError: n >= 1 rows of
-    three ints or floats (numpy reals included, bools not), as a stream
-    line's ``"d"`` gives them."""
+def number_rows(rows: Any, name: str, width: Optional[int] = None) -> np.ndarray:
+    """``rows`` as an (n, width) float array, or a UsageError naming ``name``:
+    n >= 1 rows of ``width`` numbers (any one width when None), each an int or
+    float by the number rule (numpy reals included, bools not), as a stream
+    line's ``"d"`` or a breakpoint list gives them. A value nested deeper is
+    refused by its type, never walked into. Finiteness is the caller's check."""
+    wanted = f"rows of {width} numbers" if width else "rows of numbers of one width"
     try:
         n = len(rows)
         widths = set(map(len, rows))
         types = set(map(type, chain.from_iterable(rows))) - {int, float}
     except TypeError:  # not a sequence of sized rows
-        raise UsageError("displacements must be a sequence of rows of 3 numbers") from None
-    if widths != {3}:
-        raise UsageError(f"displacements must be rows of 3 numbers, got widths {sorted(widths)}")
+        raise UsageError(f"{name} must be a sequence of {wanted}") from None
+    if len(widths) != 1 or (width is not None and widths != {width}):
+        raise UsageError(f"{name} must be {wanted}, got widths {sorted(widths)}")
     bad = sorted(t.__name__ for t in types if issubclass(t, bool) or not issubclass(t, _REALS))
     if bad:
-        raise UsageError(f"displacements must be finite numbers, got {', '.join(bad)}")
+        raise UsageError(f"{name} must be finite numbers, got {', '.join(bad)}")
+    (w,) = widths
     try:
-        return np.fromiter(chain.from_iterable(rows), float, count=3 * n).reshape(n, 3)
+        return np.fromiter(chain.from_iterable(rows), float, count=w * n).reshape(n, w)
     except OverflowError:  # an int beyond float range
-        raise UsageError("displacements contain non-finite values") from None
+        raise UsageError(f"{name} contain non-finite values") from None
 
 
 def whole_number(value: Any, name: str) -> int:
@@ -198,7 +202,8 @@ class Frame:
     ``timestamp`` is a finite number of seconds. ``displacements`` is
     (n_markers, 3): tangential dx, dy and normal dz, all in mm, cumulative
     relative to the reference configuration, all finite. It is given as an
-    int, uint or float array, or as rows of numbers by the number rule.
+    int, uint or float array, which the frame copies, or as rows of numbers
+    by the number rule.
     """
 
     timestamp: float
@@ -208,15 +213,15 @@ class Frame:
         t = finite_number(self.timestamp, "frame timestamp")
         d = self.displacements
         if not isinstance(d, np.ndarray):
-            d = _rows_of_three(d)
-        elif d.dtype.kind not in "iuf":
+            d = number_rows(d, "displacements", 3)
+        elif d.dtype.kind in "iuf":
+            d = np.array(d, dtype=float, order="C")  # the frame's own copy, never the caller's
+        else:
             raise UsageError(f"displacements must be real numbers, got dtype {d.dtype}")
-        d = np.asarray(d, dtype=float)
         if d.ndim != 2 or d.shape[1] != 3:
             raise UsageError(f"displacements must be (n, 3), got shape {d.shape}")
         if not np.all(np.isfinite(d)):
             raise UsageError("displacements contain non-finite values")
-        d = np.ascontiguousarray(d)
         d.setflags(write=False)
         object.__setattr__(self, "displacements", d)
         object.__setattr__(self, "timestamp", t)

@@ -207,10 +207,12 @@ def estimate_from_stream(
 ) -> int:
     """Replay an NDJSON frame stream through the pipeline, CSV to ``csv_out``.
 
-    The stream header defines the grid. Malformed frame lines are skipped
+    ``lines`` is any iterable of lines: a list, an open file or stdin. The
+    stream header defines the grid. Malformed frame lines are skipped
     with a warning; a malformed header is fatal. Returns the number of
     frames processed.
     """
+    lines = iter(lines)  # the header is read once, then frames from the next line
     grid = read_header(lines)
     write_csv_row(csv_out, ESTIMATE_CSV_HEADER)
     n = 0

@@ -30,6 +30,7 @@ from .core import (
     UsageError,
     finite_number,
     finite_pair,
+    number_rows,
     whole_number,
 )
 
@@ -40,17 +41,15 @@ TimeVectorFn = Callable[[float], np.ndarray]
 class PiecewiseLinear:
     """Piecewise-linear time function over the closed domain of its breakpoints.
 
-    ``points`` is a sequence of (t, v0[, v1...]) rows with strictly
-    increasing t, each entry a finite number by ``core.finite_number``.
+    ``points`` is a sequence of (t, v0[, v1...]) rows of one width with
+    strictly increasing t, each entry a finite number, read by
+    ``core.number_rows``.
     Evaluation outside the domain is a usage error.
     """
 
     def __init__(self, points: Sequence[Sequence[float]]):
-        if isinstance(points, np.ndarray) and points.dtype == np.float64:
-            arr = points  # a float array, as ``_time_fn`` passes after its own walk
-        else:
-            arr = np.array(_floats(points, "piecewise-linear breakpoint", 2))
-        if arr.ndim != 2 or arr.shape[0] < 2 or arr.shape[1] < 2:
+        arr = number_rows(points, "piecewise-linear breakpoints")
+        if arr.shape[0] < 2 or arr.shape[1] < 2:
             raise UsageError("piecewise-linear input needs >= 2 rows of (t, value...)")
         if not np.isfinite(arr).all():
             raise UsageError("piecewise-linear breakpoints must be finite numbers")
@@ -72,18 +71,6 @@ class PiecewiseLinear:
         return np.array([np.interp(t, self._t, self._v[:, j]) for j in range(self._v.shape[1])])
 
 
-def _floats(value: Any, name: str, depth: int) -> Any:
-    """``value`` as floats by ``finite_number``, in lists nested at most ``depth`` deep."""
-    if isinstance(value, np.ndarray):
-        value = value.tolist()
-    if depth and isinstance(value, (list, tuple)):
-        return [_floats(item, name, depth - 1) for item in value]
-    try:
-        return finite_number(value, name)
-    except RecursionError:  # from the repr of a value nested very deep
-        raise UsageError(f"{name} must be a finite number, got a list nested too deep") from None
-
-
 def _time_fn(value, name: str, shape: tuple[int, ...]) -> Callable[[float], Any]:
     """A function of time from a callable, a constant of ``shape`` (``()`` or
     ``(2,)``) or a breakpoint list of ``(t, value...)`` rows, for ``scenario.name``."""
@@ -91,14 +78,14 @@ def _time_fn(value, name: str, shape: tuple[int, ...]) -> Callable[[float], Any]
         return value
     name = f"scenario.{name}"
     try:
-        arr = np.array(_floats(value, name, 2))
-        if arr.shape == shape:
-            constant = arr if shape else float(arr)
+        if not (np.iterable(value) and any(map(np.iterable, value))):  # no rows: a constant
+            constant = finite_pair(value, name) if shape else finite_number(value, name)
             return lambda t: constant
-        if arr.ndim != 2 or arr.shape[1] != 1 + math.prod(shape):
-            raise ValueError(f"breakpoint rows must be {1 + math.prod(shape)} wide")
-        return PiecewiseLinear(arr)
-    except (TypeError, ValueError) as exc:  # UsageError included
+        fn = PiecewiseLinear(value)
+        if fn._v.shape[1] != math.prod(shape):
+            raise UsageError(f"breakpoint rows must be {1 + math.prod(shape)} wide")
+        return fn
+    except UsageError as exc:
         kind = "a 2-vector" if shape else "a number"
         raise UsageError(f"{name} must be {kind}, callable or breakpoint list") from exc
 

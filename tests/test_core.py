@@ -112,6 +112,14 @@ def test_frame_is_read_only():
         frame.displacements[0, 0] = 1.0
 
 
+def test_frame_copies_the_array_it_is_given():
+    for given in (np.zeros((4, 3)), np.zeros((4, 3), order="F"), np.zeros((4, 3), np.float32)):
+        frame = Frame(0.0, given)
+        given[0, 0] = 1.0  # the caller's array stays writable and its own
+        assert frame.displacements[0, 0] == 0.0
+        assert frame.displacements.flags.c_contiguous and frame.displacements.dtype == float
+
+
 def test_contact_mask_invariants():
     flags = np.array([True, False, True])
     with pytest.raises(UsageError):

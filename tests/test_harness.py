@@ -21,6 +21,8 @@ from pivotgauge.harness import (
     run_dynamic,
     run_static_sweep,
 )
+from pivotgauge.simulate import generate_trajectory
+from pivotgauge.streams import write_frame, write_header
 from conftest import cli_env, reference_grow_stick_region, reference_line_feature_angles
 
 
@@ -238,6 +240,24 @@ def test_stream_replay_empty_after_header():
     assert out.getvalue().splitlines() == [
         "t,theta_raw_deg,theta_filtered_deg,state,stick_ratio"
     ]
+
+
+def test_stream_replay_reads_a_list_like_an_iterator():
+    # A list restarts each time it is iterated; the header is still read once
+    # and the frames from the line after it.
+    config = load_config("three-lift")
+    stream = io.StringIO()
+    write_header(stream, config.grid)
+    for frame, _truth in generate_trajectory(config.scenario, 0.0, 0.3, 30.0):
+        write_frame(stream, frame)
+    lines = stream.getvalue().splitlines(keepends=True)
+    outputs = []
+    for source in (lines, iter(lines)):
+        csv, warn = io.StringIO(), io.StringIO()
+        assert estimate_from_stream(source, config, csv, warn=warn) == len(lines) - 1
+        assert warn.getvalue() == ""
+        outputs.append(csv.getvalue())
+    assert outputs[0] == outputs[1]
 
 
 def test_compare_full_stick_win_rate_near_half():

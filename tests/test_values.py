@@ -110,14 +110,14 @@ def test_boolean_breakpoints_are_refused():
         build_config({"scenario": {"theta_trajectory": breakpoints}})
     with pytest.raises(ConfigError, match="invalid config value: scenario.translation_traj"):
         build_config({"scenario": {"translation_trajectory": [[0, 0, 1], [1, 2, False]]}})
-    # The walk stops two lists deep; a deeper value is refused, not recursed into.
+    # A list nested deeper than a row's entries is refused by its type, not recursed into.
     deep = 1.0
     for _ in range(5000):
         deep = [deep]
     with pytest.raises(UsageError, match="scenario.stick_radius must be a number"):
         SimScenario(stick_radius=[[0, deep], [1, 2]])
-    # Called directly, PiecewiseLinear holds the same rule; a float array is
-    # only checked for finiteness, as SimScenario's own walk hands it one.
+    # Called directly, PiecewiseLinear holds the same rule, for arrays too: it
+    # reads its rows with the reader Frame uses, then checks finiteness.
     for points in ([[0, "1"], [1, True]], [[0, 1.0], [1, True]], [[0, deep], [1, 2]],
                    np.array([[False, True], [True, True]]), np.array([[0.0, 1.0], [1.0, math.nan]])):
         with pytest.raises(UsageError, match="piecewise-linear breakpoint"):
@@ -236,6 +236,56 @@ def test_stream_displacements_follow_the_rule(data):
     # A bad line is skipped with one warning that names it.
     warned = [int(w.split()[4].rstrip(":")) for w in warn.getvalue().splitlines()]
     assert warned == [lineno for lineno, (_d, bad) in enumerate(drawn, start=2) if bad]
+
+
+# Each scenario time input: the attribute holding its function, its row
+# width, and the entries a good breakpoint list may hold (a stick radius
+# must lie within the default contact radius).
+_TIME_INPUTS = {
+    "theta_trajectory": ("_theta_fn", 2, st.one_of(st.floats(-30.0, 30.0),
+                                                   st.integers(-(2**64), 2**64))),
+    "stick_radius": ("_stick_fn", 2, st.one_of(st.floats(0.5, 8.0), st.integers(1, 8))),
+    "translation_trajectory": ("_translation_fn", 3, st.one_of(st.floats(-5.0, 5.0),
+                                                               st.just(10**300))),
+}
+
+
+@st.composite
+def _breakpoint_lists(draw, width, entries):
+    """A breakpoint list of rows ``width`` wide, and whether it breaks the rule."""
+    ts = draw(st.lists(st.one_of(st.integers(0, 99), st.floats(0.0, 99.0)), min_size=2,
+                       max_size=5, unique=True).map(sorted))
+    points = [[t, *draw(st.lists(entries, min_size=width - 1, max_size=width - 1))] for t in ts]
+    defect = draw(st.sampled_from(["none", "none", "component", "component", "component",
+                                   "width", "widths", "not rows"]))
+    row = draw(st.integers(0, len(points) - 1))
+    if defect == "component":
+        points[row][draw(st.integers(0, width - 1))] = draw(st.sampled_from(_NOT_COMPONENTS))
+    elif defect == "width":
+        points[row] = draw(st.sampled_from([[], points[row][:-1], points[row] + [0.0]]))
+    elif defect == "widths":  # one width for every row, but not the input's
+        points = [p + [0.0] for p in points]
+    elif defect == "not rows":
+        points = draw(st.sampled_from([True, "abc", {"d": points}, points[row], [points]]))
+    return points, defect != "none"
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_breakpoint_lists_follow_the_rule(data):
+    name = data.draw(st.sampled_from(sorted(_TIME_INPUTS)))
+    attr, width, entries = _TIME_INPUTS[name]
+    points, bad = data.draw(_breakpoint_lists(width, entries))
+    if bad:
+        with pytest.raises(UsageError, match=rf"^scenario\.{name} must be "):
+            SimScenario(**{name: points})
+        with pytest.raises(ConfigError, match=rf"^invalid config value: scenario\.{name} "):
+            build_config({"scenario": {name: json.loads(json.dumps(points))}})
+        return
+    # A good list gives the bytes that a plain float conversion gives.
+    expected = np.asarray(points, dtype=float).tobytes()
+    for fn in (getattr(SimScenario(**{name: points}), attr), PiecewiseLinear(points)):
+        assert np.column_stack([fn._t, fn._v]).tobytes() == expected
 
 
 # Config fuzzing: random JSON values for every key of every section.
