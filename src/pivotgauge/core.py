@@ -33,6 +33,7 @@ MAX_MARKERS = 1_000_000
 MAX_FRAMES = 1_000_000
 _FLOAT_MAX = sys.float_info.max  # an int beyond it has no float value
 _REALS = (int, float, np.integer, np.floating)  # bool is an int: refused separately
+_ROWS = (list, tuple, range, np.ndarray)  # kinds of rows, and of sequences of them
 
 
 class UsageError(ValueError):
@@ -74,16 +75,20 @@ def finite_pair(value: Any, name: str) -> tuple[float, float]:
 def number_rows(rows: Any, name: str, width: Optional[int] = None) -> np.ndarray:
     """``rows`` as an (n, width) float array, or a UsageError naming ``name``:
     n >= 1 rows of ``width`` numbers (any one width when None), each an int or
-    float by the number rule (numpy reals included, bools not), as a stream
-    line's ``"d"`` or a breakpoint list gives them. A value nested deeper is
-    refused by its type, never walked into. Finiteness is the caller's check."""
+    float by the number rule (numpy reals included, bools not). The rows, and
+    the sequence of them, are lists, tuples, ranges or arrays; any other value
+    is refused by its type, never walked into. Finiteness is the caller's check."""
     wanted = f"rows of {width} numbers" if width else "rows of numbers of one width"
     try:
         n = len(rows)
+        sequences = {type(rows), *map(type, rows)}
         widths = set(map(len, rows))
         types = set(map(type, chain.from_iterable(rows))) - {int, float}
     except TypeError:  # not a sequence of sized rows
         raise UsageError(f"{name} must be a sequence of {wanted}") from None
+    odd = sorted(t.__name__ for t in sequences if not issubclass(t, _ROWS))
+    if odd:  # a dict or set has no order of its own, a string or bytes no numbers
+        raise UsageError(f"{name} must be lists, tuples or arrays of numbers, got {', '.join(odd)}")
     if len(widths) != 1 or (width is not None and widths != {width}):
         raise UsageError(f"{name} must be {wanted}, got widths {sorted(widths)}")
     bad = sorted(t.__name__ for t in types if issubclass(t, bool) or not issubclass(t, _REALS))
@@ -241,8 +246,8 @@ class Frame:
 class ContactMask:
     """Markers flagged as belonging to the contact patch.
 
-    ``center_index`` is the assumed stick centre and always refers to a
-    flagged marker; contact is detected exactly when it is present.
+    ``center_index`` is the assumed stick centre, the index in ``[0, len(flags))``
+    of a flagged marker; contact is detected exactly when it is present.
     """
 
     flags: np.ndarray
@@ -252,8 +257,11 @@ class ContactMask:
         flags = np.asarray(self.flags, dtype=bool)
         flags.setflags(write=False)
         object.__setattr__(self, "flags", flags)
-        if self.center_index is not None and not flags[self.center_index]:
-            raise UsageError("center_index must refer to a flagged marker")
+        if self.center_index is not None:
+            index = whole_number(self.center_index, "center_index")
+            if not (0 <= index < len(flags) and flags[index]):
+                raise UsageError(f"center_index must refer to a flagged marker, got {index}")
+            object.__setattr__(self, "center_index", index)
 
     @property
     def contact_detected(self) -> bool:

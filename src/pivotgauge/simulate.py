@@ -34,9 +34,6 @@ from .core import (
     whole_number,
 )
 
-TimeScalarFn = Callable[[float], float]
-TimeVectorFn = Callable[[float], np.ndarray]
-
 
 class PiecewiseLinear:
     """Piecewise-linear time function over the closed domain of its breakpoints.
@@ -72,10 +69,8 @@ class PiecewiseLinear:
 
 
 def _time_fn(value, name: str, shape: tuple[int, ...]) -> Callable[[float], Any]:
-    """A function of time from a callable, a constant of ``shape`` (``()`` or
-    ``(2,)``) or a breakpoint list of ``(t, value...)`` rows, for ``scenario.name``."""
-    if callable(value):
-        return value
+    """A function of time from a constant of ``shape`` (``()`` or ``(2,)``) or a
+    breakpoint list of ``(t, value...)`` rows, for ``scenario.name``."""
     name = f"scenario.{name}"
     try:
         if not (np.iterable(value) and any(map(np.iterable, value))):  # no rows: a constant
@@ -87,17 +82,15 @@ def _time_fn(value, name: str, shape: tuple[int, ...]) -> Callable[[float], Any]
         return fn
     except UsageError as exc:
         kind = "a 2-vector" if shape else "a number"
-        raise UsageError(f"{name} must be {kind}, callable or breakpoint list") from exc
+        raise UsageError(f"{name} must be {kind} or a breakpoint list") from exc
 
 
 @dataclass(frozen=True, eq=False)
 class SimScenario:
     """Generative parameters for one synthetic contact experiment.
 
-    ``theta_trajectory`` and ``stick_radius`` accept a constant, a callable
-    of time, or a breakpoint list; ``translation_trajectory`` likewise with
-    2-vector values. A stick radius must lie in (0, contact_radius]: checked
-    here for a constant or breakpoints, at each evaluation for a callable.
+    ``theta_trajectory``, ``stick_radius`` (within (0, contact_radius]) and
+    ``translation_trajectory`` (2-vectors) are each a constant or breakpoints.
     ``decay_exponent`` controls how sharply the slip annulus decouples from
     the stick core (larger = sharper boundary).
     """
@@ -106,9 +99,9 @@ class SimScenario:
     contact_radius: float = 8.0
     max_indent: float = 0.5
     cor: tuple[float, float] = (0.0, 0.0)
-    stick_radius: Union[float, TimeScalarFn, Sequence, None] = None  # default: contact_radius
-    theta_trajectory: Union[float, TimeScalarFn, Sequence] = 0.0
-    translation_trajectory: Union[Sequence[float], TimeVectorFn] = (0.0, 0.0)
+    stick_radius: Union[float, Sequence, None] = None  # default: contact_radius
+    theta_trajectory: Union[float, Sequence] = 0.0
+    translation_trajectory: Sequence = (0.0, 0.0)
     decay_exponent: float = 2.0
     softness: SoftnessParams = field(default_factory=SoftnessParams)
     noise_sigma: float = 0.005
@@ -140,12 +133,12 @@ class SimScenario:
         object.__setattr__(self, "_field_memo", None)
         # _noiseless_field's time-invariant arrays, once it is walked through time.
         object.__setattr__(self, "_geometry", None)
-        if not callable(stick):  # piecewise linear, so its extremes lie at the breakpoints
-            for r_s in map(float, [row[1] for row in stick] if np.iterable(stick) else [stick]):
-                if not 0 < r_s <= self.contact_radius:
-                    raise UsageError(
-                        f"stick_radius {r_s} outside (0, contact_radius={self.contact_radius}]"
-                    )
+        # Piecewise linear, so its extremes lie at the breakpoints.
+        for r_s in map(float, [row[1] for row in stick] if np.iterable(stick) else [stick]):
+            if not 0 < r_s <= self.contact_radius:
+                raise UsageError(
+                    f"stick_radius {r_s} outside (0, contact_radius={self.contact_radius}]"
+                )
 
     def theta_at(self, t: float) -> float:
         return float(self._theta_fn(t))  # type: ignore[attr-defined]
@@ -154,12 +147,9 @@ class SimScenario:
         return np.asarray(self._translation_fn(t), dtype=float)  # type: ignore[attr-defined]
 
     def stick_radius_at(self, t: float) -> float:
-        r_s = float(self._stick_fn(t))  # type: ignore[attr-defined]
-        if not 0 < r_s <= self.contact_radius:
-            raise UsageError(
-                f"stick radius {r_s} at t={t} outside (0, contact_radius={self.contact_radius}]"
-            )
-        return r_s
+        # np.interp may round one ulp past the breakpoints' checked range.
+        r_s = self._stick_fn(t)  # type: ignore[attr-defined]
+        return float(min(max(r_s, 0.0), self.contact_radius))
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,7 +266,7 @@ def generate_frame(
     trajectory can therefore be generated independently (and in parallel)
     with reproducible output. The scenario keeps the noiseless field of the
     last ``t`` it was asked for, so repeated trials at one time (the static
-    sweep) draw only their noise; its time inputs must be pure functions.
+    sweep) draw only their noise.
     """
     memo = scenario._field_memo  # type: ignore[attr-defined]
     if memo is not None and memo[0] == t:

@@ -175,7 +175,7 @@ def test_c05_curl_identity_convergence():
         pitch = 1.0 / factor
         grid = MarkerGrid(rows=24 * factor, cols=24 * factor, pitch=pitch)
         scn = SimScenario(
-            grid=grid, theta_trajectory=lambda t: 10.0 * t, stick_radius=r_s,
+            grid=grid, theta_trajectory=[[0.0, 0.0], [1.0, 10.0]], stick_radius=r_s,
             contact_radius=a, decay_exponent=gamma, noise_sigma=0.0,
         )
         f0, _ = generate_frame(scn, 0.80)

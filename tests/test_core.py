@@ -130,6 +130,17 @@ def test_contact_mask_invariants():
     assert not ContactMask(flags).contact_detected
 
 
+def test_contact_mask_center_index_is_a_whole_index_into_the_flags():
+    flags = np.array([True, True, False, True])
+    # -1 would index from the end, True would be read as 1.
+    for index in (-1, len(flags), True, 2.5):
+        with pytest.raises(UsageError, match="^center_index must "):
+            ContactMask(flags, center_index=index)
+    for index in (0, 3, 3.0, np.int64(3)):
+        center = ContactMask(flags, center_index=index).center_index
+        assert center == index and type(center) is int
+
+
 def test_softness_rejects_negative_ratio():
     with pytest.raises(UsageError):
         SoftnessParams(k=-0.1)

@@ -261,7 +261,7 @@ def test_pipeline_tracks_three_lift_trajectory():
 def test_pipeline_filter_causality(grid20):
     # outputs depend only on frames seen so far: processing a prefix gives
     # the same outputs as processing the full stream
-    scn = SimScenario(theta_trajectory=lambda t: 10.0 * t, noise_sigma=0.005, rng_seed=4)
+    scn = SimScenario(theta_trajectory=[[0.0, 0.0], [1.0, 10.0]], noise_sigma=0.005, rng_seed=4)
     frames = [f for f, _ in generate_trajectory(scn, 0.0, 0.5, 30.0)]
     full = RotationPipeline(grid20)
     full_outputs = [full.process_frame(f).theta for f in frames]

@@ -274,7 +274,7 @@ def test_half_curl_matches_analytic_curl_and_refines():
         grid = MarkerGrid(rows=24 * factor, cols=24 * factor, pitch=pitch)
         scn = SimScenario(
             grid=grid,
-            theta_trajectory=lambda t: 10.0 * t,
+            theta_trajectory=[[0.0, 0.0], [1.0, 10.0]],
             stick_radius=r_s,
             contact_radius=a,
             decay_exponent=gamma,
@@ -294,7 +294,7 @@ def test_half_curl_matches_analytic_curl_and_refines():
 
 def test_feature_angle_increment_agrees_with_half_curl(grid20):
     scn = SimScenario(
-        theta_trajectory=lambda t: t,
+        theta_trajectory=[[0.0, 0.0], [1.0, 1.0]],
         stick_radius=2.0,
         contact_radius=8.0,
         decay_exponent=2.0,

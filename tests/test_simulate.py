@@ -4,6 +4,7 @@ import gc
 import io
 import math
 import tracemalloc
+import warnings
 import weakref
 from dataclasses import replace
 from unittest import mock
@@ -219,15 +220,16 @@ def test_scenario_keeps_geometry_only_when_walked_through_time():
 
 
 def _time_input(draw, values):
-    """A time input of values drawn from ``values``: a constant, two
-    breakpoints over [0, 1] or a callable that steps at t = 0.15."""
-    kind = draw(st.sampled_from(["constant", "breakpoints", "callable"]))
+    """A time input of values drawn from ``values``: a constant, a ramp of two
+    breakpoints over [0, 1] or a step between t = 0.15 and t = 0.16."""
+    kind = draw(st.sampled_from(["constant", "ramp", "step"]))
     first, second = draw(values), draw(values)
     if kind == "constant":
         return first
-    if kind == "breakpoints":
-        return [[0.0, *np.atleast_1d(first).tolist()], [1.0, *np.atleast_1d(second).tolist()]]
-    return lambda t: first if t < 0.15 else second
+    first, second = np.atleast_1d(first).tolist(), np.atleast_1d(second).tolist()
+    if kind == "ramp":
+        return [[0.0, *first], [1.0, *second]]
+    return [[0.0, *first], [0.15, *first], [0.16, *second], [1.0, *second]]
 
 
 @st.composite
@@ -296,15 +298,6 @@ def test_truth_masks_write_as_the_reference(as_mask):
     assert out.getvalue() == ref.getvalue()
 
 
-def test_out_of_range_callable_stick_radius_raises_on_every_call():
-    scn = SimScenario(stick_radius=lambda t: 4.0 if t < 1.0 else 9.0, contact_radius=8.0)
-    generate_frame(scn, 0.0)
-    for i in range(3):
-        with pytest.raises(UsageError, match="stick radius 9.0 at t=1.0"):
-            generate_frame(scn, 1.0, frame_index=i)
-    generate_frame(scn, 0.0)
-
-
 def test_trajectory_uniform_timestamps():
     scn = annulus(theta=5.0)
     frames = generate_trajectory(scn, 0.0, 1.0, 30.0)
@@ -361,10 +354,56 @@ def test_trajectory_refuses_too_many_frames(monkeypatch):
 
 
 def test_piecewise_trajectory_domain_enforced():
-    scn = SimScenario(theta_trajectory=PiecewiseLinear([(0.0, 0.0), (1.0, 5.0)]))
+    scn = SimScenario(theta_trajectory=[(0.0, 0.0), (1.0, 5.0)])
     generate_frame(scn, 0.5)
     with pytest.raises(UsageError):
         generate_frame(scn, 1.5)
+
+
+@pytest.mark.parametrize(
+    "name, kind, width",
+    [("theta_trajectory", "a number", 2), ("stick_radius", "a number", 2),
+     ("translation_trajectory", "a 2-vector", 3)],
+)
+def test_time_inputs_are_data_not_functions(name, kind, width):
+    # A function of time could not be checked at load, nor kept in a config.
+    points = [[0.0] + [1.0] * (width - 1), [1.0] + [2.0] * (width - 1)]
+    for value in (lambda t: points[0][1:], PiecewiseLinear(points)):
+        message = rf"^scenario\.{name} must be {kind} or a breakpoint list$"
+        with pytest.raises(UsageError, match=message):
+            SimScenario(**{name: value})
+
+
+def test_stick_radius_rounded_past_its_last_breakpoint_is_in_range():
+    # np.interp gives 6.530000000000001 here, one ulp above the contact radius.
+    t = 7.539999999999999
+    scn = SimScenario(contact_radius=6.53, stick_radius=[[0.0, 1.4], [7.54, 6.53]])
+    _, truth = generate_frame(scn, t)
+    assert scn.stick_radius_at(t) == 6.53
+    assert np.array_equal(truth.stick_mask, truth.contact_mask_true)
+
+
+@st.composite
+def _stick_radius_breakpoints(draw):
+    a = draw(st.floats(1e-3, 9.5))
+    ts = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2,
+                       max_size=5, unique=True).map(sorted))
+    radius = st.floats(0.0, a, exclude_min=True)
+    return a, [[t, draw(radius)] for t in ts]
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=_stick_radius_breakpoints(), data=st.data())
+def test_stick_radius_at_stays_within_the_contact_radius(spec, data):
+    a, points = spec
+    scn = SimScenario(contact_radius=a, stick_radius=points)
+    times = [row[0] for row in points]
+    # The ends of the domain, the floats just inside them and one drawn time.
+    times += [math.nextafter(times[0], math.inf), math.nextafter(times[-1], -math.inf),
+              data.draw(st.floats(times[0], times[-1]))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert all(0.0 <= scn.stick_radius_at(t) <= a for t in times)
 
 
 def test_scenario_validation():
@@ -382,9 +421,8 @@ def test_scenario_validation():
         SimScenario(stick_radius=9.0, contact_radius=8.0)  # above contact radius
     with pytest.raises(UsageError, match="stick_radius 0.0 outside"):
         SimScenario(stick_radius=[(0.0, 4.0), (1.0, 0.0)])  # a breakpoint at 0
-    scn = SimScenario(stick_radius=lambda t: 9.0, contact_radius=8.0)
-    with pytest.raises(UsageError):
-        generate_frame(scn, 0.0)  # callables are checked when evaluated
+    with pytest.raises(UsageError, match="stick_radius must be a number or a breakpoint list"):
+        SimScenario(stick_radius=lambda t: 9.0, contact_radius=8.0)  # time inputs are data
 
 
 def test_analytic_local_rotation_stick_zone():

@@ -200,6 +200,27 @@ def test_frame_displacements_follow_the_rule():
         assert np.array_equal(Frame(0.0, array).displacements, array.astype(float))
 
 
+def test_rows_are_lists_tuples_or_arrays():
+    # A dict row would be read as its keys, a set row in hash order and a
+    # bytes row as its byte values.
+    for rows in ([{1.0: "x", 2.0: "y", 3.0: "z"}, [4, 5, 6]], [[1, 2, 3], {4, 5, 6}],
+                 [frozenset({1, 2, 3})], [b"abc", b"def"], [bytearray(b"abc")], ["abc"]):
+        with pytest.raises(UsageError, match="^displacements must be lists, tuples or arrays "):
+            Frame(0.0, rows)
+    for points in ([{0: "a", 1: "b"}, range(1, 3)], [b"\x00\x01", b"\x02\x03"]):
+        with pytest.raises(UsageError, match="^piecewise-linear breakpoints must be lists, "):
+            PiecewiseLinear(points)
+        with pytest.raises(UsageError, match="^scenario.theta_trajectory must be a number or "):
+            SimScenario(theta_trajectory=points)
+    # A dict or set of rows has no order of rows either.
+    for rows, kind in (({(1, 2, 3): "x"}, "dict"), ({(1, 2, 3)}, "set")):
+        with pytest.raises(UsageError, match=f"^displacements must be lists, .* got {kind}$"):
+            Frame(0.0, rows)
+    rows = [[0, 1, 2], (0, 1, 2), range(3), np.arange(3.0)]
+    assert Frame(0.0, rows).displacements.tolist() == [[0.0, 1.0, 2.0]] * 4
+    assert PiecewiseLinear([range(2), (1, 3), np.array([2.0, 5.0])])(1.5) == 4.0
+
+
 # Values no displacement component may be, as a stream line's JSON gives them.
 _NOT_COMPONENTS = ("1", True, False, None, [1.0], [[1.0, 2.0, 3.0]], {"x": 1.0},
                    10**400, -(10**400))
