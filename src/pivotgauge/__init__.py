@@ -47,7 +47,6 @@ from .simulate import (
     analytic_local_rotation,
     generate_frame,
     generate_trajectory,
-    with_constant_theta,
 )
 
 __version__ = "0.1.0"
@@ -93,5 +92,4 @@ __all__ = [
     "run_dynamic",
     "run_static_sweep",
     "three_lift_scenario",
-    "with_constant_theta",
 ]

@@ -129,7 +129,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         rep = reports[name]
         print(
             f"{name}: MARE {fmt(rep.mare)} +/- {fmt(rep.mare_std)} deg "
-            f"over {sum(r.trials for r in rep.rows)} trials",
+            f"over {sum(r.trials - r.failures for r in rep.rows)} trials",
             file=sys.stderr,
         )
     return 0

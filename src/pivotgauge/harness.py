@@ -9,8 +9,10 @@ order and is byte-deterministic under a fixed seed.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, replace
 from typing import IO, Iterable, Iterator, Optional
 
 import numpy as np
@@ -18,7 +20,7 @@ import numpy as np
 from .config import SWEEP_ANGLES, FullConfig
 from .core import ContactState, Frame, InsufficientDataError, MarkerGrid
 from .estimation import RotationPipeline, baseline_least_squares, estimate_frame
-from .simulate import generate_frame, generate_trajectory, with_constant_theta
+from .simulate import generate_frame, generate_trajectory
 from .streams import read_frames, read_header, write_csv_row
 
 VALID_RANGE = (2.0, 20.0)
@@ -57,7 +59,7 @@ class SweepRow:
     trials: int
     mean_abs_error: float
     std_error: float
-    failures: int = 0
+    failures: int
 
 
 @dataclass(frozen=True)
@@ -86,30 +88,29 @@ class CompareReport:
     overall_win_rate: float
 
 
-def _sweep_errors(config: FullConfig, trials: int) -> tuple[np.ndarray, np.ndarray]:
+def _sweep_errors(config: FullConfig) -> tuple[np.ndarray, np.ndarray]:
     """Absolute errors of the proposed and baseline estimators per trial.
 
-    Both arrays are (len(SWEEP_ANGLES), trials). A trial is a single
+    Both arrays are (len(SWEEP_ANGLES), harness.trials). A trial is a single
     independently seeded frame at a fixed angle run through the unfiltered
-    pipeline. Baseline entries are nan where too few markers were flagged
-    for its fit.
+    pipeline. A nan entry is a failed trial: the baseline fails where no
+    contact was detected or too few markers were flagged for its fit.
     """
+    trials = config.harness.trials
     proposed = np.empty((len(SWEEP_ANGLES), trials))
-    baseline = np.empty_like(proposed)
+    baseline = np.full_like(proposed, math.nan)
     for angle_pos, theta in enumerate(SWEEP_ANGLES):
-        scenario = with_constant_theta(config.scenario, float(theta))
+        scenario = replace(config.scenario, theta_trajectory=float(theta))
         for trial in range(trials):
-            frame_index = angle_pos * trials + trial
-            frame, _truth = generate_frame(scenario, 0.0, frame_index=frame_index)
+            frame, _truth = generate_frame(scenario, 0.0, frame_index=angle_pos * trials + trial)
             estimate, mask, _region = estimate_frame(
                 config.grid, frame, config.segmentation, config.softness
             )
             proposed[angle_pos, trial] = abs(estimate.theta - theta)
-            try:
-                base = baseline_least_squares(config.grid, frame, mask)
-                baseline[angle_pos, trial] = abs(base.theta - theta)
-            except InsufficientDataError:
-                baseline[angle_pos, trial] = math.nan
+            if mask.contact_detected:  # without contact the baseline has nothing to fit
+                with contextlib.suppress(InsufficientDataError):
+                    base = baseline_least_squares(config.grid, frame, mask)
+                    baseline[angle_pos, trial] = abs(base.theta - theta)
     return proposed, baseline
 
 
@@ -120,39 +121,39 @@ def _mean_std(errors: np.ndarray) -> tuple[float, float]:
     return float(errors.mean()), float(errors.std())
 
 
+def _sweep_reports(proposed: np.ndarray, baseline: np.ndarray) -> dict[str, SweepReport]:
+    """Reduce each estimator's table of per-trial errors, (angles, trials).
+
+    A nan error is a failed trial. Every mean and std covers the trials that
+    did not fail, and a row's ``failures`` counts the ones that did.
+    """
+    reports = {}
+    for estimator, errors in (("proposed", proposed), ("baseline", baseline)):
+        failed = np.isnan(errors)
+        rows = tuple(
+            SweepRow(float(theta), len(row), *_mean_std(row[~row_failed]), int(row_failed.sum()))
+            for theta, row, row_failed in zip(SWEEP_ANGLES, errors, failed)
+        )
+        reports[estimator] = SweepReport(estimator, rows, *_mean_std(errors[~failed]))
+    return reports
+
+
 def run_static_sweep(
     config: FullConfig,
     csv_out: Optional[IO[str]] = None,
 ) -> dict[str, SweepReport]:
-    """Static rotation sweep over integer angles 2..20 degrees.
-
-    Each trial is a single independently seeded frame at a fixed angle run
-    through the unfiltered pipeline; errors are aggregated per angle and
-    overall for both the stick-region estimator and the least-squares
-    baseline.
-    """
-    trials = config.harness.trials
-    proposed, baseline = _sweep_errors(config, trials)
-
-    rows = {"proposed": [], "baseline": []}
-    for theta, p, b_raw in zip(SWEEP_ANGLES, proposed, baseline):
-        b = b_raw[~np.isnan(b_raw)]
-        rows["proposed"].append(SweepRow(float(theta), trials, *_mean_std(p)))
-        rows["baseline"].append(SweepRow(float(theta), trials, *_mean_std(b), trials - b.size))
-
+    """Static rotation sweep over integer angles 2..20 degrees: errors per
+    angle and overall for the stick-region estimator and the least-squares
+    baseline."""
+    reports = _sweep_reports(*_sweep_errors(config))
     if csv_out is not None:
         write_csv_row(csv_out, SWEEP_CSV_HEADER)
-        for prop, base in zip(rows["proposed"], rows["baseline"]):
+        for prop, base in zip(reports["proposed"].rows, reports["baseline"].rows):
             write_csv_row(csv_out, (
                 prop.theta_true, prop.trials, prop.mean_abs_error, prop.std_error,
                 base.mean_abs_error, base.std_error, base.failures,
             ))
-
-    overall = {"proposed": proposed.ravel(), "baseline": baseline[~np.isnan(baseline)]}
-    return {
-        name: SweepReport(name, tuple(rows[name]), *_mean_std(errors))
-        for name, errors in overall.items()
-    }
+    return reports
 
 
 @dataclass(frozen=True)
@@ -182,14 +183,14 @@ def run_dynamic(config: FullConfig, csv_out: Optional[IO[str]] = None) -> Dynami
     harness = config.harness
     if csv_out is not None:
         write_csv_row(csv_out, DYNAMIC_CSV_HEADER)
-    trajectory = generate_trajectory(
+    # One walk of the trajectory: tee hands each pair to the pipeline and to this loop.
+    frames, truths = itertools.tee(generate_trajectory(
         config.scenario, harness.t_start, harness.t_end, harness.rate_hz
-    )
-    rows = _estimate_rows((frame for frame, _truth in trajectory), config.grid, config)
+    ))
+    rows = _estimate_rows((frame for frame, _truth in frames), config.grid, config)
     errors = []
     n = 0
-    for (_frame, truth), (filtered, row) in zip(trajectory, rows):
-        n += 1
+    for n, ((_frame, truth), (filtered, row)) in enumerate(zip(truths, rows), start=1):
         in_range = VALID_RANGE[0] <= abs(truth.theta) <= VALID_RANGE[1]
         if in_range and filtered.state is not ContactState.MACRO_SLIP:
             errors.append(abs(filtered.theta - truth.theta))
@@ -222,42 +223,26 @@ def estimate_from_stream(
     return n
 
 
-def compare_estimators(
-    config: FullConfig,
-    csv_out: Optional[IO[str]] = None,
-) -> CompareReport:
+def compare_estimators(config: FullConfig, csv_out: Optional[IO[str]] = None) -> CompareReport:
     """Side-by-side per-angle errors plus the proposed-vs-baseline win rate.
 
     A trial is a win when the stick-region estimator's absolute error is
-    strictly smaller than the baseline's. Trials where the baseline has too
-    few markers count as failures and are excluded from the win rate.
+    strictly smaller than the baseline's. A failed baseline trial is never a
+    win and is left out of the win rate, which covers the measured trials.
     """
-    trials = config.harness.trials
-    proposed, baseline = _sweep_errors(config, trials)
-
+    proposed, baseline = _sweep_errors(config)
+    reports = _sweep_reports(proposed, baseline)
+    ours, theirs = reports["proposed"].rows, reports["baseline"].rows
+    wins = np.sum(proposed < baseline, axis=1)  # False where the baseline is nan
+    measured = np.array([row.trials - row.failures for row in theirs])
+    with np.errstate(invalid="ignore"):  # no trial measured: 0 / 0, a nan win rate
+        win_rates, overall = (wins / measured).tolist(), float(wins.sum() / measured.sum())
+    rows = tuple(
+        CompareRow(p.theta_true, p.trials, p.mean_abs_error, b.mean_abs_error, rate, b.failures)
+        for p, b, rate in zip(ours, theirs, win_rates)
+    )
     if csv_out is not None:
         write_csv_row(csv_out, COMPARE_CSV_HEADER)
-    rows = []
-    total_wins = 0
-    total_valid = 0
-    for theta, p, b in zip(SWEEP_ANGLES, proposed, baseline):
-        ok = ~np.isnan(b)
-        wins = int(np.sum(p[ok] < b[ok]))
-        n_ok = int(ok.sum())
-        total_wins += wins
-        total_valid += n_ok
-        win_rate = wins / n_ok if n_ok else math.nan
-        row = CompareRow(
-            theta_true=float(theta),
-            trials=trials,
-            proposed_mae=float(p.mean()),
-            baseline_mae=_mean_std(b[ok])[0],
-            win_rate=win_rate,
-            baseline_failures=trials - n_ok,
-        )
-        rows.append(row)
-        if csv_out is not None:
+        for row in rows:
             write_csv_row(csv_out, astuple(row))
-    overall = total_wins / total_valid if total_valid else math.nan
-    return CompareReport(rows=tuple(rows), overall_win_rate=overall)
-
+    return CompareReport(rows=rows, overall_win_rate=overall)

@@ -17,7 +17,7 @@ object-side sign.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence, Union
 
 import numpy as np
@@ -40,7 +40,8 @@ class PiecewiseLinear:
 
     ``points`` is a sequence of (t, v0[, v1...]) rows of one width with
     strictly increasing t, each entry a finite number, read by
-    ``core.number_rows``.
+    ``core.number_rows``. Every t step and every slope between neighbouring
+    rows must be finite too, so interpolation cannot overflow.
     Evaluation outside the domain is a usage error.
     """
 
@@ -52,6 +53,12 @@ class PiecewiseLinear:
             raise UsageError("piecewise-linear breakpoints must be finite numbers")
         if not np.all(arr[1:, 0] > arr[:-1, 0]):  # no subtraction to overflow
             raise UsageError("piecewise-linear breakpoints must have strictly increasing t")
+        # In Python floats a step or slope beyond float range is inf, with no warning.
+        t, *values = arr.T.tolist()
+        steps = [t1 - t0 for t0, t1 in zip(t, t[1:])]
+        slopes = [(v1 - v0) / step for v in values for v0, v1, step in zip(v, v[1:], steps)]
+        if not all(map(math.isfinite, steps + slopes)):
+            raise UsageError("piecewise-linear breakpoints must have finite t steps and slopes")
         self._t = arr[:, 0]
         self._v = arr[:, 1:]
 
@@ -318,8 +325,3 @@ def analytic_local_rotation(scenario: SimScenario, t: float, position: Sequence[
     decay = _decay_profile(rho, _contact_taper(rho, scenario.contact_radius),
                            scenario.stick_radius_at(t), scenario.decay_exponent)
     return float(scenario.theta_at(t) * decay[0] / (1.0 + scenario.softness.k))
-
-
-def with_constant_theta(scenario: SimScenario, theta: float) -> SimScenario:
-    """Copy of a scenario whose rotation is held at a fixed angle."""
-    return replace(scenario, theta_trajectory=float(theta))

@@ -240,6 +240,19 @@ def reference_write_truth(out, t: float, truth: GroundTruth) -> None:
     )
 
 
+def finite_steps_and_slopes(points) -> bool:
+    """The breakpoint rule on neighbouring rows of a well-formed list, in
+    Python floats: every t step and every slope is finite."""
+    rows = [[float(x) for x in row] for row in points]
+    for (t0, *v0), (t1, *v1) in zip(rows, rows[1:]):
+        step = t1 - t0
+        if not math.isfinite(step):
+            return False
+        if not all(math.isfinite((b - a) / step) for a, b in zip(v0, v1)):
+            return False
+    return True
+
+
 def brute_force_flags(frame: Frame, ratio: float) -> np.ndarray:
     dz = [row[2] for row in frame.displacements]
     top = max(dz)

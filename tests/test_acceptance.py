@@ -10,6 +10,7 @@ import math
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from pivotgauge import (
     generate_frame,
     generate_trajectory,
     half_curl,
-    with_constant_theta,
 )
 from pivotgauge.config import build_config
 from pivotgauge.harness import SWEEP_ANGLES, run_static_sweep
@@ -237,7 +237,7 @@ def test_c07_macro_slip_detection():
 
 def measure_frame_latency(config, n_frames: int = 1000) -> dict[str, float]:
     """Wall-clock per-frame pipeline latency over a synthetic stream, seconds."""
-    scenario = with_constant_theta(config.scenario, 10.0)
+    scenario = replace(config.scenario, theta_trajectory=10.0)
     frames = [
         generate_frame(scenario, i / config.harness.rate_hz, frame_index=i)[0]
         for i in range(n_frames)
@@ -313,7 +313,7 @@ def test_c10_static_sweep_regression():
 
     oracle_errors = []
     for angle_pos, theta in enumerate(SWEEP_ANGLES):
-        scn = with_constant_theta(config.scenario, float(theta))
+        scn = replace(config.scenario, theta_trajectory=float(theta))
         for trial in range(trials):
             frame, _ = generate_frame(scn, 0.0, frame_index=angle_pos * trials + trial)
             flags = brute_force_flags(frame, config.segmentation.normal_filter_ratio)

@@ -6,13 +6,20 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pivotgauge import ConfigError, UsageError, estimation, harness, load_config
 from pivotgauge.cli import main
-from pivotgauge.config import HarnessConfig, build_config, trial_count
+from pivotgauge.config import (
+    HarnessConfig,
+    apply_overrides,
+    build_config,
+    load_document,
+    trial_count,
+)
 from pivotgauge.core import MAX_FRAMES
 from pivotgauge.harness import (
     SWEEP_ANGLES,
@@ -21,7 +28,8 @@ from pivotgauge.harness import (
     run_dynamic,
     run_static_sweep,
 )
-from pivotgauge.simulate import generate_trajectory
+from pivotgauge.segmentation import detect_contact
+from pivotgauge.simulate import generate_frame, generate_trajectory
 from pivotgauge.streams import write_frame, write_header
 from conftest import cli_env, reference_grow_stick_region, reference_line_feature_angles
 
@@ -294,6 +302,102 @@ def test_compare_reports_insufficient_baseline_data():
     for row in report.rows:
         assert row.baseline_failures == 2
         assert math.isnan(row.baseline_mae)
+
+
+def test_one_reduction_leaves_out_failed_trials_of_either_estimator(monkeypatch):
+    # A nan error is a failed trial: counted in failures, left out of every
+    # mean, std and win rate.
+    proposed = np.full((len(SWEEP_ANGLES), 3), 1.0)
+    baseline = np.full_like(proposed, 2.0)
+    proposed[0], baseline[0] = [1.0, math.nan, 3.0], [0.5, 2.0, math.nan]
+    baseline[1] = math.nan
+    proposed[2] = [3.0, 1.0, 1.0]
+    monkeypatch.setattr(harness, "_sweep_errors", lambda *args: (proposed, baseline))
+    config = config_with(harness_overrides={"trials": 3})
+
+    reports = run_static_sweep(config)
+    ours, theirs = reports["proposed"].rows, reports["baseline"].rows
+    assert (ours[0].mean_abs_error, ours[0].std_error, ours[0].failures) == (2.0, 1.0, 1)
+    assert (theirs[0].mean_abs_error, theirs[0].std_error, theirs[0].failures) == (1.25, 0.75, 1)
+    assert math.isnan(theirs[1].mean_abs_error) and math.isnan(theirs[1].std_error)
+    assert theirs[1].failures == 3
+    assert [row.failures for row in ours[1:]] == [0] * (len(SWEEP_ANGLES) - 1)
+    assert reports["proposed"].mare == np.mean(proposed[~np.isnan(proposed)])
+    assert reports["baseline"].mare == np.mean(baseline[~np.isnan(baseline)])
+
+    report = compare_estimators(config)
+    assert report.rows[0].proposed_mae == 2.0 and report.rows[0].baseline_mae == 1.25
+    assert report.rows[0].win_rate == 0.0  # 1 < 0.5 fails; the other two are not measured
+    assert math.isnan(report.rows[1].win_rate) and report.rows[1].baseline_failures == 3
+    assert report.rows[2].win_rate == 2 / 3
+    assert [row.win_rate for row in report.rows[3:]] == [1.0] * (len(SWEEP_ANGLES) - 3)
+    assert report.overall_win_rate == (0 + 2 + 3 * (len(SWEEP_ANGLES) - 3)) / (
+        2 + 3 * (len(SWEEP_ANGLES) - 2))
+
+
+# A light press: at some angles no trial, at some a few and at others every
+# trial detects a contact the baseline can fit.
+_LIGHT_PRESS = ["--trials", "5", "--set", "scenario.max_indent=0.01"]
+
+
+def _recounted_baseline_failures(config):
+    """Per sweep angle, the trials whose contact mask gives the baseline
+    nothing to fit: no contact detected, or fewer than 3 flagged markers."""
+    trials = config.harness.trials
+    counts = [0] * len(SWEEP_ANGLES)
+    for angle_pos, theta in enumerate(SWEEP_ANGLES):
+        scenario = replace(config.scenario, theta_trajectory=float(theta))
+        for trial in range(trials):
+            frame, _truth = generate_frame(scenario, 0.0, frame_index=angle_pos * trials + trial)
+            mask = detect_contact(config.grid, frame, config.segmentation)
+            counts[angle_pos] += not mask.contact_detected or mask.n_flagged < 3
+    return counts
+
+
+@pytest.mark.parametrize("command", ["sweep", "compare"])
+def test_trials_without_contact_are_baseline_failures(command, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main([command, *_LIGHT_PRESS, "--out", str(out)]) == 0
+    header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+    assert len(rows) == len(SWEEP_ANGLES)
+    column = {name: [row[header.index(name)] for row in rows] for name in header}
+    failures = list(map(int, column["baseline_failures"]))
+    config = build_config({"scenario": {"max_indent": 0.01}, "harness": {"trials": 5}})
+    assert failures == _recounted_baseline_failures(config)
+    assert {0, 5} < set(failures)  # angles that fail none, all and some of their trials
+    assert [mae == "nan" for mae in column["baseline_mae_deg"]] == [n == 5 for n in failures]
+    stderr = capsys.readouterr().err.splitlines()
+    if command == "sweep":
+        assert stderr[0].endswith(f"over {5 * len(SWEEP_ANGLES)} trials")
+        assert stderr[1].endswith(f"over {5 * len(SWEEP_ANGLES) - sum(failures)} trials")
+    else:
+        assert [rate == "nan" for rate in column["win_rate"]] == [n == 5 for n in failures]
+        assert stderr[0].endswith(f"baseline insufficient-data trials: {sum(failures)}")
+
+
+def test_sweep_summary_counts_only_the_measured_trials(tmp_path, capsys):
+    # Every baseline trial fails: its MARE is nan over no trials.
+    settings = ["--set", "scenario.contact_radius=0.8", "--set", "scenario.cor=[0.5,0.5]",
+                "--set", "scenario.noise_sigma=0.0"]
+    assert main(["sweep", "--trials", "2", *settings, "--out", str(tmp_path / "out.csv")]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "proposed: MARE 4.18355 +/- 2.08311 deg over 38 trials",
+        "baseline: MARE nan +/- nan deg over 0 trials",
+    ]
+
+
+def test_dynamic_walks_its_trajectory_once(monkeypatch):
+    # Frames and truths come from one walk, so a trajectory that can be
+    # walked only once gives the same rows as a list.
+    config = build_config(apply_overrides(load_document("three-lift"), ["harness.t_end=4"]))
+    from_list = io.StringIO()
+    result = run_dynamic(config, csv_out=from_list)
+    generate = harness.generate_trajectory
+    monkeypatch.setattr(harness, "generate_trajectory", lambda *args: iter(generate(*args)))
+    from_iterator = io.StringIO()
+    assert run_dynamic(config, csv_out=from_iterator) == result
+    assert from_iterator.getvalue() == from_list.getvalue()
+    assert result.n_frames == 121
 
 
 def test_cli_sweep_and_compare_write_csv(tmp_path):

@@ -26,14 +26,14 @@ from pivotgauge import (
     generate_trajectory,
     half_curl,
     three_lift_scenario,
-    with_constant_theta,
 )
 from pivotgauge import simulate
+from pivotgauge.cli import main
 from pivotgauge.core import MAX_FRAMES
 from pivotgauge.simulate import GroundTruth
 from pivotgauge.streams import write_frame, write_truth
 
-from conftest import reference_noiseless_field, reference_write_truth
+from conftest import finite_steps_and_slopes, reference_noiseless_field, reference_write_truth
 
 
 def annulus(theta=10.0, r_s=4.0, a=6.0, gamma=2.0, k=0.0, sigma=0.0, cor=(0.0, 0.0), seed=0):
@@ -186,7 +186,7 @@ def _frame_and_truth_bytes(frame, truth):
 @pytest.mark.parametrize("settings", [{}, {"stick_radius": 3.0, "contact_radius": 6.0}])
 def test_repeated_time_matches_fresh_scenario(settings, sigma):
     # Static-sweep use: many trials at one time of one scenario.
-    scn = with_constant_theta(SimScenario(noise_sigma=sigma, **settings), 12.0)
+    scn = SimScenario(noise_sigma=sigma, theta_trajectory=12.0, **settings)
     for i in (0, 1, 2, 1):
         assert _frame_and_truth_bytes(*generate_frame(scn, 0.0, i)) == \
             _frame_and_truth_bytes(*generate_frame(replace(scn), 0.0, i))
@@ -361,6 +361,29 @@ def test_piecewise_trajectory_domain_enforced():
 
 
 @pytest.mark.parametrize(
+    "points",
+    [
+        [[0, 1], [1e-323, 2]],  # a slope beyond float range
+        [[0, 0], [1, 1e308], [2, -1e308]],  # a value step beyond float range
+        [[-1e308, 0], [1e308, 1]],  # a t step beyond float range
+    ],
+)
+def test_breakpoints_need_finite_steps_and_slopes(points, tmp_path, capsys):
+    # Interpolation over such a list overflows; it is refused where it is
+    # given, without a numpy warning (warnings are errors in this suite).
+    with pytest.raises(UsageError, match="^piecewise-linear breakpoints must have finite t "):
+        PiecewiseLinear(points)
+    with pytest.raises(UsageError, match=r"^scenario\.theta_trajectory must be a number or "):
+        SimScenario(theta_trajectory=points)
+    out = tmp_path / "frames.ndjson"
+    assert main(["simulate", "--set", f"scenario.theta_trajectory={points}", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: invalid config value: scenario.theta_trajectory must be a number or a "
+        "breakpoint list\n")
+    assert not out.exists()  # refused at load, before any output
+
+
+@pytest.mark.parametrize(
     "name, kind, width",
     [("theta_trajectory", "a number", 2), ("stick_radius", "a number", 2),
      ("translation_trajectory", "a 2-vector", 3)],
@@ -396,6 +419,10 @@ def _stick_radius_breakpoints(draw):
 @given(spec=_stick_radius_breakpoints(), data=st.data())
 def test_stick_radius_at_stays_within_the_contact_radius(spec, data):
     a, points = spec
+    if not finite_steps_and_slopes(points):  # a huge or subnormal t step: refused on input
+        with pytest.raises(UsageError, match=r"^scenario\.stick_radius must be a number or "):
+            SimScenario(contact_radius=a, stick_radius=points)
+        return
     scn = SimScenario(contact_radius=a, stick_radius=points)
     times = [row[0] for row in points]
     # The ends of the domain, the floats just inside them and one drawn time.

@@ -34,6 +34,8 @@ from pivotgauge.core import MAX_FRAMES, finite_number
 from pivotgauge.simulate import frame_count
 from pivotgauge.streams import read_frames, write_header
 
+from conftest import finite_steps_and_slopes
+
 _NOT_NUMBERS = (True, "1", None, math.nan, math.inf, 10**400)
 
 # Every float field of the types a config builds, by section and key.
@@ -297,7 +299,7 @@ def test_breakpoint_lists_follow_the_rule(data):
     name = data.draw(st.sampled_from(sorted(_TIME_INPUTS)))
     attr, width, entries = _TIME_INPUTS[name]
     points, bad = data.draw(_breakpoint_lists(width, entries))
-    if bad:
+    if bad or not finite_steps_and_slopes(points):
         with pytest.raises(UsageError, match=rf"^scenario\.{name} must be "):
             SimScenario(**{name: points})
         with pytest.raises(ConfigError, match=rf"^invalid config value: scenario\.{name} "):
