@@ -225,7 +225,7 @@ class Frame:
             raise UsageError(f"displacements must be real numbers, got dtype {d.dtype}")
         if d.ndim != 2 or d.shape[1] != 3:
             raise UsageError(f"displacements must be (n, 3), got shape {d.shape}")
-        if not np.all(np.isfinite(d)):
+        if not np.isfinite(d).all():
             raise UsageError("displacements contain non-finite values")
         d.setflags(write=False)
         object.__setattr__(self, "displacements", d)
@@ -269,7 +269,13 @@ class ContactMask:
 
     @property
     def n_flagged(self) -> int:
-        return int(self.flags.sum())
+        return int(np.count_nonzero(self.flags))
+
+    def require_grid(self, grid: MarkerGrid) -> None:
+        if self.flags.shape != (grid.n_markers,):
+            raise UsageError(
+                f"contact mask has shape {self.flags.shape}, grid expects ({grid.n_markers},)"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,12 +294,18 @@ class LineFeatureAngles:
         valid = np.asarray(self.valid, dtype=bool)
         if angles.shape != valid.shape:
             raise UsageError("angles and valid must have matching shapes")
-        if not np.all(np.isfinite(angles[valid])):
+        if not np.isfinite(angles[valid]).all():
             raise UsageError("valid angles must be finite")
         angles.setflags(write=False)
         valid.setflags(write=False)
         object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "valid", valid)
+
+    def require_grid(self, grid: MarkerGrid) -> None:
+        if self.angles.shape != (grid.n_markers,):
+            raise UsageError(
+                f"angle record has shape {self.angles.shape}, grid expects ({grid.n_markers},)"
+            )
 
 
 @dataclass(frozen=True)

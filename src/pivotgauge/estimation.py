@@ -74,31 +74,35 @@ def baseline_least_squares(
     """
     if not mask.contact_detected:
         raise UsageError("baseline requires a detected contact")
-    idx = np.flatnonzero(mask.flags)
-    if idx.size < 3:
-        raise InsufficientDataError(
-            f"baseline needs >= 3 flagged markers, got {idx.size}"
-        )
+    mask.require_grid(grid)
+    idx = mask.flags.nonzero()[0]
+    n = idx.size
+    if n < 3:
+        raise InsufficientDataError(f"baseline needs >= 3 flagged markers, got {n}")
     frame.require_grid(grid)
     p = grid.reference_positions[idx]
     q = p + frame.displacements[idx, :2]
-    p_bar = p.mean(axis=0)
-    q_bar = q.mean(axis=0)
+    p_bar = p.sum(axis=0) / n
+    q_bar = q.sum(axis=0) / n
     pc = p - p_bar
     qc = q - q_bar
-    sym = float(np.sum(pc * qc))
-    antisym = float(np.sum(pc[:, 0] * qc[:, 1] - pc[:, 1] * qc[:, 0]))
+    sym = float((pc * qc).sum())
+    antisym = float((pc[:, 0] * qc[:, 1] - pc[:, 1] * qc[:, 0]).sum())
     if sym == 0.0 and antisym == 0.0:
         return RotationEstimate(theta=0.0, state=ContactState.STICK, stick_ratio=1.0)
     alpha = math.atan2(antisym, sym)
 
     cor: Optional[tuple[float, float]] = None
     if abs(math.sin(alpha)) > _MIN_COR_ANGLE_RAD:
+        # The centre solves (I - R) c = q_bar - R p_bar. I - R is a scaled
+        # rotation [[a, s], [-s, a]] with a = 1 - cos(alpha), so its inverse
+        # is [[a, -s], [s, a]] / (a^2 + s^2).
         c, s = math.cos(alpha), math.sin(alpha)
-        rot = np.array([[c, -s], [s, c]])
-        shift = q_bar - rot @ p_bar
-        center = np.linalg.solve(np.eye(2) - rot, shift)
-        cor = (float(center[0]), float(center[1]))
+        (px, py), (qx, qy) = p_bar.tolist(), q_bar.tolist()
+        bx, by = qx - (c * px - s * py), qy - (s * px + c * py)
+        a = 1.0 - c
+        det = a * a + s * s
+        cor = ((a * bx - s * by) / det, (s * bx + a * by) / det)
     return RotationEstimate(
         theta=-math.degrees(alpha), state=ContactState.STICK, stick_ratio=1.0, cor=cor
     )

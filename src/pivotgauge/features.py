@@ -20,18 +20,6 @@ from .core import Frame, LineFeatureAngles, MarkerGrid
 DEGENERATE_LENGTH_RATIO = 0.01
 
 
-# Slices of a (rows, cols) array that pair each marker with its neighbour
-# on one side: ((reference offset / pitch), markers, their neighbours), in
-# the order left, right, up, down ("up" is the previous row).
-_ALL, _HEAD, _TAIL = slice(None), slice(1, None), slice(None, -1)
-_SIDES = (
-    ((-1.0, 0.0), (_ALL, _HEAD), (_ALL, _TAIL)),
-    ((1.0, 0.0), (_ALL, _TAIL), (_ALL, _HEAD)),
-    ((0.0, -1.0), (_HEAD, _ALL), (_TAIL, _ALL)),
-    ((0.0, 1.0), (_TAIL, _ALL), (_HEAD, _ALL)),
-)
-
-
 def line_feature_angles(grid: MarkerGrid, frame: Frame) -> LineFeatureAngles:
     """Per-marker mean segment rotation angle, degrees, CCW positive.
 
@@ -41,27 +29,40 @@ def line_feature_angles(grid: MarkerGrid, frame: Frame) -> LineFeatureAngles:
     still contribute.
     """
     frame.require_grid(grid)
-    rows, cols, pitch = grid.rows, grid.cols, grid.pitch
-    x, y = np.ascontiguousarray(frame.displacements[:, :2].T).reshape(2, rows, cols)
-    angle_sum = np.zeros((rows, cols))
-    seg_count = np.zeros((rows, cols), dtype=int)
+    n, cols, pitch = grid.n_markers, grid.cols, float(grid.pitch)
+    x, y = np.ascontiguousarray(frame.displacements[:, :2].T)
+    angle_sum = np.zeros(n)
+    seg_count = np.zeros(n, dtype=int)
     min_len = DEGENERATE_LENGTH_RATIO * pitch
+    # Each side pairs markers with their neighbours as contiguous slices of
+    # the flat planes, in the order left, right, up, down ("up" is the
+    # previous row): (offset to the neighbour, markers, neighbours, whether
+    # the side is horizontal). A horizontal side also pairs the last marker
+    # of a row with the first of the next one, every cols-th pair from
+    # cols - 1 on; those are masked out of ``usable``.
+    sides = (
+        (-pitch, 0.0, slice(1, None), slice(None, -1), True),
+        (pitch, 0.0, slice(None, -1), slice(1, None), True),
+        (0.0, -pitch, slice(cols, None), slice(None, -cols), False),
+        (0.0, pitch, slice(None, -cols), slice(cols, None), False),
+    )
 
     # Sides are summed in a fixed order: float addition is not associative.
     # Adding 0.0 for an unusable segment is exact: the sum starts at +0.0
     # and so never becomes -0.0.
-    for (ux, uy), own, nbr in _SIDES:
-        ox, oy = pitch * ux, pitch * uy
+    for ox, oy, own, nbr, horizontal in sides:
         cx = ox + x[nbr] - x[own]
         cy = oy + y[nbr] - y[own]
         usable = np.hypot(cx, cy) >= min_len
+        if horizontal:
+            usable[cols - 1::cols] = False
         seg_angle = np.degrees(np.arctan2(ox * cy - oy * cx, ox * cx + oy * cy))
         angle_sum[own] += np.where(usable, seg_angle, 0.0)
         seg_count[own] += usable
 
     valid = seg_count >= 2
     angles = np.where(valid, angle_sum, 0.0) / np.maximum(seg_count, 1)
-    return LineFeatureAngles(angles=angles.ravel(), valid=valid.ravel())
+    return LineFeatureAngles(angles=angles, valid=valid)
 
 
 def half_curl(grid: MarkerGrid, frame_prev: Frame, frame_next: Frame) -> np.ndarray:

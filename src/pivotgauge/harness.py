@@ -229,6 +229,9 @@ def compare_estimators(config: FullConfig, csv_out: Optional[IO[str]] = None) ->
     A trial is a win when the stick-region estimator's absolute error is
     strictly smaller than the baseline's. A failed baseline trial is never a
     win and is left out of the win rate, which covers the measured trials.
+    The CLI's ``baseline insufficient-data trials: N`` sums the rows'
+    ``baseline_failures``: N counts the trials without a detected contact
+    as well as those with fewer than 3 flagged markers.
     """
     proposed, baseline = _sweep_errors(config)
     reports = _sweep_reports(proposed, baseline)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from heapq import heappop, heappush
 from dataclasses import dataclass
 
@@ -75,22 +76,24 @@ def detect_contact(grid: MarkerGrid, frame: Frame, cfg: SegmentationConfig) -> C
     disp = frame.displacements
     dz = disp[:, 2]
     flags = dz >= cfg.normal_filter_ratio * dz.max()
-    flagged_idx = np.flatnonzero(flags)
-    if flagged_idx.size == 0:
+    flagged_idx = flags.nonzero()[0]
+    n = flagged_idx.size
+    if n == 0:
         return ContactMask(flags=np.zeros(grid.n_markers, dtype=bool))
 
     pos = grid.reference_positions[flagged_idx]
-    centroid = pos.mean(axis=0)
+    centroid = pos.sum(axis=0) / n
     flagged = disp[flagged_idx]
     tang = np.hypot(flagged[:, 0], flagged[:, 1])
-    tang_mean = tang.mean()
+    tang_mean = tang.sum() / n
     score = (
         np.hypot(pos[:, 0] - centroid[0], pos[:, 1] - centroid[1]) / grid.pitch
         + np.abs(tang - tang_mean) / (tang_mean + _SCORE_EPSILON_MM)
     )
-    center = int(flagged_idx[np.argmin(score)])
+    center = int(flagged_idx[score.argmin()])
 
-    modulus = float(np.linalg.norm(disp[center]))
+    row = disp[center]
+    modulus = math.sqrt(row.dot(row))
     if modulus <= cfg.contact_threshold:
         return ContactMask(flags=np.zeros(grid.n_markers, dtype=bool))
     return ContactMask(flags=flags, center_index=center)
@@ -115,6 +118,8 @@ def grow_stick_region(
     component of admissible markers around the centre, found without the
     heap or the per-marker test; the result is the same.
     """
+    mask.require_grid(grid)
+    angles.require_grid(grid)
     center = mask.center_index
     if center is None:
         return NO_CONTACT_REGION
@@ -143,7 +148,8 @@ def grow_stick_region(
                     members.append(nbr)
     else:
         pos = grid.reference_positions
-        dist = np.hypot(pos[:, 0] - pos[center, 0], pos[:, 1] - pos[center, 1]).tolist()
+        cx, cy = pos[center].tolist()
+        dist = np.hypot(pos[:, 0] - cx, pos[:, 1] - cy).tolist()
         phi = angles.angles.tolist()
         epsilon, threshold = cfg.epsilon_angle, cfg.delta_phi_th
         mean = phi[center]
@@ -169,7 +175,7 @@ def grow_stick_region(
         state = ContactState.INCIPIENT_SLIP
     return StickRegion(
         members=frozenset(members),
-        mean_angle=float(np.mean(angles.angles[sorted(members)])),
+        mean_angle=float(angles.angles[sorted(members)].sum() / len(members)),
         state=state,
         stick_ratio=len(members) / n_flagged,
     )

@@ -89,7 +89,7 @@ def _time_fn(value, name: str, shape: tuple[int, ...]) -> Callable[[float], Any]
         return fn
     except UsageError as exc:
         kind = "a 2-vector" if shape else "a number"
-        raise UsageError(f"{name} must be {kind} or a breakpoint list") from exc
+        raise UsageError(f"{name} must be {kind} or a breakpoint list: {exc}") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,9 +285,10 @@ def generate_frame(
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=scenario.rng_seed, spawn_key=(frame_index,))
         )
-        displacements = displacements + scenario.noise_sigma * rng.standard_normal(
-            displacements.shape
-        )
+        noise = rng.standard_normal(displacements.shape)
+        noise *= scenario.noise_sigma
+        noise += displacements
+        displacements = noise
     return Frame(timestamp=t, displacements=displacements), truth
 
 

@@ -18,14 +18,19 @@ import pytest
 
 import pivotgauge
 from pivotgauge import (
+    ContactMask,
     ContactState,
     Frame,
+    InsufficientDataError,
     LineFeatureAngles,
     MarkerGrid,
+    RotationEstimate,
     StickRegion,
     normalized_angle_difference,
 )
+from pivotgauge.estimation import _MIN_COR_ANGLE_RAD
 from pivotgauge.features import DEGENERATE_LENGTH_RATIO
+from pivotgauge.segmentation import _SCORE_EPSILON_MM
 from pivotgauge.simulate import (
     GroundTruth,
     SimScenario,
@@ -67,8 +72,9 @@ def brute_force_feature_angle(grid: MarkerGrid, frame: Frame, index: int) -> flo
 
 
 # Slices of a (rows, cols) array that pair each marker with its neighbour on
-# one side, in the order left, right, up, down. A copy of the package's own
-# table, so that a change to the package's order fails the reference test.
+# one side, in the order left, right, up, down: the order in which the
+# package sums its sides, so that a change to that order fails the
+# reference test.
 _ALL, _HEAD, _TAIL = slice(None), slice(1, None), slice(None, -1)
 _SIDES = (
     ((-1.0, 0.0), (_ALL, _HEAD), (_ALL, _TAIL)),
@@ -102,6 +108,86 @@ def reference_line_feature_angles(grid: MarkerGrid, frame: Frame) -> LineFeature
     angles = np.zeros((grid.rows, grid.cols))
     angles[valid] = angle_sum[valid] / seg_count[valid]
     return LineFeatureAngles(angles=angles.ravel(), valid=valid.ravel())
+
+
+def hostile_field(grid: MarkerGrid, d: np.ndarray, rng, zeros: float, collapsed: int,
+                  reversed_: int) -> np.ndarray:
+    """``d`` with exact zeros, collapsed segments (shorter than the degenerate
+    length, or exactly zero) and axis-aligned segments turned back on
+    themselves, whose cross product is a signed zero and dot product negative."""
+    d = d.copy()
+    rows, cols, pitch = grid.rows, grid.cols, grid.pitch
+    d[rng.random(d.shape) < zeros] = 0.0
+    d[rng.random(grid.n_markers) < zeros, :2] = 0.0
+    for _ in range(collapsed):
+        m = int(rng.integers(grid.n_markers))
+        if m % cols + 1 < cols:
+            d[m + 1, :2] = d[m, :2] + (-pitch + rng.choice([0.0, 0.005 * pitch]), 0.0)
+    for _ in range(reversed_):
+        m = int(rng.integers(grid.n_markers))
+        vertical = bool(rng.integers(2))
+        step = cols if vertical else 1
+        if (m // cols if vertical else m % cols) + 1 < (rows if vertical else cols):
+            d[m, :2] *= rng.choice([0.0, -0.0, 1.0])
+            d[m + step, :2] = d[m, :2]
+            d[m + step, int(vertical)] -= 2 * pitch
+    return d
+
+
+def reference_detect_contact(grid: MarkerGrid, frame: Frame, cfg) -> ContactMask:
+    """Contact detection through numpy's own wrappers (``mean``,
+    ``np.linalg.norm``); the package's kernel, written with plain
+    reductions, must flag the same markers and pick the same centre."""
+    disp = frame.displacements
+    dz = disp[:, 2]
+    flags = dz >= cfg.normal_filter_ratio * dz.max()
+    flagged_idx = np.flatnonzero(flags)
+    if flagged_idx.size == 0:
+        return ContactMask(flags=np.zeros(grid.n_markers, dtype=bool))
+    pos = grid.reference_positions[flagged_idx]
+    centroid = pos.mean(axis=0)
+    flagged = disp[flagged_idx]
+    tang = np.hypot(flagged[:, 0], flagged[:, 1])
+    tang_mean = tang.mean()
+    score = (
+        np.hypot(pos[:, 0] - centroid[0], pos[:, 1] - centroid[1]) / grid.pitch
+        + np.abs(tang - tang_mean) / (tang_mean + _SCORE_EPSILON_MM)
+    )
+    center = int(flagged_idx[np.argmin(score)])
+    if float(np.linalg.norm(disp[center])) <= cfg.contact_threshold:
+        return ContactMask(flags=np.zeros(grid.n_markers, dtype=bool))
+    return ContactMask(flags=flags, center_index=center)
+
+
+def reference_baseline_least_squares(grid: MarkerGrid, frame: Frame,
+                                     mask: ContactMask) -> RotationEstimate:
+    """The least-squares baseline through numpy's own wrappers (``np.mean``,
+    ``np.sum``) with its rotation centre from ``np.linalg.solve``. The
+    package's kernel must give the same angle bit for bit; its closed-form
+    centre may differ in the last bits."""
+    idx = np.flatnonzero(mask.flags)
+    if idx.size < 3:
+        raise InsufficientDataError(f"baseline needs >= 3 flagged markers, got {idx.size}")
+    p = grid.reference_positions[idx]
+    q = p + frame.displacements[idx, :2]
+    p_bar = np.mean(p, axis=0)
+    q_bar = np.mean(q, axis=0)
+    pc = p - p_bar
+    qc = q - q_bar
+    sym = float(np.sum(pc * qc))
+    antisym = float(np.sum(pc[:, 0] * qc[:, 1] - pc[:, 1] * qc[:, 0]))
+    if sym == 0.0 and antisym == 0.0:
+        return RotationEstimate(theta=0.0, state=ContactState.STICK, stick_ratio=1.0)
+    alpha = math.atan2(antisym, sym)
+    cor = None
+    if abs(math.sin(alpha)) > _MIN_COR_ANGLE_RAD:
+        c, s = math.cos(alpha), math.sin(alpha)
+        rot = np.array([[c, -s], [s, c]])
+        center = np.linalg.solve(np.eye(2) - rot, q_bar - rot @ p_bar)
+        cor = (float(center[0]), float(center[1]))
+    return RotationEstimate(
+        theta=-math.degrees(alpha), state=ContactState.STICK, stick_ratio=1.0, cor=cor
+    )
 
 
 def loop_grow_stick_region(grid: MarkerGrid, mask, angles, cfg):

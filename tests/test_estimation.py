@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from pivotgauge import (
+    ContactMask,
     ContactState,
     EstimatorState,
     Frame,
@@ -28,6 +32,7 @@ from pivotgauge import (
     generate_trajectory,
     three_lift_scenario,
 )
+from conftest import hostile_field, reference_baseline_least_squares, reference_detect_contact
 
 CFG = SegmentationConfig()
 RIGID = SoftnessParams()
@@ -118,6 +123,79 @@ def test_baseline_needs_three_markers(grid20):
     frame = Frame(0.0, np.zeros((grid20.n_markers, 3)))
     with pytest.raises(InsufficientDataError):
         baseline_least_squares(grid20, frame, mask)
+
+
+def test_baseline_refuses_a_mask_of_another_grid():
+    grid = MarkerGrid(rows=4, cols=4)
+    frame = Frame(0.0, np.zeros((grid.n_markers, 3)))
+    mask = ContactMask(np.ones(25, dtype=bool), center_index=20)
+    with pytest.raises(UsageError, match=r"^contact mask has shape \(25,\), grid expects \(16,\)$"):
+        baseline_least_squares(grid, frame, mask)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.integers(2, 24),
+    cols=st.integers(2, 24),
+    pitch=st.sampled_from([0.7, 1.0, 1.3]),
+    field=st.sampled_from(["press", "light press", "flat dz"]),
+    scale=st.sampled_from([0.0, 0.001, 0.05, 0.5, 2.0]),
+    threshold=st.sampled_from([0.1, 1e-3, 1e-9]),
+    zeros=st.sampled_from([0.0, 0.3, 0.9]),
+    collapsed=st.integers(0, 6),
+    reversed_=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_plain_kernels_match_the_numpy_references(rows, cols, pitch, field, scale, threshold,
+                                                   zeros, collapsed, reversed_, seed):
+    # The same flags, centre and angle bit for bit; the closed-form rotation
+    # centre as close to np.linalg.solve's as rounding allows.
+    grid = MarkerGrid(rows=rows, cols=cols, pitch=pitch)
+    rng = np.random.default_rng(seed)
+    if field == "flat dz":  # every marker flagged
+        d = rng.normal(0.0, scale, (grid.n_markers, 3))
+        d[:, 2] = rng.choice([0.0, 0.01, 0.5])
+    else:
+        contact = rng.uniform(0.3, 1.0) * grid.half_extent
+        scn = SimScenario(grid=grid, contact_radius=contact,
+                          stick_radius=rng.uniform(0.1, 1.0) * contact,
+                          max_indent=0.01 if field == "light press" else 0.5,
+                          theta_trajectory=rng.uniform(-25.0, 25.0),
+                          translation_trajectory=tuple(rng.normal(0.0, 0.2, 2)),
+                          noise_sigma=scale, rng_seed=seed)
+        d = generate_frame(scn, 0.0)[0].displacements
+    frame = Frame(0.0, hostile_field(grid, d, rng, zeros, collapsed, reversed_))
+    cfg = SegmentationConfig(contact_threshold=threshold)
+
+    mask = detect_contact(grid, frame, cfg)
+    expected_mask = reference_detect_contact(grid, frame, cfg)
+    assert np.array_equal(mask.flags, expected_mask.flags)
+    assert mask.center_index == expected_mask.center_index
+    if not mask.contact_detected:
+        event("no contact")
+        return
+    try:
+        expected = reference_baseline_least_squares(grid, frame, mask)
+    except InsufficientDataError:
+        event("too few flagged markers")
+        with pytest.raises(InsufficientDataError):
+            baseline_least_squares(grid, frame, mask)
+        return
+    estimate = baseline_least_squares(grid, frame, mask)
+    assert estimate.theta.hex() == expected.theta.hex()
+    assert (estimate.cor is None) == (expected.cor is None)
+    event("no centre" if expected.cor is None else "centre")
+    if expected.cor is not None:
+        # Both solve (I - R) c = q_bar - R p_bar. Its right side is rounded by
+        # ulps of |p_bar| + |q_bar|, and solving divides that by the norm of
+        # I - R, |2 sin(alpha / 2)|: at small angles even two correct
+        # roundings differ by more than 1e-12 of |c|.
+        p = grid.reference_positions[mask.flags]
+        q = p + frame.displacements[mask.flags, :2]
+        spread = (math.hypot(*p.mean(axis=0)) + math.hypot(*q.mean(axis=0))) / abs(
+            2 * math.sin(math.radians(expected.theta) / 2))
+        tolerance = 1e-12 * math.hypot(*expected.cor) + 16 * sys.float_info.epsilon * spread
+        assert math.dist(estimate.cor, expected.cor) <= tolerance
 
 
 def test_baseline_requires_contact(grid20):

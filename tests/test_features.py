@@ -20,7 +20,7 @@ from pivotgauge import (
     normalized_angle_difference,
 )
 from pivotgauge.features import admission_certain
-from conftest import brute_force_feature_angle, reference_line_feature_angles
+from conftest import brute_force_feature_angle, hostile_field, reference_line_feature_angles
 
 EPSILON = SegmentationConfig().epsilon_angle
 
@@ -80,30 +80,6 @@ def test_matches_brute_force_everywhere():
                 assert result.angles[idx] == pytest.approx(oracle, abs=1e-9)
 
 
-def _hostile_field(grid: MarkerGrid, d: np.ndarray, rng, zeros: float, collapsed: int,
-                   reversed_: int) -> np.ndarray:
-    """``d`` with exact zeros, collapsed segments (shorter than the degenerate
-    length, or exactly zero) and axis-aligned segments turned back on
-    themselves, whose cross product is a signed zero and dot product negative."""
-    d = d.copy()
-    rows, cols, pitch = grid.rows, grid.cols, grid.pitch
-    d[rng.random(d.shape) < zeros] = 0.0
-    d[rng.random(grid.n_markers) < zeros, :2] = 0.0
-    for _ in range(collapsed):
-        m = int(rng.integers(grid.n_markers))
-        if m % cols + 1 < cols:
-            d[m + 1, :2] = d[m, :2] + (-pitch + rng.choice([0.0, 0.005 * pitch]), 0.0)
-    for _ in range(reversed_):
-        m = int(rng.integers(grid.n_markers))
-        vertical = bool(rng.integers(2))
-        step = cols if vertical else 1
-        if (m // cols if vertical else m % cols) + 1 < (rows if vertical else cols):
-            d[m, :2] *= rng.choice([0.0, -0.0, 1.0])
-            d[m + step, :2] = d[m, :2]
-            d[m + step, int(vertical)] -= 2 * pitch
-    return d
-
-
 @settings(max_examples=300, deadline=None)
 @given(
     rows=st.integers(2, 24),
@@ -131,7 +107,7 @@ def test_planar_kernel_matches_reference_bit_for_bit(rows, cols, pitch, simulate
         d = generate_frame(scn, 0.0)[0].displacements
     else:
         d = rng.normal(0.0, scale, (grid.n_markers, 3))
-    frame = Frame(0.0, _hostile_field(grid, d, rng, zeros, collapsed, reversed_))
+    frame = Frame(0.0, hostile_field(grid, d, rng, zeros, collapsed, reversed_))
     result = line_feature_angles(grid, frame)
     expected = reference_line_feature_angles(grid, frame)
     assert result.angles.tobytes() == expected.angles.tobytes()

@@ -371,3 +371,19 @@ def test_stick_ratio_non_increasing_across_preset_plateaus():
         assert region.state is not ContactState.MACRO_SLIP
         ratios.append(region.stick_ratio)
     assert all(b <= a + 1e-12 for a, b in zip(ratios, ratios[1:]))
+
+
+@pytest.mark.parametrize(
+    "flags, center, n_angles, message",
+    [
+        (25, 20, 16, r"^contact mask has shape \(25,\), grid expects \(16,\)$"),
+        (16, 5, 25, r"^angle record has shape \(25,\), grid expects \(16,\)$"),
+        (16, 5, 9, r"^angle record has shape \(9,\), grid expects \(16,\)$"),
+    ],
+)
+def test_growth_refuses_records_of_another_grid(flags, center, n_angles, message):
+    grid = MarkerGrid(rows=4, cols=4)
+    mask = ContactMask(np.ones(flags, dtype=bool), center_index=center)
+    angles = LineFeatureAngles(np.full(n_angles, 1.0), np.ones(n_angles, dtype=bool))
+    with pytest.raises(UsageError, match=message):
+        grow_stick_region(grid, mask, angles, CFG)

@@ -379,7 +379,7 @@ def test_breakpoints_need_finite_steps_and_slopes(points, tmp_path, capsys):
     assert main(["simulate", "--set", f"scenario.theta_trajectory={points}", "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
         "error: invalid config value: scenario.theta_trajectory must be a number or a "
-        "breakpoint list\n")
+        "breakpoint list: piecewise-linear breakpoints must have finite t steps and slopes\n")
     assert not out.exists()  # refused at load, before any output
 
 
@@ -391,8 +391,10 @@ def test_breakpoints_need_finite_steps_and_slopes(points, tmp_path, capsys):
 def test_time_inputs_are_data_not_functions(name, kind, width):
     # A function of time could not be checked at load, nor kept in a config.
     points = [[0.0] + [1.0] * (width - 1), [1.0] + [2.0] * (width - 1)]
+    cause = "two finite numbers" if width == 3 else "a finite number"
     for value in (lambda t: points[0][1:], PiecewiseLinear(points)):
-        message = rf"^scenario\.{name} must be {kind} or a breakpoint list$"
+        message = (rf"^scenario\.{name} must be {kind} or a breakpoint list: "
+                   rf"scenario\.{name} must be {cause}, got <")
         with pytest.raises(UsageError, match=message):
             SimScenario(**{name: value})
 
