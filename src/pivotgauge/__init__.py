@@ -44,7 +44,6 @@ from .simulate import (
     GroundTruth,
     PiecewiseLinear,
     SimScenario,
-    analytic_local_rotation,
     generate_frame,
     generate_trajectory,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "StickRegion",
     "SweepReport",
     "UsageError",
-    "analytic_local_rotation",
     "baseline_least_squares",
     "compare_estimators",
     "detect_contact",

@@ -86,11 +86,20 @@ def _load(args: argparse.Namespace) -> FullConfig:
 
 @contextlib.contextmanager
 def _open(path, mode="w"):
-    """The file at ``path`` in ``mode`` "r" or "w", or stdin/stdout for None or "-"."""
+    """The file at ``path`` in ``mode`` "r" or "w", or stdin/stdout for None or "-".
+
+    Input is decoded as UTF-8 with each undecodable byte replaced by U+FFFD,
+    so a bad byte spoils its own line only, which is then skipped.
+    """
     if path is None or path == "-":
+        if mode == "r" and isinstance(sys.stdin, io.TextIOWrapper):
+            sys.stdin.reconfigure(encoding="utf-8", errors="replace")
         yield sys.stdin if mode == "r" else sys.stdout
+    elif mode == "r":
+        with open(path, encoding="utf-8", errors="replace") as handle:
+            yield handle
     else:
-        with open(path, mode, newline=None if mode == "r" else "") as handle:
+        with open(path, mode, newline="") as handle:
             yield handle
 
 
@@ -100,15 +109,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     frames = generate_trajectory(
         config.scenario, harness.t_start, harness.t_end, harness.rate_hz
     )
-    with _open(args.out) as out:
-        write_header(out, config.grid)
-        for frame, _truth in frames:
+    # The truth file is opened first: a path that cannot be opened ends the
+    # run before the frame file exists.
+    truth_file = open(args.truth_out, "w") if args.truth_out else contextlib.nullcontext()
+    with truth_file as truth_out, _open(args.out) as out:
+        for stream in filter(None, (out, truth_out)):
+            write_header(stream, config.grid)
+        for frame, truth in frames:
             write_frame(out, frame)
-    if args.truth_out:
-        with open(args.truth_out, "w") as out:
-            write_header(out, config.grid)
-            for frame, truth in frames:
-                write_truth(out, frame.timestamp, truth)
+            if truth_out:
+                write_truth(truth_out, frame.timestamp, truth)
     return 0
 
 

@@ -198,12 +198,12 @@ def load_document(source: Union[str, Path, None]) -> dict[str, Any]:
             raise ConfigError(f"config file or preset not found: {source}")
         path = preset
     try:
-        return json.loads(path.read_text())
+        return json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"config parse failure in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     except RecursionError as exc:
         raise ConfigError(f"config {path} is nested too deeply to parse") from exc
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc

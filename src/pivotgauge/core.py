@@ -31,6 +31,10 @@ MAX_MARKERS = 1_000_000
 # Longest trajectory a config or caller may ask for, as rate x duration (over
 # nine hours at 30 Hz); checked before any frame is generated.
 MAX_FRAMES = 1_000_000
+# Largest displacement component a frame holds, in mm: a kilometre, far beyond
+# any elastomer's motion, and small enough that no kernel's arithmetic on a
+# frame can overflow.
+MAX_DISPLACEMENT_MM = 1e6
 _FLOAT_MAX = sys.float_info.max  # an int beyond it has no float value
 _REALS = (int, float, np.integer, np.floating)  # bool is an int: refused separately
 _ROWS = (list, tuple, range, np.ndarray)  # kinds of rows, and of sequences of them
@@ -174,6 +178,11 @@ class MarkerGrid:
         """Smaller half-width of the marker span, in mm."""
         return min(self.rows - 1, self.cols - 1) * self.pitch / 2.0
 
+    def require(self, what: str, shape: tuple[int, ...]) -> None:
+        """The one grid check of a per-marker record: ``shape`` must be (n_markers,)."""
+        if shape != (self.n_markers,):
+            raise UsageError(f"{what} has shape {shape}, grid expects ({self.n_markers},)")
+
     @property
     def reference_positions(self) -> np.ndarray:
         """(n_markers, 2) array of reference xy positions, row-major."""
@@ -206,9 +215,9 @@ class Frame:
 
     ``timestamp`` is a finite number of seconds. ``displacements`` is
     (n_markers, 3): tangential dx, dy and normal dz, all in mm, cumulative
-    relative to the reference configuration, all finite. It is given as an
-    int, uint or float array, which the frame copies, or as rows of numbers
-    by the number rule.
+    relative to the reference configuration, each within
+    +-``MAX_DISPLACEMENT_MM``. It is given as an int, uint or float array,
+    which the frame copies, or as rows of numbers by the number rule.
     """
 
     timestamp: float
@@ -223,10 +232,11 @@ class Frame:
             d = np.array(d, dtype=float, order="C")  # the frame's own copy, never the caller's
         else:
             raise UsageError(f"displacements must be real numbers, got dtype {d.dtype}")
-        if d.ndim != 2 or d.shape[1] != 3:
+        if d.ndim != 2 or d.shape[1] != 3 or not len(d):
             raise UsageError(f"displacements must be (n, 3), got shape {d.shape}")
-        if not np.isfinite(d).all():
-            raise UsageError("displacements contain non-finite values")
+        # Also refuses nan and +-inf, and allocates nothing.
+        if not (-MAX_DISPLACEMENT_MM <= d.min() and d.max() <= MAX_DISPLACEMENT_MM):
+            raise UsageError(f"displacements must lie within +-{MAX_DISPLACEMENT_MM:g} mm")
         d.setflags(write=False)
         object.__setattr__(self, "displacements", d)
         object.__setattr__(self, "timestamp", t)
@@ -234,12 +244,6 @@ class Frame:
     @property
     def n_markers(self) -> int:
         return self.displacements.shape[0]
-
-    def require_grid(self, grid: MarkerGrid) -> None:
-        if self.n_markers != grid.n_markers:
-            raise UsageError(
-                f"frame has {self.n_markers} markers, grid expects {grid.n_markers}"
-            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,12 +275,6 @@ class ContactMask:
     def n_flagged(self) -> int:
         return int(np.count_nonzero(self.flags))
 
-    def require_grid(self, grid: MarkerGrid) -> None:
-        if self.flags.shape != (grid.n_markers,):
-            raise UsageError(
-                f"contact mask has shape {self.flags.shape}, grid expects ({grid.n_markers},)"
-            )
-
 
 @dataclass(frozen=True, eq=False)
 class LineFeatureAngles:
@@ -300,12 +298,6 @@ class LineFeatureAngles:
         valid.setflags(write=False)
         object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "valid", valid)
-
-    def require_grid(self, grid: MarkerGrid) -> None:
-        if self.angles.shape != (grid.n_markers,):
-            raise UsageError(
-                f"angle record has shape {self.angles.shape}, grid expects ({grid.n_markers},)"
-            )
 
 
 @dataclass(frozen=True)

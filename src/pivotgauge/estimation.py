@@ -74,12 +74,12 @@ def baseline_least_squares(
     """
     if not mask.contact_detected:
         raise UsageError("baseline requires a detected contact")
-    mask.require_grid(grid)
+    grid.require("contact mask", mask.flags.shape)
     idx = mask.flags.nonzero()[0]
     n = idx.size
     if n < 3:
         raise InsufficientDataError(f"baseline needs >= 3 flagged markers, got {n}")
-    frame.require_grid(grid)
+    grid.require("frame", (frame.n_markers,))
     p = grid.reference_positions[idx]
     q = p + frame.displacements[idx, :2]
     p_bar = p.sum(axis=0) / n

@@ -28,7 +28,7 @@ def line_feature_angles(grid: MarkerGrid, frame: Frame) -> LineFeatureAngles:
     with only 2-3 neighbours stay valid so contact patches near the edge
     still contribute.
     """
-    frame.require_grid(grid)
+    grid.require("frame", (frame.n_markers,))
     n, cols, pitch = grid.n_markers, grid.cols, float(grid.pitch)
     x, y = np.ascontiguousarray(frame.displacements[:, :2].T)
     angle_sum = np.zeros(n)
@@ -72,8 +72,8 @@ def half_curl(grid: MarkerGrid, frame_prev: Frame, frame_next: Frame) -> np.ndar
     For a small rigid rotation increment this equals the sine-corrected
     increment angle everywhere.
     """
-    frame_prev.require_grid(grid)
-    frame_next.require_grid(grid)
+    grid.require("frame", (frame_prev.n_markers,))
+    grid.require("frame", (frame_next.n_markers,))
     inc = frame_next.displacements - frame_prev.displacements
     dx = inc[:, 0].reshape(grid.rows, grid.cols)
     dy = inc[:, 1].reshape(grid.rows, grid.cols)

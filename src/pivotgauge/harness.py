@@ -21,7 +21,7 @@ from .config import SWEEP_ANGLES, FullConfig
 from .core import ContactState, Frame, InsufficientDataError, MarkerGrid
 from .estimation import RotationPipeline, baseline_least_squares, estimate_frame
 from .simulate import generate_frame, generate_trajectory
-from .streams import read_frames, read_header, write_csv_row
+from .streams import NumberedLines, read_frames, read_header, write_csv_row
 
 VALID_RANGE = (2.0, 20.0)
 
@@ -213,7 +213,7 @@ def estimate_from_stream(
     with a warning; a malformed header is fatal. Returns the number of
     frames processed.
     """
-    lines = iter(lines)  # the header is read once, then frames from the next line
+    lines = NumberedLines(lines)  # the header is read once, then frames from the next line
     grid = read_header(lines)
     write_csv_row(csv_out, ESTIMATE_CSV_HEADER)
     n = 0

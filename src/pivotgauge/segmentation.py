@@ -64,22 +64,24 @@ class SegmentationConfig:
 def detect_contact(grid: MarkerGrid, frame: Frame, cfg: SegmentationConfig) -> ContactMask:
     """Flag contact markers and pick the assumed stick centre.
 
-    Markers whose normal displacement reaches ``normal_filter_ratio`` times
-    the largest normal displacement are flagged. The stick centre is the
-    flagged marker with the smallest combined score of (distance to the
-    flagged centroid) / pitch plus the relative deviation of its tangential
-    magnitude from the flagged mean; ties resolve to the lowest index.
-    Contact counts as detected only when the centre's full deformation
-    modulus exceeds ``contact_threshold``.
+    Without a marker pressed in (a positive normal displacement) there is
+    no contact. Otherwise markers whose normal displacement reaches
+    ``normal_filter_ratio`` times the largest one are flagged. The stick
+    centre is the flagged marker with the smallest combined score of
+    (distance to the flagged centroid) / pitch plus the relative deviation
+    of its tangential magnitude from the flagged mean; ties resolve to the
+    lowest index. Contact counts as detected only when the centre's full
+    deformation modulus exceeds ``contact_threshold``.
     """
-    frame.require_grid(grid)
+    grid.require("frame", (frame.n_markers,))
     disp = frame.displacements
     dz = disp[:, 2]
-    flags = dz >= cfg.normal_filter_ratio * dz.max()
+    top = dz.max()
+    if not top > 0:  # nothing is pressed in
+        return ContactMask(flags=np.zeros(grid.n_markers, dtype=bool))
+    flags = dz >= cfg.normal_filter_ratio * top  # the deepest marker at least
     flagged_idx = flags.nonzero()[0]
     n = flagged_idx.size
-    if n == 0:
-        return ContactMask(flags=np.zeros(grid.n_markers, dtype=bool))
 
     pos = grid.reference_positions[flagged_idx]
     centroid = pos.sum(axis=0) / n
@@ -118,8 +120,8 @@ def grow_stick_region(
     component of admissible markers around the centre, found without the
     heap or the per-marker test; the result is the same.
     """
-    mask.require_grid(grid)
-    angles.require_grid(grid)
+    grid.require("contact mask", mask.flags.shape)
+    grid.require("angle record", angles.angles.shape)
     center = mask.center_index
     if center is None:
         return NO_CONTACT_REGION

@@ -313,16 +313,3 @@ def generate_trajectory(
     """Generate frames at uniform timestamps t0, t0 + 1/rate, ..., <= t1."""
     n = frame_count(t0, t1, rate)
     return [generate_frame(scenario, t0 + i / rate, frame_index=i) for i in range(n)]
-
-
-def analytic_local_rotation(scenario: SimScenario, t: float, position: Sequence[float]) -> float:
-    """Closed-form local rotation of the generative field at a position, degrees.
-
-    Carries the object-side sign: the elastomer's measured line-feature
-    angle at the same position equals the negative of this value.
-    """
-    pos = np.asarray(position, dtype=float)
-    rho = np.array([math.hypot(pos[0] - scenario.cor[0], pos[1] - scenario.cor[1])])
-    decay = _decay_profile(rho, _contact_taper(rho, scenario.contact_radius),
-                           scenario.stick_radius_at(t), scenario.decay_exponent)
-    return float(scenario.theta_at(t) * decay[0] / (1.0 + scenario.softness.k))

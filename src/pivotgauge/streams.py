@@ -69,6 +69,24 @@ def write_truth(out: IO[str], t: float, truth: GroundTruth) -> None:
     )
 
 
+class NumberedLines:
+    """The lines of a stream, numbered from 1 as they are read: ``lineno`` is
+    the number of the last line read, blank lines included. ``read_header``
+    and then ``read_frames`` given one report true line numbers."""
+
+    def __init__(self, lines: Iterable[str], read: int = 0):
+        self._lines = iter(lines)
+        self.lineno = read
+
+    def __iter__(self) -> "NumberedLines":
+        return self
+
+    def __next__(self) -> str:
+        line = next(self._lines)
+        self.lineno += 1
+        return line
+
+
 def read_header(lines: Iterator[str]) -> MarkerGrid:
     """Parse the stream header into a grid; malformed header is fatal."""
     for line in lines:
@@ -97,22 +115,26 @@ def read_frames(
     """Yield frames from NDJSON lines, skipping malformed ones with a warning.
 
     A line is skipped (never fatal) when it fails to parse, has the wrong
-    marker count, contains non-finite components, or is not later than the
-    last frame yielded (a duplicate or out-of-order line).
+    marker count, breaks the number rule of ``Frame``, or is not later than
+    the last frame yielded (a duplicate or out-of-order line). A warning
+    names the line by ``lines.lineno`` for ``NumberedLines``; other lines
+    are numbered as following a header on line 1.
     """
     warn = warn if warn is not None else sys.stderr
+    if not isinstance(lines, NumberedLines):
+        lines = NumberedLines(lines, read=1)
     last_t: Optional[float] = None
-    for lineno, line in enumerate(lines, start=2):
+    for line in lines:
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
             frame = Frame(timestamp=obj["t"], displacements=obj["d"])
-            frame.require_grid(grid)
+            grid.require("frame", (frame.n_markers,))
             if last_t is not None and not frame.timestamp > last_t:
                 raise ValueError(f"out-of-order frame: t={frame.timestamp} not after t={last_t}")
         except _MALFORMED as exc:
-            print(f"warning: skipping frame line {lineno}: {exc}", file=warn)
+            print(f"warning: skipping frame line {lines.lineno}: {exc}", file=warn)
             continue
         last_t = frame.timestamp
         yield frame

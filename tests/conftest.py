@@ -87,7 +87,7 @@ _SIDES = (
 def reference_line_feature_angles(grid: MarkerGrid, frame: Frame) -> LineFeatureAngles:
     """The interleaved-view line-feature kernel the planar one must match bit
     for bit: same arithmetic per segment, boolean-mask accumulation."""
-    frame.require_grid(grid)
+    grid.require("frame", (frame.n_markers,))
     disp = frame.displacements[:, :2].reshape(grid.rows, grid.cols, 2)
     angle_sum = np.zeros((grid.rows, grid.cols))
     seg_count = np.zeros((grid.rows, grid.cols), dtype=int)
@@ -140,10 +140,10 @@ def reference_detect_contact(grid: MarkerGrid, frame: Frame, cfg) -> ContactMask
     reductions, must flag the same markers and pick the same centre."""
     disp = frame.displacements
     dz = disp[:, 2]
-    flags = dz >= cfg.normal_filter_ratio * dz.max()
-    flagged_idx = np.flatnonzero(flags)
-    if flagged_idx.size == 0:
+    if not np.max(dz) > 0:
         return ContactMask(flags=np.zeros(grid.n_markers, dtype=bool))
+    flags = dz >= cfg.normal_filter_ratio * np.max(dz)
+    flagged_idx = np.flatnonzero(flags)
     pos = grid.reference_positions[flagged_idx]
     centroid = pos.mean(axis=0)
     flagged = disp[flagged_idx]
@@ -268,6 +268,18 @@ def reference_decay_profile(rho: np.ndarray, r_s: float, a: float, gamma: float)
     edge = np.sqrt(np.maximum(0.0, 1.0 - ((rho[fringe] - a) / a) ** 2))
     decay[fringe] = (r_s / rho[fringe]) ** gamma * edge
     return decay
+
+
+def analytic_local_rotation(scenario: SimScenario, t: float, position) -> float:
+    """Closed-form local rotation of the generative field at a position, degrees.
+
+    Carries the object-side sign: the elastomer's measured line-feature
+    angle at the same position equals the negative of this value.
+    """
+    rho = np.array([math.hypot(position[0] - scenario.cor[0], position[1] - scenario.cor[1])])
+    decay = reference_decay_profile(rho, scenario.stick_radius_at(t), scenario.contact_radius,
+                                    scenario.decay_exponent)
+    return float(scenario.theta_at(t) * decay[0] / (1.0 + scenario.softness.k))
 
 
 def reference_noiseless_field(scenario: SimScenario, t: float) -> tuple[np.ndarray, GroundTruth]:

@@ -5,7 +5,9 @@ import json
 import math
 import re
 import tracemalloc
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +16,10 @@ from hypothesis import strategies as st
 
 from pivotgauge import ConfigError, ContactState, MarkerGrid, generate_frame, load_config
 from pivotgauge.cli import main
-from pivotgauge.config import apply_overrides, build_config, three_lift_scenario
+from pivotgauge.config import apply_overrides, build_config, load_document, three_lift_scenario
 from pivotgauge import simulate
-from pivotgauge.core import MAX_FRAMES, MAX_MARKERS
+from pivotgauge.core import MAX_DISPLACEMENT_MM, MAX_FRAMES, MAX_MARKERS
+from pivotgauge.harness import estimate_from_stream
 from pivotgauge.simulate import SimScenario
 from pivotgauge.streams import (
     StreamFormatError,
@@ -101,6 +104,35 @@ def test_deeply_nested_config_is_config_error(tmp_path, capsys):
     assert main(["dynamic", "--set", f"scenario.cor={nested}", "--out", str(out)]) == 2
     assert "override scenario.cor is nested too deeply" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_config_document_and_its_sections_are_objects(tmp_path, capsys):
+    listed = tmp_path / "list.json"
+    listed.write_text("[]")
+    assert main(["sweep", "--config", str(listed)]) == 2
+    assert "error: config document must be a JSON object" in capsys.readouterr().err
+    scalar = tmp_path / "scalar.json"
+    scalar.write_text('{"scenario": 5}')
+    assert main(["dynamic", "--config", str(scalar), "--set", "scenario.rng_seed=1"]) == 2
+    assert "error: config section 'scenario' is not an object" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="^config section 'scenario' is not an object$"):
+        apply_overrides({"scenario": 5}, ["scenario.rng_seed=1"])
+
+
+def test_unreadable_config_is_config_error(tmp_path, capsys, monkeypatch):
+    undecodable = tmp_path / "latin1.json"
+    undecodable.write_bytes(b'{"grid": {"rows": 20}, "note": "caf\xe9"}')
+    assert main(["dynamic", "--config", str(undecodable)]) == 2
+    assert "error: cannot read config " in capsys.readouterr().err
+    readable = tmp_path / "readable.json"
+    readable.write_text("{}")
+
+    def refuse(*args, **kwargs):
+        raise PermissionError("permission denied")
+
+    monkeypatch.setattr(Path, "read_text", refuse)
+    with pytest.raises(ConfigError, match=r"^cannot read config .*: permission denied$"):
+        load_document(readable)
 
 
 def test_missing_config_path_is_config_error(tmp_path):
@@ -331,6 +363,75 @@ def test_read_frames_survives_hostile_lines(data):
     nonblank = [lineno for lineno, line in enumerate(lines, start=2) if line.strip()]
     assert len(set(warned)) == len(warned) and set(warned) <= set(nonblank)
     assert len(frames) + len(warnings) == len(nonblank)
+
+
+def _stream_header(rows: int, cols: int) -> str:
+    out = io.StringIO()
+    write_header(out, MarkerGrid(rows=rows, cols=cols, origin=(0.0, 0.0)))
+    return out.getvalue()
+
+
+def test_warnings_name_the_line_of_the_stream():
+    # Blank lines before the header count: the bad frame is on line 5.
+    grid = MarkerGrid(rows=2, cols=2, origin=(0.0, 0.0))
+    good = json.dumps({"t": 0.0, "d": [[0.0, 0.0, 0.5]] * 4})
+    lines = ["\n", "  \n", _stream_header(2, 2), good, "not json", "", '{"t": 2}']
+    warn = io.StringIO()
+    assert estimate_from_stream(lines, load_config(None), io.StringIO(), warn=warn) == 1
+    assert [int(w.split()[4].rstrip(":")) for w in warn.getvalue().splitlines()] == [5, 7]
+    # Without a header read first, the first line given is line 2.
+    warn = io.StringIO()
+    assert len(list(read_frames(iter(lines[3:]), grid, warn=warn))) == 1
+    assert warn.getvalue().startswith("warning: skipping frame line 3: ")
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_replay_skips_a_line_whose_segments_would_overflow(axis):
+    # Neighbouring components of +-1e308 are finite, but their difference is
+    # not: the line is skipped before any kernel sees it.
+    d = [[0.0, 0.0, 0.5] for _ in range(6)]
+    d[0][axis], d[3 if axis else 1][axis] = 1e308, -1e308
+    lines = [_stream_header(2, 3), json.dumps({"t": 0.0, "d": d}),
+             json.dumps({"t": 1.0, "d": [[0.3, 0.0, 0.5]] * 6})]
+    out, warn = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert estimate_from_stream(lines, load_config(None), out, warn=warn) == 1
+    assert out.getvalue().splitlines()[1:] == ["1,0,0,Stick,1"]
+    assert warn.getvalue() == (
+        "warning: skipping frame line 2: displacements must lie within +-1e+06 mm\n"
+    )
+
+
+# Components over the whole float range: both signs of the extremes and of
+# the smallest subnormal, the bound and the float just past it, nan and
+# +-inf (NaN and Infinity in the line), and ordinary values.
+_ANY_COMPONENT = st.one_of(
+    st.floats(),
+    st.sampled_from([1e308, -1e308, 5e-324, -5e-324, MAX_DISPLACEMENT_MM, -MAX_DISPLACEMENT_MM,
+                     math.nextafter(MAX_DISPLACEMENT_MM, math.inf)]),
+    st.floats(-1.0, 1.0),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_no_line_ends_a_replay(data):
+    rows, cols = data.draw(st.integers(2, 3)), data.draw(st.integers(2, 3))
+    component = st.lists(_ANY_COMPONENT, min_size=3, max_size=3)
+    drawn = data.draw(st.lists(st.lists(component, min_size=rows * cols, max_size=rows * cols),
+                               min_size=1, max_size=5))
+    lines = [_stream_header(rows, cols)] + [json.dumps({"t": t, "d": d}) for t, d in
+                                            enumerate(drawn)]
+    # abs(nan) <= bound is False: a nan line is skipped like an out-of-range one.
+    kept = [all(abs(x) <= MAX_DISPLACEMENT_MM for row in d for x in row) for d in drawn]
+    out, warn = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow or invalid warning fails
+        n = estimate_from_stream(lines, load_config(None), out, warn=warn)
+    assert n == sum(kept) and len(out.getvalue().splitlines()) == 1 + n
+    warned = [int(w.split()[4].rstrip(":")) for w in warn.getvalue().splitlines()]
+    assert warned == [lineno for lineno, ok in enumerate(kept, start=2) if not ok]
 
 
 @settings(max_examples=200, deadline=None)

@@ -11,12 +11,18 @@ from pivotgauge import (
     ContactMask,
     ContactState,
     Frame,
+    LineFeatureAngles,
     MarkerGrid,
     RotationEstimate,
+    SegmentationConfig,
     SoftnessParams,
     UsageError,
+    baseline_least_squares,
+    detect_contact,
+    half_curl,
+    line_feature_angles,
 )
-from pivotgauge.core import MAX_MARKERS, finite_pair
+from pivotgauge.core import MAX_DISPLACEMENT_MM, MAX_MARKERS, finite_pair
 
 
 def test_grid_defaults_centered():
@@ -98,6 +104,49 @@ def test_frame_validates_shape_and_finiteness():
     bad[1, 2] = np.nan
     with pytest.raises(UsageError):
         Frame(0.0, bad)
+
+
+def test_frame_holds_every_component_within_the_bound():
+    edge = np.full((4, 3), MAX_DISPLACEMENT_MM)
+    edge[1] = -MAX_DISPLACEMENT_MM
+    assert np.array_equal(Frame(0.0, edge).displacements, edge)
+    beyond = (math.nextafter(MAX_DISPLACEMENT_MM, math.inf), -1e308, 1e308, math.inf, math.nan)
+    for value in beyond:
+        d = np.zeros((4, 3))
+        d[2, 1] = value
+        for given in (d, d.tolist()):
+            with pytest.raises(UsageError, match=r"^displacements must lie within \+-1e\+06 mm$"):
+                Frame(0.0, given)
+    with pytest.raises(UsageError, match=r"^displacements must be \(n, 3\), got shape \(0, 3\)$"):
+        Frame(0.0, np.zeros((0, 3)))
+
+
+def test_one_grid_check_for_every_per_marker_record():
+    grid = MarkerGrid(rows=4, cols=4)
+    frame = Frame(0.0, np.zeros((9, 3)))
+    mask = ContactMask(np.ones(16, dtype=bool), center_index=0)
+    message = r"^frame has shape \(9,\), grid expects \(16,\)$"
+    for call in (
+        lambda: line_feature_angles(grid, frame),
+        lambda: detect_contact(grid, frame, SegmentationConfig()),
+        lambda: half_curl(grid, frame, frame),
+        lambda: baseline_least_squares(grid, frame, mask),
+    ):
+        with pytest.raises(UsageError, match=message):
+            call()
+    with pytest.raises(UsageError, match=r"^contact mask has shape \(4,\), grid expects \(16,\)$"):
+        grid.require("contact mask", (4,))
+    grid.require("angle record", (16,))
+
+
+def test_angle_record_checks_its_own_arrays():
+    with pytest.raises(UsageError, match="^angles and valid must have matching shapes$"):
+        LineFeatureAngles(np.zeros(4), np.ones(3, dtype=bool))
+    for value in (math.nan, math.inf):
+        with pytest.raises(UsageError, match="^valid angles must be finite$"):
+            LineFeatureAngles(np.array([0.0, value]), np.array([True, True]))
+    # An invalid entry may hold anything: it is never read.
+    assert LineFeatureAngles(np.array([0.0, math.nan]), np.array([True, False])).valid[0]
 
 
 def test_frame_refuses_non_finite_timestamp():

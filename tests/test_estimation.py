@@ -125,6 +125,20 @@ def test_baseline_needs_three_markers(grid20):
         baseline_least_squares(grid20, frame, mask)
 
 
+def test_baseline_of_a_patch_collapsed_onto_one_point_is_plus_zero():
+    # Every flagged marker moves onto (0.5, 0.25): the centred positions are
+    # exact zeros, so the fit has no angle. It reports +0.0 and no centre,
+    # where atan2 of the signed zero sums could give -0.0 or 180 degrees.
+    grid = MarkerGrid(rows=4, cols=4)
+    disp = np.zeros((grid.n_markers, 3))
+    disp[:, :2] = np.array([0.5, 0.25]) - grid.reference_positions
+    disp[:, 2] = 0.5
+    mask = ContactMask(np.ones(grid.n_markers, dtype=bool), center_index=5)
+    estimate = baseline_least_squares(grid, Frame(0.0, disp), mask)
+    assert estimate.theta == 0.0 and math.copysign(1.0, estimate.theta) == 1.0
+    assert estimate.cor is None and estimate.state is ContactState.STICK
+
+
 def test_baseline_refuses_a_mask_of_another_grid():
     grid = MarkerGrid(rows=4, cols=4)
     frame = Frame(0.0, np.zeros((grid.n_markers, 3)))

@@ -13,14 +13,18 @@ from pivotgauge import (
     SegmentationConfig,
     SimScenario,
     UsageError,
-    analytic_local_rotation,
     generate_frame,
     half_curl,
     line_feature_angles,
     normalized_angle_difference,
 )
 from pivotgauge.features import admission_certain
-from conftest import brute_force_feature_angle, hostile_field, reference_line_feature_angles
+from conftest import (
+    analytic_local_rotation,
+    brute_force_feature_angle,
+    hostile_field,
+    reference_line_feature_angles,
+)
 
 EPSILON = SegmentationConfig().epsilon_angle
 

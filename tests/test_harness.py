@@ -492,6 +492,35 @@ def test_cli_truth_output(tmp_path):
     assert set(row) == {"t", "theta", "stick", "contact", "slip"}
 
 
+def test_cli_simulate_opens_the_truth_file_before_any_frame_is_written(tmp_path, capsys):
+    frames = tmp_path / "frames.ndjson"
+    truth = tmp_path / "missing" / "truth.ndjson"
+    assert main(["simulate", "--out", str(frames), "--truth-out", str(truth),
+                 "--set", "harness.t_end=0.1"]) == 1
+    assert not frames.exists()
+    assert "No such file or directory" in capsys.readouterr().err
+
+
+def test_cli_estimate_skips_a_line_it_cannot_decode(tmp_path):
+    # A byte that is not UTF-8 spoils only its own line, from a file or from
+    # stdin decoded strictly (as under a UTF-8 desktop locale).
+    ndjson = tmp_path / "frames.ndjson"
+    assert main(["simulate", "--out", str(ndjson), "--set", "harness.t_end=0.2"]) == 0
+    lines = ndjson.read_bytes().splitlines(keepends=True)
+    lines[3] = lines[3][:20] + b"\xff" + lines[3][20:]
+    bad = tmp_path / "bad.ndjson"
+    bad.write_bytes(b"".join(lines))
+    env = {**cli_env(), "PYTHONIOENCODING": "utf-8:strict"}
+    for args in (["--in", str(bad)], []):
+        with open(bad, "rb") as stdin:
+            proc = subprocess.run([sys.executable, "-m", "pivotgauge.cli", "estimate", *args],
+                                  stdin=stdin, capture_output=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert len(proc.stdout.splitlines()) == 1 + 6  # seven frames, one skipped
+        warnings = proc.stderr.decode().splitlines()
+        assert len(warnings) == 1 and warnings[0].startswith("warning: skipping frame line 4: ")
+
+
 def test_cli_exit_codes(tmp_path):
     bad_config = tmp_path / "bad.json"
     bad_config.write_text('{"scenario": {"typo_key": 1}}')

@@ -16,8 +16,10 @@ from pivotgauge import (
     MarkerGrid,
     SegmentationConfig,
     SimScenario,
+    SoftnessParams,
     UsageError,
     detect_contact,
+    estimate_frame,
     generate_frame,
     grow_stick_region,
     line_feature_angles,
@@ -45,6 +47,21 @@ def test_zero_frame_has_no_contact(grid20):
     assert not mask.contact_detected
     assert mask.center_index is None
     assert mask.n_flagged == 0
+
+
+@pytest.mark.parametrize("dz", [0.0, -0.3])
+def test_shear_without_a_marker_pressed_in_is_no_contact(grid20, dz):
+    # Uniform 0.2 mm shear over a surface nothing presses into: every
+    # marker's modulus clears the contact threshold, yet there is no contact.
+    disp = np.zeros((grid20.n_markers, 3))
+    disp[:, 0] = 0.2
+    disp[:, 2] = dz
+    frame = Frame(0.0, disp)
+    mask = detect_contact(grid20, frame, CFG)
+    assert not mask.contact_detected and mask.n_flagged == 0
+    estimate, _mask, region = estimate_frame(grid20, frame, CFG, SoftnessParams())
+    assert estimate.state is ContactState.NO_CONTACT and estimate.theta == 0.0
+    assert region.members == frozenset()
 
 
 def test_noise_only_frame_has_no_contact(grid20):

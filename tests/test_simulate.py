@@ -21,7 +21,6 @@ from pivotgauge import (
     SimScenario,
     SoftnessParams,
     UsageError,
-    analytic_local_rotation,
     generate_frame,
     generate_trajectory,
     half_curl,
@@ -33,7 +32,12 @@ from pivotgauge.core import MAX_FRAMES
 from pivotgauge.simulate import GroundTruth
 from pivotgauge.streams import write_frame, write_truth
 
-from conftest import finite_steps_and_slopes, reference_noiseless_field, reference_write_truth
+from conftest import (
+    analytic_local_rotation,
+    finite_steps_and_slopes,
+    reference_noiseless_field,
+    reference_write_truth,
+)
 
 
 def annulus(theta=10.0, r_s=4.0, a=6.0, gamma=2.0, k=0.0, sigma=0.0, cor=(0.0, 0.0), seed=0):
@@ -452,6 +456,15 @@ def test_scenario_validation():
         SimScenario(stick_radius=[(0.0, 4.0), (1.0, 0.0)])  # a breakpoint at 0
     with pytest.raises(UsageError, match="stick_radius must be a number or a breakpoint list"):
         SimScenario(stick_radius=lambda t: 9.0, contact_radius=8.0)  # time inputs are data
+
+
+def test_piecewise_linear_needs_two_rows_of_strictly_increasing_t():
+    for points in ([[0.0, 1.0]], [[0.0], [1.0]]):
+        with pytest.raises(UsageError, match=r"^piecewise-linear input needs >= 2 rows"):
+            PiecewiseLinear(points)
+    for points in ([[0.0, 1.0], [0.0, 2.0]], [[1.0, 1.0], [0.0, 2.0]]):
+        with pytest.raises(UsageError, match="^piecewise-linear breakpoints must have strictly "):
+            PiecewiseLinear(points)
 
 
 def test_analytic_local_rotation_stick_zone():

@@ -30,7 +30,7 @@ from pivotgauge import (
 )
 from pivotgauge.cli import main
 from pivotgauge.config import build_config
-from pivotgauge.core import MAX_FRAMES, finite_number
+from pivotgauge.core import MAX_DISPLACEMENT_MM, MAX_FRAMES, finite_number
 from pivotgauge.simulate import frame_count
 from pivotgauge.streams import read_frames, write_header
 
@@ -233,6 +233,7 @@ def _displacement_lists(draw, n):
     """A stream line's ``"d"`` for n markers, and whether it breaks the rule."""
     number = st.one_of(st.floats(-5.0, 5.0), st.integers(-(2**64), 2**64), st.just(10**300))
     d = draw(st.lists(st.lists(number, min_size=3, max_size=3), min_size=n, max_size=n))
+    beyond = any(abs(x) > MAX_DISPLACEMENT_MM for row in d for x in row)  # a number, but too large
     defect = draw(st.sampled_from(["none", "none", "component", "width", "not rows"]))
     row = draw(st.integers(0, n - 1))
     if defect == "component":
@@ -241,7 +242,7 @@ def _displacement_lists(draw, n):
         d[row] = draw(st.sampled_from([[], d[row][:2], d[row] + [0.0]]))
     elif defect == "not rows":
         d = draw(st.sampled_from([None, 1.0, "abc", {"d": d}, d[row]]))
-    return d, defect != "none"
+    return d, defect != "none" or beyond
 
 
 @settings(max_examples=200, deadline=None)
