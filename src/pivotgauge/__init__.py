@@ -46,6 +46,7 @@ from .simulate import (
     SimScenario,
     generate_frame,
     generate_trajectory,
+    iter_trajectory,
 )
 
 __version__ = "0.1.0"
@@ -84,6 +85,7 @@ __all__ = [
     "generate_trajectory",
     "grow_stick_region",
     "half_curl",
+    "iter_trajectory",
     "line_feature_angles",
     "load_config",
     "normalized_angle_difference",

@@ -26,7 +26,7 @@ from .harness import (
     run_dynamic,
     run_static_sweep,
 )
-from .simulate import generate_trajectory
+from .simulate import iter_trajectory
 from .streams import StreamFormatError, fmt, write_frame, write_header, write_truth
 
 
@@ -106,9 +106,8 @@ def _open(path, mode="w"):
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load(args)
     harness = config.harness
-    frames = generate_trajectory(
-        config.scenario, harness.t_start, harness.t_end, harness.rate_hz
-    )
+    # Checked before either file is opened; each frame is made as it is written.
+    frames = iter_trajectory(config.scenario, harness.t_start, harness.t_end, harness.rate_hz)
     # The truth file is opened first: a path that cannot be opened ends the
     # run before the frame file exists.
     truth_file = open(args.truth_out, "w") if args.truth_out else contextlib.nullcontext()

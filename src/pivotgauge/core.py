@@ -35,6 +35,14 @@ MAX_FRAMES = 1_000_000
 # any elastomer's motion, and small enough that no kernel's arithmetic on a
 # frame can overflow.
 MAX_DISPLACEMENT_MM = 1e6
+# Largest grid pitch and origin coordinate, in mm: a kilometre, like the
+# displacement bound. Every marker position then lies within about 1e12 mm,
+# so no product or sum the kernels take of positions and displacements overflows.
+MAX_GRID_MM = 1e6
+# The four sides of a marker as (row step, column step): left, right, up (the
+# previous row) and down. The one definition of the grid's 4-neighbour
+# topology and of the order in which a marker's sides are visited.
+SIDES = ((0, -1), (0, 1), (-1, 0), (1, 0))
 _FLOAT_MAX = sys.float_info.max  # an int beyond it has no float value
 _REALS = (int, float, np.integer, np.floating)  # bool is an int: refused separately
 _ROWS = (list, tuple, range, np.ndarray)  # kinds of rows, and of sequences of them
@@ -155,14 +163,16 @@ class MarkerGrid:
         pitch = finite_number(self.pitch, "grid.pitch")
         if not pitch > 0:
             raise UsageError(f"grid.pitch must be positive, got {self.pitch!r}")
+        if pitch > MAX_GRID_MM:
+            raise UsageError(f"grid.pitch must be at most {MAX_GRID_MM:g} mm, got {self.pitch!r}")
         if self.origin is None:
             ox = -(self.cols - 1) * pitch / 2.0
             oy = -(self.rows - 1) * pitch / 2.0
         else:
             ox, oy = finite_pair(self.origin, "grid.origin")
-        far = (ox + (self.cols - 1) * pitch, oy + (self.rows - 1) * pitch)
-        if not all(map(math.isfinite, (ox, oy, *far))):
-            raise UsageError(f"grid positions overflow with pitch {self.pitch} from {(ox, oy)}")
+        # The centred default too, so that a header written for the grid reads back.
+        if not (abs(ox) <= MAX_GRID_MM and abs(oy) <= MAX_GRID_MM):
+            raise UsageError(f"grid.origin must lie within +-{MAX_GRID_MM:g} mm, got {(ox, oy)}")
         object.__setattr__(self, "origin", (ox, oy))
         jj, ii = np.meshgrid(np.arange(self.cols), np.arange(self.rows))
         pos = np.column_stack([ox + jj.ravel() * pitch, oy + ii.ravel() * pitch])
@@ -189,24 +199,18 @@ class MarkerGrid:
         return self._positions  # type: ignore[attr-defined]
 
     @cached_property
-    def neighbors(self) -> tuple[tuple[Optional[int], ...], ...]:
-        """The (left, right, up, down) 4-neighbours of every marker, by index.
-
-        Out-of-bounds sides are None. "Up" is the previous row
-        (``index - cols``). Built on first use, so grids that never grow a
-        region or walk their neighbours do not pay for it.
+    def neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """The 4-neighbours of every marker, by index, in ``SIDES`` order;
+        a border marker has only those inside the grid. Built on first use,
+        so grids that never grow a region do not pay for it.
         """
         rows, cols = self.rows, self.cols
-        table = []
-        for index in range(rows * cols):
-            i, j = divmod(index, cols)
-            table.append((
-                index - 1 if j > 0 else None,
-                index + 1 if j < cols - 1 else None,
-                index - cols if i > 0 else None,
-                index + cols if i < rows - 1 else None,
-            ))
-        return tuple(table)
+        return tuple([
+            # From a list, at its exact size: a tuple of a generator keeps its growth room.
+            tuple([(i + di) * cols + j + dj for di, dj in SIDES
+                   if 0 <= i + di < rows and 0 <= j + dj < cols])
+            for i in range(rows) for j in range(cols)
+        ])
 
 
 @dataclass(frozen=True, eq=False)

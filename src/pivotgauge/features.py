@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .core import Frame, LineFeatureAngles, MarkerGrid
+from .core import SIDES, Frame, LineFeatureAngles, MarkerGrid
 
 # Segment shorter than this fraction of the pitch is considered collapsed.
 DEGENERATE_LENGTH_RATIO = 0.01
@@ -34,27 +34,21 @@ def line_feature_angles(grid: MarkerGrid, frame: Frame) -> LineFeatureAngles:
     angle_sum = np.zeros(n)
     seg_count = np.zeros(n, dtype=int)
     min_len = DEGENERATE_LENGTH_RATIO * pitch
-    # Each side pairs markers with their neighbours as contiguous slices of
-    # the flat planes, in the order left, right, up, down ("up" is the
-    # previous row): (offset to the neighbour, markers, neighbours, whether
-    # the side is horizontal). A horizontal side also pairs the last marker
-    # of a row with the first of the next one, every cols-th pair from
-    # cols - 1 on; those are masked out of ``usable``.
-    sides = (
-        (-pitch, 0.0, slice(1, None), slice(None, -1), True),
-        (pitch, 0.0, slice(None, -1), slice(1, None), True),
-        (0.0, -pitch, slice(cols, None), slice(None, -cols), False),
-        (0.0, pitch, slice(None, -cols), slice(cols, None), False),
-    )
-
-    # Sides are summed in a fixed order: float addition is not associative.
+    # Each side of SIDES pairs markers with their neighbours k apart as
+    # contiguous slices of the flat planes. A horizontal side (di == 0) also
+    # pairs the last marker of a row with the first of the next one, every
+    # cols-th pair from cols - 1 on; those are masked out of ``usable``.
+    # Sides are summed in SIDES order: float addition is not associative.
     # Adding 0.0 for an unusable segment is exact: the sum starts at +0.0
     # and so never becomes -0.0.
-    for ox, oy, own, nbr, horizontal in sides:
+    for di, dj in SIDES:
+        k = di * cols + dj
+        own, nbr = (slice(-k, None), slice(None, k)) if k < 0 else (slice(None, -k), slice(k, None))
+        ox, oy = dj * pitch, di * pitch
         cx = ox + x[nbr] - x[own]
         cy = oy + y[nbr] - y[own]
         usable = np.hypot(cx, cy) >= min_len
-        if horizontal:
+        if di == 0:
             usable[cols - 1::cols] = False
         seg_angle = np.degrees(np.arctan2(ox * cy - oy * cx, ox * cx + oy * cy))
         angle_sum[own] += np.where(usable, seg_angle, 0.0)

@@ -10,17 +10,16 @@ order and is byte-deterministic under a fixed seed.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import math
 from dataclasses import astuple, dataclass, replace
-from typing import IO, Iterable, Iterator, Optional
+from typing import IO, Optional
 
 import numpy as np
 
 from .config import SWEEP_ANGLES, FullConfig
-from .core import ContactState, Frame, InsufficientDataError, MarkerGrid
+from .core import ContactState, Frame, InsufficientDataError
 from .estimation import RotationPipeline, baseline_least_squares, estimate_frame
-from .simulate import generate_frame, generate_trajectory
+from .simulate import generate_frame, iter_trajectory
 from .streams import NumberedLines, read_frames, read_header, write_csv_row
 
 VALID_RANGE = (2.0, 20.0)
@@ -163,39 +162,36 @@ class DynamicResult:
     mare: float
 
 
-def _estimate_rows(frames: Iterable[Frame], grid: MarkerGrid, config: FullConfig) -> Iterator:
-    """Drive one filtered pipeline over ``frames``; yield each frame's filtered
-    estimate and its row of ``ESTIMATE_CSV_HEADER`` values."""
-    pipeline = RotationPipeline(grid, config.segmentation, config.softness)
-    for frame in frames:
-        filtered = pipeline.process_frame(frame)
-        raw = pipeline.last_raw
-        yield filtered, (frame.timestamp, raw.theta, filtered.theta, filtered.state,
-                         filtered.stick_ratio)
+def _estimate_row(pipeline: RotationPipeline, frame: Frame) -> tuple:
+    """Run one frame through the filtered pipeline; return its row of
+    ``ESTIMATE_CSV_HEADER`` values."""
+    filtered = pipeline.process_frame(frame)
+    return (frame.timestamp, pipeline.last_raw.theta, filtered.theta, filtered.state,
+            filtered.stick_ratio)
 
 
 def run_dynamic(config: FullConfig, csv_out: Optional[IO[str]] = None) -> DynamicResult:
-    """Stream the configured trajectory through the filtered pipeline.
+    """Stream the configured trajectory through the filtered pipeline, each
+    frame made, estimated and written before the next one is made.
 
     The summary error covers only in-range frames: |true angle| within
     [2, 20] degrees and no macro slip.
     """
     harness = config.harness
+    # Checked before the header: a trajectory the scenario does not cover.
+    trajectory = iter_trajectory(config.scenario, harness.t_start, harness.t_end, harness.rate_hz)
     if csv_out is not None:
         write_csv_row(csv_out, DYNAMIC_CSV_HEADER)
-    # One walk of the trajectory: tee hands each pair to the pipeline and to this loop.
-    frames, truths = itertools.tee(generate_trajectory(
-        config.scenario, harness.t_start, harness.t_end, harness.rate_hz
-    ))
-    rows = _estimate_rows((frame for frame, _truth in frames), config.grid, config)
+    pipeline = RotationPipeline(config.grid, config.segmentation, config.softness)
     errors = []
     n = 0
-    for n, ((_frame, truth), (filtered, row)) in enumerate(zip(truths, rows), start=1):
+    for n, (frame, truth) in enumerate(trajectory, start=1):
+        t, raw_theta, theta, state, stick_ratio = _estimate_row(pipeline, frame)
         in_range = VALID_RANGE[0] <= abs(truth.theta) <= VALID_RANGE[1]
-        if in_range and filtered.state is not ContactState.MACRO_SLIP:
-            errors.append(abs(filtered.theta - truth.theta))
+        if in_range and state is not ContactState.MACRO_SLIP:
+            errors.append(abs(theta - truth.theta))
         if csv_out is not None:
-            write_csv_row(csv_out, (row[0], truth.theta, *row[1:]))
+            write_csv_row(csv_out, (t, truth.theta, raw_theta, theta, state, stick_ratio))
     mare = float(np.mean(errors)) if errors else math.nan
     return DynamicResult(n_frames=n, in_range_frames=len(errors), mare=mare)
 
@@ -216,10 +212,10 @@ def estimate_from_stream(
     lines = NumberedLines(lines)  # the header is read once, then frames from the next line
     grid = read_header(lines)
     write_csv_row(csv_out, ESTIMATE_CSV_HEADER)
+    pipeline = RotationPipeline(grid, config.segmentation, config.softness)
     n = 0
-    for _filtered, row in _estimate_rows(read_frames(lines, grid, warn=warn), grid, config):
-        n += 1
-        write_csv_row(csv_out, row)
+    for n, frame in enumerate(read_frames(lines, grid, warn=warn), start=1):
+        write_csv_row(csv_out, _estimate_row(pipeline, frame))
     return n
 
 

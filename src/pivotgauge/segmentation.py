@@ -145,7 +145,7 @@ def grow_stick_region(
         # 4-connected admissible component, whatever the visiting order.
         for idx in members:  # appended to while walked: breadth first
             for nbr in neighbors[idx]:
-                if nbr is not None and admissible[nbr]:
+                if admissible[nbr]:
                     admissible[nbr] = False
                     members.append(nbr)
     else:
@@ -164,7 +164,7 @@ def grow_stick_region(
                 members.append(idx)
                 mean += (phi[idx] - mean) / len(members)
             for nbr in neighbors[idx]:
-                if nbr is not None and admissible[nbr]:
+                if admissible[nbr]:
                     admissible[nbr] = False
                     heappush(frontier, (dist[nbr], nbr))
 

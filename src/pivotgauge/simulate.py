@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence, Union
+from typing import Any, Callable, Iterator, Sequence, Union
 
 import numpy as np
 
 from .core import (
+    MAX_DISPLACEMENT_MM,
     MAX_FRAMES,
+    MAX_GRID_MM,
     Frame,
     MarkerGrid,
     SoftnessParams,
@@ -92,6 +94,17 @@ def _time_fn(value, name: str, shape: tuple[int, ...]) -> Callable[[float], Any]
         raise UsageError(f"{name} must be {kind} or a breakpoint list: {exc}") from exc
 
 
+def _extremes(fn: Callable[[float], Any]) -> list[float]:
+    """Every value a ``_time_fn`` function takes at a breakpoint, or its
+    constant: a piecewise-linear function's extremes lie among them."""
+    return np.ravel(fn._v if isinstance(fn, PiecewiseLinear) else fn(0.0)).tolist()
+
+
+# Noise a scenario's field is allowed beyond its noiseless bound, in units of
+# noise_sigma: a normal draw exceeds it with a chance of about 1e-23.
+NOISE_ALLOWANCE_SIGMAS = 10
+
+
 @dataclass(frozen=True, eq=False)
 class SimScenario:
     """Generative parameters for one synthetic contact experiment.
@@ -131,7 +144,10 @@ class SimScenario:
                 f"got {self.contact_radius}"
             )
         stick = self.stick_radius if self.stick_radius is not None else self.contact_radius
-        object.__setattr__(self, "cor", finite_pair(self.cor, "scenario.cor"))
+        cor = finite_pair(self.cor, "scenario.cor")
+        if max(map(abs, cor)) > MAX_GRID_MM:  # like the grid, so the field's radii stay finite
+            raise UsageError(f"scenario.cor must lie within +-{MAX_GRID_MM:g} mm, got {cor}")
+        object.__setattr__(self, "cor", cor)
         object.__setattr__(self, "_stick_fn", _time_fn(stick, "stick_radius", ()))
         object.__setattr__(self, "_theta_fn", _time_fn(self.theta_trajectory, "theta_trajectory", ()))
         translation_fn = _time_fn(self.translation_trajectory, "translation_trajectory", (2,))
@@ -140,12 +156,33 @@ class SimScenario:
         object.__setattr__(self, "_field_memo", None)
         # _noiseless_field's time-invariant arrays, once it is walked through time.
         object.__setattr__(self, "_geometry", None)
-        # Piecewise linear, so its extremes lie at the breakpoints.
-        for r_s in map(float, [row[1] for row in stick] if np.iterable(stick) else [stick]):
+        for r_s in _extremes(self._stick_fn):  # type: ignore[attr-defined]
             if not 0 < r_s <= self.contact_radius:
                 raise UsageError(
                     f"stick_radius {r_s} outside (0, contact_radius={self.contact_radius}]"
                 )
+        # Beyond twice the contact radius the noiseless field is exactly 0, so
+        # no component of it exceeds 4 a + |translation| + max_indent.
+        largest = max(map(abs, _extremes(translation_fn)))
+        bound = 4 * radius + largest + self.max_indent + NOISE_ALLOWANCE_SIGMAS * self.noise_sigma
+        if not bound <= MAX_DISPLACEMENT_MM:
+            raise UsageError(
+                "scenario.contact_radius, translation_trajectory, max_indent and noise_sigma "
+                f"allow displacements up to 4 x {radius:g} + {largest:g} + {self.max_indent:g} + "
+                f"{NOISE_ALLOWANCE_SIGMAS} x {self.noise_sigma:g} = {bound:g} mm, "
+                f"beyond +-{MAX_DISPLACEMENT_MM:g} mm"
+            )
+
+    def require_times(self, t_first: float, t_last: float) -> None:
+        """Refuse, naming its key, a breakpoint list whose domain does not
+        hold the times ``t_first`` to ``t_last``, before any frame exists."""
+        fns = {"theta_trajectory": self._theta_fn, "translation_trajectory": self._translation_fn,
+               "stick_radius": self._stick_fn}  # type: ignore[attr-defined]
+        for key, fn in fns.items():
+            try:  # evaluation's own domain rule, at both ends
+                fn(t_first), fn(t_last)
+            except UsageError as exc:
+                raise UsageError(f"scenario.{key} does not cover the run: {exc}") from None
 
     def theta_at(self, t: float) -> float:
         return float(self._theta_fn(t))  # type: ignore[attr-defined]
@@ -200,7 +237,12 @@ def _contact_taper(rho: np.ndarray, a: float) -> np.ndarray:
 
 
 def _hertz_dz(rho: np.ndarray, a: float, w0: float) -> np.ndarray:
-    return w0 * np.sqrt(np.maximum(0.0, 1.0 - (rho / a) ** 2))
+    """w0 * sqrt(1 - (rho / a) ** 2) within the contact radius a, 0 beyond it,
+    where the square of a far marker's rho / a could overflow."""
+    dz = np.zeros_like(rho)
+    inside = rho < a
+    dz[inside] = w0 * np.sqrt(1.0 - (rho[inside] / a) ** 2)
+    return dz
 
 
 def _rotate_offsets(d: np.ndarray, angle_rad: np.ndarray) -> np.ndarray:
@@ -307,9 +349,19 @@ def frame_count(t0: float, t1: float, rate: float) -> int:
     return int(math.floor((t1 - t0) * rate + 1e-9)) + 1
 
 
+def iter_trajectory(
+    scenario: SimScenario, t0: float, t1: float, rate: float
+) -> Iterator[tuple[Frame, GroundTruth]]:
+    """Frames at uniform timestamps t0, t0 + 1/rate, ..., <= t1, each made
+    only when it is asked for. The frame count and the scenario's domains
+    are checked at the call, before the first frame."""
+    n = frame_count(t0, t1, rate)
+    scenario.require_times(t0, t0 + (n - 1) / rate)
+    return (generate_frame(scenario, t0 + i / rate, frame_index=i) for i in range(n))
+
+
 def generate_trajectory(
     scenario: SimScenario, t0: float, t1: float, rate: float
 ) -> list[tuple[Frame, GroundTruth]]:
-    """Generate frames at uniform timestamps t0, t0 + 1/rate, ..., <= t1."""
-    n = frame_count(t0, t1, rate)
-    return [generate_frame(scenario, t0 + i / rate, frame_index=i) for i in range(n)]
+    """The frames of ``iter_trajectory``, as one list."""
+    return list(iter_trajectory(scenario, t0, t1, rate))

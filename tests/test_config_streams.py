@@ -18,7 +18,7 @@ from pivotgauge import ConfigError, ContactState, MarkerGrid, generate_frame, lo
 from pivotgauge.cli import main
 from pivotgauge.config import apply_overrides, build_config, load_document, three_lift_scenario
 from pivotgauge import simulate
-from pivotgauge.core import MAX_DISPLACEMENT_MM, MAX_FRAMES, MAX_MARKERS
+from pivotgauge.core import MAX_DISPLACEMENT_MM, MAX_FRAMES, MAX_GRID_MM, MAX_MARKERS
 from pivotgauge.harness import estimate_from_stream
 from pivotgauge.simulate import SimScenario
 from pivotgauge.streams import (
@@ -225,6 +225,49 @@ def test_frame_count_is_bounded_at_load(tmp_path, capsys, monkeypatch):
     assert re.search(f"error: invalid config value: {_FRAME_BOUND}", capsys.readouterr().err)
 
 
+def test_a_run_its_trajectory_does_not_cover_is_refused_before_output(tmp_path, capsys):
+    # The preset's breakpoint lists end at t = 12 s; frame 391 would be at 13 s.
+    csv, frames, truth = tmp_path / "d.csv", tmp_path / "f.ndjson", tmp_path / "t.ndjson"
+    over = ["--config", "three-lift", "--set", "harness.t_end=13"]
+    message = ("error: scenario.theta_trajectory does not cover the run: "
+               "t=13.0 outside trajectory domain [0.0, 12.0]\n")
+    assert main(["dynamic", *over, "--out", str(csv)]) == 2
+    assert csv.read_text() == ""  # not even the header
+    assert capsys.readouterr().err == message
+    assert main(["simulate", *over, "--out", str(frames), "--truth-out", str(truth)]) == 2
+    assert not frames.exists() and not truth.exists()
+    assert capsys.readouterr().err == message
+    # A list that starts after t_start is named by its own key.
+    late = ["--set", "harness.t_end=1", "--set", "scenario.translation_trajectory=[[0.5,0,0],[2,0,0]]"]
+    assert main(["dynamic", *late, "--out", str(csv)]) == 2
+    assert capsys.readouterr().err == ("error: scenario.translation_trajectory does not cover the "
+                                       "run: t=0.0 outside trajectory domain [0.5, 2.0]\n")
+    # sweep and compare use t = 0 only, so they still run such a config.
+    assert main(["sweep", "--trials", "1", *over, "--out", str(csv)]) == 0
+    assert len(csv.read_text().splitlines()) == 20
+
+
+def test_a_scenario_that_could_break_the_displacement_bound_is_refused_at_load(tmp_path, capsys):
+    out = tmp_path / "d.csv"
+    far = ["--set", "harness.t_end=0.1", "--set", "scenario.translation_trajectory=[2e6,0]"]
+    assert main(["dynamic", *far, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "error: invalid config value: scenario.contact_radius, translation_trajectory, max_indent "
+        "and noise_sigma allow displacements up to 4 x 8 + 2e+06 + 0.5 + 10 x 0.005 = 2.00003e+06 "
+        "mm, beyond +-1e+06 mm\n"
+    )
+    big_grid = {"rows": 3, "cols": 3, "pitch": 1e6, "origin": [0, 0]}
+    for doc in ({"scenario": {"max_indent": 2e6}}, {"scenario": {"noise_sigma": 1e5}},
+                {"scenario": {"translation_trajectory": [[0, 0, 0], [1, 0, -999_990]]}},
+                {"grid": big_grid, "scenario": {"contact_radius": 3e5}}):
+        with pytest.raises(ConfigError, match="allow displacements up to .* beyond"):
+            build_config(doc)
+    for doc in ({"scenario": {"translation_trajectory": [[0, 0, 0], [1, 0, -999_900]]}},
+                {"grid": big_grid, "scenario": {"contact_radius": 2e5}}):
+        build_config(doc)
+
+
 def test_piecewise_trajectories_from_document():
     config = build_config(
         {
@@ -428,6 +471,42 @@ def test_no_line_ends_a_replay(data):
     out, warn = io.StringIO(), io.StringIO()
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy overflow or invalid warning fails
+        n = estimate_from_stream(lines, load_config(None), out, warn=warn)
+    assert n == sum(kept) and len(out.getvalue().splitlines()) == 1 + n
+    warned = [int(w.split()[4].rstrip(":")) for w in warn.getvalue().splitlines()]
+    assert warned == [lineno for lineno, ok in enumerate(kept, start=2) if not ok]
+
+
+# Header lengths over the whole float range, the grid bound, the float just
+# past it and pitches that would overflow the kernels' squares included.
+_ANY_LENGTH = st.one_of(
+    _ANY_COMPONENT,
+    st.sampled_from([MAX_GRID_MM, -MAX_GRID_MM, math.nextafter(MAX_GRID_MM, math.inf), 1e200]),
+    st.floats(0.0, 2.0),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_every_accepted_header_and_frame_replays_quietly(data):
+    rows, cols = data.draw(st.integers(2, 3)), data.draw(st.integers(2, 3))
+    pitch, ox, oy = (data.draw(_ANY_LENGTH) for _ in range(3))
+    component = st.lists(_ANY_COMPONENT, min_size=3, max_size=3)
+    drawn = data.draw(st.lists(st.lists(component, min_size=rows * cols, max_size=rows * cols),
+                               min_size=1, max_size=3))
+    header = json.dumps({"rows": rows, "cols": cols, "pitch": pitch, "origin": [ox, oy]})
+    lines = [header] + [json.dumps({"t": t, "d": d}) for t, d in enumerate(drawn)]
+    # Comparisons with nan are False: a nan pitch or origin is refused.
+    accepted = 0 < pitch <= MAX_GRID_MM and abs(ox) <= MAX_GRID_MM and abs(oy) <= MAX_GRID_MM
+    kept = [all(abs(x) <= MAX_DISPLACEMENT_MM for row in d for x in row) for d in drawn]
+    out, warn = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow or invalid warning fails
+        if not accepted:
+            with pytest.raises(StreamFormatError, match=r"^bad stream header: (grid\.)?(pitch|origin)"):
+                estimate_from_stream(lines, load_config(None), out, warn=warn)
+            assert not out.getvalue()
+            return
         n = estimate_from_stream(lines, load_config(None), out, warn=warn)
     assert n == sum(kept) and len(out.getvalue().splitlines()) == 1 + n
     warned = [int(w.split()[4].rstrip(":")) for w in warn.getvalue().splitlines()]

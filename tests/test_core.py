@@ -22,7 +22,7 @@ from pivotgauge import (
     half_curl,
     line_feature_angles,
 )
-from pivotgauge.core import MAX_DISPLACEMENT_MM, MAX_MARKERS, finite_pair
+from pivotgauge.core import MAX_DISPLACEMENT_MM, MAX_GRID_MM, MAX_MARKERS, finite_pair
 
 
 def test_grid_defaults_centered():
@@ -55,6 +55,18 @@ def test_grid_rejects_ints_beyond_float_range():
         MarkerGrid(origin=(10**400, 0))
 
 
+def test_grid_pitch_and_origin_lie_within_a_kilometre():
+    assert MarkerGrid(pitch=MAX_GRID_MM, rows=2, cols=2, origin=(-MAX_GRID_MM, MAX_GRID_MM))
+    with pytest.raises(UsageError, match=r"^grid.pitch must be at most 1e\+06 mm, got 1e\+200$"):
+        MarkerGrid(pitch=1e200)
+    for origin in ((math.nextafter(MAX_GRID_MM, math.inf), 0.0), (0.0, -1e300)):
+        with pytest.raises(UsageError, match=r"^grid.origin must lie within \+-1e\+06 mm"):
+            MarkerGrid(origin=origin)
+    # The centred default origin too: a header written for the grid reads back.
+    with pytest.raises(UsageError, match=r"grid.origin must lie within .* got \(-1500000.0, "):
+        MarkerGrid(rows=2, cols=4, pitch=MAX_GRID_MM)
+
+
 def test_finite_pair_rejects_ints_beyond_float_range():
     with pytest.raises(UsageError, match="cor must be two finite numbers"):
         finite_pair([10**400, 0], "cor")
@@ -77,8 +89,10 @@ def test_neighbor_indices_interior_marker():
 
 
 def test_neighbor_indices_corner_marker():
+    # Only the sides inside the grid: no placeholder for a missing one.
     grid = MarkerGrid(rows=3, cols=3)
-    assert grid.neighbors[0] == (None, 1, None, 3)
+    assert grid.neighbors[0] == (1, 3)
+    assert grid.neighbors[8] == (7, 5)
 
 
 @given(
@@ -90,9 +104,11 @@ def test_neighbor_indices_match_row_col_definition(rows, cols):
     assert len(grid.neighbors) == rows * cols
     for index, neighbors in enumerate(grid.neighbors):
         i, j = divmod(index, cols)
+        # Left, right, up (the previous row), down; those off the grid left out.
         expected = tuple(
-            r * cols + c if 0 <= r < rows and 0 <= c < cols else None
+            r * cols + c
             for r, c in ((i, j - 1), (i, j + 1), (i - 1, j), (i + 1, j))
+            if 0 <= r < rows and 0 <= c < cols
         )
         assert neighbors == expected
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import json
 import math
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pivotgauge import ConfigError, UsageError, estimation, harness, load_config
+from pivotgauge import ConfigError, UsageError, estimation, harness, load_config, simulate
 from pivotgauge.cli import main
 from pivotgauge.config import (
     HarnessConfig,
@@ -387,17 +388,86 @@ def test_sweep_summary_counts_only_the_measured_trials(tmp_path, capsys):
 
 
 def test_dynamic_walks_its_trajectory_once(monkeypatch):
-    # Frames and truths come from one walk, so a trajectory that can be
-    # walked only once gives the same rows as a list.
+    # Frames and truths come from one walk of iter_trajectory's generator,
+    # which can be walked only once, and give the rows of the finished list.
     config = build_config(apply_overrides(load_document("three-lift"), ["harness.t_end=4"]))
+    streamed = io.StringIO()
+    result = run_dynamic(config, csv_out=streamed)
+    monkeypatch.setattr(harness, "iter_trajectory", lambda *args: iter(generate_trajectory(*args)))
     from_list = io.StringIO()
-    result = run_dynamic(config, csv_out=from_list)
-    generate = harness.generate_trajectory
-    monkeypatch.setattr(harness, "generate_trajectory", lambda *args: iter(generate(*args)))
-    from_iterator = io.StringIO()
-    assert run_dynamic(config, csv_out=from_iterator) == result
-    assert from_iterator.getvalue() == from_list.getvalue()
+    assert run_dynamic(config, csv_out=from_list) == result
+    assert streamed.getvalue() == from_list.getvalue()
     assert result.n_frames == 121
+
+
+def _on_second_frame(monkeypatch, callback) -> list:
+    """Patch ``simulate.generate_frame`` to call ``callback()`` just before it
+    makes the second frame; returns the list of the times it was asked for."""
+    generate, calls = simulate.generate_frame, []
+
+    def counted(scenario, t, frame_index=0):
+        calls.append(t)
+        if len(calls) == 2:
+            callback()
+        return generate(scenario, t, frame_index)
+
+    monkeypatch.setattr(simulate, "generate_frame", counted)
+    return calls
+
+
+def _three_lift(t_end: float):
+    return build_config(apply_overrides(load_document("three-lift"), [f"harness.t_end={t_end}"]))
+
+
+def test_dynamic_writes_a_row_before_it_makes_the_next_frame(monkeypatch):
+    out, seen = io.StringIO(), []
+    calls = _on_second_frame(monkeypatch, lambda: seen.append(out.getvalue().splitlines()))
+    assert run_dynamic(_three_lift(0.2), csv_out=out).n_frames == len(calls) == 7
+    (lines,) = seen
+    assert lines[0].startswith("t,theta_true_deg,") and len(lines) == 2
+    assert lines[1].startswith("0,0,")
+
+
+def test_simulate_writes_a_line_before_it_makes_the_next_frame(monkeypatch, tmp_path):
+    out, seen = io.StringIO(), []
+    monkeypatch.setattr(sys, "stdout", out)
+    calls = _on_second_frame(monkeypatch, lambda: seen.append(out.getvalue().splitlines()))
+    args = ["simulate", "--config", "three-lift", "--set", "harness.t_end=0.2",
+            "--truth-out", str(tmp_path / "truth.ndjson")]
+    assert main(args) == 0 and len(calls) == 7
+    (lines,) = seen
+    assert len(lines) == 2 and json.loads(lines[1])["t"] == 0.0  # the header and frame 0
+
+
+class _Discard:
+    def write(self, text: str) -> int:
+        return len(text)
+
+
+def _peak_bytes(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dynamic_and_simulate_memory_does_not_grow_with_the_run(tmp_path):
+    # Each frame is made, used and dropped before the next one is made, so
+    # 300 frames hold no more memory than 30 (a list held ~14 KB per frame).
+    def dynamic(t_end):
+        config = _three_lift(t_end)
+        return _peak_bytes(lambda: run_dynamic(config, csv_out=_Discard()))
+
+    def simulate_cli(t_end):
+        args = ["simulate", "--config", "three-lift", "--set", f"harness.t_end={t_end}",
+                "--out", str(tmp_path / "frames.ndjson"), "--truth-out", str(tmp_path / "t.ndjson")]
+        return _peak_bytes(lambda: main(args))
+
+    for peak in (dynamic, simulate_cli):
+        short, long = peak(1.0), peak(10.0)  # 31 and 301 frames
+        assert long - short < 100_000, (peak.__name__, short, long)
 
 
 def test_cli_sweep_and_compare_write_csv(tmp_path):

@@ -186,7 +186,7 @@ def test_region_is_four_connected_and_contains_center(grid20):
         nxt = []
         for idx in frontier:
             for nbr in grid20.neighbors[idx]:
-                if nbr is not None and nbr in region.members and nbr not in seen:
+                if nbr in region.members and nbr not in seen:
                     seen.add(nbr)
                     nxt.append(nbr)
         frontier = nxt

@@ -28,7 +28,7 @@ from pivotgauge import (
 )
 from pivotgauge import simulate
 from pivotgauge.cli import main
-from pivotgauge.core import MAX_FRAMES
+from pivotgauge.core import MAX_DISPLACEMENT_MM, MAX_FRAMES, MAX_GRID_MM
 from pivotgauge.simulate import GroundTruth
 from pivotgauge.streams import write_frame, write_truth
 
@@ -456,6 +456,40 @@ def test_scenario_validation():
         SimScenario(stick_radius=[(0.0, 4.0), (1.0, 0.0)])  # a breakpoint at 0
     with pytest.raises(UsageError, match="stick_radius must be a number or a breakpoint list"):
         SimScenario(stick_radius=lambda t: 9.0, contact_radius=8.0)  # time inputs are data
+
+
+# Lengths from subnormal to beyond float range's useful end, the kilometre
+# bounds and values past them included.
+_ANY_LENGTH = st.one_of(st.floats(0.0, 10.0), st.floats(0.0, 2e6),
+                        st.sampled_from([5e-324, 1e-300, MAX_DISPLACEMENT_MM, 1e300]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_every_accepted_scenario_makes_frames_within_the_displacement_bound(data):
+    # Refused at load exactly when 4 a + |translation| + max_indent + 10 sigma
+    # breaks the bound, or the centre of rotation lies beyond a kilometre;
+    # otherwise every frame holds (Frame checks it) and no numpy warning fires.
+    grid = MarkerGrid(rows=5, cols=5, pitch=data.draw(st.floats(5e-324, MAX_GRID_MM)), origin=(0, 0))
+    a = data.draw(st.floats(0.0, grid.half_extent, exclude_min=True))
+    signed = st.tuples(_ANY_LENGTH, st.sampled_from([1.0, -1.0])).map(lambda p: p[0] * p[1])
+    translation, cor = data.draw(st.tuples(signed, signed)), data.draw(st.tuples(signed, signed))
+    indent = data.draw(_ANY_LENGTH.filter(lambda v: v > 0))
+    sigma = data.draw(st.one_of(st.just(0.0), _ANY_LENGTH))
+    theta = data.draw(st.floats(allow_nan=False, allow_infinity=False))
+    bound = 4 * a + max(map(abs, translation)) + indent + 10 * sigma
+    try:
+        scn = SimScenario(grid=grid, contact_radius=a, max_indent=indent, cor=cor,
+                          theta_trajectory=theta, translation_trajectory=translation,
+                          noise_sigma=sigma)
+    except UsageError as exc:
+        assert bound > MAX_DISPLACEMENT_MM or max(map(abs, cor)) > MAX_GRID_MM, exc
+        return
+    assert bound <= MAX_DISPLACEMENT_MM and max(map(abs, cor)) <= MAX_GRID_MM
+    for t, i in ((0.0, 0), (0.0, 1), (1.0, 2)):
+        frame, truth = generate_frame(scn, t, frame_index=i)
+        assert np.abs(frame.displacements).max() <= MAX_DISPLACEMENT_MM
+        assert np.isfinite(truth.slip_field).all()
 
 
 def test_piecewise_linear_needs_two_rows_of_strictly_increasing_t():

@@ -308,7 +308,16 @@ def test_breakpoint_lists_follow_the_rule(data):
         return
     # A good list gives the bytes that a plain float conversion gives.
     expected = np.asarray(points, dtype=float).tobytes()
-    for fn in (getattr(SimScenario(**{name: points}), attr), PiecewiseLinear(points)):
+    fns = [PiecewiseLinear(points)]
+    far = any(abs(v) > MAX_DISPLACEMENT_MM for row in points for v in row[1:])
+    if name == "translation_trajectory" and far:
+        # Read by the rule, but a scenario moved that far breaks the displacement bound.
+        with pytest.raises(UsageError, match=r"^scenario\.contact_radius, translation_trajectory, "
+                                             r"max_indent and noise_sigma allow .* beyond"):
+            SimScenario(**{name: points})
+    else:
+        fns.append(getattr(SimScenario(**{name: points}), attr))
+    for fn in fns:
         assert np.column_stack([fn._t, fn._v]).tobytes() == expected
 
 
