@@ -146,6 +146,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_dynamic(args: argparse.Namespace) -> int:
     config = _load(args)
+    harness = config.harness
+    # Checked before --out is opened, which would empty an existing file.
+    iter_trajectory(config.scenario, harness.t_start, harness.t_end, harness.rate_hz)
     with _open(args.out) as out:
         result = run_dynamic(config, csv_out=out)
     print(

@@ -39,6 +39,9 @@ MAX_DISPLACEMENT_MM = 1e6
 # displacement bound. Every marker position then lies within about 1e12 mm,
 # so no product or sum the kernels take of positions and displacements overflows.
 MAX_GRID_MM = 1e6
+# Smallest grid pitch, in mm: a nanometre, far below any marker pitch. Kernels
+# divide displacements by the pitch, so a subnormal one would overflow them.
+MIN_PITCH_MM = 1e-6
 # The four sides of a marker as (row step, column step): left, right, up (the
 # previous row) and down. The one definition of the grid's 4-neighbour
 # topology and of the order in which a marker's sides are visited.
@@ -161,8 +164,8 @@ class MarkerGrid:
             raise UsageError(f"grid {self.rows}x{self.cols} exceeds {MAX_MARKERS} markers")
         # The field keeps its number (a header writes an int pitch as an int).
         pitch = finite_number(self.pitch, "grid.pitch")
-        if not pitch > 0:
-            raise UsageError(f"grid.pitch must be positive, got {self.pitch!r}")
+        if pitch < MIN_PITCH_MM:
+            raise UsageError(f"grid.pitch must be at least {MIN_PITCH_MM:g} mm, got {self.pitch!r}")
         if pitch > MAX_GRID_MM:
             raise UsageError(f"grid.pitch must be at most {MAX_GRID_MM:g} mm, got {self.pitch!r}")
         if self.origin is None:

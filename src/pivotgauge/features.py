@@ -2,9 +2,12 @@
 
 The per-marker line-feature angle is the mean signed rotation of the
 segments joining a marker to its 4-neighbours, comparing the deformed
-segment direction against the reference direction. It responds to local
-rotation of the field while being exactly invariant to uniform
-translation, which is what makes it usable for pivot measurement.
+segment direction against the reference direction. A segment has one
+angle, computed once and credited to both of its markers; one folded back
+on itself reads +180 or -180 degrees, the same at both ends. The angle
+responds to local rotation of the field while being invariant to uniform
+translation up to rounding, which is what makes it usable for pivot
+measurement.
 """
 
 from __future__ import annotations
@@ -34,25 +37,37 @@ def line_feature_angles(grid: MarkerGrid, frame: Frame) -> LineFeatureAngles:
     angle_sum = np.zeros(n)
     seg_count = np.zeros(n, dtype=int)
     min_len = DEGENERATE_LENGTH_RATIO * pitch
-    # Each side of SIDES pairs markers with their neighbours k apart as
-    # contiguous slices of the flat planes. A horizontal side (di == 0) also
-    # pairs the last marker of a row with the first of the next one, every
-    # cols-th pair from cols - 1 on; those are masked out of ``usable``.
-    # Sides are summed in SIDES order: float addition is not associative.
-    # Adding 0.0 for an unusable segment is exact: the sum starts at +0.0
-    # and so never becomes -0.0.
+    # Each segment is computed once, on the forward sides of SIDES (right and
+    # down, flat offset k > 0): (u, v) is the displacement difference of the
+    # markers k apart on the flat planes plus the pitch along the side. Its
+    # one angle goes to the far marker's left or up side and to the near
+    # marker's right or down side. A horizontal side also pairs the last
+    # marker of a row with the first of the next one, every cols-th pair from
+    # cols - 1 on; those are masked out of ``usable``. Each backward side
+    # precedes its forward twin in SIDES, so every marker still sums its sides
+    # in SIDES order: float addition is not associative. Adding 0.0 for an
+    # unusable segment is exact: the sum starts at +0.0 and so never becomes
+    # -0.0.
     for di, dj in SIDES:
         k = di * cols + dj
-        own, nbr = (slice(-k, None), slice(None, k)) if k < 0 else (slice(None, -k), slice(k, None))
-        ox, oy = dj * pitch, di * pitch
-        cx = ox + x[nbr] - x[own]
-        cy = oy + y[nbr] - y[own]
-        usable = np.hypot(cx, cy) >= min_len
+        if k < 0:
+            continue
+        u = x[k:] - x[:-k]
+        v = y[k:] - y[:-k]
+        along = v if di else u
+        along += pitch
+        usable = np.hypot(u, v) >= min_len
+        # Written over v (and u) in place: each live temporary adds to peak memory.
         if di == 0:
             usable[cols - 1::cols] = False
-        seg_angle = np.degrees(np.arctan2(ox * cy - oy * cx, ox * cx + oy * cy))
-        angle_sum[own] += np.where(usable, seg_angle, 0.0)
-        seg_count[own] += usable
+            seg_angle = np.arctan2(v, u, out=v)
+        else:  # the down direction (0, pitch) turned onto (pitch, 0)
+            seg_angle = np.arctan2(np.negative(u, out=u), v, out=v)
+        contribution = np.where(usable, np.degrees(seg_angle, out=seg_angle), 0.0)
+        angle_sum[k:] += contribution
+        angle_sum[:-k] += contribution
+        seg_count[k:] += usable
+        seg_count[:-k] += usable
 
     valid = seg_count >= 2
     angles = np.where(valid, angle_sum, 0.0) / np.maximum(seg_count, 1)

@@ -72,35 +72,40 @@ def brute_force_feature_angle(grid: MarkerGrid, frame: Frame, index: int) -> flo
 
 
 # Slices of a (rows, cols) array that pair each marker with its neighbour on
-# one side, in the order left, right, up, down: the order in which the
-# package sums its sides, so that a change to that order fails the
-# reference test.
+# one side. A segment is taken once, from its near marker to its far one:
+# to the right neighbour (offset on x, axis 0) and to the one below (offset
+# on y, axis 1).
 _ALL, _HEAD, _TAIL = slice(None), slice(1, None), slice(None, -1)
-_SIDES = (
-    ((-1.0, 0.0), (_ALL, _HEAD), (_ALL, _TAIL)),
-    ((1.0, 0.0), (_ALL, _TAIL), (_ALL, _HEAD)),
-    ((0.0, -1.0), (_HEAD, _ALL), (_TAIL, _ALL)),
-    ((0.0, 1.0), (_TAIL, _ALL), (_HEAD, _ALL)),
+_SEGMENTS = (
+    (0, (_ALL, _TAIL), (_ALL, _HEAD)),
+    (1, (_TAIL, _ALL), (_HEAD, _ALL)),
 )
 
 
 def reference_line_feature_angles(grid: MarkerGrid, frame: Frame) -> LineFeatureAngles:
     """The interleaved-view line-feature kernel the planar one must match bit
-    for bit: same arithmetic per segment, boolean-mask accumulation."""
+    for bit: one angle per segment, credited to both of its markers by
+    boolean-mask accumulation, each marker summing its sides in the order
+    left, right, up, down (the package's order, so that a change to it
+    fails the reference test)."""
     grid.require("frame", (frame.n_markers,))
     disp = frame.displacements[:, :2].reshape(grid.rows, grid.cols, 2)
     angle_sum = np.zeros((grid.rows, grid.cols))
     seg_count = np.zeros((grid.rows, grid.cols), dtype=int)
     min_len = DEGENERATE_LENGTH_RATIO * grid.pitch
 
-    for unit, own, nbr in _SIDES:
-        offset = grid.pitch * np.array(unit)
-        current = offset + disp[nbr] - disp[own]
-        length = np.hypot(current[..., 0], current[..., 1])
-        usable = length >= min_len
-        cross = offset[0] * current[..., 1] - offset[1] * current[..., 0]
-        dot = offset[0] * current[..., 0] + offset[1] * current[..., 1]
-        seg_angle = np.degrees(np.arctan2(cross, dot))
+    sides = []  # (own slice, angle, usable): left, right, up, down
+    for axis, near, far in _SEGMENTS:
+        current = disp[far] - disp[near]
+        current[..., axis] += grid.pitch
+        u, v = current[..., 0], current[..., 1]
+        usable = np.hypot(u, v) >= min_len
+        # The angle of the segment against its reference direction, (1, 0)
+        # or (0, 1): a vertical segment turned by -90 degrees is measured
+        # against (1, 0) too.
+        seg_angle = np.degrees(np.arctan2(v, u) if axis == 0 else np.arctan2(-u, v))
+        sides += [(far, seg_angle, usable), (near, seg_angle, usable)]
+    for own, seg_angle, usable in sides:
         angle_sum[own][usable] += seg_angle[usable]
         seg_count[own][usable] += 1
 

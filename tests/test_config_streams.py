@@ -18,7 +18,7 @@ from pivotgauge import ConfigError, ContactState, MarkerGrid, generate_frame, lo
 from pivotgauge.cli import main
 from pivotgauge.config import apply_overrides, build_config, load_document, three_lift_scenario
 from pivotgauge import simulate
-from pivotgauge.core import MAX_DISPLACEMENT_MM, MAX_FRAMES, MAX_GRID_MM, MAX_MARKERS
+from pivotgauge.core import MAX_DISPLACEMENT_MM, MAX_FRAMES, MAX_GRID_MM, MAX_MARKERS, MIN_PITCH_MM
 from pivotgauge.harness import estimate_from_stream
 from pivotgauge.simulate import SimScenario
 from pivotgauge.streams import (
@@ -232,7 +232,11 @@ def test_a_run_its_trajectory_does_not_cover_is_refused_before_output(tmp_path, 
     message = ("error: scenario.theta_trajectory does not cover the run: "
                "t=13.0 outside trajectory domain [0.0, 12.0]\n")
     assert main(["dynamic", *over, "--out", str(csv)]) == 2
-    assert csv.read_text() == ""  # not even the header
+    assert not csv.exists()  # not even the header
+    assert capsys.readouterr().err == message
+    csv.write_bytes(b"kept\r\n")  # an existing --out keeps its bytes
+    assert main(["dynamic", *over, "--out", str(csv)]) == 2
+    assert csv.read_bytes() == b"kept\r\n"
     assert capsys.readouterr().err == message
     assert main(["simulate", *over, "--out", str(frames), "--truth-out", str(truth)]) == 2
     assert not frames.exists() and not truth.exists()
@@ -477,11 +481,12 @@ def test_no_line_ends_a_replay(data):
     assert warned == [lineno for lineno, ok in enumerate(kept, start=2) if not ok]
 
 
-# Header lengths over the whole float range, the grid bound, the float just
-# past it and pitches that would overflow the kernels' squares included.
+# Header lengths over the whole float range, the grid bounds, the floats just
+# past them and pitches that would overflow the kernels' squares included.
 _ANY_LENGTH = st.one_of(
     _ANY_COMPONENT,
-    st.sampled_from([MAX_GRID_MM, -MAX_GRID_MM, math.nextafter(MAX_GRID_MM, math.inf), 1e200]),
+    st.sampled_from([MAX_GRID_MM, -MAX_GRID_MM, math.nextafter(MAX_GRID_MM, math.inf), 1e200,
+                     MIN_PITCH_MM, math.nextafter(MIN_PITCH_MM, 0.0), 5e-324]),
     st.floats(0.0, 2.0),
 )
 
@@ -497,7 +502,8 @@ def test_every_accepted_header_and_frame_replays_quietly(data):
     header = json.dumps({"rows": rows, "cols": cols, "pitch": pitch, "origin": [ox, oy]})
     lines = [header] + [json.dumps({"t": t, "d": d}) for t, d in enumerate(drawn)]
     # Comparisons with nan are False: a nan pitch or origin is refused.
-    accepted = 0 < pitch <= MAX_GRID_MM and abs(ox) <= MAX_GRID_MM and abs(oy) <= MAX_GRID_MM
+    accepted = (MIN_PITCH_MM <= pitch <= MAX_GRID_MM
+                and abs(ox) <= MAX_GRID_MM and abs(oy) <= MAX_GRID_MM)
     kept = [all(abs(x) <= MAX_DISPLACEMENT_MM for row in d for x in row) for d in drawn]
     out, warn = io.StringIO(), io.StringIO()
     with warnings.catch_warnings():
@@ -550,6 +556,7 @@ def test_bad_header_is_fatal(tmp_path, capsys):
     good = {"rows": 20, "cols": 20, "pitch": 1.0, "origin": [-9.5, -9.5]}
     for change in ({"origin": [0]}, {"origin": [float("nan"), 0]}, {"origin": None},
                    {"rows": 2.5}, {"rows": "20"}, {"pitch": float("inf")}, {"pitch": 1e308},
+                   {"pitch": 5e-324}, {"pitch": 0},
                    {"pitch": 1e307, "origin": [1.7e308, 0]}):
         with pytest.raises(StreamFormatError, match="bad stream header"):
             read_header(iter([json.dumps({**good, **change})]))
@@ -560,6 +567,9 @@ def test_bad_header_is_fatal(tmp_path, capsys):
     stream.write_text(json.dumps({**good, "pitch": True}) + "\n")
     assert main(["estimate", "--in", str(stream)]) == 1
     assert "grid.pitch must be a finite number, got True" in capsys.readouterr().err
+    stream.write_text(json.dumps({**good, "pitch": 5e-324}) + "\n")
+    assert main(["estimate", "--in", str(stream)]) == 1
+    assert "bad stream header: grid.pitch must be at least 1e-06 mm" in capsys.readouterr().err
     # A grid over the size limit is refused before its arrays are allocated.
     tracemalloc.start()
     try:

@@ -22,7 +22,7 @@ from pivotgauge import (
     half_curl,
     line_feature_angles,
 )
-from pivotgauge.core import MAX_DISPLACEMENT_MM, MAX_GRID_MM, MAX_MARKERS, finite_pair
+from pivotgauge.core import MAX_DISPLACEMENT_MM, MAX_GRID_MM, MAX_MARKERS, MIN_PITCH_MM, finite_pair
 
 
 def test_grid_defaults_centered():
@@ -65,6 +65,13 @@ def test_grid_pitch_and_origin_lie_within_a_kilometre():
     # The centred default origin too: a header written for the grid reads back.
     with pytest.raises(UsageError, match=r"grid.origin must lie within .* got \(-1500000.0, "):
         MarkerGrid(rows=2, cols=4, pitch=MAX_GRID_MM)
+
+
+def test_grid_pitch_is_at_least_a_nanometre():
+    assert MarkerGrid(pitch=MIN_PITCH_MM).pitch == MIN_PITCH_MM
+    for pitch in (math.nextafter(MIN_PITCH_MM, 0.0), 5e-324, 0.0, -1.0):
+        with pytest.raises(UsageError, match=r"^grid.pitch must be at least 1e-06 mm, got "):
+            MarkerGrid(pitch=pitch)
 
 
 def test_finite_pair_rejects_ints_beyond_float_range():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from pivotgauge import (
     line_feature_angles,
     normalized_angle_difference,
 )
+from pivotgauge.core import MAX_DISPLACEMENT_MM, MAX_GRID_MM, MIN_PITCH_MM
 from pivotgauge.features import admission_certain
 from conftest import (
     analytic_local_rotation,
@@ -118,6 +120,20 @@ def test_planar_kernel_matches_reference_bit_for_bit(rows, cols, pitch, simulate
     assert np.array_equal(result.valid, expected.valid)
 
 
+def test_folded_segment_gives_both_markers_one_angle():
+    # Markers 1, 2 and 3 move by (-2, 0), (-1, -1) and (-2, -2), which folds
+    # segment 0-1 to (-1, +0) and segment 1-3 to (+0, -1): +180 and -180
+    # degrees, by the sign of the zero. Segments 2-3 and 0-2 turn by -90 and
+    # +90. Each segment's angle reaches both of its markers; a folded one
+    # with opposite signs at its two ends would put -180 at marker 1 and 45
+    # at marker 3.
+    grid = MarkerGrid(rows=2, cols=2, pitch=1.0)
+    d = np.array([[0.0, 0.0, 0.0], [-2.0, 0.0, 0.0], [-1.0, -1.0, 0.0], [-2.0, -2.0, 0.0]])
+    result = line_feature_angles(grid, Frame(0.0, d))
+    assert result.valid.all()
+    assert result.angles.tolist() == [135.0, 0.0, 0.0, -135.0]
+
+
 def test_annulus_angle_bounded_by_brute_force_discretization():
     # The measured angle equals the brute-force segment mean; its gap to
     # the closed-form local rotation is the discretization error of the
@@ -174,6 +190,20 @@ def test_size_mismatch_is_usage_error(grid20):
         line_feature_angles(grid20, frame)
     with pytest.raises(UsageError):
         half_curl(grid20, frame, frame)
+
+
+@pytest.mark.parametrize("pitch", [MIN_PITCH_MM, MAX_GRID_MM])
+def test_kernels_stay_quiet_at_the_pitch_bounds(pitch):
+    # Displacements at the bound, of random sign, on the finest and the
+    # coarsest grid: no overflow or invalid value (warnings are errors here).
+    grid = MarkerGrid(rows=3, cols=3, pitch=pitch)
+    rng = np.random.default_rng(7)
+    prev, nxt = (Frame(0.0, MAX_DISPLACEMENT_MM * rng.choice([-1.0, 1.0], (9, 3)))
+                 for _ in range(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(half_curl(grid, prev, nxt)).all()
+        assert np.isfinite(line_feature_angles(grid, nxt).angles).all()
 
 
 @settings(max_examples=40, deadline=None)

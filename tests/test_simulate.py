@@ -28,7 +28,7 @@ from pivotgauge import (
 )
 from pivotgauge import simulate
 from pivotgauge.cli import main
-from pivotgauge.core import MAX_DISPLACEMENT_MM, MAX_FRAMES, MAX_GRID_MM
+from pivotgauge.core import MAX_DISPLACEMENT_MM, MAX_FRAMES, MAX_GRID_MM, MIN_PITCH_MM
 from pivotgauge.simulate import GroundTruth
 from pivotgauge.streams import write_frame, write_truth
 
@@ -470,7 +470,8 @@ def test_every_accepted_scenario_makes_frames_within_the_displacement_bound(data
     # Refused at load exactly when 4 a + |translation| + max_indent + 10 sigma
     # breaks the bound, or the centre of rotation lies beyond a kilometre;
     # otherwise every frame holds (Frame checks it) and no numpy warning fires.
-    grid = MarkerGrid(rows=5, cols=5, pitch=data.draw(st.floats(5e-324, MAX_GRID_MM)), origin=(0, 0))
+    pitch = data.draw(st.floats(MIN_PITCH_MM, MAX_GRID_MM))
+    grid = MarkerGrid(rows=5, cols=5, pitch=pitch, origin=(0, 0))
     a = data.draw(st.floats(0.0, grid.half_extent, exclude_min=True))
     signed = st.tuples(_ANY_LENGTH, st.sampled_from([1.0, -1.0])).map(lambda p: p[0] * p[1])
     translation, cor = data.draw(st.tuples(signed, signed)), data.draw(st.tuples(signed, signed))
