@@ -22,7 +22,6 @@ from .core import (
     UsageError,
 )
 from .estimation import (
-    EstimatorState,
     RotationPipeline,
     baseline_least_squares,
     estimate_frame,
@@ -57,7 +56,6 @@ __all__ = [
     "ContactMask",
     "ContactState",
     "DynamicResult",
-    "EstimatorState",
     "Frame",
     "FullConfig",
     "GroundTruth",

@@ -17,6 +17,7 @@ import argparse
 import contextlib
 import io
 import sys
+import types
 
 from .config import ConfigError, FullConfig, apply_overrides, build_config, load_document
 from .core import UsageError
@@ -30,10 +31,11 @@ from .simulate import iter_trajectory
 from .streams import StreamFormatError, fmt, write_frame, write_header, write_truth
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, seed: bool = True) -> None:
     parser.add_argument("--config", help="config JSON path or preset name (e.g. three-lift)")
     parser.add_argument("--out", help="output path (default: stdout)")
-    parser.add_argument("--seed", type=int, help="override scenario.rng_seed")
+    if seed:
+        parser.add_argument("--seed", type=int, help="override scenario.rng_seed")
     parser.add_argument(
         "--set",
         dest="overrides",
@@ -57,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--truth-out", help="also write ground truth NDJSON to this path")
 
     p_est = sub.add_parser("estimate", help="estimate rotation from an NDJSON stream")
-    _add_common(p_est)
+    _add_common(p_est, seed=False)
     p_est.add_argument("--in", dest="input", help="input NDJSON path (default: stdin)")
 
     p_sweep = sub.add_parser("sweep", help="static rotation sweep, 2..20 degrees")
@@ -76,7 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _load(args: argparse.Namespace) -> FullConfig:
     # --seed and --trials are shorthands for overrides: applied after the
     # --set values, so they win, and checked at load before any output.
-    flags = {"scenario.rng_seed": args.seed, "harness.trials": getattr(args, "trials", None)}
+    flags = {"scenario.rng_seed": getattr(args, "seed", None),
+             "harness.trials": getattr(args, "trials", None)}
     document = load_document(args.config)
     apply_overrides(document, [
         *args.overrides, *(f"{key}={value}" for key, value in flags.items() if value is not None)
@@ -85,22 +88,32 @@ def _load(args: argparse.Namespace) -> FullConfig:
 
 
 @contextlib.contextmanager
-def _open(path, mode="w"):
+def _open(path, mode="w", line_buffering=False):
     """The file at ``path`` in ``mode`` "r" or "w", or stdin/stdout for None or "-".
 
     Input is decoded as UTF-8 with each undecodable byte replaced by U+FFFD,
-    so a bad byte spoils its own line only, which is then skipped.
+    so a bad byte spoils its own line only, which is then skipped. An output
+    file is created at its first write, so a run refused before any output
+    leaves an existing file as it was. ``line_buffering`` sends each output
+    line as it is written.
     """
     if path is None or path == "-":
         if mode == "r" and isinstance(sys.stdin, io.TextIOWrapper):
             sys.stdin.reconfigure(encoding="utf-8", errors="replace")
+        elif line_buffering and isinstance(sys.stdout, io.TextIOWrapper):
+            sys.stdout.reconfigure(line_buffering=True)
         yield sys.stdin if mode == "r" else sys.stdout
     elif mode == "r":
         with open(path, encoding="utf-8", errors="replace") as handle:
             yield handle
     else:
-        with open(path, mode, newline="") as handle:
-            yield handle
+        with contextlib.ExitStack() as opened:
+            def first_write(text: str) -> int:  # creates the file, then writes straight to it
+                handle = open(path, mode, newline="", buffering=1 if line_buffering else -1)
+                out.write = opened.enter_context(handle).write
+                return out.write(text)
+            out = types.SimpleNamespace(write=first_write)
+            yield out
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -123,9 +136,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     config = _load(args)
-    with _open(args.input, "r") as source, _open(args.out) as out:
-        if isinstance(out, io.TextIOWrapper):  # a file or pipe: each row as its frame is read
-            out.reconfigure(line_buffering=True)
+    # Each row leaves as its frame is read.
+    with _open(args.input, "r") as source, _open(args.out, line_buffering=True) as out:
         estimate_from_stream(source, config, out, warn=sys.stderr)
     return 0
 
@@ -146,9 +158,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_dynamic(args: argparse.Namespace) -> int:
     config = _load(args)
-    harness = config.harness
-    # Checked before --out is opened, which would empty an existing file.
-    iter_trajectory(config.scenario, harness.t_start, harness.t_end, harness.rate_hz)
     with _open(args.out) as out:
         result = run_dynamic(config, csv_out=out)
     print(

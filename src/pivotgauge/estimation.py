@@ -108,35 +108,24 @@ def baseline_least_squares(
     )
 
 
-@dataclass
-class EstimatorState:
-    """Mutable per-stream filter state: single owner, one stream at a time.
-
-    ``window`` holds the last raw estimates from the first contact on.
-    """
-
-    window: deque = field(default_factory=lambda: deque(maxlen=FILTER_WINDOW))
-    last_timestamp: Optional[float] = None
-
-
 def filter_step(
-    state: EstimatorState, raw: RotationEstimate, timestamp: float
+    pipeline: RotationPipeline, raw: RotationEstimate, timestamp: float
 ) -> RotationEstimate:
-    """Advance the causal window-5 mean filter by one frame.
+    """Advance the pipeline's causal window-5 mean filter by one frame.
 
     Contact is read from the estimate: every state but NoContact. Before the
     first contact the output is 0; afterwards it is the window mean, except
     that a no-contact frame reports 0. Frames must arrive in strictly
     increasing timestamp order.
     """
-    if state.last_timestamp is not None and timestamp <= state.last_timestamp:
-        raise UsageError(f"out-of-order frame: t={timestamp} after t={state.last_timestamp}")
-    state.last_timestamp = timestamp
+    if pipeline.last_timestamp is not None and timestamp <= pipeline.last_timestamp:
+        raise UsageError(f"out-of-order frame: t={timestamp} after t={pipeline.last_timestamp}")
+    pipeline.last_timestamp, pipeline.last_raw = timestamp, raw
 
     contact = raw.state is not ContactState.NO_CONTACT
-    if contact or state.window:
-        state.window.append(raw.theta)
-    theta = sum(state.window) / len(state.window) if contact else 0.0
+    if contact or pipeline.window:
+        pipeline.window.append(raw.theta)
+    theta = sum(pipeline.window) / len(pipeline.window) if contact else 0.0
     return RotationEstimate(theta=theta, state=raw.state, stick_ratio=raw.stick_ratio, cor=raw.cor)
 
 
@@ -155,28 +144,24 @@ def estimate_frame(
     return estimate_rotation(region, softness), mask, region
 
 
+@dataclass(eq=False)
 class RotationPipeline:
     """Streaming pivot-rotation measurement over one frame sequence.
 
-    Frames must be processed in strictly increasing timestamp order. The
-    pipeline keeps the filter state; the most recent raw (unfiltered)
-    estimate remains available as ``last_raw`` after each call.
+    The pipeline is the single owner of its stream's state: the filter
+    ``window`` of raw estimates from the first contact on, the last
+    timestamp and ``last_raw``, the most recent raw (unfiltered) estimate.
+    Frames must be processed in strictly increasing timestamp order.
     """
 
-    def __init__(
-        self,
-        grid: MarkerGrid,
-        cfg: Optional[SegmentationConfig] = None,
-        softness: Optional[SoftnessParams] = None,
-    ):
-        self.grid = grid
-        self.cfg = cfg if cfg is not None else SegmentationConfig()
-        self.softness = softness if softness is not None else SoftnessParams()
-        self.state = EstimatorState()
-        self.last_raw: Optional[RotationEstimate] = None
+    grid: MarkerGrid
+    cfg: SegmentationConfig = field(default_factory=SegmentationConfig)
+    softness: SoftnessParams = field(default_factory=SoftnessParams)
+    window: deque = field(init=False, default_factory=lambda: deque(maxlen=FILTER_WINDOW))
+    last_timestamp: Optional[float] = field(init=False, default=None)
+    last_raw: Optional[RotationEstimate] = field(init=False, default=None)
 
     def process_frame(self, frame: Frame) -> RotationEstimate:
         """Run the full pipeline on one frame and return the filtered estimate."""
         raw, _mask, _region = estimate_frame(self.grid, frame, self.cfg, self.softness)
-        self.last_raw = raw
-        return filter_step(self.state, raw, frame.timestamp)
+        return filter_step(self, raw, frame.timestamp)

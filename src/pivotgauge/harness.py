@@ -95,6 +95,7 @@ def _sweep_errors(config: FullConfig) -> tuple[np.ndarray, np.ndarray]:
     pipeline. A nan entry is a failed trial: the baseline fails where no
     contact was detected or too few markers were flagged for its fit.
     """
+    config.scenario.require_times(0.0, 0.0)  # every trial is a frame at t = 0
     trials = config.harness.trials
     proposed = np.empty((len(SWEEP_ANGLES), trials))
     baseline = np.full_like(proposed, math.nan)

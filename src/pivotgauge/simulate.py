@@ -159,7 +159,7 @@ class SimScenario:
         for r_s in _extremes(self._stick_fn):  # type: ignore[attr-defined]
             if not 0 < r_s <= self.contact_radius:
                 raise UsageError(
-                    f"stick_radius {r_s} outside (0, contact_radius={self.contact_radius}]"
+                    f"scenario.stick_radius must lie in (0, {self.contact_radius}], got {r_s}"
                 )
         # Beyond twice the contact radius the noiseless field is exactly 0, so
         # no component of it exceeds 4 a + |translation| + max_indent.

@@ -166,8 +166,8 @@ def test_invalid_value_is_config_error(tmp_path, capsys):
         ('scenario.theta_trajectory="3.5"', "scenario.theta_trajectory must be a number"),
         ("scenario.translation_trajectory=[[0,0],[1,1]]", "scenario.translation_trajectory must be a 2-vector"),
         ("scenario.translation_trajectory=ab", "scenario.translation_trajectory must be a 2-vector"),
-        ("scenario.stick_radius=9", "stick_radius 9.0 outside"),
-        ("scenario.stick_radius=[[0,4],[1,0]]", "stick_radius 0.0 outside"),
+        ("scenario.stick_radius=9", r"scenario.stick_radius must lie in \(0, 8.0\], got 9.0"),
+        ("scenario.stick_radius=[[0,4],[1,0]]", r"scenario.stick_radius must lie in \(0, 8.0\], got 0.0"),
         ("harness.t_end=1e15", _FRAME_BOUND),
         ("harness.t_start=-1e15", _FRAME_BOUND),
         ("harness.rate_hz=1e300", _FRAME_BOUND),

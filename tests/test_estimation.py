@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from pivotgauge import (
     ContactMask,
     ContactState,
-    EstimatorState,
     Frame,
     InsufficientDataError,
     MarkerGrid,
@@ -36,6 +35,8 @@ from conftest import hostile_field, reference_baseline_least_squares, reference_
 
 CFG = SegmentationConfig()
 RIGID = SoftnessParams()
+# The filter reads only the estimates; any grid gives a pipeline to own them.
+FILTER_GRID = MarkerGrid()
 
 
 def region_with(mean_angle, state=ContactState.STICK, ratio=1.0):
@@ -254,8 +255,8 @@ def test_soft_mode_consistency(grid20):
 
 def run_filter(estimates):
     """Filtered thetas of ``estimates`` fed one per second from t = 0."""
-    state = EstimatorState()
-    return [filter_step(state, raw, float(t)).theta for t, raw in enumerate(estimates)]
+    pipeline = RotationPipeline(FILTER_GRID)
+    return [filter_step(pipeline, raw, float(t)).theta for t, raw in enumerate(estimates)]
 
 
 NO_CONTACT = RotationEstimate(theta=0.0, state=ContactState.NO_CONTACT, stick_ratio=0.0)
@@ -285,22 +286,36 @@ def test_filter_pins_no_contact_output_to_zero():
     # a contact dropout after contact was seen must not leak a nonzero
     # window mean into a no-contact estimate; the dropout's 0 stays in the
     # window, so the next contact frame averages it in
-    state = EstimatorState()
+    pipeline = RotationPipeline(FILTER_GRID)
     for t in range(5):
-        filter_step(state, make_estimate(8.0), float(t))
-    out = filter_step(state, NO_CONTACT, 5.0)
+        filter_step(pipeline, make_estimate(8.0), float(t))
+    out = filter_step(pipeline, NO_CONTACT, 5.0)
     assert out.theta == 0.0
     assert out.state is ContactState.NO_CONTACT
-    assert filter_step(state, make_estimate(8.0), 6.0).theta == pytest.approx(6.4, abs=1e-12)
+    assert filter_step(pipeline, make_estimate(8.0), 6.0).theta == pytest.approx(6.4, abs=1e-12)
 
 
 def test_filter_rejects_out_of_order_timestamps():
-    state = EstimatorState()
-    filter_step(state, make_estimate(1.0), 1.0)
+    pipeline = RotationPipeline(FILTER_GRID)
+    filter_step(pipeline, make_estimate(1.0), 1.0)
     with pytest.raises(UsageError):
-        filter_step(state, make_estimate(1.0), 0.5)
+        filter_step(pipeline, make_estimate(1.0), 0.5)
     with pytest.raises(UsageError):
-        filter_step(state, make_estimate(1.0), 1.0)
+        filter_step(pipeline, make_estimate(1.0), 1.0)
+
+
+def test_pipeline_owns_its_stream_state(grid20):
+    pipeline = RotationPipeline(grid20)
+    assert (pipeline.cfg, pipeline.softness) == (SegmentationConfig(), SoftnessParams())
+    assert (list(pipeline.window), pipeline.last_timestamp, pipeline.last_raw) == ([], None, None)
+    raw = make_estimate(3.0)
+    filter_step(pipeline, raw, 2.0)
+    assert (list(pipeline.window), pipeline.last_timestamp, pipeline.last_raw) == ([3.0], 2.0, raw)
+    with pytest.raises(UsageError, match="out-of-order"):
+        filter_step(pipeline, make_estimate(4.0), 2.0)
+    assert (list(pipeline.window), pipeline.last_raw) == ([3.0], raw)  # a refused frame
+    with pytest.raises(TypeError):
+        RotationPipeline(grid20, window=[1.0])  # stream state is not a constructor argument
 
 
 def test_pipeline_zero_frame_reports_no_contact(grid20):

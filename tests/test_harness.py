@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from pivotgauge import ConfigError, UsageError, estimation, harness, load_config, simulate
-from pivotgauge.cli import main
+from pivotgauge.cli import build_parser, main
 from pivotgauge.config import (
     HarnessConfig,
     apply_overrides,
@@ -615,6 +615,49 @@ def test_cli_exit_codes(tmp_path):
     out_csv = tmp_path / "est.csv"
     assert main(["estimate", "--in", str(repeated), "--out", str(out_csv)]) == 0
     assert len(out_csv.read_text().splitlines()) == 1 + 7
+
+
+_OFF_ZERO = "does not cover the run: t=0.0 outside trajectory domain [1.0, 2.0]"
+# A refusal of each command that comes before its first output, and its message.
+_REFUSED = {
+    "simulate": (["--set", "scenario.stick_radius=[[1,3],[2,3]]"],
+                 f"error: scenario.stick_radius {_OFF_ZERO}"),
+    "estimate": (["--in", "BAD_HEADER"], "error: bad stream header: 'cols'"),
+    "sweep": (["--trials", "1", "--set", "scenario.stick_radius=[[1,3],[2,3]]"],
+              f"error: scenario.stick_radius {_OFF_ZERO}"),
+    "dynamic": (["--set", "scenario.theta_trajectory=[[1,0],[2,5]]"],
+                f"error: scenario.theta_trajectory {_OFF_ZERO}"),
+    "compare": (["--trials", "1", "--set", "scenario.translation_trajectory=[[1,0,0],[2,0,0]]"],
+                f"error: scenario.translation_trajectory {_OFF_ZERO}"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_REFUSED))
+def test_a_refused_run_leaves_its_out_file_as_it_was(command, tmp_path, capsys):
+    # An output file is created at its first write: an existing --out keeps
+    # its bytes, and a missing one is not created.
+    bad_header = tmp_path / "bad.ndjson"
+    bad_header.write_text('{"rows": 1}\n')
+    flags, message = _REFUSED[command]
+    flags = [str(bad_header) if flag == "BAD_HEADER" else flag for flag in flags]
+    kept, missing = tmp_path / "kept.out", tmp_path / "missing.out"
+    kept.write_bytes(b"kept\r\n")
+    for out in (kept, missing):
+        assert main([command, *flags, "--out", str(out)]) == (1 if command == "estimate" else 2)
+        assert capsys.readouterr().err == message + "\n"
+    assert kept.read_bytes() == b"kept\r\n"
+    assert not missing.exists()
+
+
+def test_cli_estimate_takes_no_seed(capsys):
+    # estimate replays a stream and simulates nothing, so a seed could change
+    # no byte of its output; every command that simulates keeps the flag.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["estimate", "--seed", "1"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    for command in ("simulate", "sweep", "dynamic", "compare"):
+        assert build_parser().parse_args([command, "--seed", "3"]).seed == 3
 
 
 def test_cli_rejects_unknown_override_key():

@@ -450,9 +450,9 @@ def test_scenario_validation():
         SimScenario(rng_seed=True)  # a bool is an int to Python, not a seed
     with pytest.raises(UsageError):
         SimScenario(decay_exponent=0.0)
-    with pytest.raises(UsageError, match="stick_radius 9.0 outside"):
+    with pytest.raises(UsageError, match=r"scenario.stick_radius must lie in \(0, 8.0\], got 9.0"):
         SimScenario(stick_radius=9.0, contact_radius=8.0)  # above contact radius
-    with pytest.raises(UsageError, match="stick_radius 0.0 outside"):
+    with pytest.raises(UsageError, match=r"scenario.stick_radius must lie in \(0, 8.0\], got 0.0"):
         SimScenario(stick_radius=[(0.0, 4.0), (1.0, 0.0)])  # a breakpoint at 0
     with pytest.raises(UsageError, match="stick_radius must be a number or a breakpoint list"):
         SimScenario(stick_radius=lambda t: 9.0, contact_radius=8.0)  # time inputs are data
