@@ -56,7 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="emit an NDJSON frame stream")
     _add_common(p_sim)
-    p_sim.add_argument("--truth-out", help="also write ground truth NDJSON to this path")
+    p_sim.add_argument("--truth-out",
+                       help="also write ground truth NDJSON to this path (- for stdout)")
 
     p_est = sub.add_parser("estimate", help="estimate rotation from an NDJSON stream")
     _add_common(p_est, seed=False)
@@ -117,15 +118,17 @@ def _open(path, mode="w", line_buffering=False):
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    if args.truth_out == "-" and args.out in (None, "-"):
+        raise UsageError("--out and --truth-out cannot both be stdout")
     config = _load(args)
     harness = config.harness
     # Checked before either file is opened; each frame is made as it is written.
     frames = iter_trajectory(config.scenario, harness.t_start, harness.t_end, harness.rate_hz)
-    # The truth file is opened first: a path that cannot be opened ends the
-    # run before the frame file exists.
-    truth_file = open(args.truth_out, "w") if args.truth_out else contextlib.nullcontext()
+    truth_file = _open(args.truth_out) if args.truth_out else contextlib.nullcontext()
     with truth_file as truth_out, _open(args.out) as out:
-        for stream in filter(None, (out, truth_out)):
+        # The truth header is written first: a truth path that cannot be
+        # opened ends the run before the frame file exists.
+        for stream in filter(None, (truth_out, out)):
             write_header(stream, config.grid)
         for frame, truth in frames:
             write_frame(out, frame)
@@ -172,7 +175,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     config = _load(args)
     with _open(args.out) as out:
         report = compare_estimators(config, csv_out=out)
-    failures = sum(r.baseline_failures for r in report.rows)
+    failures = sum(row.failures for row in report.sweep["baseline"].rows)
     print(
         f"proposed wins {fmt(report.overall_win_rate)} of valid trials; "
         f"baseline insufficient-data trials: {failures}",

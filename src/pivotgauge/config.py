@@ -102,15 +102,19 @@ def _section(document: dict[str, Any], section: str) -> dict[str, Any]:
     return dict(data)
 
 
+def _existing_file(path: Path) -> Optional[Path]:
+    """``path`` if it names a file, else None: also for a name the file system
+    refuses, such as one too long for it."""
+    try:
+        return path if path.is_file() else None
+    except OSError:
+        return None
+
+
 def preset_path(name: str) -> Optional[Path]:
     """Path of a named preset shipped with the package, or None."""
-    candidate = resources.files("pivotgauge").joinpath("presets", f"{name.replace('-', '_')}.json")
-    try:
-        if candidate.is_file():
-            return Path(str(candidate))
-    except (OSError, TypeError):
-        return None
-    return None
+    presets = resources.files("pivotgauge").joinpath("presets")
+    return _existing_file(Path(str(presets), f"{name.replace('-', '_')}.json"))
 
 
 def build_config(document: dict[str, Any]) -> FullConfig:
@@ -191,12 +195,9 @@ def load_document(source: Union[str, Path, None]) -> dict[str, Any]:
     """Load the raw JSON document (for override support), defaults to {}."""
     if source is None:
         return {}
-    path = Path(source)
-    if not path.is_file():
-        preset = preset_path(str(source))
-        if preset is None:
-            raise ConfigError(f"config file or preset not found: {source}")
-        path = preset
+    path = _existing_file(Path(source)) or preset_path(str(source))
+    if path is None:
+        raise ConfigError(f"config file or preset not found: {source}")
     try:
         return json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:

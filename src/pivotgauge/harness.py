@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import astuple, dataclass, replace
-from typing import IO, Optional
+from dataclasses import dataclass, replace
+from typing import IO
 
 import numpy as np
 
@@ -63,27 +63,21 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepReport:
-    """Per-angle error rows plus the overall mean absolute rotational error."""
+    """One estimator's per-angle error rows plus its overall mean absolute
+    rotational error."""
 
-    estimator: str
     rows: tuple[SweepRow, ...]
     mare: float
     mare_std: float
 
 
 @dataclass(frozen=True)
-class CompareRow:
-    theta_true: float
-    trials: int
-    proposed_mae: float
-    baseline_mae: float
-    win_rate: float
-    baseline_failures: int
-
-
-@dataclass(frozen=True)
 class CompareReport:
-    rows: tuple[CompareRow, ...]
+    """Both estimators' sweep reports, keyed "proposed" and "baseline", plus
+    the proposed-vs-baseline win rate per sweep angle and overall."""
+
+    sweep: dict[str, SweepReport]
+    win_rates: tuple[float, ...]
     overall_win_rate: float
 
 
@@ -134,25 +128,21 @@ def _sweep_reports(proposed: np.ndarray, baseline: np.ndarray) -> dict[str, Swee
             SweepRow(float(theta), len(row), *_mean_std(row[~row_failed]), int(row_failed.sum()))
             for theta, row, row_failed in zip(SWEEP_ANGLES, errors, failed)
         )
-        reports[estimator] = SweepReport(estimator, rows, *_mean_std(errors[~failed]))
+        reports[estimator] = SweepReport(rows, *_mean_std(errors[~failed]))
     return reports
 
 
-def run_static_sweep(
-    config: FullConfig,
-    csv_out: Optional[IO[str]] = None,
-) -> dict[str, SweepReport]:
+def run_static_sweep(config: FullConfig, csv_out: IO[str]) -> dict[str, SweepReport]:
     """Static rotation sweep over integer angles 2..20 degrees: errors per
     angle and overall for the stick-region estimator and the least-squares
-    baseline."""
+    baseline, keyed "proposed" and "baseline"."""
     reports = _sweep_reports(*_sweep_errors(config))
-    if csv_out is not None:
-        write_csv_row(csv_out, SWEEP_CSV_HEADER)
-        for prop, base in zip(reports["proposed"].rows, reports["baseline"].rows):
-            write_csv_row(csv_out, (
-                prop.theta_true, prop.trials, prop.mean_abs_error, prop.std_error,
-                base.mean_abs_error, base.std_error, base.failures,
-            ))
+    write_csv_row(csv_out, SWEEP_CSV_HEADER)
+    for prop, base in zip(reports["proposed"].rows, reports["baseline"].rows):
+        write_csv_row(csv_out, (
+            prop.theta_true, prop.trials, prop.mean_abs_error, prop.std_error,
+            base.mean_abs_error, base.std_error, base.failures,
+        ))
     return reports
 
 
@@ -171,7 +161,7 @@ def _estimate_row(pipeline: RotationPipeline, frame: Frame) -> tuple:
             filtered.stick_ratio)
 
 
-def run_dynamic(config: FullConfig, csv_out: Optional[IO[str]] = None) -> DynamicResult:
+def run_dynamic(config: FullConfig, csv_out: IO[str]) -> DynamicResult:
     """Stream the configured trajectory through the filtered pipeline, each
     frame made, estimated and written before the next one is made.
 
@@ -181,8 +171,7 @@ def run_dynamic(config: FullConfig, csv_out: Optional[IO[str]] = None) -> Dynami
     harness = config.harness
     # Checked before the header: a trajectory the scenario does not cover.
     trajectory = iter_trajectory(config.scenario, harness.t_start, harness.t_end, harness.rate_hz)
-    if csv_out is not None:
-        write_csv_row(csv_out, DYNAMIC_CSV_HEADER)
+    write_csv_row(csv_out, DYNAMIC_CSV_HEADER)
     pipeline = RotationPipeline(config.grid, config.segmentation, config.softness)
     errors = []
     n = 0
@@ -191,24 +180,18 @@ def run_dynamic(config: FullConfig, csv_out: Optional[IO[str]] = None) -> Dynami
         in_range = VALID_RANGE[0] <= abs(truth.theta) <= VALID_RANGE[1]
         if in_range and state is not ContactState.MACRO_SLIP:
             errors.append(abs(theta - truth.theta))
-        if csv_out is not None:
-            write_csv_row(csv_out, (t, truth.theta, raw_theta, theta, state, stick_ratio))
+        write_csv_row(csv_out, (t, truth.theta, raw_theta, theta, state, stick_ratio))
     mare = float(np.mean(errors)) if errors else math.nan
     return DynamicResult(n_frames=n, in_range_frames=len(errors), mare=mare)
 
 
-def estimate_from_stream(
-    lines,
-    config: FullConfig,
-    csv_out: IO[str],
-    warn: Optional[IO[str]] = None,
-) -> int:
+def estimate_from_stream(lines, config: FullConfig, csv_out: IO[str], warn: IO[str]) -> int:
     """Replay an NDJSON frame stream through the pipeline, CSV to ``csv_out``.
 
     ``lines`` is any iterable of lines: a list, an open file or stdin. The
     stream header defines the grid. Malformed frame lines are skipped
-    with a warning; a malformed header is fatal. Returns the number of
-    frames processed.
+    with a warning to ``warn``; a malformed header is fatal. Returns the
+    number of frames processed.
     """
     lines = NumberedLines(lines)  # the header is read once, then frames from the next line
     grid = read_header(lines)
@@ -220,15 +203,15 @@ def estimate_from_stream(
     return n
 
 
-def compare_estimators(config: FullConfig, csv_out: Optional[IO[str]] = None) -> CompareReport:
+def compare_estimators(config: FullConfig, csv_out: IO[str]) -> CompareReport:
     """Side-by-side per-angle errors plus the proposed-vs-baseline win rate.
 
     A trial is a win when the stick-region estimator's absolute error is
     strictly smaller than the baseline's. A failed baseline trial is never a
     win and is left out of the win rate, which covers the measured trials.
-    The CLI's ``baseline insufficient-data trials: N`` sums the rows'
-    ``baseline_failures``: N counts the trials without a detected contact
-    as well as those with fewer than 3 flagged markers.
+    The CLI's ``baseline insufficient-data trials: N`` sums the baseline
+    rows' ``failures``: N counts the trials without a detected contact as
+    well as those with fewer than 3 flagged markers.
     """
     proposed, baseline = _sweep_errors(config)
     reports = _sweep_reports(proposed, baseline)
@@ -236,13 +219,9 @@ def compare_estimators(config: FullConfig, csv_out: Optional[IO[str]] = None) ->
     wins = np.sum(proposed < baseline, axis=1)  # False where the baseline is nan
     measured = np.array([row.trials - row.failures for row in theirs])
     with np.errstate(invalid="ignore"):  # no trial measured: 0 / 0, a nan win rate
-        win_rates, overall = (wins / measured).tolist(), float(wins.sum() / measured.sum())
-    rows = tuple(
-        CompareRow(p.theta_true, p.trials, p.mean_abs_error, b.mean_abs_error, rate, b.failures)
-        for p, b, rate in zip(ours, theirs, win_rates)
-    )
-    if csv_out is not None:
-        write_csv_row(csv_out, COMPARE_CSV_HEADER)
-        for row in rows:
-            write_csv_row(csv_out, astuple(row))
-    return CompareReport(rows=rows, overall_win_rate=overall)
+        win_rates, overall = tuple((wins / measured).tolist()), float(wins.sum() / measured.sum())
+    write_csv_row(csv_out, COMPARE_CSV_HEADER)
+    for p, b, rate in zip(ours, theirs, win_rates):
+        write_csv_row(csv_out, (p.theta_true, p.trials, p.mean_abs_error, b.mean_abs_error,
+                                rate, b.failures))
+    return CompareReport(reports, win_rates, overall)

@@ -14,7 +14,7 @@ states) are written with ``str``.
 from __future__ import annotations
 
 import json
-import sys
+from dataclasses import asdict
 from typing import IO, Any, Iterable, Iterator, Optional
 
 from .core import Frame, MarkerGrid, finite_pair
@@ -37,17 +37,8 @@ def fmt(value: float) -> str:
 
 
 def write_header(out: IO[str], grid: MarkerGrid) -> None:
-    out.write(
-        json.dumps(
-            {
-                "rows": grid.rows,
-                "cols": grid.cols,
-                "pitch": grid.pitch,
-                "origin": [grid.origin[0], grid.origin[1]],
-            }
-        )
-        + "\n"
-    )
+    """The header line: the grid's fields, as the config's ``grid`` section names them."""
+    out.write(json.dumps(asdict(grid)) + "\n")
 
 
 def write_frame(out: IO[str], frame: Frame) -> None:
@@ -107,12 +98,9 @@ def read_header(lines: Iterator[str]) -> MarkerGrid:
         raise StreamFormatError(f"bad stream header: {exc}") from exc
 
 
-def read_frames(
-    lines: Iterator[str],
-    grid: MarkerGrid,
-    warn: Optional[IO[str]] = None,
-) -> Iterator[Frame]:
-    """Yield frames from NDJSON lines, skipping malformed ones with a warning.
+def read_frames(lines: Iterator[str], grid: MarkerGrid, warn: IO[str]) -> Iterator[Frame]:
+    """Yield frames from NDJSON lines, skipping malformed ones with a warning
+    to ``warn``.
 
     A line is skipped (never fatal) when it fails to parse, has the wrong
     marker count, breaks the number rule of ``Frame``, or is not later than
@@ -120,7 +108,6 @@ def read_frames(
     names the line by ``lines.lineno`` for ``NumberedLines``; other lines
     are numbered as following a header on line 1.
     """
-    warn = warn if warn is not None else sys.stderr
     if not isinstance(lines, NumberedLines):
         lines = NumberedLines(lines, read=1)
     last_t: Optional[float] = None

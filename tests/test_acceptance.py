@@ -6,6 +6,7 @@ report lines.
 
 from __future__ import annotations
 
+import io
 import math
 import subprocess
 import sys
@@ -324,7 +325,7 @@ def test_c10_static_sweep_regression():
             oracle_errors.append(abs(-sum(angles) / len(angles) - theta))
     oracle_mare = float(np.mean(oracle_errors))
 
-    reports = run_static_sweep(config)
+    reports = run_static_sweep(config, io.StringIO())
     sweep_mare = reports["proposed"].mare
     tol = 0.2 * GOLDEN_SWEEP_MARE_DEG
     ok = abs(sweep_mare - GOLDEN_SWEEP_MARE_DEG) <= tol and abs(

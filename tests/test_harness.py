@@ -42,7 +42,7 @@ def config_with(scenario_overrides=None, harness_overrides=None):
 
 def test_sweep_noiseless_full_stick_exact():
     config = config_with({"noise_sigma": 0.0}, {"trials": 2})
-    reports = run_static_sweep(config)
+    reports = run_static_sweep(config, io.StringIO())
     assert reports["proposed"].mare < 1e-6
     assert reports["baseline"].mare < 1e-6
     assert all(row.trials == 2 for row in reports["proposed"].rows)
@@ -74,7 +74,7 @@ def test_sweep_and_compare_generate_one_frame_per_trial(monkeypatch):
     config = config_with(harness_overrides={"trials": 2})
     for run in (run_static_sweep, compare_estimators):
         indices.clear()
-        run(config)
+        run(config, io.StringIO())
         assert len(indices) == 38 == 2 * len(SWEEP_ANGLES)
         assert sorted(indices) == list(range(38))
 
@@ -167,7 +167,7 @@ def test_sweep_trend_incipient_slip():
         },
         {"trials": 10},
     )
-    reports = run_static_sweep(config)
+    reports = run_static_sweep(config, io.StringIO())
     proposed = [row.mean_abs_error for row in reports["proposed"].rows]
     baseline = {row.theta_true: row.mean_abs_error for row in reports["baseline"].rows}
     assert max(proposed) < 0.3
@@ -226,10 +226,10 @@ def test_stream_replay_matches_dynamic(tmp_path):
 
     ndjson = tmp_path / "frames.ndjson"
     assert main(["simulate", "--config", "three-lift", "--out", str(ndjson)]) == 0
-    estimate_buf = io.StringIO()
+    estimate_buf, warn = io.StringIO(), io.StringIO()
     with open(ndjson) as stream:
-        n = estimate_from_stream(iter(stream), config, estimate_buf)
-    assert n == 361
+        n = estimate_from_stream(iter(stream), config, estimate_buf, warn=warn)
+    assert n == 361 and warn.getvalue() == ""
 
     dynamic_rows = dynamic_buf.getvalue().splitlines()[1:]
     estimate_rows = estimate_buf.getvalue().splitlines()[1:]
@@ -241,11 +241,12 @@ def test_stream_replay_matches_dynamic(tmp_path):
 
 def test_stream_replay_empty_after_header():
     config = load_config(None)
-    out = io.StringIO()
+    out, warn = io.StringIO(), io.StringIO()
     n = estimate_from_stream(
-        iter(['{"rows": 20, "cols": 20, "pitch": 1.0, "origin": [-9.5, -9.5]}']), config, out
+        iter(['{"rows": 20, "cols": 20, "pitch": 1.0, "origin": [-9.5, -9.5]}']), config, out,
+        warn=warn,
     )
-    assert n == 0
+    assert n == 0 and warn.getvalue() == ""
     assert out.getvalue().splitlines() == [
         "t,theta_raw_deg,theta_filtered_deg,state,stick_ratio"
     ]
@@ -271,11 +272,11 @@ def test_stream_replay_reads_a_list_like_an_iterator():
 
 def test_compare_full_stick_win_rate_near_half():
     config = config_with({"noise_sigma": 0.005, "rng_seed": 21}, {"trials": 20})
-    report = compare_estimators(config)
+    report = compare_estimators(config, io.StringIO())
     assert 0.25 <= report.overall_win_rate <= 0.75
-    for row in report.rows:
-        assert row.baseline_failures == 0
-        assert row.proposed_mae < 0.5 and row.baseline_mae < 0.5
+    for ours, theirs in zip(report.sweep["proposed"].rows, report.sweep["baseline"].rows):
+        assert theirs.failures == 0
+        assert ours.mean_abs_error < 0.5 and theirs.mean_abs_error < 0.5
 
 
 def test_compare_incipient_slip_win_rate_high():
@@ -289,20 +290,22 @@ def test_compare_incipient_slip_win_rate_high():
         },
         {"trials": 10},
     )
-    report = compare_estimators(config)
-    high_angle_rows = [row for row in report.rows if row.theta_true >= 10.0]
-    for row in high_angle_rows:
-        assert row.win_rate >= 0.9
+    report = compare_estimators(config, io.StringIO())
+    high_angle_rates = [rate for row, rate in zip(report.sweep["proposed"].rows, report.win_rates)
+                        if row.theta_true >= 10.0]
+    assert len(high_angle_rates) == 11
+    for rate in high_angle_rates:
+        assert rate >= 0.9
 
 
 def test_compare_reports_insufficient_baseline_data():
     config = config_with(
         {"contact_radius": 0.8, "cor": [0.5, 0.5], "noise_sigma": 0.0}, {"trials": 2}
     )
-    report = compare_estimators(config)
-    for row in report.rows:
-        assert row.baseline_failures == 2
-        assert math.isnan(row.baseline_mae)
+    report = compare_estimators(config, io.StringIO())
+    for row in report.sweep["baseline"].rows:
+        assert row.failures == 2
+        assert math.isnan(row.mean_abs_error)
 
 
 def test_one_reduction_leaves_out_failed_trials_of_either_estimator(monkeypatch):
@@ -316,7 +319,7 @@ def test_one_reduction_leaves_out_failed_trials_of_either_estimator(monkeypatch)
     monkeypatch.setattr(harness, "_sweep_errors", lambda *args: (proposed, baseline))
     config = config_with(harness_overrides={"trials": 3})
 
-    reports = run_static_sweep(config)
+    reports = run_static_sweep(config, io.StringIO())
     ours, theirs = reports["proposed"].rows, reports["baseline"].rows
     assert (ours[0].mean_abs_error, ours[0].std_error, ours[0].failures) == (2.0, 1.0, 1)
     assert (theirs[0].mean_abs_error, theirs[0].std_error, theirs[0].failures) == (1.25, 0.75, 1)
@@ -326,12 +329,14 @@ def test_one_reduction_leaves_out_failed_trials_of_either_estimator(monkeypatch)
     assert reports["proposed"].mare == np.mean(proposed[~np.isnan(proposed)])
     assert reports["baseline"].mare == np.mean(baseline[~np.isnan(baseline)])
 
-    report = compare_estimators(config)
-    assert report.rows[0].proposed_mae == 2.0 and report.rows[0].baseline_mae == 1.25
-    assert report.rows[0].win_rate == 0.0  # 1 < 0.5 fails; the other two are not measured
-    assert math.isnan(report.rows[1].win_rate) and report.rows[1].baseline_failures == 3
-    assert report.rows[2].win_rate == 2 / 3
-    assert [row.win_rate for row in report.rows[3:]] == [1.0] * (len(SWEEP_ANGLES) - 3)
+    report = compare_estimators(config, io.StringIO())
+    assert report.sweep == reports
+    ours, theirs = report.sweep["proposed"].rows, report.sweep["baseline"].rows
+    assert ours[0].mean_abs_error == 2.0 and theirs[0].mean_abs_error == 1.25
+    assert report.win_rates[0] == 0.0  # 1 < 0.5 fails; the other two are not measured
+    assert math.isnan(report.win_rates[1]) and theirs[1].failures == 3
+    assert report.win_rates[2] == 2 / 3
+    assert list(report.win_rates[3:]) == [1.0] * (len(SWEEP_ANGLES) - 3)
     assert report.overall_win_rate == (0 + 2 + 3 * (len(SWEEP_ANGLES) - 3)) / (
         2 + 3 * (len(SWEEP_ANGLES) - 2))
 
@@ -569,6 +574,30 @@ def test_cli_simulate_opens_the_truth_file_before_any_frame_is_written(tmp_path,
                  "--set", "harness.t_end=0.1"]) == 1
     assert not frames.exists()
     assert "No such file or directory" in capsys.readouterr().err
+
+
+def test_cli_simulate_writes_truth_to_stdout_for_a_dash(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    run = ["simulate", "--set", "harness.t_end=0.1"]
+    assert main([*run, "--out", "frames.ndjson", "--truth-out", "truth.ndjson"]) == 0
+    assert main([*run, "--out", "frames-2.ndjson", "--truth-out", "-"]) == 0
+    assert capsys.readouterr().out == (tmp_path / "truth.ndjson").read_text()
+    assert (tmp_path / "frames-2.ndjson").read_bytes() == (tmp_path / "frames.ndjson").read_bytes()
+    assert not (tmp_path / "-").exists()
+    # Both streams on stdout would interleave: refused before any output.
+    for out in ([], ["--out", "-"]):
+        assert main([*run, *out, "--truth-out", "-"]) == 2
+        assert capsys.readouterr() == ("", "error: --out and --truth-out cannot both be stdout\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "frames-2.ndjson", "frames.ndjson", "truth.ndjson"]
+
+
+def test_a_config_name_too_long_for_a_path_is_not_found(capsys):
+    name = "x" * 300
+    with pytest.raises(ConfigError, match=f"^config file or preset not found: {name}$"):
+        load_document(name)
+    assert main(["sweep", "--trials", "1", "--config", name]) == 2
+    assert capsys.readouterr() == ("", f"error: config file or preset not found: {name}\n")
 
 
 def test_cli_estimate_skips_a_line_it_cannot_decode(tmp_path):
