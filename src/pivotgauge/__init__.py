@@ -13,6 +13,7 @@ from .core import (
     ContactMask,
     ContactState,
     Frame,
+    FrameResult,
     InsufficientDataError,
     LineFeatureAngles,
     MarkerGrid,
@@ -57,6 +58,7 @@ __all__ = [
     "ContactState",
     "DynamicResult",
     "Frame",
+    "FrameResult",
     "FullConfig",
     "GroundTruth",
     "HarnessConfig",

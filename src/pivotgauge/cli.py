@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import os
 import sys
 import types
 
@@ -117,6 +118,17 @@ def _open(path, mode="w", line_buffering=False):
             yield out
 
 
+def _require_creatable(path) -> None:
+    """Refuse, creating nothing, an output path that cannot be opened for
+    writing: a directory, or a file in no writable directory. stdout passes."""
+    if path is None or path == "-":
+        return
+    if os.path.isdir(path):
+        raise OSError(f"cannot write {path}: it is a directory")
+    if not os.access(os.path.dirname(path) or ".", os.W_OK):
+        raise OSError(f"cannot write {path}: its directory is missing or not writable")
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.truth_out == "-" and args.out in (None, "-"):
         raise UsageError("--out and --truth-out cannot both be stdout")
@@ -124,6 +136,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     harness = config.harness
     # Checked before either file is opened; each frame is made as it is written.
     frames = iter_trajectory(config.scenario, harness.t_start, harness.t_end, harness.rate_hz)
+    _require_creatable(args.out)  # before the truth header, so a refusal leaves the truth file
     truth_file = _open(args.truth_out) if args.truth_out else contextlib.nullcontext()
     with truth_file as truth_out, _open(args.out) as out:
         # The truth header is written first: a truth path that cannot be

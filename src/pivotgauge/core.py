@@ -39,6 +39,11 @@ MAX_DISPLACEMENT_MM = 1e6
 # displacement bound. Every marker position then lies within about 1e12 mm,
 # so no product or sum the kernels take of positions and displacements overflows.
 MAX_GRID_MM = 1e6
+# Largest softness constant: k (a shear-modulus ratio) and |l_xy|, |l_yx|
+# (degrees), far beyond any elastomer and object. A mean angle lies within
+# +-180 degrees, so every estimate stays within about 2e8 degrees and no
+# filter sum or error mean of estimates can overflow.
+MAX_SOFTNESS = 1e6
 # Smallest grid pitch, in mm: a nanometre, far below any marker pitch. Kernels
 # divide displacements by the pitch, so a subnormal one would overflow them.
 MIN_PITCH_MM = 1e-6
@@ -327,7 +332,8 @@ class SoftnessParams:
 
     ``k`` is the shear-modulus ratio elastomer/object (0 for a rigid
     object); ``l_xy`` and ``l_yx`` are accumulated contact-distribution
-    constants in degrees. The rigid default is all zeros.
+    constants in degrees. Each lies within +-``MAX_SOFTNESS``. The rigid
+    default is all zeros.
     """
 
     k: float = 0.0
@@ -336,7 +342,9 @@ class SoftnessParams:
 
     def __post_init__(self) -> None:
         for name in ("k", "l_xy", "l_yx"):
-            finite_number(getattr(self, name), f"softness.{name}")
+            value = getattr(self, name)
+            if abs(finite_number(value, f"softness.{name}")) > MAX_SOFTNESS:
+                raise UsageError(f"softness.{name} must lie within +-{MAX_SOFTNESS:g}, got {value!r}")
         if self.k < 0:
             raise UsageError(f"softness.k must be >= 0, got {self.k!r}")
 
@@ -358,3 +366,20 @@ class RotationEstimate:
         finite_number(self.theta, "estimate theta")
         if self.state is ContactState.NO_CONTACT and self.theta != 0.0:
             raise UsageError("theta must be 0 when no contact is detected")
+
+
+@dataclass(frozen=True, eq=False)
+class FrameResult:
+    """What the pipeline yields for one frame: the raw (unfiltered)
+    ``estimate``, the contact ``mask``, the line-feature ``angles`` (None
+    exactly when no contact was detected, as none are computed then) and the
+    stick ``region``."""
+
+    estimate: RotationEstimate
+    mask: ContactMask
+    angles: Optional[LineFeatureAngles]
+    region: StickRegion
+
+    def __post_init__(self) -> None:
+        if (self.angles is None) == self.mask.contact_detected:
+            raise UsageError("a frame result has angles exactly when contact was detected")

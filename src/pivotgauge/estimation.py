@@ -29,6 +29,7 @@ from .core import (
     ContactMask,
     ContactState,
     Frame,
+    FrameResult,
     InsufficientDataError,
     MarkerGrid,
     RotationEstimate,
@@ -109,24 +110,25 @@ def baseline_least_squares(
 
 
 def filter_step(
-    pipeline: RotationPipeline, raw: RotationEstimate, timestamp: float
+    pipeline: RotationPipeline, result: FrameResult, timestamp: float
 ) -> RotationEstimate:
-    """Advance the pipeline's causal window-5 mean filter by one frame.
+    """Keep ``result`` as the pipeline's ``last`` and advance its window-5 filter.
 
-    Contact is read from the estimate: every state but NoContact. Before the
-    first contact the output is 0; afterwards it is the window mean, except
-    that a no-contact frame reports 0. Frames must arrive in strictly
+    Contact is read from the raw estimate: every state but NoContact. Before
+    the first contact the output is 0; afterwards it is the window mean,
+    except that a no-contact frame reports 0. Frames must arrive in strictly
     increasing timestamp order.
     """
     if pipeline.last_timestamp is not None and timestamp <= pipeline.last_timestamp:
         raise UsageError(f"out-of-order frame: t={timestamp} after t={pipeline.last_timestamp}")
-    pipeline.last_timestamp, pipeline.last_raw = timestamp, raw
+    pipeline.last_timestamp, pipeline.last = timestamp, result
 
+    raw = result.estimate
     contact = raw.state is not ContactState.NO_CONTACT
     if contact or pipeline.window:
         pipeline.window.append(raw.theta)
     theta = sum(pipeline.window) / len(pipeline.window) if contact else 0.0
-    return RotationEstimate(theta=theta, state=raw.state, stick_ratio=raw.stick_ratio, cor=raw.cor)
+    return RotationEstimate(theta=theta, state=raw.state, stick_ratio=raw.stick_ratio)
 
 
 def estimate_frame(
@@ -134,14 +136,14 @@ def estimate_frame(
     frame: Frame,
     cfg: SegmentationConfig,
     softness: SoftnessParams,
-) -> tuple[RotationEstimate, ContactMask, StickRegion]:
+) -> FrameResult:
     """Single-frame (unfiltered) estimate with its intermediate products."""
     mask = detect_contact(grid, frame, cfg)
-    if not mask.contact_detected:
-        return estimate_rotation(NO_CONTACT_REGION, softness), mask, NO_CONTACT_REGION
-    angles = line_feature_angles(grid, frame)
-    region = grow_stick_region(grid, mask, angles, cfg)
-    return estimate_rotation(region, softness), mask, region
+    angles, region = None, NO_CONTACT_REGION  # no angles are computed without contact
+    if mask.contact_detected:
+        angles = line_feature_angles(grid, frame)
+        region = grow_stick_region(grid, mask, angles, cfg)
+    return FrameResult(estimate_rotation(region, softness), mask, angles, region)
 
 
 @dataclass(eq=False)
@@ -150,7 +152,7 @@ class RotationPipeline:
 
     The pipeline is the single owner of its stream's state: the filter
     ``window`` of raw estimates from the first contact on, the last
-    timestamp and ``last_raw``, the most recent raw (unfiltered) estimate.
+    timestamp and ``last``, the most recent frame's ``FrameResult``.
     Frames must be processed in strictly increasing timestamp order.
     """
 
@@ -159,9 +161,9 @@ class RotationPipeline:
     softness: SoftnessParams = field(default_factory=SoftnessParams)
     window: deque = field(init=False, default_factory=lambda: deque(maxlen=FILTER_WINDOW))
     last_timestamp: Optional[float] = field(init=False, default=None)
-    last_raw: Optional[RotationEstimate] = field(init=False, default=None)
+    last: Optional[FrameResult] = field(init=False, default=None)
 
     def process_frame(self, frame: Frame) -> RotationEstimate:
         """Run the full pipeline on one frame and return the filtered estimate."""
-        raw, _mask, _region = estimate_frame(self.grid, frame, self.cfg, self.softness)
-        return filter_step(self, raw, frame.timestamp)
+        result = estimate_frame(self.grid, frame, self.cfg, self.softness)
+        return filter_step(self, result, frame.timestamp)

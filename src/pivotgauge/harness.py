@@ -97,14 +97,15 @@ def _sweep_errors(config: FullConfig) -> tuple[np.ndarray, np.ndarray]:
         scenario = replace(config.scenario, theta_trajectory=float(theta))
         for trial in range(trials):
             frame, _truth = generate_frame(scenario, 0.0, frame_index=angle_pos * trials + trial)
-            estimate, mask, _region = estimate_frame(
-                config.grid, frame, config.segmentation, config.softness
-            )
-            proposed[angle_pos, trial] = abs(estimate.theta - theta)
-            if mask.contact_detected:  # without contact the baseline has nothing to fit
+            result = estimate_frame(config.grid, frame, config.segmentation, config.softness)
+            proposed[angle_pos, trial] = abs(result.estimate.theta - theta)
+            if result.mask.contact_detected:  # without contact the baseline has nothing to fit
                 with contextlib.suppress(InsufficientDataError):
-                    base = baseline_least_squares(config.grid, frame, mask)
+                    base = baseline_least_squares(config.grid, frame, result.mask)
                     baseline[angle_pos, trial] = abs(base.theta - theta)
+            # Its angle record would otherwise stay alive through the next
+            # trial and raise the sweep's peak memory.
+            del result
     return proposed, baseline
 
 
@@ -157,7 +158,7 @@ def _estimate_row(pipeline: RotationPipeline, frame: Frame) -> tuple:
     """Run one frame through the filtered pipeline; return its row of
     ``ESTIMATE_CSV_HEADER`` values."""
     filtered = pipeline.process_frame(frame)
-    return (frame.timestamp, pipeline.last_raw.theta, filtered.theta, filtered.state,
+    return (frame.timestamp, pipeline.last.estimate.theta, filtered.theta, filtered.state,
             filtered.stick_ratio)
 
 

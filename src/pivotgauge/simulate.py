@@ -346,6 +346,13 @@ def frame_count(t0: float, t1: float, rate: float) -> int:
         raise UsageError(f"rate_hz must be positive, got {rate}")
     if not (t1 - t0) * rate <= MAX_FRAMES:
         raise UsageError(f"rate_hz x (t_end - t_start) exceeds {MAX_FRAMES} frames")
+    # Each time t0 + i / rate rounds by at most half the float spacing near it,
+    # at most twice ulp(largest) (a run may end just past a power of two). A
+    # period of four ulps keeps neighbouring times apart.
+    largest = max(abs(t0), abs(t1))
+    if rate * math.ulp(largest) > 0.25:
+        raise UsageError(f"rate_hz {rate} is too high for times near {largest}: "
+                         "frames would share timestamps")
     return int(math.floor((t1 - t0) * rate + 1e-9)) + 1
 
 

@@ -88,12 +88,12 @@ def test_c02_translation_suppression():
     worst = 0.0
     for scenario in scenarios:
         frame, _ = generate_frame(scenario, 0.0)
-        base, _, _ = estimate_frame(scenario.grid, frame, CFG, RIGID)
+        base = estimate_frame(scenario.grid, frame, CFG, RIGID).estimate
         for tx, ty in shifts:
             disp = frame.displacements.copy()
             disp[:, 0] += tx
             disp[:, 1] += ty
-            moved, _, _ = estimate_frame(scenario.grid, Frame(0.0, disp), CFG, RIGID)
+            moved = estimate_frame(scenario.grid, Frame(0.0, disp), CFG, RIGID).estimate
             worst = max(worst, abs(moved.theta - base.theta))
     _report("C2 translation suppression", worst < 1e-9, f"worst shift {worst:.2e} deg")
 
@@ -113,14 +113,14 @@ def test_c03_stick_region_recovery():
 
             scn = scenario(0.0)
             frame, truth = generate_frame(scn, 0.0)
-            _, _, region = estimate_frame(scn.grid, frame, CFG, RIGID)
+            region = estimate_frame(scn.grid, frame, CFG, RIGID).region
             worst_clean = min(worst_clean, f1_against_mask(region.members, truth.stick_mask))
 
             noisy = scenario(0.005)
             f1s = []
             for trial in range(50):
                 frame, truth = generate_frame(noisy, 0.0, frame_index=trial)
-                _, _, region = estimate_frame(noisy.grid, frame, CFG, RIGID)
+                region = estimate_frame(noisy.grid, frame, CFG, RIGID).region
                 f1s.append(f1_against_mask(region.members, truth.stick_mask))
             worst_noisy = min(worst_noisy, float(np.mean(f1s)))
     elapsed = time.perf_counter() - start
@@ -144,9 +144,9 @@ def test_c04_incipient_slip_advantage():
                 decay_exponent=4.0, noise_sigma=0.005, rng_seed=31,
             )
             frame, _ = generate_frame(scn, 0.0, frame_index=trial)
-            proposed, mask, _ = estimate_frame(scn.grid, frame, CFG, RIGID)
-            baseline = baseline_least_squares(scn.grid, frame, mask)
-            p_err = abs(proposed.theta - theta)
+            result = estimate_frame(scn.grid, frame, CFG, RIGID)
+            baseline = baseline_least_squares(scn.grid, frame, result.mask)
+            p_err = abs(result.estimate.theta - theta)
             b_err = abs(baseline.theta - theta)
             wins += p_err < b_err
             b_errors.append(b_err)
@@ -200,8 +200,8 @@ def test_c06_soft_object_correction():
     k = 0.2
     scn = SimScenario(theta_trajectory=10.0, softness=SoftnessParams(k=k), noise_sigma=0.0)
     frame, _ = generate_frame(scn, 0.0)
-    rigid_est, _, _ = estimate_frame(scn.grid, frame, CFG, RIGID)
-    soft_est, _, _ = estimate_frame(scn.grid, frame, CFG, SoftnessParams(k=k))
+    rigid_est = estimate_frame(scn.grid, frame, CFG, RIGID).estimate
+    soft_est = estimate_frame(scn.grid, frame, CFG, SoftnessParams(k=k)).estimate
     rel_err = abs(rigid_est.theta - 10.0) / 10.0
     ok = abs(rel_err - k / (1 + k)) < 1e-6 and abs(soft_est.theta - 10.0) < 1e-6
     _report(
@@ -220,14 +220,14 @@ def test_c07_macro_slip_detection():
             cor=(0.5, 0.5), decay_exponent=1.5, noise_sigma=0.0,
         )
         frame, _ = generate_frame(scn, 0.0)
-        _, _, region = estimate_frame(scn.grid, frame, CFG, RIGID)
+        region = estimate_frame(scn.grid, frame, CFG, RIGID).region
         flips_ok &= region.state.value == "MacroSlip" and len(region.members) < 3
 
     false_positives = 0
     for trial in range(100):
         theta = 2.0 + 18.0 * trial / 99.0
         frame, _ = generate_frame(full_stick_scenario(theta), 0.0)
-        _, _, region = estimate_frame(MarkerGrid(), frame, CFG, RIGID)
+        region = estimate_frame(MarkerGrid(), frame, CFG, RIGID).region
         false_positives += region.state.value == "MacroSlip"
     _report(
         "C7 macro-slip detection",

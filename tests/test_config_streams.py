@@ -11,16 +11,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from pivotgauge import ConfigError, ContactState, MarkerGrid, generate_frame, load_config
 from pivotgauge.cli import main
 from pivotgauge.config import apply_overrides, build_config, load_document, three_lift_scenario
 from pivotgauge import simulate
-from pivotgauge.core import MAX_DISPLACEMENT_MM, MAX_FRAMES, MAX_GRID_MM, MAX_MARKERS, MIN_PITCH_MM
-from pivotgauge.harness import estimate_from_stream
-from pivotgauge.simulate import SimScenario
+from pivotgauge.core import (
+    MAX_DISPLACEMENT_MM, MAX_FRAMES, MAX_GRID_MM, MAX_MARKERS, MAX_SOFTNESS, MIN_PITCH_MM
+)
+from pivotgauge.harness import estimate_from_stream, run_dynamic, run_static_sweep
+from pivotgauge.simulate import SimScenario, frame_count, iter_trajectory
 from pivotgauge.streams import (
     StreamFormatError,
     fmt,
@@ -178,6 +180,9 @@ def test_invalid_value_is_config_error(tmp_path, capsys):
         ("softness.l_xy=abc", "softness.l_xy must be a finite number"),
         ("softness.l_yx=[1]", "softness.l_yx must be a finite number"),
         (f"softness.k={10**400}", "softness.k must be a finite number"),
+        ("softness.k=1e308", r"softness.k must lie within \+-1e\+06, got 1e\+308"),
+        ("softness.l_xy=-1e307", r"softness.l_xy must lie within \+-1e\+06, got -1e\+307"),
+        ("softness.l_yx=1000000.0000000001", r"softness.l_yx must lie within \+-1e\+06"),
     ]:
         with pytest.raises(ConfigError, match=f"invalid config value: {message}"):
             build_config(apply_overrides({}, [override]))
@@ -186,7 +191,9 @@ def test_invalid_value_is_config_error(tmp_path, capsys):
     rejected_csv = tmp_path / "rejected.csv"
     for flags in (["sweep", "--set", "harness.trials=2.5"], ["dynamic", "--seed", "-1"],
                   ["dynamic", "--set", "scenario.rng_seed=x"],
-                  ["dynamic", "--set", "softness.l_xy=abc"]):
+                  ["dynamic", "--set", "softness.l_xy=abc"],
+                  ["dynamic", "--config", "three-lift", "--set", "softness.k=1e308"],
+                  ["estimate", "--set", "softness.k=1e307"]):
         assert main([*flags, "--out", str(rejected_csv)]) == 2
         assert not rejected_csv.exists()
     # No key takes a boolean (Python would read true as 1), and the marker
@@ -208,6 +215,12 @@ def test_frame_count_is_bounded_at_load(tmp_path, capsys, monkeypatch):
         build_config({"harness": {"rate_hz": float(MAX_FRAMES), "t_end": 1.0 + 1e-9}})
     at_limit = build_config({"harness": {"rate_hz": float(MAX_FRAMES), "t_end": 1.0}})
     assert at_limit.harness.rate_hz == MAX_FRAMES
+    # A frame period must span four float spacings near the largest time (2**-53
+    # here), or frames could share timestamps.
+    close = {"t_start": 0.5, "t_end": math.nextafter(0.5, 1.0), "rate_hz": 2.0**51}
+    assert build_config({"harness": close}).harness.rate_hz == 2.0**51
+    with pytest.raises(ConfigError, match="frames would share timestamps"):
+        build_config({"harness": {**close, "rate_hz": math.nextafter(2.0**51, math.inf)}})
     # The CLI refuses before any output and before a frame is generated.
     def no_frames(*args, **kwargs):
         raise AssertionError("a frame was generated")
@@ -518,6 +531,90 @@ def test_every_accepted_header_and_frame_replays_quietly(data):
     assert n == sum(kept) and len(out.getvalue().splitlines()) == 1 + n
     warned = [int(w.split()[4].rstrip(":")) for w in warn.getvalue().splitlines()]
     assert warned == [lineno for lineno, ok in enumerate(kept, start=2) if not ok]
+
+
+# Config values over the whole float range, the softness bound and the floats
+# just past it, and the largest ratio below 1 included.
+_ANY_SETTING = st.one_of(
+    st.floats(),
+    st.sampled_from([MAX_SOFTNESS, -MAX_SOFTNESS, math.nextafter(MAX_SOFTNESS, math.inf),
+                     1e307, 1e308, -1e308, 5e-324, math.nextafter(1.0, 0.0)]),
+    st.floats(-2.0, 2.0),
+)
+_SETTING_KEYS = {
+    "softness": ("k", "l_xy", "l_yx"),
+    "segmentation": ("contact_threshold", "normal_filter_ratio", "delta_phi_th",
+                     "min_stick_markers", "epsilon_angle"),
+}
+
+
+def _loads(document) -> bool:
+    try:
+        build_config(document)
+    except ConfigError:
+        return False
+    return True
+
+
+@st.composite
+def _settings(draw):
+    """A config whose softness and segmentation values are each drawn over the
+    whole float range and kept when the loader accepts it. The harness start
+    time and rate are drawn over it too, with an end time a few frames later
+    when the rate allows one. Every frame's true angle is in range."""
+    document = {"scenario": {"theta_trajectory": 10.0}}
+    for section, keys in _SETTING_KEYS.items():
+        drawn = {key: draw(_ANY_SETTING) for key in keys}
+        document[section] = {key: value for key, value in drawn.items()
+                             if _loads({section: {key: value}})}
+    t_start, rate_hz = draw(_ANY_SETTING), abs(draw(_ANY_SETTING))
+    span = (draw(st.integers(0, 3)) + 0.5) / rate_hz if rate_hz > 0 else 1.0
+    document["harness"] = {"trials": 1, "t_start": t_start, "t_end": t_start + span,
+                           "rate_hz": rate_hz}
+    return document
+
+
+def _short_run(softness):
+    return {"scenario": {"theta_trajectory": 10.0}, "softness": softness,
+            "harness": {"trials": 1, "t_start": 0.0, "t_end": 0.1, "rate_hz": 30.0}}
+
+
+@settings(max_examples=100, deadline=None)
+@given(document=_settings())
+@example(document=_short_run({"k": 1e308}))
+@example(document=_short_run({"k": 1e307}))
+@example(document=_short_run({"l_xy": 1e308, "l_yx": -1e308}))
+@example(document={"scenario": {"theta_trajectory": 10.0}, "harness": {
+    "trials": 1, "t_start": 0.5, "t_end": 0.5000000000000001, "rate_hz": 1.8014398500474784e16}})
+def test_every_accepted_config_runs_to_its_end(document):
+    # The config-side twin of the stream test above: a config that loads
+    # never ends a run later, nor gives it an infinite summary.
+    try:
+        config = build_config(document)
+    except ConfigError:  # the harness time range and rate as a whole
+        reject()
+    harness = config.harness
+    n = frame_count(harness.t_start, harness.t_end, harness.rate_hz)
+    if n > 4:  # a few frames are enough
+        reject()
+    stream = io.StringIO()
+    write_header(stream, config.grid)
+    for frame, _truth in iter_trajectory(config.scenario, harness.t_start, harness.t_end,
+                                         harness.rate_hz):
+        write_frame(stream, frame)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow or invalid warning fails
+        dynamic = run_dynamic(config, io.StringIO())
+        sweep = run_static_sweep(config, io.StringIO())
+        out, warn = io.StringIO(), io.StringIO()
+        replayed = estimate_from_stream(stream.getvalue().splitlines(), config, out, warn)
+    assert dynamic.n_frames == n
+    # Without an in-range frame outside macro slip the MARE is nan by contract.
+    assert math.isfinite(dynamic.mare) or dynamic.in_range_frames == 0
+    assert math.isfinite(sweep["proposed"].mare)
+    baseline = sweep["baseline"]
+    assert math.isfinite(baseline.mare) or all(row.failures == row.trials for row in baseline.rows)
+    assert replayed == n and not warn.getvalue()
 
 
 @settings(max_examples=200, deadline=None)

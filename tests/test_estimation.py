@@ -13,7 +13,9 @@ from pivotgauge import (
     ContactMask,
     ContactState,
     Frame,
+    FrameResult,
     InsufficientDataError,
+    LineFeatureAngles,
     MarkerGrid,
     RotationEstimate,
     RotationPipeline,
@@ -29,14 +31,18 @@ from pivotgauge import (
     filter_step,
     generate_frame,
     generate_trajectory,
+    grow_stick_region,
+    line_feature_angles,
     three_lift_scenario,
 )
+from pivotgauge.segmentation import NO_CONTACT_REGION
 from conftest import hostile_field, reference_baseline_least_squares, reference_detect_contact
 
 CFG = SegmentationConfig()
 RIGID = SoftnessParams()
-# The filter reads only the estimates; any grid gives a pipeline to own them.
+# The filter reads only the results' estimates; any grid gives a pipeline to own them.
 FILTER_GRID = MarkerGrid()
+FILTER_FLAGS = np.ones(FILTER_GRID.n_markers, dtype=bool)
 
 
 def region_with(mean_angle, state=ContactState.STICK, ratio=1.0):
@@ -44,8 +50,14 @@ def region_with(mean_angle, state=ContactState.STICK, ratio=1.0):
                        state=state, stick_ratio=ratio)
 
 
-def make_estimate(theta, state=ContactState.STICK, ratio=1.0):
-    return RotationEstimate(theta=theta, state=state, stick_ratio=ratio)
+def frame_result(theta, state=ContactState.STICK, ratio=1.0):
+    """A frame's result on FILTER_GRID whose raw estimate is ``theta``."""
+    estimate = RotationEstimate(theta=theta, state=state, stick_ratio=ratio)
+    if state is ContactState.NO_CONTACT:
+        return FrameResult(estimate, ContactMask(~FILTER_FLAGS), None, NO_CONTACT_REGION)
+    angles = LineFeatureAngles(np.full(FILTER_GRID.n_markers, -theta), FILTER_FLAGS)
+    region = StickRegion(frozenset(range(FILTER_GRID.n_markers)), -theta, state, ratio)
+    return FrameResult(estimate, ContactMask(FILTER_FLAGS, center_index=0), angles, region)
 
 
 def test_rigid_mode_negates_mean_angle():
@@ -109,9 +121,9 @@ def test_baseline_underestimates_under_incipient_slip(grid20):
     scn = SimScenario(theta_trajectory=15.0, stick_radius=3.0, contact_radius=6.0,
                       decay_exponent=4.0, noise_sigma=0.0)
     frame, _ = generate_frame(scn, 0.0)
-    proposed, mask, _ = estimate_frame(grid20, frame, CFG, RIGID)
-    baseline = baseline_least_squares(grid20, frame, mask)
-    assert abs(proposed.theta - 15.0) < 0.1
+    result = estimate_frame(grid20, frame, CFG, RIGID)
+    baseline = baseline_least_squares(grid20, frame, result.mask)
+    assert abs(result.estimate.theta - 15.0) < 0.1
     assert baseline.theta < 15.0 - 1.0
 
 
@@ -224,10 +236,21 @@ def test_baseline_and_proposed_agree_on_full_stick(grid20):
     for theta in range(2, 21, 3):
         scn = SimScenario(theta_trajectory=float(theta), noise_sigma=0.0)
         frame, _ = generate_frame(scn, 0.0)
-        proposed, mask, _ = estimate_frame(grid20, frame, CFG, RIGID)
-        baseline = baseline_least_squares(grid20, frame, mask)
-        assert proposed.theta == pytest.approx(theta, abs=1e-9)
+        result = estimate_frame(grid20, frame, CFG, RIGID)
+        baseline = baseline_least_squares(grid20, frame, result.mask)
+        assert result.estimate.theta == pytest.approx(theta, abs=1e-9)
         assert baseline.theta == pytest.approx(theta, abs=1e-9)
+
+
+def test_frame_result_has_angles_exactly_when_contact_was_detected(grid20):
+    frame, _ = generate_frame(SimScenario(theta_trajectory=10.0, noise_sigma=0.0), 0.0)
+    result = estimate_frame(grid20, frame, CFG, RIGID)
+    assert result.mask.contact_detected
+    assert result.angles.angles.tobytes() == line_feature_angles(grid20, frame).angles.tobytes()
+    assert result.region == grow_stick_region(grid20, result.mask, result.angles, CFG)
+    for angles, mask in ((None, result.mask), (result.angles, NO_CONTACT.mask)):
+        with pytest.raises(UsageError, match="angles exactly when contact was detected"):
+            FrameResult(result.estimate, mask, angles, result.region)
 
 
 def test_proposed_beats_baseline_under_incipient_slip_noise(grid20):
@@ -237,9 +260,9 @@ def test_proposed_beats_baseline_under_incipient_slip_noise(grid20):
         scn = SimScenario(theta_trajectory=12.0, stick_radius=3.0, contact_radius=6.0,
                           decay_exponent=4.0, noise_sigma=0.005, rng_seed=17)
         frame, _ = generate_frame(scn, 0.0, frame_index=trial)
-        proposed, mask, _ = estimate_frame(grid20, frame, CFG, RIGID)
-        baseline = baseline_least_squares(grid20, frame, mask)
-        wins += abs(proposed.theta - 12.0) < abs(baseline.theta - 12.0)
+        result = estimate_frame(grid20, frame, CFG, RIGID)
+        baseline = baseline_least_squares(grid20, frame, result.mask)
+        wins += abs(result.estimate.theta - 12.0) < abs(baseline.theta - 12.0)
     assert wins >= 90
 
 
@@ -247,39 +270,39 @@ def test_soft_mode_consistency(grid20):
     k = 0.2
     scn = SimScenario(theta_trajectory=10.0, softness=SoftnessParams(k=k), noise_sigma=0.0)
     frame, _ = generate_frame(scn, 0.0)
-    rigid_est, _, _ = estimate_frame(grid20, frame, CFG, RIGID)
-    soft_est, _, _ = estimate_frame(grid20, frame, CFG, SoftnessParams(k=k))
+    rigid_est = estimate_frame(grid20, frame, CFG, RIGID).estimate
+    soft_est = estimate_frame(grid20, frame, CFG, SoftnessParams(k=k)).estimate
     assert abs(rigid_est.theta - 10.0) / 10.0 == pytest.approx(k / (1 + k), abs=1e-6)
     assert abs(soft_est.theta - 10.0) < 1e-6
 
 
-def run_filter(estimates):
-    """Filtered thetas of ``estimates`` fed one per second from t = 0."""
+def run_filter(results):
+    """Filtered thetas of ``results`` fed one per second from t = 0."""
     pipeline = RotationPipeline(FILTER_GRID)
-    return [filter_step(pipeline, raw, float(t)).theta for t, raw in enumerate(estimates)]
+    return [filter_step(pipeline, result, float(t)).theta for t, result in enumerate(results)]
 
 
-NO_CONTACT = RotationEstimate(theta=0.0, state=ContactState.NO_CONTACT, stick_ratio=0.0)
+NO_CONTACT = frame_result(0.0, ContactState.NO_CONTACT, 0.0)
 
 
 def test_filter_constant_input_is_fixed_point():
-    assert run_filter([make_estimate(5.0)] * 6)[-1] == pytest.approx(5.0, abs=1e-12)
+    assert run_filter([frame_result(5.0)] * 6)[-1] == pytest.approx(5.0, abs=1e-12)
 
 
 def test_filter_ramp_mean():
-    outputs = run_filter(make_estimate(v) for v in (1.0, 2.0, 3.0, 4.0, 5.0))
+    outputs = run_filter(frame_result(v) for v in (1.0, 2.0, 3.0, 4.0, 5.0))
     assert outputs[-1] == pytest.approx(3.0, abs=1e-12)
 
 
 def test_filter_window_is_five():
-    outputs = run_filter(make_estimate(v) for v in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0))
+    outputs = run_filter(frame_result(v) for v in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0))
     assert outputs[-1] == pytest.approx(4.0, abs=1e-12)  # mean of 2..6
 
 
 def test_filter_window_starts_at_first_contact():
     # Contact is read from the estimate's state; frames before it are
     # no-contact estimates (0 by contract) and stay out of the window.
-    assert run_filter([NO_CONTACT] * 3 + [make_estimate(6.0)]) == [0.0, 0.0, 0.0, 6.0]
+    assert run_filter([NO_CONTACT] * 3 + [frame_result(6.0)]) == [0.0, 0.0, 0.0, 6.0]
 
 
 def test_filter_pins_no_contact_output_to_zero():
@@ -288,32 +311,32 @@ def test_filter_pins_no_contact_output_to_zero():
     # window, so the next contact frame averages it in
     pipeline = RotationPipeline(FILTER_GRID)
     for t in range(5):
-        filter_step(pipeline, make_estimate(8.0), float(t))
+        filter_step(pipeline, frame_result(8.0), float(t))
     out = filter_step(pipeline, NO_CONTACT, 5.0)
     assert out.theta == 0.0
     assert out.state is ContactState.NO_CONTACT
-    assert filter_step(pipeline, make_estimate(8.0), 6.0).theta == pytest.approx(6.4, abs=1e-12)
+    assert filter_step(pipeline, frame_result(8.0), 6.0).theta == pytest.approx(6.4, abs=1e-12)
 
 
 def test_filter_rejects_out_of_order_timestamps():
     pipeline = RotationPipeline(FILTER_GRID)
-    filter_step(pipeline, make_estimate(1.0), 1.0)
+    filter_step(pipeline, frame_result(1.0), 1.0)
     with pytest.raises(UsageError):
-        filter_step(pipeline, make_estimate(1.0), 0.5)
+        filter_step(pipeline, frame_result(1.0), 0.5)
     with pytest.raises(UsageError):
-        filter_step(pipeline, make_estimate(1.0), 1.0)
+        filter_step(pipeline, frame_result(1.0), 1.0)
 
 
 def test_pipeline_owns_its_stream_state(grid20):
     pipeline = RotationPipeline(grid20)
     assert (pipeline.cfg, pipeline.softness) == (SegmentationConfig(), SoftnessParams())
-    assert (list(pipeline.window), pipeline.last_timestamp, pipeline.last_raw) == ([], None, None)
-    raw = make_estimate(3.0)
-    filter_step(pipeline, raw, 2.0)
-    assert (list(pipeline.window), pipeline.last_timestamp, pipeline.last_raw) == ([3.0], 2.0, raw)
+    assert (list(pipeline.window), pipeline.last_timestamp, pipeline.last) == ([], None, None)
+    result = frame_result(3.0)
+    filter_step(pipeline, result, 2.0)
+    assert (list(pipeline.window), pipeline.last_timestamp, pipeline.last) == ([3.0], 2.0, result)
     with pytest.raises(UsageError, match="out-of-order"):
-        filter_step(pipeline, make_estimate(4.0), 2.0)
-    assert (list(pipeline.window), pipeline.last_raw) == ([3.0], raw)  # a refused frame
+        filter_step(pipeline, frame_result(4.0), 2.0)
+    assert (list(pipeline.window), pipeline.last) == ([3.0], result)  # a refused frame
     with pytest.raises(TypeError):
         RotationPipeline(grid20, window=[1.0])  # stream state is not a constructor argument
 

@@ -576,6 +576,18 @@ def test_cli_simulate_opens_the_truth_file_before_any_frame_is_written(tmp_path,
     assert "No such file or directory" in capsys.readouterr().err
 
 
+def test_cli_simulate_leaves_the_truth_file_when_out_cannot_be_created(tmp_path, capsys):
+    truth = tmp_path / "truth.ndjson"
+    truth.write_text("old truth\n")
+    for out, why in ((tmp_path / "missing" / "frames.ndjson", "its directory is missing"),
+                     (tmp_path, "it is a directory")):
+        assert main(["simulate", "--out", str(out), "--truth-out", str(truth),
+                     "--set", "harness.t_end=0.1"]) == 1
+        assert truth.read_text() == "old truth\n"
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: {why}")
+    assert list(tmp_path.iterdir()) == [truth]
+
+
 def test_cli_simulate_writes_truth_to_stdout_for_a_dash(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     run = ["simulate", "--set", "harness.t_end=0.1"]

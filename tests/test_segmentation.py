@@ -59,9 +59,10 @@ def test_shear_without_a_marker_pressed_in_is_no_contact(grid20, dz):
     frame = Frame(0.0, disp)
     mask = detect_contact(grid20, frame, CFG)
     assert not mask.contact_detected and mask.n_flagged == 0
-    estimate, _mask, region = estimate_frame(grid20, frame, CFG, SoftnessParams())
-    assert estimate.state is ContactState.NO_CONTACT and estimate.theta == 0.0
-    assert region.members == frozenset()
+    result = estimate_frame(grid20, frame, CFG, SoftnessParams())
+    assert result.estimate.state is ContactState.NO_CONTACT and result.estimate.theta == 0.0
+    assert result.region.members == frozenset()
+    assert result.angles is None  # none are computed without contact
 
 
 def test_noise_only_frame_has_no_contact(grid20):

@@ -351,6 +351,8 @@ def test_trajectory_refuses_too_many_frames(monkeypatch):
         for t1, rate, name in ((1.0, math.inf, "rate_hz"), (math.inf, 30.0, "t_end")):
             with pytest.raises(UsageError, match=f"{name} must be a finite number"):
                 generate_trajectory(scn, 0.0, t1, rate)
+        with pytest.raises(UsageError, match="frames would share timestamps"):
+            generate_trajectory(scn, 1e16, 1e16 + 4.0, 1.5)  # 1e16 + 2 / 3 rounds to 1e16
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
