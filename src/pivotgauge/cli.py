@@ -120,18 +120,27 @@ def _open(path, mode="w", line_buffering=False):
 
 def _require_creatable(path) -> None:
     """Refuse, creating nothing, an output path that cannot be opened for
-    writing: a directory, or a file in no writable directory. stdout passes."""
+    writing: the empty path, a directory, an existing file that is not
+    writable, or a new file in no writable directory. stdout passes."""
     if path is None or path == "-":
         return
+    if not path:
+        raise OSError("cannot write an empty path")
     if os.path.isdir(path):
         raise OSError(f"cannot write {path}: it is a directory")
-    if not os.access(os.path.dirname(path) or ".", os.W_OK):
+    if os.path.exists(path):  # judged by its own permission, not its directory's
+        if not os.access(path, os.W_OK):
+            raise OSError(f"cannot write {path}: it is not writable")
+    elif not os.access(os.path.dirname(path) or ".", os.W_OK):
         raise OSError(f"cannot write {path}: its directory is missing or not writable")
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.truth_out == "-" and args.out in (None, "-"):
         raise UsageError("--out and --truth-out cannot both be stdout")
+    files = [path for path in (args.out, args.truth_out) if path not in (None, "", "-")]
+    if len(files) == 2 and os.path.realpath(files[0]) == os.path.realpath(files[1]):
+        raise UsageError("--out and --truth-out cannot be the same file")
     config = _load(args)
     harness = config.harness
     # Checked before either file is opened; each frame is made as it is written.

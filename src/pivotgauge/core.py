@@ -353,17 +353,15 @@ class SoftnessParams:
 class RotationEstimate:
     """Estimated pivot rotation for one frame.
 
-    ``theta`` is always finite and 0 when there is no contact. ``cor`` is
-    populated only by the least-squares baseline.
+    ``theta`` is always a finite float, 0 when there is no contact.
     """
 
     theta: float
     state: ContactState
     stick_ratio: float
-    cor: Optional[tuple[float, float]] = None
 
     def __post_init__(self) -> None:
-        finite_number(self.theta, "estimate theta")
+        object.__setattr__(self, "theta", finite_number(self.theta, "estimate theta"))
         if self.state is ContactState.NO_CONTACT and self.theta != 0.0:
             raise UsageError("theta must be 0 when no contact is detected")
 

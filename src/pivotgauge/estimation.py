@@ -42,10 +42,6 @@ from .segmentation import NO_CONTACT_REGION, SegmentationConfig, detect_contact,
 
 FILTER_WINDOW = 5
 
-# Below this fitted angle the rotation centre of the baseline fit is
-# numerically meaningless and omitted.
-_MIN_COR_ANGLE_RAD = 1e-9
-
 
 def estimate_rotation(region: StickRegion, softness: SoftnessParams) -> RotationEstimate:
     """Rotation estimate from a stick region.
@@ -60,18 +56,14 @@ def estimate_rotation(region: StickRegion, softness: SoftnessParams) -> Rotation
     return RotationEstimate(theta=theta, state=region.state, stick_ratio=region.stick_ratio)
 
 
-def baseline_least_squares(
-    grid: MarkerGrid, frame: Frame, mask: ContactMask
-) -> RotationEstimate:
+def baseline_least_squares(grid: MarkerGrid, frame: Frame, mask: ContactMask) -> float:
     """Least-squares rigid-motion fit over all flagged contact markers.
 
     Fits the 2-d rotation angle about an unknown centre plus translation
     minimizing squared residuals of the tangential displacements
-    (closed form via the centred cross/dot covariance). No marker is
-    excluded, so slipping markers bias the angle low. Reports theta with
-    the same sign convention as the stick-region estimator, assumes full
-    stick (state Stick, ratio 1) and returns the fitted rotation centre
-    when the angle is non-degenerate.
+    (closed form via the centred cross/dot covariance) and returns the
+    angle in degrees, with the same sign convention as the stick-region
+    estimator. No marker is excluded, so slipping markers bias the angle low.
     """
     if not mask.contact_detected:
         raise UsageError("baseline requires a detected contact")
@@ -83,30 +75,13 @@ def baseline_least_squares(
     grid.require("frame", (frame.n_markers,))
     p = grid.reference_positions[idx]
     q = p + frame.displacements[idx, :2]
-    p_bar = p.sum(axis=0) / n
-    q_bar = q.sum(axis=0) / n
-    pc = p - p_bar
-    qc = q - q_bar
+    pc = p - p.sum(axis=0) / n
+    qc = q - q.sum(axis=0) / n
     sym = float((pc * qc).sum())
     antisym = float((pc[:, 0] * qc[:, 1] - pc[:, 1] * qc[:, 0]).sum())
-    if sym == 0.0 and antisym == 0.0:
-        return RotationEstimate(theta=0.0, state=ContactState.STICK, stick_ratio=1.0)
-    alpha = math.atan2(antisym, sym)
-
-    cor: Optional[tuple[float, float]] = None
-    if abs(math.sin(alpha)) > _MIN_COR_ANGLE_RAD:
-        # The centre solves (I - R) c = q_bar - R p_bar. I - R is a scaled
-        # rotation [[a, s], [-s, a]] with a = 1 - cos(alpha), so its inverse
-        # is [[a, -s], [s, a]] / (a^2 + s^2).
-        c, s = math.cos(alpha), math.sin(alpha)
-        (px, py), (qx, qy) = p_bar.tolist(), q_bar.tolist()
-        bx, by = qx - (c * px - s * py), qy - (s * px + c * py)
-        a = 1.0 - c
-        det = a * a + s * s
-        cor = ((a * bx - s * by) / det, (s * bx + a * by) / det)
-    return RotationEstimate(
-        theta=-math.degrees(alpha), state=ContactState.STICK, stick_ratio=1.0, cor=cor
-    )
+    if sym == 0.0 and antisym == 0.0:  # a collapsed patch: +0.0, never atan2's -0.0 or 180
+        return 0.0
+    return -math.degrees(math.atan2(antisym, sym))
 
 
 def filter_step(

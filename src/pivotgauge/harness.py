@@ -102,7 +102,7 @@ def _sweep_errors(config: FullConfig) -> tuple[np.ndarray, np.ndarray]:
             if result.mask.contact_detected:  # without contact the baseline has nothing to fit
                 with contextlib.suppress(InsufficientDataError):
                     base = baseline_least_squares(config.grid, frame, result.mask)
-                    baseline[angle_pos, trial] = abs(base.theta - theta)
+                    baseline[angle_pos, trial] = abs(base - theta)
             # Its angle record would otherwise stay alive through the next
             # trial and raise the sweep's peak memory.
             del result

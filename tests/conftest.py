@@ -24,11 +24,9 @@ from pivotgauge import (
     InsufficientDataError,
     LineFeatureAngles,
     MarkerGrid,
-    RotationEstimate,
     StickRegion,
     normalized_angle_difference,
 )
-from pivotgauge.estimation import _MIN_COR_ANGLE_RAD
 from pivotgauge.features import DEGENERATE_LENGTH_RATIO
 from pivotgauge.segmentation import _SCORE_EPSILON_MM
 from pivotgauge.simulate import (
@@ -164,35 +162,22 @@ def reference_detect_contact(grid: MarkerGrid, frame: Frame, cfg) -> ContactMask
     return ContactMask(flags=flags, center_index=center)
 
 
-def reference_baseline_least_squares(grid: MarkerGrid, frame: Frame,
-                                     mask: ContactMask) -> RotationEstimate:
-    """The least-squares baseline through numpy's own wrappers (``np.mean``,
-    ``np.sum``) with its rotation centre from ``np.linalg.solve``. The
-    package's kernel must give the same angle bit for bit; its closed-form
-    centre may differ in the last bits."""
+def reference_baseline_least_squares(grid: MarkerGrid, frame: Frame, mask: ContactMask) -> float:
+    """The least-squares baseline angle through numpy's own wrappers
+    (``np.mean``, ``np.sum``). The package's kernel must give the same angle
+    bit for bit."""
     idx = np.flatnonzero(mask.flags)
     if idx.size < 3:
         raise InsufficientDataError(f"baseline needs >= 3 flagged markers, got {idx.size}")
     p = grid.reference_positions[idx]
     q = p + frame.displacements[idx, :2]
-    p_bar = np.mean(p, axis=0)
-    q_bar = np.mean(q, axis=0)
-    pc = p - p_bar
-    qc = q - q_bar
+    pc = p - np.mean(p, axis=0)
+    qc = q - np.mean(q, axis=0)
     sym = float(np.sum(pc * qc))
     antisym = float(np.sum(pc[:, 0] * qc[:, 1] - pc[:, 1] * qc[:, 0]))
     if sym == 0.0 and antisym == 0.0:
-        return RotationEstimate(theta=0.0, state=ContactState.STICK, stick_ratio=1.0)
-    alpha = math.atan2(antisym, sym)
-    cor = None
-    if abs(math.sin(alpha)) > _MIN_COR_ANGLE_RAD:
-        c, s = math.cos(alpha), math.sin(alpha)
-        rot = np.array([[c, -s], [s, c]])
-        center = np.linalg.solve(np.eye(2) - rot, q_bar - rot @ p_bar)
-        cor = (float(center[0]), float(center[1]))
-    return RotationEstimate(
-        theta=-math.degrees(alpha), state=ContactState.STICK, stick_ratio=1.0, cor=cor
-    )
+        return 0.0
+    return -math.degrees(math.atan2(antisym, sym))
 
 
 def loop_grow_stick_region(grid: MarkerGrid, mask, angles, cfg):

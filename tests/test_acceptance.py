@@ -147,7 +147,7 @@ def test_c04_incipient_slip_advantage():
             result = estimate_frame(scn.grid, frame, CFG, RIGID)
             baseline = baseline_least_squares(scn.grid, frame, result.mask)
             p_err = abs(result.estimate.theta - theta)
-            b_err = abs(baseline.theta - theta)
+            b_err = abs(baseline - theta)
             wins += p_err < b_err
             b_errors.append(b_err)
         min_wins = min(min_wins, wins)

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -97,13 +96,11 @@ def rigid_frame(grid, theta_deg, center=(0.0, 0.0), with_dz=True):
     return Frame(0.0, np.column_stack([tang, dz]))
 
 
-def test_baseline_recovers_rigid_rotation_and_cor(grid20):
+def test_baseline_recovers_rigid_rotation(grid20):
     for theta in (2.0, 9.5, 20.0):
         frame = rigid_frame(grid20, -theta, center=(1.0, -0.5))
         mask = detect_contact(grid20, frame, CFG)
-        est = baseline_least_squares(grid20, frame, mask)
-        assert est.theta == pytest.approx(theta, abs=1e-9)
-        assert est.cor == pytest.approx((1.0, -0.5), abs=1e-9)
+        assert baseline_least_squares(grid20, frame, mask) == pytest.approx(theta, abs=1e-9)
 
 
 def test_baseline_pure_translation_zero_angle(grid20):
@@ -112,9 +109,7 @@ def test_baseline_pure_translation_zero_angle(grid20):
     rho = np.hypot(*grid20.reference_positions.T)
     disp[:, 2] = 0.5 * np.sqrt(np.maximum(0.0, 1.0 - (rho / 8.0) ** 2))
     mask = detect_contact(grid20, Frame(0.0, disp), CFG)
-    est = baseline_least_squares(grid20, Frame(0.0, disp), mask)
-    assert abs(est.theta) < 1e-9
-    assert est.cor is None
+    assert abs(baseline_least_squares(grid20, Frame(0.0, disp), mask)) < 1e-9
 
 
 def test_baseline_underestimates_under_incipient_slip(grid20):
@@ -124,7 +119,7 @@ def test_baseline_underestimates_under_incipient_slip(grid20):
     result = estimate_frame(grid20, frame, CFG, RIGID)
     baseline = baseline_least_squares(grid20, frame, result.mask)
     assert abs(result.estimate.theta - 15.0) < 0.1
-    assert baseline.theta < 15.0 - 1.0
+    assert baseline < 15.0 - 1.0
 
 
 def test_baseline_needs_three_markers(grid20):
@@ -140,16 +135,15 @@ def test_baseline_needs_three_markers(grid20):
 
 def test_baseline_of_a_patch_collapsed_onto_one_point_is_plus_zero():
     # Every flagged marker moves onto (0.5, 0.25): the centred positions are
-    # exact zeros, so the fit has no angle. It reports +0.0 and no centre,
-    # where atan2 of the signed zero sums could give -0.0 or 180 degrees.
+    # exact zeros, so the fit has no angle. It reports +0.0, where atan2 of
+    # the signed zero sums could give -0.0 or 180 degrees.
     grid = MarkerGrid(rows=4, cols=4)
     disp = np.zeros((grid.n_markers, 3))
     disp[:, :2] = np.array([0.5, 0.25]) - grid.reference_positions
     disp[:, 2] = 0.5
     mask = ContactMask(np.ones(grid.n_markers, dtype=bool), center_index=5)
-    estimate = baseline_least_squares(grid, Frame(0.0, disp), mask)
-    assert estimate.theta == 0.0 and math.copysign(1.0, estimate.theta) == 1.0
-    assert estimate.cor is None and estimate.state is ContactState.STICK
+    theta = baseline_least_squares(grid, Frame(0.0, disp), mask)
+    assert theta == 0.0 and math.copysign(1.0, theta) == 1.0
 
 
 def test_baseline_refuses_a_mask_of_another_grid():
@@ -175,8 +169,7 @@ def test_baseline_refuses_a_mask_of_another_grid():
 )
 def test_plain_kernels_match_the_numpy_references(rows, cols, pitch, field, scale, threshold,
                                                    zeros, collapsed, reversed_, seed):
-    # The same flags, centre and angle bit for bit; the closed-form rotation
-    # centre as close to np.linalg.solve's as rounding allows.
+    # The same flags, centre and angle bit for bit.
     grid = MarkerGrid(rows=rows, cols=cols, pitch=pitch)
     rng = np.random.default_rng(seed)
     if field == "flat dz":  # every marker flagged
@@ -208,21 +201,8 @@ def test_plain_kernels_match_the_numpy_references(rows, cols, pitch, field, scal
         with pytest.raises(InsufficientDataError):
             baseline_least_squares(grid, frame, mask)
         return
-    estimate = baseline_least_squares(grid, frame, mask)
-    assert estimate.theta.hex() == expected.theta.hex()
-    assert (estimate.cor is None) == (expected.cor is None)
-    event("no centre" if expected.cor is None else "centre")
-    if expected.cor is not None:
-        # Both solve (I - R) c = q_bar - R p_bar. Its right side is rounded by
-        # ulps of |p_bar| + |q_bar|, and solving divides that by the norm of
-        # I - R, |2 sin(alpha / 2)|: at small angles even two correct
-        # roundings differ by more than 1e-12 of |c|.
-        p = grid.reference_positions[mask.flags]
-        q = p + frame.displacements[mask.flags, :2]
-        spread = (math.hypot(*p.mean(axis=0)) + math.hypot(*q.mean(axis=0))) / abs(
-            2 * math.sin(math.radians(expected.theta) / 2))
-        tolerance = 1e-12 * math.hypot(*expected.cor) + 16 * sys.float_info.epsilon * spread
-        assert math.dist(estimate.cor, expected.cor) <= tolerance
+    theta = baseline_least_squares(grid, frame, mask)
+    assert theta.hex() == expected.hex()
 
 
 def test_baseline_requires_contact(grid20):
@@ -239,7 +219,7 @@ def test_baseline_and_proposed_agree_on_full_stick(grid20):
         result = estimate_frame(grid20, frame, CFG, RIGID)
         baseline = baseline_least_squares(grid20, frame, result.mask)
         assert result.estimate.theta == pytest.approx(theta, abs=1e-9)
-        assert baseline.theta == pytest.approx(theta, abs=1e-9)
+        assert baseline == pytest.approx(theta, abs=1e-9)
 
 
 def test_frame_result_has_angles_exactly_when_contact_was_detected(grid20):
@@ -262,7 +242,7 @@ def test_proposed_beats_baseline_under_incipient_slip_noise(grid20):
         frame, _ = generate_frame(scn, 0.0, frame_index=trial)
         result = estimate_frame(grid20, frame, CFG, RIGID)
         baseline = baseline_least_squares(grid20, frame, result.mask)
-        wins += abs(result.estimate.theta - 12.0) < abs(baseline.theta - 12.0)
+        wins += abs(result.estimate.theta - 12.0) < abs(baseline - 12.0)
     assert wins >= 90
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import threading
@@ -12,7 +13,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pivotgauge import ConfigError, UsageError, estimation, harness, load_config, simulate
+from pivotgauge import (
+    ConfigError,
+    SoftnessParams,
+    UsageError,
+    estimation,
+    harness,
+    load_config,
+    simulate,
+)
 from pivotgauge.cli import build_parser, main
 from pivotgauge.config import (
     HarnessConfig,
@@ -31,7 +40,7 @@ from pivotgauge.harness import (
 )
 from pivotgauge.segmentation import detect_contact
 from pivotgauge.simulate import generate_frame, generate_trajectory
-from pivotgauge.streams import write_frame, write_header
+from pivotgauge.streams import fmt, write_frame, write_header
 from conftest import cli_env, reference_grow_stick_region, reference_line_feature_angles
 
 
@@ -193,6 +202,22 @@ def test_dynamic_three_lift_summary_and_schema():
         if line.split(",")[4] != "MacroSlip" and 2.0 <= abs(float(line.split(",")[1])) <= 20.0
     ]
     assert result.in_range_frames == len(in_range)
+
+
+def test_every_float_cell_has_six_significant_digits_under_numpy_softness():
+    # A float32 softness constant makes float32 estimates. Each estimate keeps
+    # its theta as a Python float, so its cells are written through fmt too.
+    config = _three_lift(4.0)
+    softness = SoftnessParams(k=np.float32(0.2))
+    config = replace(config, scenario=replace(config.scenario, softness=softness))
+    buf = io.StringIO()
+    run_dynamic(config, csv_out=buf)
+    rows = buf.getvalue().splitlines()[1:]
+    assert len(rows) == 121
+    for row in rows:
+        t, theta_true, theta_raw, theta_filtered, _state, stick_ratio = row.split(",")
+        for cell in (t, theta_true, theta_raw, theta_filtered, stick_ratio):
+            assert cell == fmt(float(cell)), row
 
 
 def test_dynamic_zero_trajectory_reports_near_zero():
@@ -579,13 +604,34 @@ def test_cli_simulate_opens_the_truth_file_before_any_frame_is_written(tmp_path,
 def test_cli_simulate_leaves_the_truth_file_when_out_cannot_be_created(tmp_path, capsys):
     truth = tmp_path / "truth.ndjson"
     truth.write_text("old truth\n")
-    for out, why in ((tmp_path / "missing" / "frames.ndjson", "its directory is missing"),
-                     (tmp_path, "it is a directory")):
+    missing = tmp_path / "missing" / "frames.ndjson"
+    for out, error in ((missing, f"cannot write {missing}: its directory is missing"),
+                       (tmp_path, f"cannot write {tmp_path}: it is a directory"),
+                       ("", "cannot write an empty path")):
         assert main(["simulate", "--out", str(out), "--truth-out", str(truth),
                      "--set", "harness.t_end=0.1"]) == 1
         assert truth.read_text() == "old truth\n"
-        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: {why}")
+        assert capsys.readouterr().err.startswith(f"error: {error}")
     assert list(tmp_path.iterdir()) == [truth]
+
+
+def test_cli_simulate_judges_an_existing_out_file_by_its_own_permission(
+        tmp_path, monkeypatch, capsys):
+    # As an unprivileged user sees them, /dev/null is writable and /dev is
+    # not. The answers are given here, since root may write anywhere.
+    access, answers = os.access, {"/dev": False, "/dev/null": True}
+    monkeypatch.setattr(os, "access",
+                        lambda path, mode: answers.get(str(path), access(path, mode)))
+    truth = tmp_path / "truth.ndjson"
+    run = ["simulate", "--out", "/dev/null", "--truth-out", str(truth),
+           "--set", "harness.t_end=0.1"]
+    assert main(run) == 0
+    assert len(truth.read_text().splitlines()) == 1 + 4
+    truth.write_text("old truth\n")
+    answers["/dev/null"] = False
+    assert main(run) == 1
+    assert capsys.readouterr().err == "error: cannot write /dev/null: it is not writable\n"
+    assert truth.read_text() == "old truth\n"
 
 
 def test_cli_simulate_writes_truth_to_stdout_for_a_dash(tmp_path, monkeypatch, capsys):
@@ -596,12 +642,19 @@ def test_cli_simulate_writes_truth_to_stdout_for_a_dash(tmp_path, monkeypatch, c
     assert capsys.readouterr().out == (tmp_path / "truth.ndjson").read_text()
     assert (tmp_path / "frames-2.ndjson").read_bytes() == (tmp_path / "frames.ndjson").read_bytes()
     assert not (tmp_path / "-").exists()
-    # Both streams on stdout would interleave: refused before any output.
-    for out in ([], ["--out", "-"]):
-        assert main([*run, *out, "--truth-out", "-"]) == 2
-        assert capsys.readouterr() == ("", "error: --out and --truth-out cannot both be stdout\n")
+    # Both streams on stdout would interleave, and in one file overwrite each
+    # other: refused before any output.
+    truth = (tmp_path / "truth.ndjson").read_bytes()
+    stdout, same = "cannot both be stdout", "cannot be the same file"
+    for outputs, error in ((["--truth-out", "-"], stdout),
+                           (["--out", "-", "--truth-out", "-"], stdout),
+                           (["--out", "s.ndjson", "--truth-out", "./s.ndjson"], same),
+                           (["--out", "truth.ndjson", "--truth-out", "truth.ndjson"], same)):
+        assert main([*run, *outputs]) == 2
+        assert capsys.readouterr() == ("", f"error: --out and --truth-out {error}\n")
     assert sorted(path.name for path in tmp_path.iterdir()) == [
         "frames-2.ndjson", "frames.ndjson", "truth.ndjson"]
+    assert (tmp_path / "truth.ndjson").read_bytes() == truth
 
 
 def test_a_config_name_too_long_for_a_path_is_not_found(capsys):
