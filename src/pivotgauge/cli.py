@@ -139,13 +139,19 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.truth_out == "-" and args.out in (None, "-"):
         raise UsageError("--out and --truth-out cannot both be stdout")
     files = [path for path in (args.out, args.truth_out) if path not in (None, "", "-")]
-    if len(files) == 2 and os.path.realpath(files[0]) == os.path.realpath(files[1]):
+    if len(files) == 2 and (
+        os.path.realpath(files[0]) == os.path.realpath(files[1])
+        # Two names of one file through a hard link.
+        or all(map(os.path.exists, files)) and os.path.samefile(*files)
+    ):
         raise UsageError("--out and --truth-out cannot be the same file")
     config = _load(args)
     harness = config.harness
     # Checked before either file is opened; each frame is made as it is written.
     frames = iter_trajectory(config.scenario, harness.t_start, harness.t_end, harness.rate_hz)
     _require_creatable(args.out)  # before the truth header, so a refusal leaves the truth file
+    if args.truth_out == "":  # names no file; it does not mean "no truth"
+        _require_creatable(args.truth_out)
     truth_file = _open(args.truth_out) if args.truth_out else contextlib.nullcontext()
     with truth_file as truth_out, _open(args.out) as out:
         # The truth header is written first: a truth path that cannot be

@@ -203,6 +203,8 @@ class GroundTruth:
     ``slip_field`` is the relative surface motion, object side minus
     elastomer side, of the noiseless field; it is exactly zero on
     ``stick_mask``. ``theta`` carries the object-side reported rotation.
+    ``theta`` is a finite number, ``slip_field`` a finite (n, 2) float array
+    and each mask an (n,) bool array, so a truth line is strict JSON.
     """
 
     theta: float
@@ -211,8 +213,19 @@ class GroundTruth:
     contact_mask_true: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("stick_mask", "slip_field", "contact_mask_true"):
-            arr = np.asarray(getattr(self, name))
+        object.__setattr__(self, "theta", finite_number(self.theta, "truth theta"))
+        slip = np.asarray(self.slip_field, dtype=float)
+        if slip.ndim != 2 or slip.shape[1] != 2 or not len(slip):
+            raise UsageError(f"slip_field must be (n, 2), got shape {slip.shape}")
+        # Refuses nan and +-inf, and allocates nothing.
+        if not (math.isfinite(slip.min()) and math.isfinite(slip.max())):
+            raise UsageError("slip_field must be finite")
+        arrays = {"slip_field": slip}
+        for name in ("stick_mask", "contact_mask_true"):
+            arrays[name] = np.asarray(getattr(self, name), dtype=bool)
+            if arrays[name].shape != (len(slip),):
+                raise UsageError(f"{name} must be ({len(slip)},), got shape {arrays[name].shape}")
+        for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 

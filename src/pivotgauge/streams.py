@@ -2,9 +2,17 @@
 
 Frame stream format: the first line is a header object
 ``{"rows", "cols", "pitch", "origin"}``; every following line is one frame
-``{"t": seconds, "d": [[dx, dy, dz], ...]}`` in row-major marker order.
-Floats are serialized with full round-trip precision, so piping a stream
-through a file reproduces bit-identical values.
+``{"t": seconds, "d": [[dx, dy, dz], ...]}`` in row-major marker order. A
+truth line is ``{"t", "theta", "stick", "contact", "slip"}``, its masks
+written as 0 and 1.
+
+Each frame or truth line is one ``%`` format of a template built for its
+row count. ``%r`` of a float is ``float.__repr__``, the function
+``json.dumps`` calls on a finite float, and the template holds its
+separators, so every line has the bytes ``json.dumps`` would give. Floats
+thus keep full round-trip precision, and piping a stream through a file
+reproduces bit-identical values. This holds for finite values only, which
+``Frame`` and ``GroundTruth`` guarantee.
 
 CSV output is RFC-4180-style with a header row, ``.`` decimal separator
 and 6 significant digits for every float cell; other cells (counts,
@@ -16,6 +24,8 @@ from __future__ import annotations
 import json
 from dataclasses import asdict
 from typing import IO, Any, Iterable, Iterator, Optional
+
+import numpy as np
 
 from .core import Frame, MarkerGrid, finite_pair
 from .simulate import GroundTruth
@@ -41,23 +51,32 @@ def write_header(out: IO[str], grid: MarkerGrid) -> None:
     out.write(json.dumps(asdict(grid)) + "\n")
 
 
+def _rows(n: int, row: str) -> str:
+    """The placeholders of ``n`` rows, as ``json.dumps`` separates list items."""
+    return ", ".join([row] * n)
+
+
+def _digits(mask: np.ndarray) -> str:
+    """A bool mask as the items of a JSON list of 0 and 1."""
+    return ", ".join((mask.view(np.uint8) + 48).tobytes().decode())
+
+
 def write_frame(out: IO[str], frame: Frame) -> None:
-    out.write(json.dumps({"t": frame.timestamp, "d": frame.displacements.tolist()}) + "\n")
+    """One frame line, with the bytes ``json.dumps`` would give."""
+    d = frame.displacements
+    line = '{"t": %r, "d": [' + _rows(len(d), "[%r, %r, %r]") + "]}\n"
+    out.write(line % (frame.timestamp, *d.ravel().tolist()))
 
 
 def write_truth(out: IO[str], t: float, truth: GroundTruth) -> None:
-    out.write(
-        json.dumps(
-            {
-                "t": t,
-                "theta": truth.theta,
-                "stick": truth.stick_mask.astype(int).tolist(),
-                "contact": truth.contact_mask_true.astype(int).tolist(),
-                "slip": truth.slip_field.tolist(),
-            }
-        )
-        + "\n"
-    )
+    """One truth line at ``t``, with the bytes ``json.dumps`` would give."""
+    slip = truth.slip_field
+    line = ('{"t": %r, "theta": %r, "stick": [%s], "contact": [%s], "slip": ['
+            + _rows(len(slip), "[%r, %r]") + "]}\n")
+    # An int stays an int, and a float subclass such as np.float64, whose
+    # repr names its type, is written as its float, as json.dumps does.
+    out.write(line % (t if type(t) is int else float(t), truth.theta, _digits(truth.stick_mask),
+                      _digits(truth.contact_mask_true), *slip.ravel().tolist()))
 
 
 class NumberedLines:

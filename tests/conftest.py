@@ -311,9 +311,15 @@ def reference_noiseless_field(scenario: SimScenario, t: float) -> tuple[np.ndarr
     return displacements, truth
 
 
+def reference_write_frame(out, frame: Frame) -> None:
+    """The frame-line writer through ``json.dumps``; the package's writer,
+    one format of a line template, must give the same bytes."""
+    out.write(json.dumps({"t": frame.timestamp, "d": frame.displacements.tolist()}) + "\n")
+
+
 def reference_write_truth(out, t: float, truth: GroundTruth) -> None:
-    """The truth-line writer with a Python loop per mask entry; the
-    package's writer must give the same bytes."""
+    """The truth-line writer through ``json.dumps``, with a Python loop per
+    mask entry; the package's writer must give the same bytes."""
     out.write(
         json.dumps(
             {

@@ -14,7 +14,9 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from pivotgauge import ConfigError, ContactState, MarkerGrid, generate_frame, load_config
+from pivotgauge import (
+    ConfigError, ContactState, Frame, GroundTruth, MarkerGrid, generate_frame, load_config
+)
 from pivotgauge.cli import main
 from pivotgauge.config import apply_overrides, build_config, load_document, three_lift_scenario
 from pivotgauge import simulate
@@ -31,7 +33,10 @@ from pivotgauge.streams import (
     write_csv_row,
     write_frame,
     write_header,
+    write_truth,
 )
+
+from conftest import reference_write_frame, reference_write_truth
 
 
 def test_default_config_builds():
@@ -322,6 +327,43 @@ def test_fmt_six_significant_digits():
     cells = (12.3456789, np.float64(2.0), 1234567, "theta_true_deg", ContactState.INCIPIENT_SLIP)
     write_csv_row(buf, cells)
     assert buf.getvalue() == "12.3457,2,1234567,theta_true_deg,IncipientSlip\n"
+
+
+# Floats whose repr takes each of its forms: signed zero, the least
+# subnormal, a negative exponent, the switch to an exponent at 1e16, a
+# power of ten past the exact ints, the displacement bound and whole floats.
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e-7, 1e16, 1e22, -1e22, 1e6, -1e6, 3.0, -12.0]
+
+
+def _floats(bound: float):
+    return st.one_of(st.sampled_from([v for v in _EDGE_FLOATS if abs(v) <= bound]),
+                     st.floats(-bound, bound))
+
+
+@st.composite
+def _frame_and_truth(draw):
+    n = draw(st.integers(2, 9)) * draw(st.integers(2, 11))
+    t = draw(st.one_of(st.integers(-10**6, 10**6), _floats(1e300),
+                       _floats(1e300).map(np.float64)))
+    d = draw(st.lists(_floats(MAX_DISPLACEMENT_MM), min_size=3 * n, max_size=3 * n))
+    slip = draw(st.lists(_floats(1e300), min_size=2 * n, max_size=2 * n))
+    masks = [draw(st.lists(st.booleans(), min_size=n, max_size=n)) for _ in range(2)]
+    truth = GroundTruth(theta=draw(_floats(1e300)), stick_mask=masks[0],
+                        slip_field=np.reshape(slip, (n, 2)), contact_mask_true=masks[1])
+    return t, Frame(timestamp=t, displacements=np.reshape(d, (n, 3))), truth
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_frame_and_truth())
+def test_writers_give_the_json_dumps_bytes(case):
+    t, frame, truth = case
+    lines = [io.StringIO() for _ in range(4)]
+    write_frame(lines[0], frame)
+    reference_write_frame(lines[1], frame)
+    write_truth(lines[2], t, truth)
+    reference_write_truth(lines[3], t, truth)
+    assert lines[0].getvalue() == lines[1].getvalue()
+    assert lines[2].getvalue() == lines[3].getvalue()
 
 
 def test_ndjson_round_trip_is_exact():

@@ -10,7 +10,13 @@ some angles with no baseline trial, some with a few and some with all, so
 those pins hold every branch of the sweep's reduction. Regenerate one only
 with a change that means to alter that output. CSV cells carry 6
 significant digits, so the last-bit differences between math libraries do
-not reach them."""
+not reach them.
+
+``simulate-small`` pins a frame stream and its truth stream byte for byte.
+They were written by the ``json.dumps`` writers that ``conftest`` keeps as
+``reference_write_frame`` and ``reference_write_truth``. Their floats carry
+every bit, so the scenario keeps decay exponent 2, which numpy squares
+exactly: only sin, cos, hypot, sqrt and the seeded normal draws set them."""
 
 from __future__ import annotations
 
@@ -30,6 +36,13 @@ _RUNS = {
     "sweep-light-press-trials5": ["sweep", *_LIGHT_PRESS],
     "compare-light-press-trials5": ["compare", *_LIGHT_PRESS],
 }
+# A 4x5 grid turning from 0 to 9 degrees while it shifts, over four frames.
+_SMALL_SIMULATE = [
+    "simulate", "--set", "harness.t_end=0.1", "--set", "grid.rows=4", "--set", "grid.cols=5",
+    "--set", "scenario.contact_radius=1.5", "--set", "scenario.stick_radius=0.9",
+    "--set", "scenario.theta_trajectory=[[0,0],[0.1,9]]",
+    "--set", "scenario.translation_trajectory=[0.02,-0.01]",
+]
 
 
 def _first_difference(got: bytes, expected: bytes) -> str:
@@ -48,3 +61,11 @@ def test_outputs_match_the_pinned_text(name, tmp_path, capsys):
     for suffix, got in outputs.items():
         expected = (GOLDEN / f"{name}{suffix}").read_bytes()
         assert got == expected, f"{name}{suffix}: {_first_difference(got, expected)}"
+
+
+def test_simulated_streams_match_the_pinned_bytes(tmp_path):
+    frames, truth = tmp_path / "frames.ndjson", tmp_path / "truth.ndjson"
+    assert main([*_SMALL_SIMULATE, "--out", str(frames), "--truth-out", str(truth)]) == 0
+    for got, name in ((frames, "simulate-small.ndjson"), (truth, "simulate-small-truth.ndjson")):
+        got, expected = got.read_bytes(), (GOLDEN / name).read_bytes()
+        assert got == expected, f"{name}: {_first_difference(got, expected)}"

@@ -657,6 +657,24 @@ def test_cli_simulate_writes_truth_to_stdout_for_a_dash(tmp_path, monkeypatch, c
     assert (tmp_path / "truth.ndjson").read_bytes() == truth
 
 
+def test_cli_simulate_refuses_two_names_of_one_file(tmp_path, capsys):
+    frames, truth = tmp_path / "f.ndjson", tmp_path / "g.ndjson"
+    frames.write_text("old frames\n")
+    os.link(frames, truth)
+    assert main(["simulate", "--set", "harness.t_end=0.1",
+                 "--out", str(frames), "--truth-out", str(truth)]) == 2
+    assert capsys.readouterr() == ("", "error: --out and --truth-out cannot be the same file\n")
+    assert frames.read_text() == "old frames\n"
+
+
+def test_cli_simulate_refuses_an_empty_truth_path(tmp_path, capsys):
+    frames = tmp_path / "frames.ndjson"
+    assert main(["simulate", "--set", "harness.t_end=0.1",
+                 "--out", str(frames), "--truth-out", ""]) == 1
+    assert capsys.readouterr() == ("", "error: cannot write an empty path\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_a_config_name_too_long_for_a_path_is_not_found(capsys):
     name = "x" * 300
     with pytest.raises(ConfigError, match=f"^config file or preset not found: {name}$"):

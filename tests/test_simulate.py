@@ -302,6 +302,30 @@ def test_truth_masks_write_as_the_reference(as_mask):
     assert out.getvalue() == ref.getvalue()
 
 
+def test_ground_truth_holds_only_what_a_strict_json_line_can_carry():
+    _, truth = generate_frame(annulus(theta=5.0, r_s=3.0), 0.0)
+    fields = dict(theta=truth.theta, stick_mask=truth.stick_mask.astype(int),
+                  slip_field=truth.slip_field, contact_mask_true=truth.contact_mask_true)
+    held = GroundTruth(**fields)
+    assert held.stick_mask.dtype == bool and not held.stick_mask.flags.writeable
+    assert np.array_equal(held.stick_mask, truth.stick_mask)
+    assert held.slip_field is truth.slip_field  # a float field is kept, not copied
+    slip = truth.slip_field
+    one_inf = slip.copy()
+    one_inf[3, 1] = -math.inf
+    for bad, error in (
+        (dict(theta=math.nan), "truth theta must be a finite number"),
+        (dict(theta="5"), "truth theta must be a finite number"),
+        (dict(slip_field=one_inf), "slip_field must be finite"),
+        (dict(slip_field=np.full_like(slip, math.nan)), "slip_field must be finite"),
+        (dict(slip_field=slip[:, :1]), r"slip_field must be \(n, 2\)"),
+        (dict(slip_field=slip[:0]), r"slip_field must be \(n, 2\)"),
+        (dict(contact_mask_true=truth.contact_mask_true[1:]), "contact_mask_true must be"),
+    ):
+        with pytest.raises(UsageError, match=error):
+            GroundTruth(**{**fields, **bad})
+
+
 def test_trajectory_uniform_timestamps():
     scn = annulus(theta=5.0)
     frames = generate_trajectory(scn, 0.0, 1.0, 30.0)
