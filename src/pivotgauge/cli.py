@@ -95,9 +95,9 @@ def _open(path, mode="w", line_buffering=False):
 
     Input is decoded as UTF-8 with each undecodable byte replaced by U+FFFD,
     so a bad byte spoils its own line only, which is then skipped. An output
-    file is created at its first write, so a run refused before any output
-    leaves an existing file as it was. ``line_buffering`` sends each output
-    line as it is written.
+    path is checked when this is entered and its file created at its first
+    write, so a run refused before any output leaves an existing file as it
+    was. ``line_buffering`` sends each output line as it is written.
     """
     if path is None or path == "-":
         if mode == "r" and isinstance(sys.stdin, io.TextIOWrapper):
@@ -109,6 +109,7 @@ def _open(path, mode="w", line_buffering=False):
         with open(path, encoding="utf-8", errors="replace") as handle:
             yield handle
     else:
+        _require_creatable(path)
         with contextlib.ExitStack() as opened:
             def first_write(text: str) -> int:  # creates the file, then writes straight to it
                 handle = open(path, mode, newline="", buffering=1 if line_buffering else -1)
@@ -121,9 +122,7 @@ def _open(path, mode="w", line_buffering=False):
 def _require_creatable(path) -> None:
     """Refuse, creating nothing, an output path that cannot be opened for
     writing: the empty path, a directory, an existing file that is not
-    writable, or a new file in no writable directory. stdout passes."""
-    if path is None or path == "-":
-        return
+    writable, or a new file in no writable directory."""
     if not path:
         raise OSError("cannot write an empty path")
     if os.path.isdir(path):
@@ -135,27 +134,30 @@ def _require_creatable(path) -> None:
         raise OSError(f"cannot write {path}: its directory is missing or not writable")
 
 
+def _file_of(path, std="/dev/stdout"):
+    """The file ``path`` names, to tell a run's files apart: ``std`` for None
+    or "-", an existing file's (device, inode), or a new file's resolved path."""
+    path = std if path in (None, "-") else path
+    try:
+        stat = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return stat.st_dev, stat.st_ino
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    if args.truth_out == "-" and args.out in (None, "-"):
-        raise UsageError("--out and --truth-out cannot both be stdout")
-    files = [path for path in (args.out, args.truth_out) if path not in (None, "", "-")]
-    if len(files) == 2 and (
-        os.path.realpath(files[0]) == os.path.realpath(files[1])
-        # Two names of one file through a hard link.
-        or all(map(os.path.exists, files)) and os.path.samefile(*files)
-    ):
-        raise UsageError("--out and --truth-out cannot be the same file")
+    # Both streams in one file, stdout included, would overwrite each other.
+    if args.truth_out is not None and _file_of(args.out) == _file_of(args.truth_out):
+        same = "both be stdout" if {args.out, args.truth_out} <= {None, "-"} else "be the same file"
+        raise UsageError(f"--out and --truth-out cannot {same}")
     config = _load(args)
     harness = config.harness
     # Checked before either file is opened; each frame is made as it is written.
     frames = iter_trajectory(config.scenario, harness.t_start, harness.t_end, harness.rate_hz)
-    _require_creatable(args.out)  # before the truth header, so a refusal leaves the truth file
-    if args.truth_out == "":  # names no file; it does not mean "no truth"
-        _require_creatable(args.truth_out)
-    truth_file = _open(args.truth_out) if args.truth_out else contextlib.nullcontext()
+    truth_file = _open(args.truth_out) if args.truth_out is not None else contextlib.nullcontext()
     with truth_file as truth_out, _open(args.out) as out:
-        # The truth header is written first: a truth path that cannot be
-        # opened ends the run before the frame file exists.
+        # Entering each _open checked its path, so no file is touched if either
+        # cannot be written. The truth file is still created first.
         for stream in filter(None, (truth_out, out)):
             write_header(stream, config.grid)
         for frame, truth in frames:
@@ -166,6 +168,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
+    named = {args.input, args.out} - {None, "-"}  # stdin and stdout may be one tty
+    if named and _file_of(args.input, "/dev/stdin") == _file_of(args.out):
+        raise UsageError("--in and --out cannot be the same file")
     config = _load(args)
     # Each row leaves as its frame is read.
     with _open(args.input, "r") as source, _open(args.out, line_buffering=True) as out:

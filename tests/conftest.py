@@ -272,6 +272,17 @@ def analytic_local_rotation(scenario: SimScenario, t: float, position) -> float:
     return float(scenario.theta_at(t) * decay[0] / (1.0 + scenario.softness.k))
 
 
+def analytic_increment_half_curl(rho, r_s, gamma, theta0, theta1):
+    """Closed-form half-curl (degrees) of the annulus increment field at
+    radius rho in the power-law zone, for a rigid object."""
+    out = []
+    for theta in (theta0, theta1):
+        psi = math.radians(-theta) * (r_s / rho) ** gamma
+        # d(psi)/d(rho) = -gamma * psi / rho for the power-law profile
+        out.append(math.sin(psi) - 0.5 * gamma * psi * math.cos(psi))
+    return math.degrees(out[1] - out[0])
+
+
 def reference_noiseless_field(scenario: SimScenario, t: float) -> tuple[np.ndarray, GroundTruth]:
     """The field kernel that rebuilds its time-invariant arrays and its
     decay bands on every call; the package's kernel, which keeps them per

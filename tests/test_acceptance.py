@@ -31,7 +31,13 @@ from pivotgauge import (
 )
 from pivotgauge.config import build_config
 from pivotgauge.harness import SWEEP_ANGLES, run_static_sweep
-from conftest import brute_force_feature_angle, brute_force_flags, cli_env, f1_against_mask
+from conftest import (
+    analytic_increment_half_curl,
+    brute_force_feature_angle,
+    brute_force_flags,
+    cli_env,
+    f1_against_mask,
+)
 
 CFG = SegmentationConfig()
 RIGID = SoftnessParams()
@@ -161,14 +167,6 @@ def test_c04_incipient_slip_advantage():
     )
 
 
-def _analytic_increment_half_curl(rho, r_s, gamma, theta0, theta1):
-    values = []
-    for theta in (theta0, theta1):
-        psi = math.radians(-theta) * (r_s / rho) ** gamma
-        values.append(math.sin(psi) - 0.5 * gamma * psi * math.cos(psi))
-    return math.degrees(values[1] - values[0])
-
-
 def test_c05_curl_identity_convergence():
     r_s, a, gamma = 2.0, 8.0, 2.0
     errors = []
@@ -185,7 +183,7 @@ def test_c05_curl_identity_convergence():
         rho = np.hypot(*(grid.reference_positions - np.asarray(scn.cor)).T)
         band = (rho >= 3.5) & (rho <= 6.5)
         expected = np.array(
-            [_analytic_increment_half_curl(r, r_s, gamma, 8.0, 8.4) for r in rho[band]]
+            [analytic_increment_half_curl(r, r_s, gamma, 8.0, 8.4) for r in rho[band]]
         )
         errors.append(float(np.max(np.abs(hc[band] - expected))))
     orders = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]

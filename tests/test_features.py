@@ -22,6 +22,7 @@ from pivotgauge import (
 from pivotgauge.core import MAX_DISPLACEMENT_MM, MAX_GRID_MM, MIN_PITCH_MM
 from pivotgauge.features import admission_certain
 from conftest import (
+    analytic_increment_half_curl,
     analytic_local_rotation,
     brute_force_feature_angle,
     hostile_field,
@@ -263,17 +264,6 @@ def test_half_curl_rigid_increment_sine_corrected(grid20):
     hc = half_curl(grid20, prev, nxt)
     expected = math.degrees(math.sin(math.radians(delta)))
     assert np.max(np.abs(hc - expected)) < 1e-5
-
-
-def analytic_increment_half_curl(rho, r_s, gamma, theta0, theta1):
-    """Closed-form half-curl (degrees) of the annulus increment field at
-    radius rho in the power-law zone, for a rigid object."""
-    out = []
-    for theta in (theta0, theta1):
-        psi = math.radians(-theta) * (r_s / rho) ** gamma
-        # d(psi)/d(rho) = -gamma * psi / rho for the power-law profile
-        out.append(math.sin(psi) - 0.5 * gamma * psi * math.cos(psi))
-    return math.degrees(out[1] - out[0])
 
 
 def test_half_curl_matches_analytic_curl_and_refines():

@@ -598,7 +598,8 @@ def test_cli_simulate_opens_the_truth_file_before_any_frame_is_written(tmp_path,
     assert main(["simulate", "--out", str(frames), "--truth-out", str(truth),
                  "--set", "harness.t_end=0.1"]) == 1
     assert not frames.exists()
-    assert "No such file or directory" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: cannot write {truth}: its directory is missing or not writable\n")
 
 
 def test_cli_simulate_leaves_the_truth_file_when_out_cannot_be_created(tmp_path, capsys):
@@ -673,6 +674,37 @@ def test_cli_simulate_refuses_an_empty_truth_path(tmp_path, capsys):
                  "--out", str(frames), "--truth-out", ""]) == 1
     assert capsys.readouterr() == ("", "error: cannot write an empty path\n")
     assert list(tmp_path.iterdir()) == []
+
+
+def _run_cli(args, stdin=None, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "pivotgauge.cli", *args], stdin=stdin,
+                          stdout=stdout, stderr=subprocess.PIPE, env=cli_env())
+
+
+def test_cli_simulate_refuses_truth_on_the_file_that_stdout_is(tmp_path):
+    # /dev/stdout names whatever stdout is: a file or a pipe. Written through
+    # two buffers, the frame and truth lines would tear each other.
+    run = ["simulate", "--set", "harness.t_end=0.2", "--truth-out", "/dev/stdout"]
+    both = tmp_path / "both.out"
+    with open(both, "wb") as stdout:
+        to_file = _run_cli(run, stdout=stdout)
+    to_pipe = _run_cli(run)
+    for proc in (to_file, to_pipe):
+        assert proc.returncode == 2
+        assert proc.stderr == b"error: --out and --truth-out cannot be the same file\n"
+    assert both.read_bytes() == to_pipe.stdout == b""
+
+
+def test_cli_estimate_refuses_to_write_over_its_input(tmp_path):
+    stream = tmp_path / "frames.ndjson"
+    assert main(["simulate", "--out", str(stream), "--set", "harness.t_end=0.2"]) == 0
+    before = stream.read_bytes()
+    for args in (["--in", str(stream), "--out", str(stream)], ["--out", str(stream)]):
+        with open(stream, "rb") as stdin:
+            proc = _run_cli(["estimate", *args], stdin=stdin)
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr == b"error: --in and --out cannot be the same file\n"
+        assert stream.read_bytes() == before
 
 
 def test_a_config_name_too_long_for_a_path_is_not_found(capsys):
@@ -759,6 +791,34 @@ def test_a_refused_run_leaves_its_out_file_as_it_was(command, tmp_path, capsys):
         assert capsys.readouterr().err == message + "\n"
     assert kept.read_bytes() == b"kept\r\n"
     assert not missing.exists()
+
+
+@pytest.mark.parametrize("command", sorted(_REFUSED))
+def test_every_out_is_checked_before_the_run(command, tmp_path, monkeypatch, capsys):
+    stream = tmp_path / "frames.ndjson"
+    assert main(["simulate", "--out", str(stream), "--set", "harness.t_end=0.1"]) == 0
+    calls = []
+
+    def counted(function):
+        def counting(*args, **kwargs):
+            calls.append(function.__name__)
+            return function(*args, **kwargs)
+        return counting
+
+    for module, name in ((harness, "generate_frame"), (simulate, "generate_frame"),
+                         (harness, "read_frames")):
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    run = [command, "--set", "harness.t_end=0.1", "--set", "harness.trials=1",
+           *(["--in", str(stream)] if command == "estimate" else [])]
+    out = tmp_path / "missing" / "x"
+    assert main([*run, "--out", str(out)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: cannot write {out}: its directory is missing or not writable\n")
+    assert calls == []
+    assert list(tmp_path.iterdir()) == [stream]
+    # The same run with a writable --out makes its frames.
+    assert main([*run, "--out", str(tmp_path / "x")]) == 0
+    assert calls
 
 
 def test_cli_estimate_takes_no_seed(capsys):
