@@ -22,7 +22,7 @@ from .estimation import RotationPipeline, baseline_least_squares, estimate_frame
 from .simulate import generate_frame, iter_trajectory
 from .streams import NumberedLines, read_frames, read_header, write_csv_row
 
-VALID_RANGE = (2.0, 20.0)
+VALID_RANGE = (float(SWEEP_ANGLES[0]), float(SWEEP_ANGLES[-1]))  # the sweep's span, degrees
 
 SWEEP_CSV_HEADER = (
     "theta_true_deg",

@@ -109,16 +109,15 @@ def grow_stick_region(
 ) -> StickRegion:
     """Grow the stick region outward from the centre over flagged markers.
 
-    Breadth-first growth in deterministic order (frontier sorted by
-    distance to the centre, then index); a frontier marker is admitted when
-    its normalized angle difference against the running region mean stays
-    below ``delta_phi_th``, and the mean is updated after every admission.
-    Rejected markers are not re-tested. Flagged markers without a valid
-    angle are not admissible and do not carry connectivity. When every
-    pair of admissible angles provably passes the admission test
-    (``features.admission_certain``), growth reduces to the 4-connected
-    component of admissible markers around the centre, found without the
-    heap or the per-marker test; the result is the same.
+    The nearest frontier marker (by distance to the centre, then index) is
+    popped next and admitted when its normalized angle difference against
+    the running region mean stays below ``delta_phi_th``; the mean is
+    updated after every admission. Rejected markers are not re-tested.
+    Flagged markers without a valid angle are not admissible and do not
+    carry connectivity. When every pair of admissible angles provably passes
+    the admission test (``features.admission_certain``), growth reduces to
+    the 4-connected component of admissible markers around the centre, found
+    breadth-first without the heap or the per-marker test; the result is the same.
     """
     grid.require("contact mask", mask.flags.shape)
     grid.require("angle record", angles.angles.shape)

@@ -37,14 +37,20 @@ from .core import (
 )
 
 
+def _time_allowance(*times: float) -> float:
+    """How far a computed time t0 + i / rate may round, where ``times`` holds the largest
+    |time|: by two roundings, each within half the float spacing near a result up to twice it."""
+    return 2 * math.ulp(max(map(abs, times)))
+
+
 class PiecewiseLinear:
     """Piecewise-linear time function over the closed domain of its breakpoints.
 
     ``points`` is a sequence of (t, v0[, v1...]) rows of one width with
     strictly increasing t, each entry a finite number, read by
     ``core.number_rows``. Every t step and every slope between neighbouring
-    rows must be finite too, so interpolation cannot overflow.
-    Evaluation outside the domain is a usage error.
+    rows must be finite too, so interpolation cannot overflow. Evaluation
+    beyond the domain by more than ``_time_allowance`` is a usage error.
     """
 
     def __init__(self, points: Sequence[Sequence[float]]):
@@ -64,13 +70,9 @@ class PiecewiseLinear:
         self._t = arr[:, 0]
         self._v = arr[:, 1:]
 
-    @property
-    def domain(self) -> tuple[float, float]:
-        return float(self._t[0]), float(self._t[-1])
-
     def __call__(self, t: float) -> Union[float, np.ndarray]:
-        t0, t1 = self.domain
-        if t < t0 - 1e-12 or t > t1 + 1e-12:
+        t0, t1 = float(self._t[0]), float(self._t[-1])
+        if max(t0 - t, t - t1) > _time_allowance(t, t0, t1):
             raise UsageError(f"t={t} outside trajectory domain [{t0}, {t1}]")
         if self._v.shape[1] == 1:
             return float(np.interp(t, self._t, self._v[:, 0]))
@@ -348,8 +350,8 @@ def generate_frame(
 
 
 def frame_count(t0: float, t1: float, rate: float) -> int:
-    """Number of timestamps t0, t0 + 1/rate, ..., <= t1, checked before any
-    frame exists; messages name a config's ``t_start``, ``t_end``, ``rate_hz``."""
+    """The number of computed times t0 + i / rate (i >= 0) within the allowance of t1,
+    checked before any frame exists; messages name ``t_start``, ``t_end``, ``rate_hz``."""
     t0 = finite_number(t0, "t_start")
     t1 = finite_number(t1, "t_end")
     rate = finite_number(rate, "rate_hz")
@@ -359,22 +361,24 @@ def frame_count(t0: float, t1: float, rate: float) -> int:
         raise UsageError(f"rate_hz must be positive, got {rate}")
     if not (t1 - t0) * rate <= MAX_FRAMES:
         raise UsageError(f"rate_hz x (t_end - t_start) exceeds {MAX_FRAMES} frames")
-    # Each time t0 + i / rate rounds by at most half the float spacing near it,
-    # at most twice ulp(largest) (a run may end just past a power of two). A
-    # period of four ulps keeps neighbouring times apart.
-    largest = max(abs(t0), abs(t1))
-    if rate * math.ulp(largest) > 0.25:
-        raise UsageError(f"rate_hz {rate} is too high for times near {largest}: "
+    allowance = _time_allowance(t0, t1)
+    if 2 * allowance * rate > 1:  # a period of two allowances keeps neighbouring times apart
+        raise UsageError(f"rate_hz {rate} is too high for times near {max(abs(t0), abs(t1))}: "
                          "frames would share timestamps")
-    return int(math.floor((t1 - t0) * rate + 1e-9)) + 1
+    n = math.floor((t1 - t0) * rate)  # at most one period off: the computed times decide
+    if t0 + (n + 1) / rate - t1 <= allowance:
+        n += 1
+    elif t0 + n / rate - t1 > allowance:
+        n -= 1
+    return n + 1
 
 
 def iter_trajectory(
     scenario: SimScenario, t0: float, t1: float, rate: float
 ) -> Iterator[tuple[Frame, GroundTruth]]:
-    """Frames at uniform timestamps t0, t0 + 1/rate, ..., <= t1, each made
-    only when it is asked for. The frame count and the scenario's domains
-    are checked at the call, before the first frame."""
+    """Frames at the ``frame_count`` times t0 + i / rate, each made only when it
+    is asked for. The frame count and the scenario's domains are checked, by
+    one allowance, at the call, before the first frame."""
     n = frame_count(t0, t1, rate)
     scenario.require_times(t0, t0 + (n - 1) / rate)
     return (generate_frame(scenario, t0 + i / rate, frame_index=i) for i in range(n))

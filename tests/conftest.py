@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import pivotgauge
 from pivotgauge import (
@@ -356,6 +357,36 @@ def finite_steps_and_slopes(points) -> bool:
         if not all(math.isfinite((b - a) / step) for a, b in zip(v0, v1)):
             return False
     return True
+
+
+@st.composite
+def run_times(draw) -> tuple[float, float, float]:
+    """(t_start, rate_hz, t_end) of a run of 1 to 300 periods, with |t_start|
+    from 1e-3 to 1e12 and a rate from 0.25 to 1000 Hz, both log-uniform. t_end
+    is a computed frame time t_start + k / rate_hz, one to four float spacings
+    off it, or between two."""
+    t_start = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-3.0, 12.0))
+    rate = 10.0 ** draw(st.floats(math.log10(0.25), 3.0))
+    k = draw(st.integers(1, 300))
+    t_end = t_start + k / rate
+    kind = draw(st.sampled_from(["on", "ulps", "off"]))
+    if kind == "ulps":
+        toward = draw(st.sampled_from([-math.inf, math.inf]))
+        for _ in range(draw(st.integers(1, 4))):
+            t_end = math.nextafter(t_end, toward)
+    elif kind == "off":
+        t_end = t_start + (k + draw(st.floats(0.0, 1.0, exclude_max=True))) / rate
+    return t_start, rate, t_end
+
+
+def brute_force_frame_count(t_start: float, t_end: float, rate: float) -> int:
+    """The computed times t_start + i / rate, i = 0, 1, ..., that lie at most
+    twice ulp(max(|t_start|, |t_end|)) past t_end, counted one by one."""
+    allowance = 2 * math.ulp(max(abs(t_start), abs(t_end)))
+    i = 0
+    while t_start + i / rate - t_end <= allowance:
+        i += 1
+    return i
 
 
 def brute_force_flags(frame: Frame, ratio: float) -> np.ndarray:

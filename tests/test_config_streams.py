@@ -36,7 +36,7 @@ from pivotgauge.streams import (
     write_truth,
 )
 
-from conftest import reference_write_frame, reference_write_truth
+from conftest import reference_write_frame, reference_write_truth, run_times
 
 
 def test_default_config_builds():
@@ -267,6 +267,51 @@ def test_a_run_its_trajectory_does_not_cover_is_refused_before_output(tmp_path, 
     # sweep and compare use t = 0 only, so they still run such a config.
     assert main(["sweep", "--trials", "1", *over, "--out", str(csv)]) == 0
     assert len(csv.read_text().splitlines()) == 20
+
+
+@settings(max_examples=200, deadline=None)
+# A bound 5e-10 periods short of a frame, a decimal bound one float
+# spacing short of its computed frame, and a Unix-epoch clock.
+@example(times=(0.0, 1.0, 2.9999999995))
+@example(times=(16502.02, 10.0, 16504.92))
+@example(times=(1700000000.05, 10.0, 1700000000.35))
+@given(times=run_times())
+def test_a_run_is_covered_by_breakpoint_lists_that_span_exactly_its_bounds(times):
+    t_start, rate, t_end = times
+    scenario = SimScenario(theta_trajectory=[[t_start, 0], [t_end, 5]],
+                           translation_trajectory=[[t_start, 0, 0], [t_end, 0.1, 0]],
+                           stick_radius=[[t_start, 3], [t_end, 4]])
+    iter_trajectory(scenario, t_start, t_end, rate)  # the coverage check, no frame yet
+    for i in range(frame_count(t_start, t_end, rate)):  # and each frame's evaluation
+        t = t_start + i / rate
+        scenario.theta_at(t), scenario.translation_at(t), scenario.stick_radius_at(t)
+
+
+def _dynamic_times(capsys, tmp_path, *overrides: str) -> list[float]:
+    """The t column of a ``dynamic`` run with these ``--set`` overrides."""
+    out = tmp_path / "d.csv"
+    args = ["dynamic", "--out", str(out)]
+    for override in overrides:
+        args += ["--set", override]
+    assert main(args) == 0, capsys.readouterr().err
+    return [float(line.split(",")[0]) for line in out.read_text().splitlines()[1:]]
+
+
+def test_the_frames_of_a_run_are_those_within_the_allowance_of_t_end(tmp_path, capsys):
+    # 3 s lies 5e-10 s past t_end, far beyond the rounding of a frame time.
+    short = ["harness.t_end=2.9999999995", "harness.rate_hz=1"]
+    assert _dynamic_times(capsys, tmp_path, *short) == [0, 1, 2]
+    listed = "scenario.theta_trajectory=[[0,0],[2.9999999995,10]]"
+    assert _dynamic_times(capsys, tmp_path, *short, listed) == [0, 1, 2]
+    # The last computed time, 16504.920000000002, is one float spacing past
+    # t_end, within the allowance, and a list that ends at t_end covers it.
+    far = ["harness.t_start=16502.02", "harness.t_end=16504.92", "harness.rate_hz=10",
+           "scenario.theta_trajectory=[[16502.02,0],[16504.92,5]]"]
+    assert len(_dynamic_times(capsys, tmp_path, *far)) == 30
+    # On a Unix-epoch clock the fourth computed time equals t_end.
+    epoch = ["harness.t_start=1700000000.05", "harness.t_end=1700000000.35", "harness.rate_hz=10"]
+    assert len(_dynamic_times(capsys, tmp_path, *epoch)) == 4
+    assert 1700000000.05 + 3 / 10 == 1700000000.35
 
 
 def test_a_scenario_that_could_break_the_displacement_bound_is_refused_at_load(tmp_path, capsys):

@@ -388,6 +388,11 @@ def test_piecewise_trajectory_domain_enforced():
     generate_frame(scn, 0.5)
     with pytest.raises(UsageError):
         generate_frame(scn, 1.5)
+    # A time is held up to 2 x ulp(largest |time|) past the domain, not 1e-12 s.
+    assert scn.theta_at(1.0 + 2 * math.ulp(1.0)) == 5.0
+    with pytest.raises(UsageError, match=r"t=0.0 outside trajectory domain \[1e-13, 1.0\]"):
+        SimScenario(theta_trajectory=[(1e-13, 0.0), (1.0, 5.0)]).theta_at(0.0)
+    assert SimScenario(theta_trajectory=[(0, 0), (16504.92, 5)]).theta_at(16504.920000000002) == 5
 
 
 @pytest.mark.parametrize(

@@ -8,12 +8,13 @@ from __future__ import annotations
 import io
 import json
 import math
+import random
 import sys
 from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pivotgauge import (
@@ -34,7 +35,7 @@ from pivotgauge.core import MAX_DISPLACEMENT_MM, MAX_FRAMES, finite_number
 from pivotgauge.simulate import frame_count
 from pivotgauge.streams import read_frames, write_header
 
-from conftest import finite_steps_and_slopes
+from conftest import brute_force_frame_count, finite_steps_and_slopes, run_times
 
 _NOT_NUMBERS = (True, "1", None, math.nan, math.inf, 10**400)
 
@@ -139,6 +140,31 @@ def test_frame_count_is_the_one_rule():
     for harness in ({"t_end": 0}, {"t_start": 5}, {"t_start": 1.0, "t_end": 1.0}):
         with pytest.raises(ConfigError, match="invalid config value: t_end must exceed t_start"):
             build_config({"harness": harness})
+
+
+@settings(max_examples=300, deadline=None)
+# A bound 5e-10 periods short of a frame, a decimal bound one float
+# spacing short of its computed frame, and a Unix-epoch clock.
+@example(times=(0.0, 1.0, 2.9999999995))
+@example(times=(16502.02, 10.0, 16504.92))
+@example(times=(1700000000.05, 10.0, 1700000000.35))
+@given(times=run_times())
+def test_frame_count_counts_the_computed_times_within_the_allowance_of_t_end(times):
+    t_start, rate, t_end = times
+    assert frame_count(t_start, t_end, rate) == brute_force_frame_count(t_start, t_end, rate)
+
+
+def test_frame_count_keeps_the_old_count_of_runs_that_end_on_a_frame_below_1e4_s():
+    # Where t_end is a computed frame time and every time lies below 1e4 s,
+    # the old rule, floor((t_end - t_start) x rate_hz + 1e-9) + 1, was right.
+    rng = random.Random(2501)
+    for _ in range(20_000):
+        t_start = rng.uniform(-1e4, 1e4)
+        rate = 10 ** rng.uniform(math.log10(0.25), 3)
+        t_end = t_start + rng.randint(1, 1000) / rate
+        if abs(t_end) < 1e4:
+            old = math.floor((t_end - t_start) * rate + 1e-9) + 1
+            assert frame_count(t_start, t_end, rate) == old, (t_start, t_end, rate)
 
 
 @pytest.mark.parametrize("value", _NOT_NUMBERS)
