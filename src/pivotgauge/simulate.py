@@ -17,6 +17,7 @@ object-side sign.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence, Union
 
@@ -154,9 +155,10 @@ class SimScenario:
         object.__setattr__(self, "_theta_fn", _time_fn(self.theta_trajectory, "theta_trajectory", ()))
         translation_fn = _time_fn(self.translation_trajectory, "translation_trajectory", (2,))
         object.__setattr__(self, "_translation_fn", translation_fn)
-        # generate_frame's (t, noiseless displacements, truth) of the last t.
+        # generate_frame's (t, field inputs as float64 bytes, noiseless displacements,
+        # truth) of the last field made, with the last t that asked for it.
         object.__setattr__(self, "_field_memo", None)
-        # _noiseless_field's time-invariant arrays, once it is walked through time.
+        # _noiseless_field's time-invariant arrays, once it makes a second distinct field.
         object.__setattr__(self, "_geometry", None)
         for r_s in _extremes(self._stick_fn):  # type: ignore[attr-defined]
             if not 0 < r_s <= self.contact_radius:
@@ -206,7 +208,9 @@ class GroundTruth:
     elastomer side, of the noiseless field; it is exactly zero on
     ``stick_mask``. ``theta`` carries the object-side reported rotation.
     ``theta`` is a finite number, ``slip_field`` a finite (n, 2) float array
-    and each mask an (n,) bool array, so a truth line is strict JSON.
+    and each mask an (n,) bool array, so a truth line is strict JSON. Each
+    array is read-only, and a view of another array is copied, so a truth's
+    values never change: ``write_truth`` formats them once per truth.
     """
 
     theta: float
@@ -228,6 +232,8 @@ class GroundTruth:
             if arrays[name].shape != (len(slip),):
                 raise UsageError(f"{name} must be ({len(slip)},), got shape {arrays[name].shape}")
         for name, arr in arrays.items():
+            if arr.base is not None:  # a view, which its base could still write
+                arr = arr.copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -267,14 +273,15 @@ def _rotate_offsets(d: np.ndarray, angle_rad: np.ndarray) -> np.ndarray:
     return np.column_stack([c * d[:, 0] - s * d[:, 1], s * d[:, 0] + c * d[:, 1]])
 
 
-def _noiseless_field(scenario: SimScenario, t: float) -> tuple[np.ndarray, GroundTruth]:
-    """The read-only (n, 3) noiseless displacements and the ground truth at t.
+def _noiseless_field(
+    scenario: SimScenario, theta: float, trans: np.ndarray, r_s: float
+) -> tuple[np.ndarray, GroundTruth]:
+    """The read-only (n, 3) noiseless displacements and the ground truth of the
+    field inputs a time gives: the angle, the translation and the stick radius.
 
-    Both depend only on ``(scenario, t)``, never on a frame's noise.
+    Both depend only on the scenario and those inputs, never on the time
+    itself or on a frame's noise.
     """
-    theta = scenario.theta_at(t)
-    trans = scenario.translation_at(t)
-    r_s = scenario.stick_radius_at(t)
     a = scenario.contact_radius
     k = scenario.softness.k
 
@@ -284,8 +291,9 @@ def _noiseless_field(scenario: SimScenario, t: float) -> tuple[np.ndarray, Groun
         rho = np.hypot(d[:, 0], d[:, 1])
         geometry = (d, rho, rho <= a, _hertz_dz(rho, a, scenario.max_indent),
                     _contact_taper(rho, a))
-        # A second distinct t: the scenario is walked through time, so keep
-        # them. A scenario asked for one t (a sweep angle) holds only its memo.
+        # A second distinct field: the scenario's inputs change with time, so
+        # keep them. A scenario of one field (a sweep angle, a constant
+        # scenario) holds only its memo.
         if scenario._field_memo is not None:  # type: ignore[attr-defined]
             for arr in geometry:
                 arr.setflags(write=False)
@@ -328,16 +336,23 @@ def generate_frame(
 
     ``frame_index`` seeds the per-frame noise stream; frames of a
     trajectory can therefore be generated independently (and in parallel)
-    with reproducible output. The scenario keeps the noiseless field of the
-    last ``t`` it was asked for, so repeated trials at one time (the static
-    sweep) draw only their noise.
+    with reproducible output. The scenario keeps its last noiseless field
+    with the last ``t`` that asked for it. A call at that ``t`` (the static
+    sweep's trials), or at a ``t`` whose angle, translation and stick radius
+    equal the field's bit for bit (a hold), reuses the read-only field and
+    the same ``GroundTruth`` object and draws only its noise.
     """
     memo = scenario._field_memo  # type: ignore[attr-defined]
-    if memo is not None and memo[0] == t:
-        _t, displacements, truth = memo
-    else:
-        displacements, truth = _noiseless_field(scenario, t)
-        object.__setattr__(scenario, "_field_memo", (t, displacements, truth))
+    if memo is None or memo[0] != t:
+        theta, trans = scenario.theta_at(t), scenario.translation_at(t)
+        r_s = scenario.stick_radius_at(t)
+        inputs = struct.pack("4d", theta, *trans, r_s)  # as bytes, so -0.0 is not 0.0
+        if memo is not None and memo[1] == inputs:
+            memo = (t, *memo[1:])
+        else:
+            memo = (t, inputs, *_noiseless_field(scenario, theta, trans, r_s))
+        object.__setattr__(scenario, "_field_memo", memo)
+    _t, _inputs, displacements, truth = memo
     if scenario.noise_sigma > 0:
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=scenario.rng_seed, spawn_key=(frame_index,))

@@ -12,7 +12,9 @@ row count. ``%r`` of a float is ``float.__repr__``, the function
 separators, so every line has the bytes ``json.dumps`` would give. Floats
 thus keep full round-trip precision, and piping a stream through a file
 reproduces bit-identical values. This holds for finite values only, which
-``Frame`` and ``GroundTruth`` guarantee.
+``Frame`` and ``GroundTruth`` guarantee. A truth's values never change, so
+the part of its line after ``"t"`` is formatted once per ``GroundTruth``
+object: the frames of a hold, which share one truth, reuse that text.
 
 CSV output is RFC-4180-style with a header row, ``.`` decimal separator
 and 6 significant digits for every float cell; other cells (counts,
@@ -21,6 +23,7 @@ states) are written with ``str``.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import asdict
 from typing import IO, Any, Iterable, Iterator, Optional
@@ -68,15 +71,23 @@ def write_frame(out: IO[str], frame: Frame) -> None:
     out.write(line % (frame.timestamp, *d.ravel().tolist()))
 
 
+@functools.lru_cache(maxsize=1)
+def _truth_body(truth: GroundTruth) -> str:
+    """A truth line after its ``"t"`` member, kept for the last truth asked
+    for: ``GroundTruth`` hashes by identity, and the cache's reference keeps
+    that identity from being reused."""
+    slip = truth.slip_field
+    body = ', "theta": %r, "stick": [%s], "contact": [%s], "slip": ['
+    body += _rows(len(slip), "[%r, %r]")
+    return body % (truth.theta, _digits(truth.stick_mask), _digits(truth.contact_mask_true),
+                   *slip.ravel().tolist()) + "]}\n"
+
+
 def write_truth(out: IO[str], t: float, truth: GroundTruth) -> None:
     """One truth line at ``t``, with the bytes ``json.dumps`` would give."""
-    slip = truth.slip_field
-    line = ('{"t": %r, "theta": %r, "stick": [%s], "contact": [%s], "slip": ['
-            + _rows(len(slip), "[%r, %r]") + "]}\n")
     # An int stays an int, and a float subclass such as np.float64, whose
     # repr names its type, is written as its float, as json.dumps does.
-    out.write(line % (t if type(t) is int else float(t), truth.theta, _digits(truth.stick_mask),
-                      _digits(truth.contact_mask_true), *slip.ravel().tolist()))
+    out.write('{"t": %r' % (t if type(t) is int else float(t)) + _truth_body(truth))
 
 
 class NumberedLines:

@@ -284,14 +284,13 @@ def analytic_increment_half_curl(rho, r_s, gamma, theta0, theta1):
     return math.degrees(out[1] - out[0])
 
 
-def reference_noiseless_field(scenario: SimScenario, t: float) -> tuple[np.ndarray, GroundTruth]:
+def reference_noiseless_field(
+    scenario: SimScenario, theta: float, trans: np.ndarray, r_s: float
+) -> tuple[np.ndarray, GroundTruth]:
     """The field kernel that rebuilds its time-invariant arrays and its
     decay bands on every call; the package's kernel, which keeps them per
     scenario, must match it bit for bit."""
     grid = scenario.grid
-    theta = scenario.theta_at(t)
-    trans = scenario.translation_at(t)
-    r_s = scenario.stick_radius_at(t)
     a = scenario.contact_radius
     k = scenario.softness.k
 

@@ -16,7 +16,10 @@ not reach them.
 They were written by the ``json.dumps`` writers that ``conftest`` keeps as
 ``reference_write_frame`` and ``reference_write_truth``. Their floats carry
 every bit, so the scenario keeps decay exponent 2, which numpy squares
-exactly: only sin, cos, hypot, sqrt and the seeded normal draws set them."""
+exactly: only sin, cos, hypot, sqrt and the seeded normal draws set them.
+``simulate-small-hold`` pins the same grid through a ramp, a hold of angle
+and stick radius, and a ramp back. It was written before frames of a hold
+shared one field, and its bytes equal what the ``json.dumps`` writers give."""
 
 from __future__ import annotations
 
@@ -43,6 +46,16 @@ _SMALL_SIMULATE = [
     "--set", "scenario.theta_trajectory=[[0,0],[0.1,9]]",
     "--set", "scenario.translation_trajectory=[0.02,-0.01]",
 ]
+# The same grid turning to 9 degrees, holding there from t = 0.1 to 0.2 s while
+# the stick radius holds too, and turning back to 4 degrees, over ten frames.
+_SMALL_HOLD = [
+    "simulate", "--set", "harness.t_end=0.3", "--set", "grid.rows=4", "--set", "grid.cols=5",
+    "--set", "scenario.contact_radius=1.5",
+    "--set", "scenario.stick_radius=[[0,0.9],[0.1,0.45],[0.2,0.45],[0.3,0.9]]",
+    "--set", "scenario.theta_trajectory=[[0,0],[0.1,9],[0.2,9],[0.3,4]]",
+    "--set", "scenario.translation_trajectory=[0.02,-0.01]",
+]
+_SIMULATE_RUNS = {"simulate-small": _SMALL_SIMULATE, "simulate-small-hold": _SMALL_HOLD}
 
 
 def _first_difference(got: bytes, expected: bytes) -> str:
@@ -65,7 +78,8 @@ def test_outputs_match_the_pinned_text(name, tmp_path, capsys):
 
 def test_simulated_streams_match_the_pinned_bytes(tmp_path):
     frames, truth = tmp_path / "frames.ndjson", tmp_path / "truth.ndjson"
-    assert main([*_SMALL_SIMULATE, "--out", str(frames), "--truth-out", str(truth)]) == 0
-    for got, name in ((frames, "simulate-small.ndjson"), (truth, "simulate-small-truth.ndjson")):
-        got, expected = got.read_bytes(), (GOLDEN / name).read_bytes()
-        assert got == expected, f"{name}: {_first_difference(got, expected)}"
+    for run, args in _SIMULATE_RUNS.items():
+        assert main([*args, "--out", str(frames), "--truth-out", str(truth)]) == 0
+        for got, name in ((frames, f"{run}.ndjson"), (truth, f"{run}-truth.ndjson")):
+            got, expected = got.read_bytes(), (GOLDEN / name).read_bytes()
+            assert got == expected, f"{name}: {_first_difference(got, expected)}"

@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import io
 import math
+import struct
 import tracemalloc
 import warnings
 import weakref
@@ -202,7 +203,8 @@ def test_repeated_time_matches_fresh_scenario(settings, sigma):
 
 
 def test_scenario_is_collectable_after_generating():
-    scn = annulus(theta=8.0, sigma=0.01)
+    # A ramp makes a distinct field at each frame, so the scenario keeps its geometry.
+    scn = annulus(theta=[[0.0, 0.0], [0.3, 8.0]], sigma=0.01)
     generate_frame(scn, 0.0)
     generate_frame(scn, 0.0, frame_index=1)
     generate_trajectory(scn, 0.0, 0.3, 10.0)
@@ -214,13 +216,58 @@ def test_scenario_is_collectable_after_generating():
 
 
 def test_scenario_keeps_geometry_only_when_walked_through_time():
-    # A static-sweep angle asks for one t: it holds its field memo and no more.
-    scn = annulus(theta=8.0, sigma=0.01)
-    for i in range(3):
-        generate_frame(scn, 0.0, frame_index=i)
-    assert scn._geometry is None
-    generate_frame(scn, 0.1, frame_index=3)
-    assert not any(arr.flags.writeable for arr in scn._geometry)
+    # A static-sweep angle asks for one t, and a constant scenario walked
+    # through time has one field: each makes it once and holds only its memo.
+    for ramp in (False, True):
+        scn = annulus(theta=[[0.0, 0.0], [1.0, 8.0]] if ramp else 8.0, sigma=0.01)
+        kernel = simulate._noiseless_field
+        with mock.patch.object(simulate, "_noiseless_field", wraps=kernel) as made:
+            truths = [generate_frame(scn, 0.0, frame_index=i)[1] for i in range(3)]
+            assert scn._geometry is None and made.call_count == 1
+            truths.append(generate_frame(scn, 0.1, frame_index=3)[1])
+        if ramp:  # a second distinct field: the time-invariant arrays are kept, read-only
+            assert made.call_count == 2 and truths[3] is not truths[0]
+            assert not any(arr.flags.writeable for arr in scn._geometry)
+        else:
+            assert made.call_count == 1 and scn._geometry is None
+            assert all(truth is truths[0] for truth in truths)
+
+
+def test_hold_frames_share_one_field_and_truth():
+    scn = three_lift_scenario()  # theta 6 and stick radius 7.6 from t = 1.5 to 3.5 s
+    (first, held), (second, again) = (generate_frame(scn, 2.0 + i / 30, 60 + i) for i in (0, 1))
+    assert again is held
+    assert first.displacements.tobytes() != second.displacements.tobytes()  # their own noise
+    _t, _inputs, displacements, truth = scn._field_memo
+    assert truth is held and not displacements.flags.writeable
+    assert not any(arr.flags.writeable
+                   for arr in (held.stick_mask, held.slip_field, held.contact_mask_true))
+    # The same frames from fresh scenarios, which make their own fields.
+    for i, frame, truth in ((0, first, held), (1, second, again)):
+        fresh_frame, fresh_truth = generate_frame(replace(scn), 2.0 + i / 30, 60 + i)
+        assert _frame_and_truth_bytes(frame, truth) == \
+            _frame_and_truth_bytes(fresh_frame, fresh_truth)
+
+
+def test_a_signed_zero_angle_makes_its_own_field():
+    # -0.0 == 0.0, but the truth line writes each as it is.
+    scn = SimScenario(theta_trajectory=[[0.0, 0.0], [0.1, -0.0]], noise_sigma=0.0)
+    trajectory = generate_trajectory(scn, 0.0, 0.1, 10.0)
+    assert trajectory[1][1] is not trajectory[0][1]
+    out = io.StringIO()
+    for frame, truth in trajectory:
+        write_truth(out, frame.timestamp, truth)
+    assert [line.split(", \"stick\"")[0] for line in out.getvalue().splitlines()] == \
+        ['{"t": 0.0, "theta": 0.0', '{"t": 0.1, "theta": -0.0']
+
+
+def test_a_truth_holds_no_view_another_array_could_write():
+    _, truth = generate_frame(annulus(theta=5.0, r_s=3.0), 0.0)
+    slip = np.column_stack([truth.slip_field, np.zeros(len(truth.slip_field))])
+    held = GroundTruth(theta=truth.theta, stick_mask=truth.stick_mask,
+                       slip_field=slip[:, :2], contact_mask_true=truth.contact_mask_true)
+    slip[0, 0] += 1.0  # write_truth formats a truth once, so its values must not change
+    assert np.array_equal(held.slip_field, truth.slip_field)
 
 
 def _time_input(draw, values):
@@ -276,11 +323,21 @@ def _stream_bytes(trajectory, truth_writer) -> tuple[str, str]:
 @settings(max_examples=60, deadline=None)
 @given(scn=_scenarios(), rate=st.sampled_from([10.0, 30.0]))
 def test_trajectory_streams_match_the_reference_kernels(scn, rate):
+    # Each expected frame comes from a fresh scenario, so it never meets a memo.
+    times = [i / rate for i in range(simulate.frame_count(0.0, 0.3, rate))]
     with mock.patch.object(simulate, "_noiseless_field", reference_noiseless_field):
-        expected = _stream_bytes(generate_trajectory(replace(scn), 0.0, 0.3, rate),
+        expected = _stream_bytes([generate_frame(replace(scn), t, i) for i, t in enumerate(times)],
                                  reference_write_truth)
-    assert _stream_bytes(generate_trajectory(scn, 0.0, 0.3, rate), write_truth) == expected
-    assert scn._geometry is not None  # frames after the second used the kept geometry
+    trajectory = generate_trajectory(scn, 0.0, 0.3, rate)
+    assert _stream_bytes(trajectory, write_truth) == expected
+    # Neighbouring frames share a truth exactly when their field inputs are equal bit for
+    # bit, and a second distinct field keeps the geometry that later fields use.
+    inputs = [struct.pack("4d", scn.theta_at(t), *scn.translation_at(t), scn.stick_radius_at(t))
+              for t in times]
+    truths = [truth for _frame, truth in trajectory]
+    for i in range(1, len(times)):
+        assert (truths[i] is truths[i - 1]) == (inputs[i] == inputs[i - 1])
+    assert (scn._geometry is not None) == (len(set(map(id, truths))) > 1)
 
 
 @pytest.mark.parametrize(
