@@ -210,12 +210,15 @@ class MarkerGrid:
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
         """The 4-neighbours of every marker, by index, in ``SIDES`` order;
         a border marker has only those inside the grid. Built on first use,
-        so grids that never grow a region do not pay for it.
+        so grids that never grow a region do not pay for it. Every entry of an
+        index is one int object: Python makes a new int for each sum beyond
+        256, which would hold a copy per entry.
         """
         rows, cols = self.rows, self.cols
+        index = list(range(rows * cols))
         return tuple([
             # From a list, at its exact size: a tuple of a generator keeps its growth room.
-            tuple([(i + di) * cols + j + dj for di, dj in SIDES
+            tuple([index[(i + di) * cols + j + dj] for di, dj in SIDES
                    if 0 <= i + di < rows and 0 <= j + dj < cols])
             for i in range(rows) for j in range(cols)
         ])

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import IO
 
 import numpy as np
@@ -94,7 +94,7 @@ def _sweep_errors(config: FullConfig) -> tuple[np.ndarray, np.ndarray]:
     proposed = np.empty((len(SWEEP_ANGLES), trials))
     baseline = np.full_like(proposed, math.nan)
     for angle_pos, theta in enumerate(SWEEP_ANGLES):
-        scenario = replace(config.scenario, theta_trajectory=float(theta))
+        scenario = config.scenario.at_angle(float(theta))  # one field geometry for every angle
         for trial in range(trials):
             frame, _truth = generate_frame(scenario, 0.0, frame_index=angle_pos * trials + trial)
             result = estimate_frame(config.grid, frame, config.segmentation, config.softness)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterator, Sequence, Union
 
 import numpy as np
@@ -158,7 +158,8 @@ class SimScenario:
         # generate_frame's (t, field inputs as float64 bytes, noiseless displacements,
         # truth) of the last field made, with the last t that asked for it.
         object.__setattr__(self, "_field_memo", None)
-        # _noiseless_field's time-invariant arrays, once it makes a second distinct field.
+        # _field_geometry's read-only arrays, made at the first field and kept;
+        # the scenarios at_angle makes share them.
         object.__setattr__(self, "_geometry", None)
         for r_s in _extremes(self._stick_fn):  # type: ignore[attr-defined]
             if not 0 < r_s <= self.contact_radius:
@@ -187,6 +188,14 @@ class SimScenario:
                 fn(t_first), fn(t_last)
             except UsageError as exc:
                 raise UsageError(f"scenario.{key} does not cover the run: {exc}") from None
+
+    def at_angle(self, theta: float) -> SimScenario:
+        """This scenario at the constant angle ``theta``, checked by ``replace``,
+        sharing this scenario's field geometry: the geometry depends only on the
+        grid, ``cor``, ``contact_radius`` and ``max_indent``."""
+        scenario = replace(self, theta_trajectory=theta)
+        object.__setattr__(scenario, "_geometry", _field_geometry(self))
+        return scenario
 
     def theta_at(self, t: float) -> float:
         return float(self._theta_fn(t))  # type: ignore[attr-defined]
@@ -273,6 +282,23 @@ def _rotate_offsets(d: np.ndarray, angle_rad: np.ndarray) -> np.ndarray:
     return np.column_stack([c * d[:, 0] - s * d[:, 1], s * d[:, 0] + c * d[:, 1]])
 
 
+def _field_geometry(scenario: SimScenario) -> tuple[np.ndarray, ...]:
+    """The read-only arrays of a scenario's field that no time input changes: the
+    marker offsets from ``cor``, their radii, the contact mask, the Hertz normal
+    profile and the contact taper. Made at the first call and kept."""
+    geometry = scenario._geometry  # type: ignore[attr-defined]
+    if geometry is None:
+        a = scenario.contact_radius
+        d = scenario.grid.reference_positions - np.asarray(scenario.cor)
+        rho = np.hypot(d[:, 0], d[:, 1])
+        geometry = (d, rho, rho <= a, _hertz_dz(rho, a, scenario.max_indent),
+                    _contact_taper(rho, a))
+        for arr in geometry:
+            arr.setflags(write=False)
+        object.__setattr__(scenario, "_geometry", geometry)
+    return geometry
+
+
 def _noiseless_field(
     scenario: SimScenario, theta: float, trans: np.ndarray, r_s: float
 ) -> tuple[np.ndarray, GroundTruth]:
@@ -280,25 +306,11 @@ def _noiseless_field(
     field inputs a time gives: the angle, the translation and the stick radius.
 
     Both depend only on the scenario and those inputs, never on the time
-    itself or on a frame's noise.
+    itself or on a frame's noise. The time-invariant arrays come from
+    ``_field_geometry``, made at the scenario's first field and kept.
     """
-    a = scenario.contact_radius
     k = scenario.softness.k
-
-    geometry = scenario._geometry  # type: ignore[attr-defined]
-    if geometry is None:
-        d = scenario.grid.reference_positions - np.asarray(scenario.cor)
-        rho = np.hypot(d[:, 0], d[:, 1])
-        geometry = (d, rho, rho <= a, _hertz_dz(rho, a, scenario.max_indent),
-                    _contact_taper(rho, a))
-        # A second distinct field: the scenario's inputs change with time, so
-        # keep them. A scenario of one field (a sweep angle, a constant
-        # scenario) holds only its memo.
-        if scenario._field_memo is not None:  # type: ignore[attr-defined]
-            for arr in geometry:
-                arr.setflags(write=False)
-            object.__setattr__(scenario, "_geometry", geometry)
-    d, rho, contact_mask, dz, taper = geometry
+    d, rho, contact_mask, dz, taper = _field_geometry(scenario)
     decay = _decay_profile(rho, taper, r_s, scenario.decay_exponent)
 
     # Elastomer surface rotates opposite to the reported angle, attenuated
@@ -340,7 +352,8 @@ def generate_frame(
     with the last ``t`` that asked for it. A call at that ``t`` (the static
     sweep's trials), or at a ``t`` whose angle, translation and stick radius
     equal the field's bit for bit (a hold), reuses the read-only field and
-    the same ``GroundTruth`` object and draws only its noise.
+    the same ``GroundTruth`` object and draws only its noise. Every field of
+    the scenario is made from the one geometry of ``_field_geometry``.
     """
     memo = scenario._field_memo  # type: ignore[attr-defined]
     if memo is None or memo[0] != t:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,6 +119,21 @@ def test_neighbor_indices_match_row_col_definition(rows, cols):
             if 0 <= r < rows and 0 <= c < cols
         )
         assert neighbors == expected
+
+
+def test_neighbor_table_shares_one_int_per_index():
+    # An index beyond 256 made by arithmetic is a new int object at every
+    # entry; the table holds one object per index.
+    grid = MarkerGrid(rows=20, cols=20)
+    tracemalloc.start()
+    try:
+        table = grid.neighbors
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    entries = [index for neighbors in table for index in neighbors]
+    assert len(set(map(id, entries))) == len(set(entries)) == grid.n_markers
+    assert held < 40 * 1024
 
 
 def test_frame_validates_shape_and_finiteness():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import math
@@ -30,7 +31,7 @@ from pivotgauge.config import (
     load_document,
     trial_count,
 )
-from pivotgauge.core import MAX_FRAMES
+from pivotgauge.core import MAX_FRAMES, InsufficientDataError
 from pivotgauge.harness import (
     SWEEP_ANGLES,
     compare_estimators,
@@ -161,6 +162,58 @@ def test_outputs_match_reference_kernels(monkeypatch):
     assert outputs() == package_outputs
     assert calls.count(reference_line_feature_angles) == calls.count(reference_grow_stick_region)
     assert calls.count(reference_grow_stick_region) >= 361 + 2 * 3 * len(SWEEP_ANGLES)
+
+
+def _reference_sweep_errors(config):
+    """``harness._sweep_errors`` with each angle's scenario built by a fresh
+    ``replace``, so that each angle makes its own field geometry."""
+    trials = config.harness.trials
+    proposed = np.empty((len(SWEEP_ANGLES), trials))
+    baseline = np.full_like(proposed, math.nan)
+    for angle_pos, theta in enumerate(SWEEP_ANGLES):
+        scenario = replace(config.scenario, theta_trajectory=float(theta))
+        for trial in range(trials):
+            frame, _truth = generate_frame(scenario, 0.0, frame_index=angle_pos * trials + trial)
+            result = estimation.estimate_frame(config.grid, frame, config.segmentation,
+                                               config.softness)
+            proposed[angle_pos, trial] = abs(result.estimate.theta - theta)
+            if result.mask.contact_detected:
+                with contextlib.suppress(InsufficientDataError):
+                    base = estimation.baseline_least_squares(config.grid, frame, result.mask)
+                    baseline[angle_pos, trial] = abs(base - theta)
+    return proposed, baseline
+
+
+def test_sweep_angles_share_one_geometry_and_keep_every_bit(monkeypatch):
+    # The golden CSVs keep 6 digits; these arrays keep every bit.
+    config = config_with({"stick_radius": 3.0, "contact_radius": 6.0}, {"trials": 3})
+    kernel = simulate._contact_taper
+    tapers = []
+
+    def counted_taper(*args):
+        tapers.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(simulate, "_contact_taper", counted_taper)
+    expected = _reference_sweep_errors(config)
+    assert len(tapers) == len(SWEEP_ANGLES)  # the reference makes a geometry per angle
+    tapers.clear()
+    scenarios = []
+
+    def recorded(scenario, *args, **kwargs):
+        scenarios.append(scenario)
+        return generate_frame(scenario, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "generate_frame", recorded)
+    proposed, baseline = harness._sweep_errors(config)
+    assert proposed.tobytes() == expected[0].tobytes()
+    assert baseline.tobytes() == expected[1].tobytes()
+    assert len(tapers) == 1  # one geometry for the whole sweep
+    geometry = config.scenario._geometry
+    assert len(scenarios) == 3 * len(SWEEP_ANGLES)
+    assert len({scenario.theta_at(0.0) for scenario in scenarios}) == len(SWEEP_ANGLES)
+    assert all(scenario._geometry is geometry for scenario in scenarios)
+    assert not any(arr.flags.writeable for arr in geometry)
 
 
 def test_sweep_trend_incipient_slip():

@@ -203,7 +203,7 @@ def test_repeated_time_matches_fresh_scenario(settings, sigma):
 
 
 def test_scenario_is_collectable_after_generating():
-    # A ramp makes a distinct field at each frame, so the scenario keeps its geometry.
+    # A ramp makes a distinct field at each frame from the geometry the scenario keeps.
     scn = annulus(theta=[[0.0, 0.0], [0.3, 8.0]], sigma=0.01)
     generate_frame(scn, 0.0)
     generate_frame(scn, 0.0, frame_index=1)
@@ -215,21 +215,25 @@ def test_scenario_is_collectable_after_generating():
     assert ref() is None
 
 
-def test_scenario_keeps_geometry_only_when_walked_through_time():
+def test_scenario_keeps_geometry_from_its_first_field():
     # A static-sweep angle asks for one t, and a constant scenario walked
-    # through time has one field: each makes it once and holds only its memo.
+    # through time has one field: each makes it once. Either way the first
+    # field's time-invariant arrays are kept, read-only, for every later field.
     for ramp in (False, True):
         scn = annulus(theta=[[0.0, 0.0], [1.0, 8.0]] if ramp else 8.0, sigma=0.01)
         kernel = simulate._noiseless_field
         with mock.patch.object(simulate, "_noiseless_field", wraps=kernel) as made:
             truths = [generate_frame(scn, 0.0, frame_index=i)[1] for i in range(3)]
-            assert scn._geometry is None and made.call_count == 1
+            geometry = scn._geometry
+            assert made.call_count == 1
+            assert not any(arr.flags.writeable for arr in geometry)
             truths.append(generate_frame(scn, 0.1, frame_index=3)[1])
-        if ramp:  # a second distinct field: the time-invariant arrays are kept, read-only
+        assert scn._geometry is geometry
+        if ramp:  # a second distinct field, from the same geometry
             assert made.call_count == 2 and truths[3] is not truths[0]
-            assert not any(arr.flags.writeable for arr in scn._geometry)
+            assert truths[3].contact_mask_true is geometry[2]
         else:
-            assert made.call_count == 1 and scn._geometry is None
+            assert made.call_count == 1
             assert all(truth is truths[0] for truth in truths)
 
 
@@ -331,13 +335,14 @@ def test_trajectory_streams_match_the_reference_kernels(scn, rate):
     trajectory = generate_trajectory(scn, 0.0, 0.3, rate)
     assert _stream_bytes(trajectory, write_truth) == expected
     # Neighbouring frames share a truth exactly when their field inputs are equal bit for
-    # bit, and a second distinct field keeps the geometry that later fields use.
+    # bit, and every field comes from the one read-only geometry of the first.
     inputs = [struct.pack("4d", scn.theta_at(t), *scn.translation_at(t), scn.stick_radius_at(t))
               for t in times]
     truths = [truth for _frame, truth in trajectory]
     for i in range(1, len(times)):
         assert (truths[i] is truths[i - 1]) == (inputs[i] == inputs[i - 1])
-    assert (scn._geometry is not None) == (len(set(map(id, truths))) > 1)
+    assert not any(arr.flags.writeable for arr in scn._geometry)
+    assert all(truth.contact_mask_true is scn._geometry[2] for truth in truths)
 
 
 @pytest.mark.parametrize(
