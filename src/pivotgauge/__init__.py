@@ -29,7 +29,7 @@ from .estimation import (
     estimate_rotation,
     filter_step,
 )
-from .features import half_curl, line_feature_angles, normalized_angle_difference
+from .features import line_feature_angles, normalized_angle_difference
 from .harness import (
     CompareReport,
     DynamicResult,
@@ -84,7 +84,6 @@ __all__ = [
     "generate_frame",
     "generate_trajectory",
     "grow_stick_region",
-    "half_curl",
     "iter_trajectory",
     "line_feature_angles",
     "load_config",

@@ -1,4 +1,4 @@
-"""Line-feature angles and curl estimates of marker displacement fields.
+"""Line-feature angles of marker displacement fields.
 
 The per-marker line-feature angle is the mean signed rotation of the
 segments joining a marker to its 4-neighbours, comparing the deformed
@@ -72,24 +72,6 @@ def line_feature_angles(grid: MarkerGrid, frame: Frame) -> LineFeatureAngles:
     valid = seg_count >= 2
     angles = np.where(valid, angle_sum, 0.0) / np.maximum(seg_count, 1)
     return LineFeatureAngles(angles=angles, valid=valid)
-
-
-def half_curl(grid: MarkerGrid, frame_prev: Frame, frame_next: Frame) -> np.ndarray:
-    """Half the discrete curl of the displacement increment, degrees per marker.
-
-    Central finite differences in the interior, one-sided at the borders.
-    For a small rigid rotation increment this equals the sine-corrected
-    increment angle everywhere.
-    """
-    grid.require("frame", (frame_prev.n_markers,))
-    grid.require("frame", (frame_next.n_markers,))
-    inc = frame_next.displacements - frame_prev.displacements
-    dx = inc[:, 0].reshape(grid.rows, grid.cols)
-    dy = inc[:, 1].reshape(grid.rows, grid.cols)
-    # x varies along columns (axis=1), y along rows (axis=0)
-    ddy_dx = np.gradient(dy, grid.pitch, axis=1)
-    ddx_dy = np.gradient(dx, grid.pitch, axis=0)
-    return np.degrees(0.5 * (ddy_dx - ddx_dy)).ravel()
 
 
 def normalized_angle_difference(phi_i: float, phi_bar: float, epsilon: float) -> float:

@@ -93,8 +93,10 @@ def _sweep_errors(config: FullConfig) -> tuple[np.ndarray, np.ndarray]:
     trials = config.harness.trials
     proposed = np.empty((len(SWEEP_ANGLES), trials))
     baseline = np.full_like(proposed, math.nan)
+    scenario = config.scenario
     for angle_pos, theta in enumerate(SWEEP_ANGLES):
-        scenario = config.scenario.at_angle(float(theta))  # one field geometry for every angle
+        # Each angle from the last: one geometry and one decay profile for every angle.
+        scenario = scenario.at_angle(float(theta))
         for trial in range(trials):
             frame, _truth = generate_frame(scenario, 0.0, frame_index=angle_pos * trials + trial)
             result = estimate_frame(config.grid, frame, config.segmentation, config.softness)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence, Union
 
 import numpy as np
@@ -51,7 +51,8 @@ class PiecewiseLinear:
     strictly increasing t, each entry a finite number, read by
     ``core.number_rows``. Every t step and every slope between neighbouring
     rows must be finite too, so interpolation cannot overflow. Evaluation
-    beyond the domain by more than ``_time_allowance`` is a usage error.
+    beyond the domain by more than ``_time_allowance``, or at a nan or
+    infinite time, is a usage error.
     """
 
     def __init__(self, points: Sequence[Sequence[float]]):
@@ -73,7 +74,8 @@ class PiecewiseLinear:
 
     def __call__(self, t: float) -> Union[float, np.ndarray]:
         t0, t1 = float(self._t[0]), float(self._t[-1])
-        if max(t0 - t, t - t1) > _time_allowance(t, t0, t1):
+        # Written so that a nan t fails, and an infinite one, whose allowance is inf.
+        if not max(t0 - t, t - t1) <= _time_allowance(t, t0, t1) < math.inf:
             raise UsageError(f"t={t} outside trajectory domain [{t0}, {t1}]")
         if self._v.shape[1] == 1:
             return float(np.interp(t, self._t, self._v[:, 0]))
@@ -161,6 +163,9 @@ class SimScenario:
         # _field_geometry's read-only arrays, made at the first field and kept;
         # the scenarios at_angle makes share them.
         object.__setattr__(self, "_geometry", None)
+        # _noiseless_field's (stick radius, decay profile, stick mask) of the last
+        # field made: read-only, and no angle changes them, so at_angle keeps them.
+        object.__setattr__(self, "_stick_memo", None)
         for r_s in _extremes(self._stick_fn):  # type: ignore[attr-defined]
             if not 0 < r_s <= self.contact_radius:
                 raise UsageError(
@@ -190,11 +195,15 @@ class SimScenario:
                 raise UsageError(f"scenario.{key} does not cover the run: {exc}") from None
 
     def at_angle(self, theta: float) -> SimScenario:
-        """This scenario at the constant angle ``theta``, checked by ``replace``,
-        sharing this scenario's field geometry: the geometry depends only on the
-        grid, ``cor``, ``contact_radius`` and ``max_indent``."""
-        scenario = replace(self, theta_trajectory=theta)
-        object.__setattr__(scenario, "_geometry", _field_geometry(self))
+        """``replace(self, theta_trajectory=theta)``, sharing this scenario's field
+        geometry and its kept decay and stick mask, which no angle changes, and
+        with no field of its own yet. Only the new angle is checked, by
+        ``__post_init__``'s own rule: no other check reads the angle, and the
+        rest of this scenario's state is already checked."""
+        theta_fn = _time_fn(theta, "theta_trajectory", ())
+        scenario = object.__new__(type(self))
+        vars(scenario).update(vars(self), theta_trajectory=theta, _theta_fn=theta_fn,
+                              _field_memo=None, _geometry=_field_geometry(self))
         return scenario
 
     def theta_at(self, t: float) -> float:
@@ -275,11 +284,17 @@ def _hertz_dz(rho: np.ndarray, a: float, w0: float) -> np.ndarray:
     return dz
 
 
-def _rotate_offsets(d: np.ndarray, angle_rad: np.ndarray) -> np.ndarray:
-    """Rotate each 2-vector d[i] by angle_rad[i] (CCW positive)."""
-    c = np.cos(angle_rad)
-    s = np.sin(angle_rad)
-    return np.column_stack([c * d[:, 0] - s * d[:, 1], s * d[:, 0] + c * d[:, 1]])
+def _rotate_offsets(d: np.ndarray, angle_rad: Union[float, np.ndarray]) -> np.ndarray:
+    """Rotate each 2-vector d[i] by angle_rad[i], or all by one angle (CCW positive):
+    (c x - s y, s x + c y), written into one new (n, 2) array. One angle takes one
+    numpy cos and sin (not math's), which give the values of an array of its
+    copies; the tests' reference field rotates by such an array, bit for bit."""
+    c, s = np.cos(angle_rad), np.sin(angle_rad)
+    x, y = d.T
+    rotated = np.empty_like(d)
+    np.subtract(c * x, s * y, out=rotated[:, 0])
+    np.add(s * x, c * y, out=rotated[:, 1])
+    return rotated
 
 
 def _field_geometry(scenario: SimScenario) -> tuple[np.ndarray, ...]:
@@ -307,31 +322,43 @@ def _noiseless_field(
 
     Both depend only on the scenario and those inputs, never on the time
     itself or on a frame's noise. The time-invariant arrays come from
-    ``_field_geometry``, made at the scenario's first field and kept.
+    ``_field_geometry``, made at the scenario's first field and kept. Of the
+    field inputs, the decay profile and the stick mask depend on the stick
+    radius alone, so they are kept until it changes: through a hold, a ramp
+    of the angle and the scenarios ``at_angle`` makes.
     """
     k = scenario.softness.k
     d, rho, contact_mask, dz, taper = _field_geometry(scenario)
-    decay = _decay_profile(rho, taper, r_s, scenario.decay_exponent)
+    memo = scenario._stick_memo  # type: ignore[attr-defined]
+    if memo is None or memo[0] != r_s:
+        memo = (r_s, _decay_profile(rho, taper, r_s, scenario.decay_exponent),
+                (rho <= r_s) & contact_mask)
+        for arr in memo[1:]:
+            arr.setflags(write=False)
+        object.__setattr__(scenario, "_stick_memo", memo)
+    _r_s, decay, stick_mask = memo
 
     # Elastomer surface rotates opposite to the reported angle, attenuated
     # by the softness ratio.
     beta_rad = np.radians(-theta * decay / (1.0 + k))
-    del decay  # and beta_rad below, so the first call's memory peak does not grow
     tangential = _rotate_offsets(d, beta_rad) - d
-    del beta_rad
-    tangential += trans * taper[:, None]
-
-    displacements = np.column_stack([tangential, dz])
+    del beta_rad  # so the first call's memory peak does not grow
+    # Column by column: the values of trans * taper[:, None] and column_stack, in cheaper calls.
+    tx, ty = trans
+    tangential[:, 0] += tx * taper
+    tangential[:, 1] += ty * taper
+    displacements = np.empty((len(d), 3))
+    displacements[:, :2] = tangential
+    displacements[:, 2] = dz
     displacements.setflags(write=False)
 
     # Ground truth: the object-side surface moves rigidly with the
     # attenuated surface angle (equal to theta for a rigid object), so the
     # stick zone is exactly slip-free by construction.
     surf_rad = math.radians(-theta / (1.0 + k))
-    object_disp = _rotate_offsets(d, np.full_like(rho, surf_rad)) - d + trans
+    object_disp = _rotate_offsets(d, surf_rad) - d + trans
     slip_field = object_disp - tangential
 
-    stick_mask = (rho <= r_s) & contact_mask
     truth = GroundTruth(
         theta=theta,
         stick_mask=stick_mask,

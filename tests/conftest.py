@@ -35,7 +35,6 @@ from pivotgauge.simulate import (
     SimScenario,
     _contact_taper,
     _hertz_dz,
-    _rotate_offsets,
 )
 
 
@@ -273,6 +272,25 @@ def analytic_local_rotation(scenario: SimScenario, t: float, position) -> float:
     return float(scenario.theta_at(t) * decay[0] / (1.0 + scenario.softness.k))
 
 
+def half_curl(grid: MarkerGrid, frame_prev: Frame, frame_next: Frame) -> np.ndarray:
+    """Half the discrete curl of the displacement increment, degrees per marker.
+
+    Central finite differences in the interior, one-sided at the borders.
+    For a small rigid rotation increment this equals the sine-corrected
+    increment angle everywhere. Like the package's per-marker kernels, it
+    checks both frames against the grid.
+    """
+    grid.require("frame", (frame_prev.n_markers,))
+    grid.require("frame", (frame_next.n_markers,))
+    inc = frame_next.displacements - frame_prev.displacements
+    dx = inc[:, 0].reshape(grid.rows, grid.cols)
+    dy = inc[:, 1].reshape(grid.rows, grid.cols)
+    # x varies along columns (axis=1), y along rows (axis=0)
+    ddy_dx = np.gradient(dy, grid.pitch, axis=1)
+    ddx_dy = np.gradient(dx, grid.pitch, axis=0)
+    return np.degrees(0.5 * (ddy_dx - ddx_dy)).ravel()
+
+
 def analytic_increment_half_curl(rho, r_s, gamma, theta0, theta1):
     """Closed-form half-curl (degrees) of the annulus increment field at
     radius rho in the power-law zone, for a rigid object."""
@@ -284,12 +302,20 @@ def analytic_increment_half_curl(rho, r_s, gamma, theta0, theta1):
     return math.degrees(out[1] - out[0])
 
 
+def reference_rotate_offsets(d: np.ndarray, angle_rad: np.ndarray) -> np.ndarray:
+    """Each offset d[i] rotated by its own angle angle_rad[i], stacked by columns."""
+    c = np.cos(angle_rad)
+    s = np.sin(angle_rad)
+    return np.column_stack([c * d[:, 0] - s * d[:, 1], s * d[:, 0] + c * d[:, 1]])
+
+
 def reference_noiseless_field(
     scenario: SimScenario, theta: float, trans: np.ndarray, r_s: float
 ) -> tuple[np.ndarray, GroundTruth]:
     """The field kernel that rebuilds its time-invariant arrays and its
-    decay bands on every call; the package's kernel, which keeps them per
-    scenario, must match it bit for bit."""
+    decay bands on every call, and rotates the object side by an array of
+    copies of its one angle; the package's kernel, which keeps those arrays
+    per scenario and rotates by the one angle, must match it bit for bit."""
     grid = scenario.grid
     a = scenario.contact_radius
     k = scenario.softness.k
@@ -301,14 +327,14 @@ def reference_noiseless_field(
     dz = _hertz_dz(rho, a, scenario.max_indent)
 
     beta_rad = np.radians(-theta * decay / (1.0 + k))
-    tangential = _rotate_offsets(d, beta_rad) - d
+    tangential = reference_rotate_offsets(d, beta_rad) - d
     tangential += trans * _contact_taper(rho, a)[:, None]
 
     displacements = np.column_stack([tangential, dz])
     displacements.setflags(write=False)
 
     surf_rad = math.radians(-theta / (1.0 + k))
-    object_disp = _rotate_offsets(d, np.full_like(rho, surf_rad)) - d + trans
+    object_disp = reference_rotate_offsets(d, np.full_like(rho, surf_rad)) - d + trans
     slip_field = object_disp - tangential
 
     stick_mask = (rho <= r_s) & (rho <= a)

@@ -27,7 +27,6 @@ from pivotgauge import (
     baseline_least_squares,
     generate_frame,
     generate_trajectory,
-    half_curl,
 )
 from pivotgauge.config import build_config
 from pivotgauge.harness import SWEEP_ANGLES, run_static_sweep
@@ -37,6 +36,7 @@ from conftest import (
     brute_force_flags,
     cli_env,
     f1_against_mask,
+    half_curl,
 )
 
 CFG = SegmentationConfig()

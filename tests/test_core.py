@@ -20,10 +20,10 @@ from pivotgauge import (
     UsageError,
     baseline_least_squares,
     detect_contact,
-    half_curl,
     line_feature_angles,
 )
 from pivotgauge.core import MAX_DISPLACEMENT_MM, MAX_GRID_MM, MAX_MARKERS, MIN_PITCH_MM, finite_pair
+from conftest import half_curl
 
 
 def test_grid_defaults_centered():
@@ -168,7 +168,7 @@ def test_one_grid_check_for_every_per_marker_record():
     for call in (
         lambda: line_feature_angles(grid, frame),
         lambda: detect_contact(grid, frame, SegmentationConfig()),
-        lambda: half_curl(grid, frame, frame),
+        lambda: half_curl(grid, frame, frame),  # the curl oracle checks its grid alike
         lambda: baseline_least_squares(grid, frame, mask),
     ):
         with pytest.raises(UsageError, match=message):

@@ -15,7 +15,6 @@ from pivotgauge import (
     SimScenario,
     UsageError,
     generate_frame,
-    half_curl,
     line_feature_angles,
     normalized_angle_difference,
 )
@@ -25,6 +24,7 @@ from conftest import (
     analytic_increment_half_curl,
     analytic_local_rotation,
     brute_force_feature_angle,
+    half_curl,
     hostile_field,
     reference_line_feature_angles,
 )

@@ -166,7 +166,7 @@ def test_outputs_match_reference_kernels(monkeypatch):
 
 def _reference_sweep_errors(config):
     """``harness._sweep_errors`` with each angle's scenario built by a fresh
-    ``replace``, so that each angle makes its own field geometry."""
+    ``replace``, so that each angle makes its own field geometry and decay profile."""
     trials = config.harness.trials
     proposed = np.empty((len(SWEEP_ANGLES), trials))
     baseline = np.full_like(proposed, math.nan)
@@ -195,9 +195,19 @@ def test_sweep_angles_share_one_geometry_and_keep_every_bit(monkeypatch):
         return kernel(*args)
 
     monkeypatch.setattr(simulate, "_contact_taper", counted_taper)
+    decay_kernel = simulate._decay_profile
+    decays = []
+
+    def counted_decay(*args):
+        decays.append(args)
+        return decay_kernel(*args)
+
+    monkeypatch.setattr(simulate, "_decay_profile", counted_decay)
     expected = _reference_sweep_errors(config)
-    assert len(tapers) == len(SWEEP_ANGLES)  # the reference makes a geometry per angle
+    # The reference makes a geometry and a decay profile per angle.
+    assert len(tapers) == len(decays) == len(SWEEP_ANGLES)
     tapers.clear()
+    decays.clear()
     scenarios = []
 
     def recorded(scenario, *args, **kwargs):
@@ -208,12 +218,15 @@ def test_sweep_angles_share_one_geometry_and_keep_every_bit(monkeypatch):
     proposed, baseline = harness._sweep_errors(config)
     assert proposed.tobytes() == expected[0].tobytes()
     assert baseline.tobytes() == expected[1].tobytes()
-    assert len(tapers) == 1  # one geometry for the whole sweep
+    assert len(tapers) == len(decays) == 1  # one geometry and one decay for the whole sweep
     geometry = config.scenario._geometry
     assert len(scenarios) == 3 * len(SWEEP_ANGLES)
     assert len({scenario.theta_at(0.0) for scenario in scenarios}) == len(SWEEP_ANGLES)
     assert all(scenario._geometry is geometry for scenario in scenarios)
     assert not any(arr.flags.writeable for arr in geometry)
+    stick_memo = scenarios[0]._stick_memo
+    assert all(scenario._stick_memo is stick_memo for scenario in scenarios)
+    assert not any(arr.flags.writeable for arr in stick_memo[1:])
 
 
 def test_sweep_trend_incipient_slip():

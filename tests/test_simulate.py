@@ -7,7 +7,7 @@ import struct
 import tracemalloc
 import warnings
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -24,7 +24,6 @@ from pivotgauge import (
     UsageError,
     generate_frame,
     generate_trajectory,
-    half_curl,
     three_lift_scenario,
 )
 from pivotgauge import simulate
@@ -36,6 +35,7 @@ from pivotgauge.streams import write_frame, write_truth
 from conftest import (
     analytic_local_rotation,
     finite_steps_and_slopes,
+    half_curl,
     reference_noiseless_field,
     reference_write_truth,
 )
@@ -237,6 +237,44 @@ def test_scenario_keeps_geometry_from_its_first_field():
             assert all(truth is truths[0] for truth in truths)
 
 
+def test_at_angle_is_replace_sharing_the_geometry():
+    # at_angle checks only the new angle and keeps the rest of a scenario
+    # that is already checked: it must give what replace gives.
+    base = replace(three_lift_scenario(), translation_trajectory=[[0, 0, 0], [12, 0.1, -0.2]])
+    generate_frame(base, 2.0)  # a memo, which the new scenario must not take
+    state = dict(vars(base))
+    times = (0.0, 1.0, 2.0 + 1 / 30, 4.5, 11.2, 12.0)
+    for theta in (5.0, -0.0, 3, np.float64(2.5), [[0.0, 1.0], [12.0, -3.0]]):
+        expected = replace(base, theta_trajectory=theta)
+        scenario = base.at_angle(theta)
+        assert type(scenario) is SimScenario
+        assert scenario.theta_trajectory is theta
+        for f in fields(SimScenario):
+            assert getattr(scenario, f.name) == getattr(expected, f.name), f.name
+        assert vars(scenario).keys() == vars(expected).keys()
+        for t in times:
+            assert struct.pack("d", scenario.theta_at(t)) == struct.pack("d", expected.theta_at(t))
+            assert scenario.translation_at(t).tobytes() == expected.translation_at(t).tobytes()
+            assert scenario.stick_radius_at(t) == expected.stick_radius_at(t)
+        assert scenario._field_memo is None
+        assert scenario._geometry is base._geometry is not None
+        assert scenario._stick_memo is base._stick_memo is not None  # no angle in it
+        for i, t in enumerate(times):
+            assert _frame_and_truth_bytes(*generate_frame(scenario, t, i)) == \
+                _frame_and_truth_bytes(*generate_frame(expected, t, i))
+    bad_rows = ([[0.0, 1.0], [1.0, math.nan]], [[0.0, 1.0], [1.0, 2.0, 3.0]],
+                [[0.0, 1.0], [1.0, "2"]])
+    for theta in (math.nan, math.inf, -math.inf, True, "5", *bad_rows):
+        with pytest.raises(UsageError) as refused:
+            replace(base, theta_trajectory=theta)
+        assert str(refused.value).startswith("scenario.theta_trajectory must be a number or ")
+        with pytest.raises(UsageError) as refused_at_angle:
+            base.at_angle(theta)
+        assert str(refused_at_angle.value) == str(refused.value)
+    assert vars(base).keys() == state.keys()  # the source scenario is unchanged
+    assert all(vars(base)[key] is value for key, value in state.items())
+
+
 def test_hold_frames_share_one_field_and_truth():
     scn = three_lift_scenario()  # theta 6 and stick radius 7.6 from t = 1.5 to 3.5 s
     (first, held), (second, again) = (generate_frame(scn, 2.0 + i / 30, 60 + i) for i in (0, 1))
@@ -343,6 +381,12 @@ def test_trajectory_streams_match_the_reference_kernels(scn, rate):
         assert (truths[i] is truths[i - 1]) == (inputs[i] == inputs[i - 1])
     assert not any(arr.flags.writeable for arr in scn._geometry)
     assert all(truth.contact_mask_true is scn._geometry[2] for truth in truths)
+    # A stick mask (and the decay profile beside it) is made again only when the
+    # stick radius changes.
+    radii = [scn.stick_radius_at(t) for t in times]
+    for i in range(1, len(times)):
+        assert (truths[i].stick_mask is truths[i - 1].stick_mask) == (radii[i] == radii[i - 1])
+    assert not any(arr.flags.writeable for arr in scn._stick_memo[1:])
 
 
 @pytest.mark.parametrize(
@@ -455,6 +499,25 @@ def test_piecewise_trajectory_domain_enforced():
     with pytest.raises(UsageError, match=r"t=0.0 outside trajectory domain \[1e-13, 1.0\]"):
         SimScenario(theta_trajectory=[(1e-13, 0.0), (1.0, 5.0)]).theta_at(0.0)
     assert SimScenario(theta_trajectory=[(0, 0), (16504.92, 5)]).theta_at(16504.920000000002) == 5
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_a_time_that_is_no_number_is_outside_every_domain(t):
+    # A nan t compares false with any allowance, and an infinite one has an
+    # infinite allowance: neither may pass the domain check.
+    scn = SimScenario(theta_trajectory=[(0.0, 0.0), (1.0, 5.0)],
+                      stick_radius=[(0.0, 4.0), (1.0, 2.0)],
+                      translation_trajectory=[(0.0, 0.0, 0.0), (1.0, 0.1, 0.0)])
+    message = rf"^t={t} outside trajectory domain \[0.0, 1.0\]$"
+    for call in (scn.theta_at, scn.stick_radius_at, scn.translation_at,
+                 lambda t: generate_frame(scn, t)):
+        with pytest.raises(UsageError, match=message):
+            call(t)
+    with pytest.raises(UsageError, match=rf"^scenario.theta_trajectory does not cover the run: "
+                                         rf"t={t} outside"):
+        scn.require_times(t, t)
+    with pytest.raises(UsageError, match=message):
+        PiecewiseLinear([[0, 0], [1, 1]])(t)
 
 
 @pytest.mark.parametrize(
