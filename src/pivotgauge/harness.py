@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import IO
 
 import numpy as np
@@ -88,17 +88,20 @@ def _sweep_errors(config: FullConfig) -> tuple[np.ndarray, np.ndarray]:
     independently seeded frame at a fixed angle run through the unfiltered
     pipeline. A nan entry is a failed trial: the baseline fails where no
     contact was detected or too few markers were flagged for its fit.
+    One scenario, read at t = 0 but for an angle equal to the time, makes
+    every trial: the trials at angle theta are its frames at t = theta.
     """
-    config.scenario.require_times(0.0, 0.0)  # every trial is a frame at t = 0
+    config.scenario.require_times(0.0, 0.0)  # the scenario's lists are read at t = 0
     trials = config.harness.trials
     proposed = np.empty((len(SWEEP_ANGLES), trials))
     baseline = np.full_like(proposed, math.nan)
-    scenario = config.scenario
+    scenario = replace(config.scenario, theta_trajectory=[(t, t) for t in VALID_RANGE],
+                       stick_radius=config.scenario.stick_radius_at(0.0),
+                       translation_trajectory=config.scenario.translation_at(0.0))
     for angle_pos, theta in enumerate(SWEEP_ANGLES):
-        # Each angle from the last: one geometry and one decay profile for every angle.
-        scenario = scenario.at_angle(float(theta))
         for trial in range(trials):
-            frame, _truth = generate_frame(scenario, 0.0, frame_index=angle_pos * trials + trial)
+            frame_index = angle_pos * trials + trial
+            frame, _truth = generate_frame(scenario, float(theta), frame_index=frame_index)
             result = estimate_frame(config.grid, frame, config.segmentation, config.softness)
             proposed[angle_pos, trial] = abs(result.estimate.theta - theta)
             if result.mask.contact_detected:  # without contact the baseline has nothing to fit

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Iterator, Sequence, Union
 
 import numpy as np
@@ -160,11 +161,8 @@ class SimScenario:
         # generate_frame's (t, field inputs as float64 bytes, noiseless displacements,
         # truth) of the last field made, with the last t that asked for it.
         object.__setattr__(self, "_field_memo", None)
-        # _field_geometry's read-only arrays, made at the first field and kept;
-        # the scenarios at_angle makes share them.
-        object.__setattr__(self, "_geometry", None)
-        # _noiseless_field's (stick radius, decay profile, stick mask) of the last
-        # field made: read-only, and no angle changes them, so at_angle keeps them.
+        # _noiseless_field's read-only (stick radius, decay profile, stick mask)
+        # of the last field made.
         object.__setattr__(self, "_stick_memo", None)
         for r_s in _extremes(self._stick_fn):  # type: ignore[attr-defined]
             if not 0 < r_s <= self.contact_radius:
@@ -194,28 +192,31 @@ class SimScenario:
             except UsageError as exc:
                 raise UsageError(f"scenario.{key} does not cover the run: {exc}") from None
 
-    def at_angle(self, theta: float) -> SimScenario:
-        """``replace(self, theta_trajectory=theta)``, sharing this scenario's field
-        geometry and its kept decay and stick mask, which no angle changes, and
-        with no field of its own yet. Only the new angle is checked, by
-        ``__post_init__``'s own rule: no other check reads the angle, and the
-        rest of this scenario's state is already checked."""
-        theta_fn = _time_fn(theta, "theta_trajectory", ())
-        scenario = object.__new__(type(self))
-        vars(scenario).update(vars(self), theta_trajectory=theta, _theta_fn=theta_fn,
-                              _field_memo=None, _geometry=_field_geometry(self))
-        return scenario
-
+    # t by the number rule, which a constant would not check.
     def theta_at(self, t: float) -> float:
-        return float(self._theta_fn(t))  # type: ignore[attr-defined]
+        return float(self._theta_fn(finite_number(t, "t")))  # type: ignore[attr-defined]
 
     def translation_at(self, t: float) -> np.ndarray:
-        return np.asarray(self._translation_fn(t), dtype=float)  # type: ignore[attr-defined]
+        translation = self._translation_fn(finite_number(t, "t"))  # type: ignore[attr-defined]
+        return np.asarray(translation, dtype=float)
 
     def stick_radius_at(self, t: float) -> float:
         # np.interp may round one ulp past the breakpoints' checked range.
-        r_s = self._stick_fn(t)  # type: ignore[attr-defined]
+        r_s = self._stick_fn(finite_number(t, "t"))  # type: ignore[attr-defined]
         return float(min(max(r_s, 0.0), self.contact_radius))
+
+    @cached_property
+    def _geometry(self) -> tuple[np.ndarray, ...]:
+        """The read-only arrays of the field that no time input changes: the
+        marker offsets from ``cor``, their radii, the contact mask, the Hertz
+        normal profile and the contact taper. Made at the first field and kept."""
+        a = self.contact_radius
+        d = self.grid.reference_positions - np.asarray(self.cor)
+        rho = np.hypot(d[:, 0], d[:, 1])
+        geometry = (d, rho, rho <= a, _hertz_dz(rho, a, self.max_indent), _contact_taper(rho, a))
+        for arr in geometry:
+            arr.setflags(write=False)
+        return geometry
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,23 +298,6 @@ def _rotate_offsets(d: np.ndarray, angle_rad: Union[float, np.ndarray]) -> np.nd
     return rotated
 
 
-def _field_geometry(scenario: SimScenario) -> tuple[np.ndarray, ...]:
-    """The read-only arrays of a scenario's field that no time input changes: the
-    marker offsets from ``cor``, their radii, the contact mask, the Hertz normal
-    profile and the contact taper. Made at the first call and kept."""
-    geometry = scenario._geometry  # type: ignore[attr-defined]
-    if geometry is None:
-        a = scenario.contact_radius
-        d = scenario.grid.reference_positions - np.asarray(scenario.cor)
-        rho = np.hypot(d[:, 0], d[:, 1])
-        geometry = (d, rho, rho <= a, _hertz_dz(rho, a, scenario.max_indent),
-                    _contact_taper(rho, a))
-        for arr in geometry:
-            arr.setflags(write=False)
-        object.__setattr__(scenario, "_geometry", geometry)
-    return geometry
-
-
 def _noiseless_field(
     scenario: SimScenario, theta: float, trans: np.ndarray, r_s: float
 ) -> tuple[np.ndarray, GroundTruth]:
@@ -321,14 +305,13 @@ def _noiseless_field(
     field inputs a time gives: the angle, the translation and the stick radius.
 
     Both depend only on the scenario and those inputs, never on the time
-    itself or on a frame's noise. The time-invariant arrays come from
-    ``_field_geometry``, made at the scenario's first field and kept. Of the
-    field inputs, the decay profile and the stick mask depend on the stick
-    radius alone, so they are kept until it changes: through a hold, a ramp
-    of the angle and the scenarios ``at_angle`` makes.
+    itself or on a frame's noise. The time-invariant arrays come from the
+    scenario's ``_geometry``. Of the field inputs, the decay profile and the
+    stick mask depend on the stick radius alone, so they are kept until it
+    changes: through a hold and through a ramp of the angle.
     """
     k = scenario.softness.k
-    d, rho, contact_mask, dz, taper = _field_geometry(scenario)
+    d, rho, contact_mask, dz, taper = scenario._geometry
     memo = scenario._stick_memo  # type: ignore[attr-defined]
     if memo is None or memo[0] != r_s:
         memo = (r_s, _decay_profile(rho, taper, r_s, scenario.decay_exponent),
@@ -380,8 +363,10 @@ def generate_frame(
     sweep's trials), or at a ``t`` whose angle, translation and stick radius
     equal the field's bit for bit (a hold), reuses the read-only field and
     the same ``GroundTruth`` object and draws only its noise. Every field of
-    the scenario is made from the one geometry of ``_field_geometry``.
+    the scenario is made from its one ``_geometry``. ``t`` is read by the
+    number rule before any field is made or kept.
     """
+    t = finite_number(t, "t")
     memo = scenario._field_memo  # type: ignore[attr-defined]
     if memo is None or memo[0] != t:
         theta, trans = scenario.theta_at(t), scenario.translation_at(t)

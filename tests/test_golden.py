@@ -1,16 +1,18 @@
 """Byte-for-byte pins of CSV outputs and stderr summaries that a change of
 structure must keep: ``dynamic`` on the three-lift preset, and ``sweep`` and
-``compare`` with five trials at the README's compare settings and under a
-light press (``scenario.max_indent=0.01``). The expected texts in ``golden/``
-were written by the package as it stood when this test was added; the two
-light-press pins were written later, by the change that made a trial
-without contact a baseline failure, once a recount of those failures from
-the contact masks agreed with them (``test_harness``). A light press leaves
-some angles with no baseline trial, some with a few and some with all, so
-those pins hold every branch of the sweep's reduction. Regenerate one only
-with a change that means to alter that output. CSV cells carry 6
-significant digits, so the last-bit differences between math libraries do
-not reach them.
+``compare`` with five trials at the README's compare settings, under a
+light press (``scenario.max_indent=0.01``) and on the three-lift preset.
+The expected texts in ``golden/`` were written by the package as it stood
+when this test was added; the two light-press pins were written later, by
+the change that made a trial without contact a baseline failure, once a
+recount of those failures from the contact masks agreed with them
+(``test_harness``). A light press leaves some angles with no baseline
+trial, some with a few and some with all, so those pins hold every branch
+of the sweep's reduction. The two three-lift pins, whose stick radius
+varies in time, were written before the sweep made all its trials from one
+scenario read at t = 0. Regenerate one only with a change that means to
+alter that output. CSV cells carry 6 significant digits, so the last-bit
+differences between math libraries do not reach them.
 
 ``simulate-small`` pins a frame stream and its truth stream byte for byte.
 They were written by the ``json.dumps`` writers that ``conftest`` keeps as
@@ -38,6 +40,8 @@ _RUNS = {
     "compare-trials5": ["compare", "--trials", "5", *_COMPARE_SETTINGS],
     "sweep-light-press-trials5": ["sweep", *_LIGHT_PRESS],
     "compare-light-press-trials5": ["compare", *_LIGHT_PRESS],
+    "sweep-three-lift-trials5": ["sweep", "--config", "three-lift", "--trials", "5"],
+    "compare-three-lift-trials5": ["compare", "--config", "three-lift", "--trials", "5"],
 }
 # A 4x5 grid turning from 0 to 9 degrees while it shifts, over four frames.
 _SMALL_SIMULATE = [

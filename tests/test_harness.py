@@ -184,7 +184,7 @@ def _reference_sweep_errors(config):
     return proposed, baseline
 
 
-def test_sweep_angles_share_one_geometry_and_keep_every_bit(monkeypatch):
+def test_sweep_makes_every_trial_from_one_scenario_and_keeps_every_bit(monkeypatch):
     # The golden CSVs keep 6 digits; these arrays keep every bit.
     config = config_with({"stick_radius": 3.0, "contact_radius": 6.0}, {"trials": 3})
     kernel = simulate._contact_taper
@@ -208,25 +208,28 @@ def test_sweep_angles_share_one_geometry_and_keep_every_bit(monkeypatch):
     assert len(tapers) == len(decays) == len(SWEEP_ANGLES)
     tapers.clear()
     decays.clear()
-    scenarios = []
+    calls = []
 
-    def recorded(scenario, *args, **kwargs):
-        scenarios.append(scenario)
-        return generate_frame(scenario, *args, **kwargs)
+    def recorded(scenario, t, **kwargs):
+        calls.append((scenario, t))
+        return generate_frame(scenario, t, **kwargs)
 
     monkeypatch.setattr(harness, "generate_frame", recorded)
     proposed, baseline = harness._sweep_errors(config)
     assert proposed.tobytes() == expected[0].tobytes()
     assert baseline.tobytes() == expected[1].tobytes()
     assert len(tapers) == len(decays) == 1  # one geometry and one decay for the whole sweep
-    geometry = config.scenario._geometry
-    assert len(scenarios) == 3 * len(SWEEP_ANGLES)
-    assert len({scenario.theta_at(0.0) for scenario in scenarios}) == len(SWEEP_ANGLES)
-    assert all(scenario._geometry is geometry for scenario in scenarios)
-    assert not any(arr.flags.writeable for arr in geometry)
-    stick_memo = scenarios[0]._stick_memo
-    assert all(scenario._stick_memo is stick_memo for scenario in scenarios)
-    assert not any(arr.flags.writeable for arr in stick_memo[1:])
+    assert len(calls) == 3 * len(SWEEP_ANGLES)
+    scenario = calls[0][0]
+    assert scenario is not config.scenario
+    assert all(called is scenario for called, _t in calls)
+    # A trial at angle theta is the frame at t = theta.
+    assert [t for _scenario, t in calls] == [float(theta) for theta in SWEEP_ANGLES
+                                            for _trial in range(3)]
+    assert all(scenario.theta_at(theta) == theta for theta in SWEEP_ANGLES)
+    assert "_geometry" not in vars(config.scenario)
+    assert not any(arr.flags.writeable for arr in scenario._geometry)
+    assert not any(arr.flags.writeable for arr in scenario._stick_memo[1:])
 
 
 def test_sweep_trend_incipient_slip():

@@ -7,7 +7,7 @@ import struct
 import tracemalloc
 import warnings
 import weakref
-from dataclasses import fields, replace
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -205,10 +205,11 @@ def test_repeated_time_matches_fresh_scenario(settings, sigma):
 def test_scenario_is_collectable_after_generating():
     # A ramp makes a distinct field at each frame from the geometry the scenario keeps.
     scn = annulus(theta=[[0.0, 0.0], [0.3, 8.0]], sigma=0.01)
+    assert "_geometry" not in vars(scn)
     generate_frame(scn, 0.0)
     generate_frame(scn, 0.0, frame_index=1)
     generate_trajectory(scn, 0.0, 0.3, 10.0)
-    assert scn._geometry is not None
+    assert "_geometry" in vars(scn)
     ref = weakref.ref(scn)
     del scn
     gc.collect()
@@ -221,10 +222,11 @@ def test_scenario_keeps_geometry_from_its_first_field():
     # field's time-invariant arrays are kept, read-only, for every later field.
     for ramp in (False, True):
         scn = annulus(theta=[[0.0, 0.0], [1.0, 8.0]] if ramp else 8.0, sigma=0.01)
+        assert "_geometry" not in vars(scn)
         kernel = simulate._noiseless_field
         with mock.patch.object(simulate, "_noiseless_field", wraps=kernel) as made:
             truths = [generate_frame(scn, 0.0, frame_index=i)[1] for i in range(3)]
-            geometry = scn._geometry
+            geometry = vars(scn)["_geometry"]
             assert made.call_count == 1
             assert not any(arr.flags.writeable for arr in geometry)
             truths.append(generate_frame(scn, 0.1, frame_index=3)[1])
@@ -235,44 +237,6 @@ def test_scenario_keeps_geometry_from_its_first_field():
         else:
             assert made.call_count == 1
             assert all(truth is truths[0] for truth in truths)
-
-
-def test_at_angle_is_replace_sharing_the_geometry():
-    # at_angle checks only the new angle and keeps the rest of a scenario
-    # that is already checked: it must give what replace gives.
-    base = replace(three_lift_scenario(), translation_trajectory=[[0, 0, 0], [12, 0.1, -0.2]])
-    generate_frame(base, 2.0)  # a memo, which the new scenario must not take
-    state = dict(vars(base))
-    times = (0.0, 1.0, 2.0 + 1 / 30, 4.5, 11.2, 12.0)
-    for theta in (5.0, -0.0, 3, np.float64(2.5), [[0.0, 1.0], [12.0, -3.0]]):
-        expected = replace(base, theta_trajectory=theta)
-        scenario = base.at_angle(theta)
-        assert type(scenario) is SimScenario
-        assert scenario.theta_trajectory is theta
-        for f in fields(SimScenario):
-            assert getattr(scenario, f.name) == getattr(expected, f.name), f.name
-        assert vars(scenario).keys() == vars(expected).keys()
-        for t in times:
-            assert struct.pack("d", scenario.theta_at(t)) == struct.pack("d", expected.theta_at(t))
-            assert scenario.translation_at(t).tobytes() == expected.translation_at(t).tobytes()
-            assert scenario.stick_radius_at(t) == expected.stick_radius_at(t)
-        assert scenario._field_memo is None
-        assert scenario._geometry is base._geometry is not None
-        assert scenario._stick_memo is base._stick_memo is not None  # no angle in it
-        for i, t in enumerate(times):
-            assert _frame_and_truth_bytes(*generate_frame(scenario, t, i)) == \
-                _frame_and_truth_bytes(*generate_frame(expected, t, i))
-    bad_rows = ([[0.0, 1.0], [1.0, math.nan]], [[0.0, 1.0], [1.0, 2.0, 3.0]],
-                [[0.0, 1.0], [1.0, "2"]])
-    for theta in (math.nan, math.inf, -math.inf, True, "5", *bad_rows):
-        with pytest.raises(UsageError) as refused:
-            replace(base, theta_trajectory=theta)
-        assert str(refused.value).startswith("scenario.theta_trajectory must be a number or ")
-        with pytest.raises(UsageError) as refused_at_angle:
-            base.at_angle(theta)
-        assert str(refused_at_angle.value) == str(refused.value)
-    assert vars(base).keys() == state.keys()  # the source scenario is unchanged
-    assert all(vars(base)[key] is value for key, value in state.items())
 
 
 def test_hold_frames_share_one_field_and_truth():
@@ -508,16 +472,34 @@ def test_a_time_that_is_no_number_is_outside_every_domain(t):
     scn = SimScenario(theta_trajectory=[(0.0, 0.0), (1.0, 5.0)],
                       stick_radius=[(0.0, 4.0), (1.0, 2.0)],
                       translation_trajectory=[(0.0, 0.0, 0.0), (1.0, 0.1, 0.0)])
-    message = rf"^t={t} outside trajectory domain \[0.0, 1.0\]$"
     for call in (scn.theta_at, scn.stick_radius_at, scn.translation_at,
-                 lambda t: generate_frame(scn, t)):
-        with pytest.raises(UsageError, match=message):
+                 lambda t: generate_frame(scn, t)):  # the number rule, before the domain
+        with pytest.raises(UsageError, match=rf"^t must be a finite number, got {t}$"):
             call(t)
+    message = rf"^t={t} outside trajectory domain \[0.0, 1.0\]$"
     with pytest.raises(UsageError, match=rf"^scenario.theta_trajectory does not cover the run: "
                                          rf"t={t} outside"):
         scn.require_times(t, t)
     with pytest.raises(UsageError, match=message):
         PiecewiseLinear([[0, 0], [1, 1]])(t)
+
+
+@pytest.mark.parametrize("t", [True, "1", None])
+def test_a_time_is_read_by_the_number_rule_before_any_memo(t):
+    # A constant never reads its time, and a breakpoint list would read True as
+    # 1: the number rule refuses each, and no field is made or kept for it.
+    for theta, r_s, shift in ((5.0, 3.0, (0.1, 0.0)),
+                              ([[0, 0], [2, 4]], [[0, 4.0], [2, 2.0]], [[0, 0, 0], [2, 0.1, 0]])):
+        scn = SimScenario(theta_trajectory=theta, stick_radius=r_s, translation_trajectory=shift)
+        for made in (False, True):
+            memo = scn._field_memo
+            for call in (scn.theta_at, scn.stick_radius_at, scn.translation_at,
+                         lambda t: generate_frame(scn, t)):
+                with pytest.raises(UsageError, match=rf"^t must be a finite number, got {t!r}$"):
+                    call(t)
+            assert scn._field_memo is memo
+            assert ("_geometry" in vars(scn)) is made
+            generate_frame(scn, 1.0)
 
 
 @pytest.mark.parametrize(
