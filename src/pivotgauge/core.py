@@ -223,6 +223,22 @@ class MarkerGrid:
             for i in range(rows) for j in range(cols)
         ])
 
+    @cached_property
+    def neighbor_count(self) -> np.ndarray:
+        """How many 4-neighbours each marker has, 2 to 4: a read-only uint8
+        array, the segment count of a field with no collapsed segment."""
+        count = np.fromiter(map(len, self.neighbors), dtype=np.uint8, count=self.n_markers)
+        count.setflags(write=False)
+        return count
+
+    @cached_property
+    def all_markers(self) -> np.ndarray:
+        """A read-only all-True mask, one entry per marker: the one ``valid``
+        shared by the angle records of fields without a short segment."""
+        mask = np.ones(self.n_markers, dtype=bool)
+        mask.setflags(write=False)
+        return mask
+
 
 @dataclass(frozen=True, eq=False)
 class Frame:

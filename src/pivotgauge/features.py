@@ -26,16 +26,16 @@ DEGENERATE_LENGTH_RATIO = 0.01
 def line_feature_angles(grid: MarkerGrid, frame: Frame) -> LineFeatureAngles:
     """Per-marker mean segment rotation angle, degrees, CCW positive.
 
-    A marker is valid when at least two of its neighbour segments exist and
-    are non-degenerate (current length >= 0.01 * pitch). Border markers
-    with only 2-3 neighbours stay valid so contact patches near the edge
-    still contribute.
+    A marker's segments are those to its grid neighbours, less any shorter
+    than 1% of the pitch (``DEGENERATE_LENGTH_RATIO``). A marker with fewer
+    than two is invalid and reads 0.0. Border markers with only 2-3
+    neighbours stay valid so contact patches near the edge still contribute.
     """
     grid.require("frame", (frame.n_markers,))
     n, cols, pitch = grid.n_markers, grid.cols, float(grid.pitch)
     x, y = np.ascontiguousarray(frame.displacements[:, :2].T)
     angle_sum = np.zeros(n)
-    seg_count = np.zeros(n, dtype=int)
+    count = grid.neighbor_count  # copied before the first short segment is taken off
     min_len = DEGENERATE_LENGTH_RATIO * pitch
     # Each segment is computed once, on the forward sides of SIDES (right and
     # down, flat offset k > 0): (u, v) is the displacement difference of the
@@ -43,11 +43,11 @@ def line_feature_angles(grid: MarkerGrid, frame: Frame) -> LineFeatureAngles:
     # one angle goes to the far marker's left or up side and to the near
     # marker's right or down side. A horizontal side also pairs the last
     # marker of a row with the first of the next one, every cols-th pair from
-    # cols - 1 on; those are masked out of ``usable``. Each backward side
-    # precedes its forward twin in SIDES, so every marker still sums its sides
-    # in SIDES order: float addition is not associative. Adding 0.0 for an
-    # unusable segment is exact: the sum starts at +0.0 and so never becomes
-    # -0.0.
+    # cols - 1 on; such a wrap pair is no segment. The angles of wrap pairs
+    # and short segments are set to 0.0 before they are added. Each backward
+    # side precedes its forward twin in SIDES, so every marker still sums its
+    # sides in SIDES order: float addition is not associative. Adding 0.0 is
+    # exact: the sum starts at +0.0 and so never becomes -0.0.
     for di, dj in SIDES:
         k = di * cols + dj
         if k < 0:
@@ -56,21 +56,28 @@ def line_feature_angles(grid: MarkerGrid, frame: Frame) -> LineFeatureAngles:
         v = y[k:] - y[:-k]
         along = v if di else u
         along += pitch
-        usable = np.hypot(u, v) >= min_len
+        short = np.hypot(u, v) < min_len
         # Written over v (and u) in place: each live temporary adds to peak memory.
         if di == 0:
-            usable[cols - 1::cols] = False
-            seg_angle = np.arctan2(v, u, out=v)
+            seg_angle = np.degrees(np.arctan2(v, u, out=v), out=v)
+            seg_angle[cols - 1::cols] = 0.0
+            short[cols - 1::cols] = False
         else:  # the down direction (0, pitch) turned onto (pitch, 0)
-            seg_angle = np.arctan2(np.negative(u, out=u), v, out=v)
-        contribution = np.where(usable, np.degrees(seg_angle, out=seg_angle), 0.0)
-        angle_sum[k:] += contribution
-        angle_sum[:-k] += contribution
-        seg_count[k:] += usable
-        seg_count[:-k] += usable
+            seg_angle = np.degrees(np.arctan2(np.negative(u, out=u), v, out=v), out=v)
+        if short.any():
+            seg_angle[short] = 0.0
+            if count is grid.neighbor_count:
+                count = count.copy()
+            count[k:] -= short
+            count[:-k] -= short
+        angle_sum[k:] += seg_angle
+        angle_sum[:-k] += seg_angle
 
-    valid = seg_count >= 2
-    angles = np.where(valid, angle_sum, 0.0) / np.maximum(seg_count, 1)
+    if count is grid.neighbor_count:  # no short segment: every marker has 2 or more
+        angle_sum /= count
+        return LineFeatureAngles(angles=angle_sum, valid=grid.all_markers)
+    valid = count >= 2
+    angles = np.where(valid, angle_sum, 0.0) / np.maximum(count, 1)
     return LineFeatureAngles(angles=angles, valid=valid)
 
 

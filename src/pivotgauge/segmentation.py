@@ -150,22 +150,24 @@ def grow_stick_region(
     else:
         pos = grid.reference_positions
         cx, cy = pos[center].tolist()
-        dist = np.hypot(pos[:, 0] - cx, pos[:, 1] - cy).tolist()
-        phi = angles.angles.tolist()
+        # Python floats, as .tolist() gives them, of only the markers visited.
+        dist = np.hypot(pos[:, 0] - cx, pos[:, 1] - cy).item
+        phi = angles.angles.item
         epsilon, threshold = cfg.epsilon_angle, cfg.delta_phi_th
-        mean = phi[center]
+        mean = phi(center)
         frontier = [(0.0, center)]  # popped first: only the centre is at distance 0
         while frontier:
             _, idx = heappop(frontier)
             if idx != center:
-                if not normalized_angle_difference(phi[idx], mean, epsilon) < threshold:
+                angle = phi(idx)
+                if not normalized_angle_difference(angle, mean, epsilon) < threshold:
                     continue
                 members.append(idx)
-                mean += (phi[idx] - mean) / len(members)
+                mean += (angle - mean) / len(members)
             for nbr in neighbors[idx]:
                 if admissible[nbr]:
                     admissible[nbr] = False
-                    heappush(frontier, (dist[nbr], nbr))
+                    heappush(frontier, (dist(nbr), nbr))
 
     n_flagged = mask.n_flagged
     if len(members) < cfg.min_stick_markers:

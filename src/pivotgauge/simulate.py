@@ -183,7 +183,9 @@ class SimScenario:
 
     def require_times(self, t_first: float, t_last: float) -> None:
         """Refuse, naming its key, a breakpoint list whose domain does not
-        hold the times ``t_first`` to ``t_last``, before any frame exists."""
+        hold the times ``t_first`` to ``t_last``, before any frame exists.
+        Both times are read by the number rule first."""
+        t_first, t_last = finite_number(t_first, "t"), finite_number(t_last, "t")
         fns = {"theta_trajectory": self._theta_fn, "translation_trajectory": self._translation_fn,
                "stick_radius": self._stick_fn}  # type: ignore[attr-defined]
         for key, fn in fns.items():

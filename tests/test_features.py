@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -119,6 +120,78 @@ def test_planar_kernel_matches_reference_bit_for_bit(rows, cols, pitch, simulate
     expected = reference_line_feature_angles(grid, frame)
     assert result.angles.tobytes() == expected.angles.tobytes()
     assert np.array_equal(result.valid, expected.valid)
+
+
+def _collapse(grid: MarkerGrid, d: np.ndarray, near: int, far: int, exact: bool) -> None:
+    """Move marker ``far`` so that its segment to ``near`` is exactly zero or
+    0.005 pitch along each axis: shorter than the degenerate length."""
+    pos = grid.reference_positions
+    d[far, :2] = d[near, :2] - (pos[far] - pos[near]) + (0.0 if exact else 0.005 * grid.pitch)
+
+
+@pytest.mark.parametrize("rows, cols", [(2, 2), (2, 7), (20, 20)])
+@pytest.mark.parametrize("case", ["none", "last column", "last row", "one marker"])
+@pytest.mark.parametrize("exact", [False, True])
+def test_segment_counts_match_reference_with_and_without_short_segments(rows, cols, case, exact):
+    # A marker's count is its number of grid neighbours less its short
+    # segments. The last column's segment sits beside a wrap pair (its last
+    # marker and the next row's first), which is no segment at all, short or not.
+    grid = MarkerGrid(rows=rows, cols=cols, pitch=0.7)
+    d = np.random.default_rng(rows * cols).normal(0.0, 0.02, (grid.n_markers, 3))
+    marker = (rows // 2) * cols + cols // 2
+    short = {
+        "none": [],
+        "last column": [(cols - 2, cols - 1)],
+        "last row": [((rows - 2) * cols + 1, (rows - 1) * cols + 1)],
+        "one marker": [(marker, nbr) for nbr in grid.neighbors[marker]],
+    }[case]
+    for near, far in short:
+        _collapse(grid, d, near, far, exact)
+    if case == "last column":  # the wrap pair beside it is short too, and still no segment
+        d[cols, :2] = d[cols - 1, :2] - (grid.pitch - (0.0 if exact else 0.005 * grid.pitch), 0.0)
+    frame = Frame(0.0, d)
+    result = line_feature_angles(grid, frame)
+    expected = reference_line_feature_angles(grid, frame)
+    assert result.angles.tobytes() == expected.angles.tobytes()
+    assert result.valid.tobytes() == expected.valid.tobytes()
+    lost = Counter(index for pair in short for index in pair)
+    count = [len(grid.neighbors[i]) - lost[i] for i in range(grid.n_markers)]
+    assert result.valid.tolist() == [c >= 2 for c in count]
+    assert (result.angles[~result.valid] == 0.0).all()
+    if case == "one marker":
+        assert not result.valid[marker]
+
+
+@pytest.mark.parametrize("rows, cols", [(2, 2), (2, 7), (20, 20)])
+def test_neighbor_count_is_the_read_only_number_of_neighbours(rows, cols):
+    grid = MarkerGrid(rows=rows, cols=cols)
+    count = grid.neighbor_count
+    assert count.dtype == np.uint8
+    assert count.tolist() == [len(grid.neighbors[i]) for i in range(grid.n_markers)]
+    assert grid.neighbor_count is count
+    with pytest.raises(ValueError):
+        count[0] = 4
+    # A field with short segments takes them off a copy, never off the grid's.
+    d = np.zeros((grid.n_markers, 3))
+    _collapse(grid, d, 0, 1, True)
+    line_feature_angles(grid, Frame(0.0, d))
+    assert count.tolist() == [len(grid.neighbors[i]) for i in range(grid.n_markers)]
+
+
+def test_records_without_short_segments_share_only_the_read_only_valid(grid20):
+    rng = np.random.default_rng(3)
+    first, second = (line_feature_angles(grid20, Frame(0.0, rng.normal(0.0, 0.05, (400, 3))))
+                     for _ in range(2))
+    kept = first.angles.tobytes()
+    # The mean is divided in place, on a sum made fresh for each call.
+    assert not np.shares_memory(first.angles, second.angles)
+    assert first.angles.tobytes() == kept
+    assert first.valid is second.valid and first.valid.all()
+    for record in (first, second):
+        for array in (record.angles, record.valid):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
 
 
 def test_folded_segment_gives_both_markers_one_angle():

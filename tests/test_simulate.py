@@ -473,13 +473,11 @@ def test_a_time_that_is_no_number_is_outside_every_domain(t):
                       stick_radius=[(0.0, 4.0), (1.0, 2.0)],
                       translation_trajectory=[(0.0, 0.0, 0.0), (1.0, 0.1, 0.0)])
     for call in (scn.theta_at, scn.stick_radius_at, scn.translation_at,
-                 lambda t: generate_frame(scn, t)):  # the number rule, before the domain
+                 lambda t: generate_frame(scn, t), lambda t: scn.require_times(t, t),
+                 lambda t: scn.require_times(0.0, t)):  # the number rule, before the domain
         with pytest.raises(UsageError, match=rf"^t must be a finite number, got {t}$"):
             call(t)
     message = rf"^t={t} outside trajectory domain \[0.0, 1.0\]$"
-    with pytest.raises(UsageError, match=rf"^scenario.theta_trajectory does not cover the run: "
-                                         rf"t={t} outside"):
-        scn.require_times(t, t)
     with pytest.raises(UsageError, match=message):
         PiecewiseLinear([[0, 0], [1, 1]])(t)
 
@@ -494,7 +492,8 @@ def test_a_time_is_read_by_the_number_rule_before_any_memo(t):
         for made in (False, True):
             memo = scn._field_memo
             for call in (scn.theta_at, scn.stick_radius_at, scn.translation_at,
-                         lambda t: generate_frame(scn, t)):
+                         lambda t: generate_frame(scn, t), lambda t: scn.require_times(t, t),
+                         lambda t: scn.require_times(0.0, t), lambda t: scn.require_times(t, 1.0)):
                 with pytest.raises(UsageError, match=rf"^t must be a finite number, got {t!r}$"):
                     call(t)
             assert scn._field_memo is memo
