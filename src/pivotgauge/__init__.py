@@ -17,7 +17,6 @@ from .core import (
     InsufficientDataError,
     LineFeatureAngles,
     MarkerGrid,
-    RotationEstimate,
     SoftnessParams,
     StickRegion,
     UsageError,
@@ -66,7 +65,6 @@ __all__ = [
     "LineFeatureAngles",
     "MarkerGrid",
     "PiecewiseLinear",
-    "RotationEstimate",
     "RotationPipeline",
     "SegmentationConfig",
     "SimScenario",

@@ -133,6 +133,16 @@ def whole_number(value: Any, name: str) -> int:
     return int(value)
 
 
+def frozen_array(value: Any, dtype: type) -> np.ndarray:
+    """``value`` as a read-only ``dtype`` array whose values never change: a
+    view, which its base could still write, is copied; an array of its own is kept."""
+    arr = np.asarray(value, dtype=dtype)
+    if arr.base is not None:
+        arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
+
+
 class ContactState(enum.Enum):
     """Contact-surface state reported alongside every rotation estimate."""
 
@@ -289,8 +299,9 @@ class ContactMask:
     center_index: Optional[int] = None
 
     def __post_init__(self) -> None:
-        flags = np.asarray(self.flags, dtype=bool)
-        flags.setflags(write=False)
+        flags = frozen_array(self.flags, bool)
+        if flags.ndim != 1:
+            raise UsageError(f"contact flags must be 1-d, got shape {flags.shape}")
         object.__setattr__(self, "flags", flags)
         if self.center_index is not None:
             index = whole_number(self.center_index, "center_index")
@@ -319,14 +330,12 @@ class LineFeatureAngles:
     valid: np.ndarray
 
     def __post_init__(self) -> None:
-        angles = np.asarray(self.angles, dtype=float)
-        valid = np.asarray(self.valid, dtype=bool)
+        angles = frozen_array(self.angles, float)
+        valid = frozen_array(self.valid, bool)
         if angles.shape != valid.shape:
             raise UsageError("angles and valid must have matching shapes")
         if not np.isfinite(angles[valid]).all():
             raise UsageError("valid angles must be finite")
-        angles.setflags(write=False)
-        valid.setflags(write=False)
         object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "valid", valid)
 
@@ -368,35 +377,25 @@ class SoftnessParams:
             raise UsageError(f"softness.k must be >= 0, got {self.k!r}")
 
 
-@dataclass(frozen=True)
-class RotationEstimate:
-    """Estimated pivot rotation for one frame.
-
-    ``theta`` is always a finite float, 0 when there is no contact.
-    """
-
-    theta: float
-    state: ContactState
-    stick_ratio: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "theta", finite_number(self.theta, "estimate theta"))
-        if self.state is ContactState.NO_CONTACT and self.theta != 0.0:
-            raise UsageError("theta must be 0 when no contact is detected")
-
-
 @dataclass(frozen=True, eq=False)
 class FrameResult:
-    """What the pipeline yields for one frame: the raw (unfiltered)
-    ``estimate``, the contact ``mask``, the line-feature ``angles`` (None
-    exactly when no contact was detected, as none are computed then) and the
-    stick ``region``."""
+    """What the pipeline yields for one frame, each fact once: the raw
+    (unfiltered) angle ``theta``, the contact ``mask``, the line-feature
+    ``angles`` (None exactly when no contact was detected, as none are
+    computed then) and the stick ``region``, NoContact exactly then too.
+    ``theta`` is a finite float, 0 when there is no contact."""
 
-    estimate: RotationEstimate
+    theta: float
     mask: ContactMask
     angles: Optional[LineFeatureAngles]
     region: StickRegion
 
     def __post_init__(self) -> None:
-        if (self.angles is None) == self.mask.contact_detected:
+        object.__setattr__(self, "theta", finite_number(self.theta, "frame result theta"))
+        contact = self.mask.contact_detected
+        if (self.angles is None) == contact:
             raise UsageError("a frame result has angles exactly when contact was detected")
+        if (self.region.state is ContactState.NO_CONTACT) == contact:
+            raise UsageError("a frame result's region is NoContact exactly without contact")
+        if not contact and self.theta != 0.0:
+            raise UsageError("theta must be 0 when no contact is detected")

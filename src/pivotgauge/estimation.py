@@ -32,10 +32,10 @@ from .core import (
     FrameResult,
     InsufficientDataError,
     MarkerGrid,
-    RotationEstimate,
     SoftnessParams,
     StickRegion,
     UsageError,
+    finite_number,
 )
 from .features import line_feature_angles
 from .segmentation import NO_CONTACT_REGION, SegmentationConfig, detect_contact, grow_stick_region
@@ -43,17 +43,16 @@ from .segmentation import NO_CONTACT_REGION, SegmentationConfig, detect_contact,
 FILTER_WINDOW = 5
 
 
-def estimate_rotation(region: StickRegion, softness: SoftnessParams) -> RotationEstimate:
-    """Rotation estimate from a stick region.
+def estimate_rotation(region: StickRegion, softness: SoftnessParams) -> float:
+    """Rotation angle, degrees, from a stick region.
 
     Rigid objects (k = 0, L = 0) reduce to theta = -mean_angle; the soft
     mode applies theta = -(k + 1) * mean_angle + (l_xy - l_yx) / 2. A
     no-contact region always yields theta = 0.
     """
     if region.state is ContactState.NO_CONTACT:
-        return RotationEstimate(theta=0.0, state=region.state, stick_ratio=region.stick_ratio)
-    theta = -(softness.k + 1.0) * region.mean_angle + 0.5 * (softness.l_xy - softness.l_yx)
-    return RotationEstimate(theta=theta, state=region.state, stick_ratio=region.stick_ratio)
+        return 0.0
+    return float(-(softness.k + 1.0) * region.mean_angle + 0.5 * (softness.l_xy - softness.l_yx))
 
 
 def baseline_least_squares(grid: MarkerGrid, frame: Frame, mask: ContactMask) -> float:
@@ -84,26 +83,24 @@ def baseline_least_squares(grid: MarkerGrid, frame: Frame, mask: ContactMask) ->
     return -math.degrees(math.atan2(antisym, sym))
 
 
-def filter_step(
-    pipeline: RotationPipeline, result: FrameResult, timestamp: float
-) -> RotationEstimate:
-    """Keep ``result`` as the pipeline's ``last`` and advance its window-5 filter.
+def filter_step(pipeline: RotationPipeline, result: FrameResult, timestamp: float) -> float:
+    """Keep ``result`` as the pipeline's ``last`` and advance its window-5
+    filter; return the filtered angle, degrees.
 
-    Contact is read from the raw estimate: every state but NoContact. Before
-    the first contact the output is 0; afterwards it is the window mean,
-    except that a no-contact frame reports 0. Frames must arrive in strictly
-    increasing timestamp order.
+    Contact is read from the mask's centre. Before the first contact the
+    output is 0; afterwards it is the window mean, except that a no-contact
+    frame reports 0. ``timestamp`` is read by the number rule, and frames
+    must arrive in strictly increasing timestamp order.
     """
+    timestamp = finite_number(timestamp, "frame timestamp")
     if pipeline.last_timestamp is not None and timestamp <= pipeline.last_timestamp:
         raise UsageError(f"out-of-order frame: t={timestamp} after t={pipeline.last_timestamp}")
     pipeline.last_timestamp, pipeline.last = timestamp, result
 
-    raw = result.estimate
-    contact = raw.state is not ContactState.NO_CONTACT
+    contact = result.mask.contact_detected
     if contact or pipeline.window:
-        pipeline.window.append(raw.theta)
-    theta = sum(pipeline.window) / len(pipeline.window) if contact else 0.0
-    return RotationEstimate(theta=theta, state=raw.state, stick_ratio=raw.stick_ratio)
+        pipeline.window.append(result.theta)
+    return sum(pipeline.window) / len(pipeline.window) if contact else 0.0
 
 
 def estimate_frame(
@@ -138,7 +135,8 @@ class RotationPipeline:
     last_timestamp: Optional[float] = field(init=False, default=None)
     last: Optional[FrameResult] = field(init=False, default=None)
 
-    def process_frame(self, frame: Frame) -> RotationEstimate:
-        """Run the full pipeline on one frame and return the filtered estimate."""
+    def process_frame(self, frame: Frame) -> float:
+        """Run the full pipeline on one frame and return its filtered angle,
+        degrees; the frame's state and stick ratio are in ``last.region``."""
         result = estimate_frame(self.grid, frame, self.cfg, self.softness)
         return filter_step(self, result, frame.timestamp)

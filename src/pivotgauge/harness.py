@@ -103,7 +103,7 @@ def _sweep_errors(config: FullConfig) -> tuple[np.ndarray, np.ndarray]:
             frame_index = angle_pos * trials + trial
             frame, _truth = generate_frame(scenario, float(theta), frame_index=frame_index)
             result = estimate_frame(config.grid, frame, config.segmentation, config.softness)
-            proposed[angle_pos, trial] = abs(result.estimate.theta - theta)
+            proposed[angle_pos, trial] = abs(result.theta - theta)
             if result.mask.contact_detected:  # without contact the baseline has nothing to fit
                 with contextlib.suppress(InsufficientDataError):
                     base = baseline_least_squares(config.grid, frame, result.mask)
@@ -162,9 +162,9 @@ class DynamicResult:
 def _estimate_row(pipeline: RotationPipeline, frame: Frame) -> tuple:
     """Run one frame through the filtered pipeline; return its row of
     ``ESTIMATE_CSV_HEADER`` values."""
-    filtered = pipeline.process_frame(frame)
-    return (frame.timestamp, pipeline.last.estimate.theta, filtered.theta, filtered.state,
-            filtered.stick_ratio)
+    theta = pipeline.process_frame(frame)
+    last = pipeline.last
+    return (frame.timestamp, last.theta, theta, last.region.state, last.region.stick_ratio)
 
 
 def run_dynamic(config: FullConfig, csv_out: IO[str]) -> DynamicResult:

@@ -34,6 +34,7 @@ from .core import (
     UsageError,
     finite_number,
     finite_pair,
+    frozen_array,
     number_rows,
     whole_number,
 )
@@ -241,22 +242,18 @@ class GroundTruth:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "theta", finite_number(self.theta, "truth theta"))
-        slip = np.asarray(self.slip_field, dtype=float)
+        slip = frozen_array(self.slip_field, float)
         if slip.ndim != 2 or slip.shape[1] != 2 or not len(slip):
             raise UsageError(f"slip_field must be (n, 2), got shape {slip.shape}")
         # Refuses nan and +-inf, and allocates nothing.
         if not (math.isfinite(slip.min()) and math.isfinite(slip.max())):
             raise UsageError("slip_field must be finite")
-        arrays = {"slip_field": slip}
+        object.__setattr__(self, "slip_field", slip)
         for name in ("stick_mask", "contact_mask_true"):
-            arrays[name] = np.asarray(getattr(self, name), dtype=bool)
-            if arrays[name].shape != (len(slip),):
-                raise UsageError(f"{name} must be ({len(slip)},), got shape {arrays[name].shape}")
-        for name, arr in arrays.items():
-            if arr.base is not None:  # a view, which its base could still write
-                arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            mask = frozen_array(getattr(self, name), bool)
+            if mask.shape != (len(slip),):
+                raise UsageError(f"{name} must be ({len(slip)},), got shape {mask.shape}")
+            object.__setattr__(self, name, mask)
 
 
 def _decay_profile(rho: np.ndarray, taper: np.ndarray, r_s: float, gamma: float) -> np.ndarray:

@@ -60,11 +60,11 @@ def full_stick_scenario(theta: float, sigma: float = 0.0, **kw) -> SimScenario:
 
 def pipeline_estimate_prewarmed(scenario: SimScenario, n_warm: int = 6) -> float:
     pipeline = RotationPipeline(scenario.grid)
-    out = None
+    theta = None
     for i in range(n_warm):
         frame, _ = generate_frame(scenario, i / 30.0)
-        out = pipeline.process_frame(frame)
-    return out.theta
+        theta = pipeline.process_frame(frame)
+    return theta
 
 
 def test_c01_noiseless_exactness():
@@ -94,13 +94,13 @@ def test_c02_translation_suppression():
     worst = 0.0
     for scenario in scenarios:
         frame, _ = generate_frame(scenario, 0.0)
-        base = estimate_frame(scenario.grid, frame, CFG, RIGID).estimate
+        base = estimate_frame(scenario.grid, frame, CFG, RIGID).theta
         for tx, ty in shifts:
             disp = frame.displacements.copy()
             disp[:, 0] += tx
             disp[:, 1] += ty
-            moved = estimate_frame(scenario.grid, Frame(0.0, disp), CFG, RIGID).estimate
-            worst = max(worst, abs(moved.theta - base.theta))
+            moved = estimate_frame(scenario.grid, Frame(0.0, disp), CFG, RIGID).theta
+            worst = max(worst, abs(moved - base))
     _report("C2 translation suppression", worst < 1e-9, f"worst shift {worst:.2e} deg")
 
 
@@ -152,7 +152,7 @@ def test_c04_incipient_slip_advantage():
             frame, _ = generate_frame(scn, 0.0, frame_index=trial)
             result = estimate_frame(scn.grid, frame, CFG, RIGID)
             baseline = baseline_least_squares(scn.grid, frame, result.mask)
-            p_err = abs(result.estimate.theta - theta)
+            p_err = abs(result.theta - theta)
             b_err = abs(baseline - theta)
             wins += p_err < b_err
             b_errors.append(b_err)
@@ -198,15 +198,15 @@ def test_c06_soft_object_correction():
     k = 0.2
     scn = SimScenario(theta_trajectory=10.0, softness=SoftnessParams(k=k), noise_sigma=0.0)
     frame, _ = generate_frame(scn, 0.0)
-    rigid_est = estimate_frame(scn.grid, frame, CFG, RIGID).estimate
-    soft_est = estimate_frame(scn.grid, frame, CFG, SoftnessParams(k=k)).estimate
-    rel_err = abs(rigid_est.theta - 10.0) / 10.0
-    ok = abs(rel_err - k / (1 + k)) < 1e-6 and abs(soft_est.theta - 10.0) < 1e-6
+    rigid = estimate_frame(scn.grid, frame, CFG, RIGID).theta
+    soft = estimate_frame(scn.grid, frame, CFG, SoftnessParams(k=k)).theta
+    rel_err = abs(rigid - 10.0) / 10.0
+    ok = abs(rel_err - k / (1 + k)) < 1e-6 and abs(soft - 10.0) < 1e-6
     _report(
         "C6 soft-object correction",
         ok,
         f"rigid rel err {rel_err:.8f} vs k/(1+k) {k / (1 + k):.8f}, "
-        f"soft err {abs(soft_est.theta - 10.0):.2e} deg",
+        f"soft err {abs(soft - 10.0):.2e} deg",
     )
 
 

@@ -12,17 +12,19 @@ from pivotgauge import (
     ContactMask,
     ContactState,
     Frame,
+    FrameResult,
     LineFeatureAngles,
     MarkerGrid,
-    RotationEstimate,
     SegmentationConfig,
     SoftnessParams,
+    StickRegion,
     UsageError,
     baseline_least_squares,
     detect_contact,
     line_feature_angles,
 )
 from pivotgauge.core import MAX_DISPLACEMENT_MM, MAX_GRID_MM, MAX_MARKERS, MIN_PITCH_MM, finite_pair
+from pivotgauge.segmentation import NO_CONTACT_REGION
 from conftest import half_curl
 
 
@@ -229,14 +231,51 @@ def test_contact_mask_center_index_is_a_whole_index_into_the_flags():
         assert center == index and type(center) is int
 
 
+def test_contact_mask_flags_are_one_dimensional():
+    for flags in (np.ones((2, 2), dtype=bool), None, True):
+        for center in (None, 0):
+            with pytest.raises(UsageError, match="^contact flags must be 1-d, got shape "):
+                ContactMask(flags, center_index=center)
+
+
+def test_masks_and_angle_records_keep_arrays_that_cannot_change():
+    base = np.ones(8, dtype=bool)
+    mask = ContactMask(base[:4], center_index=0)
+    base[0] = False  # a view's base is still writable
+    assert mask.flags[mask.center_index] and not mask.flags.flags.writeable
+    angle_base = np.zeros((2, 4))
+    record = LineFeatureAngles(angle_base[0], base[4:])
+    angle_base[0, 0] = math.nan  # would get round the finiteness check
+    assert record.angles[0] == 0.0 and record.valid.all()
+    assert not (record.angles.flags.writeable or record.valid.flags.writeable)
+    # An array of its own, as every kernel makes, is kept and made read-only, not copied.
+    angles, valid, flags = np.zeros(4), np.ones(4, dtype=bool), np.ones(4, dtype=bool)
+    record = LineFeatureAngles(angles, valid)
+    assert record.angles is angles and record.valid is valid and not angles.flags.writeable
+    assert ContactMask(flags).flags is flags and not flags.flags.writeable
+
+
 def test_softness_rejects_negative_ratio():
     with pytest.raises(UsageError):
         SoftnessParams(k=-0.1)
     assert SoftnessParams() == SoftnessParams(k=0.0, l_xy=0.0, l_yx=0.0)
 
 
-def test_rotation_estimate_invariants():
-    with pytest.raises(UsageError):
-        RotationEstimate(theta=1.0, state=ContactState.NO_CONTACT, stick_ratio=0.0)
-    with pytest.raises(UsageError):
-        RotationEstimate(theta=float("nan"), state=ContactState.STICK, stick_ratio=1.0)
+def test_frame_result_holds_each_fact_once():
+    flags = np.ones(4, dtype=bool)
+    no_contact, contact = ContactMask(~flags), ContactMask(flags, center_index=0)
+    angles = LineFeatureAngles(np.zeros(4), flags)
+    stick = StickRegion(frozenset(range(4)), -5.0, ContactState.STICK, 1.0)
+    # A no-contact frame counted as contact with theta = 5 by the filter.
+    with pytest.raises(UsageError, match="^theta must be 0 when no contact is detected$"):
+        FrameResult(5.0, no_contact, None, NO_CONTACT_REGION)
+    for mask, record, region in ((no_contact, None, stick), (contact, angles, NO_CONTACT_REGION)):
+        with pytest.raises(UsageError, match="region is NoContact exactly without contact"):
+            FrameResult(0.0, mask, record, region)
+    for theta in (math.nan, math.inf, True, "5", None):
+        with pytest.raises(UsageError, match="^frame result theta must be a finite number"):
+            FrameResult(theta, contact, angles, stick)
+    for theta in (5, np.float32(5.0)):
+        held = FrameResult(theta, contact, angles, stick).theta
+        assert held == 5.0 and type(held) is float
+    assert FrameResult(0, no_contact, None, NO_CONTACT_REGION).theta == 0.0

@@ -16,7 +16,6 @@ from pivotgauge import (
     InsufficientDataError,
     LineFeatureAngles,
     MarkerGrid,
-    RotationEstimate,
     RotationPipeline,
     SegmentationConfig,
     SimScenario,
@@ -39,7 +38,7 @@ from conftest import hostile_field, reference_baseline_least_squares, reference_
 
 CFG = SegmentationConfig()
 RIGID = SoftnessParams()
-# The filter reads only the results' estimates; any grid gives a pipeline to own them.
+# The filter reads only the results' angles and masks; any grid gives a pipeline to own them.
 FILTER_GRID = MarkerGrid()
 FILTER_FLAGS = np.ones(FILTER_GRID.n_markers, dtype=bool)
 
@@ -50,40 +49,36 @@ def region_with(mean_angle, state=ContactState.STICK, ratio=1.0):
 
 
 def frame_result(theta, state=ContactState.STICK, ratio=1.0):
-    """A frame's result on FILTER_GRID whose raw estimate is ``theta``."""
-    estimate = RotationEstimate(theta=theta, state=state, stick_ratio=ratio)
+    """A frame's result on FILTER_GRID whose raw angle is ``theta``."""
     if state is ContactState.NO_CONTACT:
-        return FrameResult(estimate, ContactMask(~FILTER_FLAGS), None, NO_CONTACT_REGION)
+        return FrameResult(theta, ContactMask(~FILTER_FLAGS), None, NO_CONTACT_REGION)
     angles = LineFeatureAngles(np.full(FILTER_GRID.n_markers, -theta), FILTER_FLAGS)
     region = StickRegion(frozenset(range(FILTER_GRID.n_markers)), -theta, state, ratio)
-    return FrameResult(estimate, ContactMask(FILTER_FLAGS, center_index=0), angles, region)
+    return FrameResult(theta, ContactMask(FILTER_FLAGS, center_index=0), angles, region)
 
 
 def test_rigid_mode_negates_mean_angle():
-    est = estimate_rotation(region_with(-7.0), RIGID)
-    assert est.theta == 7.0
-    assert est.state is ContactState.STICK
+    theta = estimate_rotation(region_with(-7.0), RIGID)
+    assert theta == 7.0 and type(theta) is float
 
 
 def test_soft_mode_applies_correction():
-    est = estimate_rotation(region_with(-5.0), SoftnessParams(k=0.2))
-    assert est.theta == pytest.approx(6.0, abs=1e-12)
+    soft = estimate_rotation(region_with(-5.0), SoftnessParams(k=0.2))
+    assert soft == pytest.approx(6.0, abs=1e-12)
     shifted = estimate_rotation(region_with(-5.0), SoftnessParams(k=0.0, l_xy=1.0, l_yx=0.2))
-    assert shifted.theta == pytest.approx(5.4, abs=1e-12)
+    assert shifted == pytest.approx(5.4, abs=1e-12)
 
 
 def test_no_contact_forces_zero():
     region = StickRegion(frozenset(), 3.0, ContactState.NO_CONTACT, 0.0)
-    est = estimate_rotation(region, RIGID)
-    assert est.theta == 0.0
-    assert est.state is ContactState.NO_CONTACT
+    assert estimate_rotation(region, RIGID) == 0.0
 
 
 def test_estimator_antisymmetry_exact():
     for mean in (0.33, -7.125, 19.9):
         plus = estimate_rotation(region_with(mean), SoftnessParams(k=0.15))
         minus = estimate_rotation(region_with(-mean), SoftnessParams(k=0.15))
-        assert plus.theta == -minus.theta
+        assert plus == -minus
 
 
 def rigid_frame(grid, theta_deg, center=(0.0, 0.0), with_dz=True):
@@ -118,7 +113,7 @@ def test_baseline_underestimates_under_incipient_slip(grid20):
     frame, _ = generate_frame(scn, 0.0)
     result = estimate_frame(grid20, frame, CFG, RIGID)
     baseline = baseline_least_squares(grid20, frame, result.mask)
-    assert abs(result.estimate.theta - 15.0) < 0.1
+    assert abs(result.theta - 15.0) < 0.1
     assert baseline < 15.0 - 1.0
 
 
@@ -218,7 +213,7 @@ def test_baseline_and_proposed_agree_on_full_stick(grid20):
         frame, _ = generate_frame(scn, 0.0)
         result = estimate_frame(grid20, frame, CFG, RIGID)
         baseline = baseline_least_squares(grid20, frame, result.mask)
-        assert result.estimate.theta == pytest.approx(theta, abs=1e-9)
+        assert result.theta == pytest.approx(theta, abs=1e-9)
         assert baseline == pytest.approx(theta, abs=1e-9)
 
 
@@ -230,7 +225,7 @@ def test_frame_result_has_angles_exactly_when_contact_was_detected(grid20):
     assert result.region == grow_stick_region(grid20, result.mask, result.angles, CFG)
     for angles, mask in ((None, result.mask), (result.angles, NO_CONTACT.mask)):
         with pytest.raises(UsageError, match="angles exactly when contact was detected"):
-            FrameResult(result.estimate, mask, angles, result.region)
+            FrameResult(result.theta, mask, angles, result.region)
 
 
 def test_proposed_beats_baseline_under_incipient_slip_noise(grid20):
@@ -242,7 +237,7 @@ def test_proposed_beats_baseline_under_incipient_slip_noise(grid20):
         frame, _ = generate_frame(scn, 0.0, frame_index=trial)
         result = estimate_frame(grid20, frame, CFG, RIGID)
         baseline = baseline_least_squares(grid20, frame, result.mask)
-        wins += abs(result.estimate.theta - 12.0) < abs(baseline - 12.0)
+        wins += abs(result.theta - 12.0) < abs(baseline - 12.0)
     assert wins >= 90
 
 
@@ -250,16 +245,16 @@ def test_soft_mode_consistency(grid20):
     k = 0.2
     scn = SimScenario(theta_trajectory=10.0, softness=SoftnessParams(k=k), noise_sigma=0.0)
     frame, _ = generate_frame(scn, 0.0)
-    rigid_est = estimate_frame(grid20, frame, CFG, RIGID).estimate
-    soft_est = estimate_frame(grid20, frame, CFG, SoftnessParams(k=k)).estimate
-    assert abs(rigid_est.theta - 10.0) / 10.0 == pytest.approx(k / (1 + k), abs=1e-6)
-    assert abs(soft_est.theta - 10.0) < 1e-6
+    rigid = estimate_frame(grid20, frame, CFG, RIGID).theta
+    soft = estimate_frame(grid20, frame, CFG, SoftnessParams(k=k)).theta
+    assert abs(rigid - 10.0) / 10.0 == pytest.approx(k / (1 + k), abs=1e-6)
+    assert abs(soft - 10.0) < 1e-6
 
 
 def run_filter(results):
     """Filtered thetas of ``results`` fed one per second from t = 0."""
     pipeline = RotationPipeline(FILTER_GRID)
-    return [filter_step(pipeline, result, float(t)).theta for t, result in enumerate(results)]
+    return [filter_step(pipeline, result, float(t)) for t, result in enumerate(results)]
 
 
 NO_CONTACT = frame_result(0.0, ContactState.NO_CONTACT, 0.0)
@@ -280,7 +275,7 @@ def test_filter_window_is_five():
 
 
 def test_filter_window_starts_at_first_contact():
-    # Contact is read from the estimate's state; frames before it are
+    # Contact is read from the mask's centre; frames before it are
     # no-contact estimates (0 by contract) and stay out of the window.
     assert run_filter([NO_CONTACT] * 3 + [frame_result(6.0)]) == [0.0, 0.0, 0.0, 6.0]
 
@@ -292,10 +287,8 @@ def test_filter_pins_no_contact_output_to_zero():
     pipeline = RotationPipeline(FILTER_GRID)
     for t in range(5):
         filter_step(pipeline, frame_result(8.0), float(t))
-    out = filter_step(pipeline, NO_CONTACT, 5.0)
-    assert out.theta == 0.0
-    assert out.state is ContactState.NO_CONTACT
-    assert filter_step(pipeline, frame_result(8.0), 6.0).theta == pytest.approx(6.4, abs=1e-12)
+    assert filter_step(pipeline, NO_CONTACT, 5.0) == 0.0
+    assert filter_step(pipeline, frame_result(8.0), 6.0) == pytest.approx(6.4, abs=1e-12)
 
 
 def test_filter_rejects_out_of_order_timestamps():
@@ -305,6 +298,19 @@ def test_filter_rejects_out_of_order_timestamps():
         filter_step(pipeline, frame_result(1.0), 0.5)
     with pytest.raises(UsageError):
         filter_step(pipeline, frame_result(1.0), 1.0)
+
+
+def test_filter_reads_its_timestamp_by_the_number_rule():
+    pipeline = RotationPipeline(FILTER_GRID)
+    filter_step(pipeline, frame_result(1.0), 5.0)
+    for t in (math.nan, math.inf, True, "3", None):
+        with pytest.raises(UsageError, match="^frame timestamp must be a finite number"):
+            filter_step(pipeline, frame_result(1.0), t)
+    # A refused time never becomes the last one, so the order check stays on.
+    with pytest.raises(UsageError, match="out-of-order"):
+        filter_step(pipeline, frame_result(1.0), 1.0)
+    filter_step(pipeline, frame_result(1.0), np.float32(6.0))
+    assert pipeline.last_timestamp == 6.0 and type(pipeline.last_timestamp) is float
 
 
 def test_pipeline_owns_its_stream_state(grid20):
@@ -323,9 +329,8 @@ def test_pipeline_owns_its_stream_state(grid20):
 
 def test_pipeline_zero_frame_reports_no_contact(grid20):
     pipeline = RotationPipeline(grid20)
-    out = pipeline.process_frame(Frame(0.0, np.zeros((grid20.n_markers, 3))))
-    assert out.state is ContactState.NO_CONTACT
-    assert out.theta == 0.0
+    assert pipeline.process_frame(Frame(0.0, np.zeros((grid20.n_markers, 3)))) == 0.0
+    assert pipeline.last.region.state is ContactState.NO_CONTACT
 
 
 def test_pipeline_full_stick_prewarmed_exact(grid20):
@@ -334,7 +339,7 @@ def test_pipeline_full_stick_prewarmed_exact(grid20):
     out = None
     for i, (frame, _) in enumerate(generate_trajectory(scn, 0.0, 0.2, 30.0)):
         out = pipeline.process_frame(frame)
-    assert abs(out.theta - 12.0) < 1e-6
+    assert abs(out - 12.0) < 1e-6
 
 
 def test_pipeline_rejects_out_of_order_frames(grid20):
@@ -358,8 +363,8 @@ def test_pipeline_tracks_three_lift_trajectory():
     pipeline = RotationPipeline(scn.grid)
     trace = []
     for frame, truth in generate_trajectory(scn, 0.0, 12.0, 30.0):
-        out = pipeline.process_frame(frame)
-        trace.append((frame.timestamp, truth.theta, out.theta, out.state))
+        theta = pipeline.process_frame(frame)
+        trace.append((frame.timestamp, truth.theta, theta, pipeline.last.region.state))
     for t0, t1, theta in ((2.0, 3.5, 6.0), (5.0, 6.5, 12.0), (8.0, 9.5, 18.0)):
         plateau = [row for row in trace if t0 <= row[0] <= t1]
         assert plateau
@@ -374,7 +379,7 @@ def test_pipeline_filter_causality(grid20):
     scn = SimScenario(theta_trajectory=[[0.0, 0.0], [1.0, 10.0]], noise_sigma=0.005, rng_seed=4)
     frames = [f for f, _ in generate_trajectory(scn, 0.0, 0.5, 30.0)]
     full = RotationPipeline(grid20)
-    full_outputs = [full.process_frame(f).theta for f in frames]
+    full_outputs = [full.process_frame(f) for f in frames]
     prefix = RotationPipeline(grid20)
-    prefix_outputs = [prefix.process_frame(f).theta for f in frames[:8]]
+    prefix_outputs = [prefix.process_frame(f) for f in frames[:8]]
     assert full_outputs[:8] == prefix_outputs

@@ -176,7 +176,7 @@ def _reference_sweep_errors(config):
             frame, _truth = generate_frame(scenario, 0.0, frame_index=angle_pos * trials + trial)
             result = estimation.estimate_frame(config.grid, frame, config.segmentation,
                                                config.softness)
-            proposed[angle_pos, trial] = abs(result.estimate.theta - theta)
+            proposed[angle_pos, trial] = abs(result.theta - theta)
             if result.mask.contact_detected:
                 with contextlib.suppress(InsufficientDataError):
                     base = estimation.baseline_least_squares(config.grid, frame, result.mask)
@@ -274,8 +274,8 @@ def test_dynamic_three_lift_summary_and_schema():
 
 
 def test_every_float_cell_has_six_significant_digits_under_numpy_softness():
-    # A float32 softness constant makes float32 estimates. Each estimate keeps
-    # its theta as a Python float, so its cells are written through fmt too.
+    # A float32 softness constant makes float32 arithmetic. Every angle the
+    # pipeline returns is a Python float, so its cells are written through fmt too.
     config = _three_lift(4.0)
     softness = SoftnessParams(k=np.float32(0.2))
     config = replace(config, scenario=replace(config.scenario, softness=softness))
@@ -287,6 +287,23 @@ def test_every_float_cell_has_six_significant_digits_under_numpy_softness():
         t, theta_true, theta_raw, theta_filtered, _state, stick_ratio = row.split(",")
         for cell in (t, theta_true, theta_raw, theta_filtered, stick_ratio):
             assert cell == fmt(float(cell)), row
+
+
+def test_process_frame_returns_the_filtered_angle_of_the_csv():
+    config = _three_lift(4.0)
+    buf = io.StringIO()
+    run_dynamic(config, csv_out=buf)
+    rows = buf.getvalue().splitlines()[1:]
+    pipeline = estimation.RotationPipeline(config.grid, config.segmentation, config.softness)
+    run = config.harness
+    frames = simulate.iter_trajectory(config.scenario, run.t_start, run.t_end, run.rate_hz)
+    for (frame, _truth), row in zip(frames, rows, strict=True):
+        theta = pipeline.process_frame(frame)
+        _t, _true, raw, filtered, state, stick_ratio = row.split(",")
+        assert type(theta) is float and fmt(theta) == filtered, row
+        region = pipeline.last.region
+        assert (fmt(pipeline.last.theta), str(region.state), fmt(region.stick_ratio)) == (
+            raw, state, stick_ratio)
 
 
 def test_dynamic_zero_trajectory_reports_near_zero():

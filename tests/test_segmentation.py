@@ -60,7 +60,7 @@ def test_shear_without_a_marker_pressed_in_is_no_contact(grid20, dz):
     mask = detect_contact(grid20, frame, CFG)
     assert not mask.contact_detected and mask.n_flagged == 0
     result = estimate_frame(grid20, frame, CFG, SoftnessParams())
-    assert result.estimate.state is ContactState.NO_CONTACT and result.estimate.theta == 0.0
+    assert result.region.state is ContactState.NO_CONTACT and result.theta == 0.0
     assert result.region.members == frozenset()
     assert result.angles is None  # none are computed without contact
 
