@@ -51,6 +51,10 @@ MIN_PITCH_MM = 1e-6
 # previous row) and down. The one definition of the grid's 4-neighbour
 # topology and of the order in which a marker's sides are visited.
 SIDES = ((0, -1), (0, 1), (-1, 0), (1, 0))
+# Most centres whose distance order a grid keeps (MarkerGrid.distance_order);
+# the oldest is dropped first. The static sweep at the README's compare
+# settings grows from 4 centres, the three-lift replay from 1.
+KEPT_CENTRE_ORDERS = 8
 _FLOAT_MAX = sys.float_info.max  # an int beyond it has no float value
 _REALS = (int, float, np.integer, np.floating)  # bool is an int: refused separately
 _ROWS = (list, tuple, range, np.ndarray)  # kinds of rows, and of sequences of them
@@ -196,6 +200,7 @@ class MarkerGrid:
         pos = np.column_stack([ox + jj.ravel() * pitch, oy + ii.ravel() * pitch])
         pos.setflags(write=False)
         object.__setattr__(self, "_positions", pos)
+        object.__setattr__(self, "_distance_orders", {})  # centre -> (rank, order)
 
     @property
     def n_markers(self) -> int:
@@ -249,6 +254,33 @@ class MarkerGrid:
         mask.setflags(write=False)
         return mask
 
+    def distance_order(self, center: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(rank, order)`` of the markers by distance to marker ``center``,
+        ties by lower index: ``order`` lists the indices nearest first and
+        ``rank`` is its inverse, each marker's place in that order. Both are
+        read-only arrays of the smallest unsigned dtype that holds
+        ``n_markers - 1``. The orders of the last ``KEPT_CENTRE_ORDERS``
+        centres asked for are kept, the oldest dropped first."""
+        if type(center) is not int or not 0 <= center < self.n_markers:
+            raise UsageError(f"center must be an int marker index, got {center!r}")
+        kept = self._distance_orders  # type: ignore[attr-defined]
+        found = kept.get(center)
+        if found is None:
+            pos = self._positions  # type: ignore[attr-defined]
+            cx, cy = pos[center].tolist()
+            # A stable sort of the distances orders ties by index.
+            order = np.argsort(np.hypot(pos[:, 0] - cx, pos[:, 1] - cy), kind="stable")
+            dtype = np.min_scalar_type(self.n_markers - 1)
+            rank = np.empty(self.n_markers, dtype=dtype)
+            rank[order] = np.arange(self.n_markers, dtype=dtype)
+            found = rank, order.astype(dtype)
+            for arr in found:
+                arr.setflags(write=False)
+            if len(kept) >= KEPT_CENTRE_ORDERS:
+                del kept[next(iter(kept))]
+            kept[center] = found
+        return found
+
 
 @dataclass(frozen=True, eq=False)
 class Frame:
@@ -293,6 +325,7 @@ class ContactMask:
 
     ``center_index`` is the assumed stick centre, the index in ``[0, len(flags))``
     of a flagged marker; contact is detected exactly when it is present.
+    ``n_flagged``, the number of flagged markers, is counted once, here.
     """
 
     flags: np.ndarray
@@ -303,6 +336,7 @@ class ContactMask:
         if flags.ndim != 1:
             raise UsageError(f"contact flags must be 1-d, got shape {flags.shape}")
         object.__setattr__(self, "flags", flags)
+        object.__setattr__(self, "n_flagged", int(np.count_nonzero(flags)))
         if self.center_index is not None:
             index = whole_number(self.center_index, "center_index")
             if not (0 <= index < len(flags) and flags[index]):
@@ -312,10 +346,6 @@ class ContactMask:
     @property
     def contact_detected(self) -> bool:
         return self.center_index is not None
-
-    @property
-    def n_flagged(self) -> int:
-        return int(np.count_nonzero(self.flags))
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,14 +374,21 @@ class LineFeatureAngles:
 class StickRegion:
     """The grown set of sticking markers with its mean feature angle.
 
-    ``stick_ratio`` is |members| / |flagged contact markers| (0 when there
-    is no contact).
+    ``stick_ratio`` is |members| / |flagged contact markers|, within [0, 1].
+    A NoContact region has no members, ratio 0 and mean 0.
     """
 
     members: frozenset[int]
     mean_angle: float
     state: ContactState
     stick_ratio: float
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= finite_number(self.stick_ratio, "stick_ratio") <= 1.0:
+            raise UsageError(f"stick_ratio must lie in [0, 1], got {self.stick_ratio!r}")
+        if self.state is ContactState.NO_CONTACT and (
+                self.members or self.stick_ratio or self.mean_angle):
+            raise UsageError("a NoContact region has no members, ratio 0 and mean angle 0")
 
 
 @dataclass(frozen=True)
@@ -383,7 +420,9 @@ class FrameResult:
     (unfiltered) angle ``theta``, the contact ``mask``, the line-feature
     ``angles`` (None exactly when no contact was detected, as none are
     computed then) and the stick ``region``, NoContact exactly then too.
-    ``theta`` is a finite float, 0 when there is no contact."""
+    ``theta`` is a finite float, 0 when there is no contact. The mask and
+    the angle record have one length, and with contact the region's stick
+    ratio is its member count over the mask's flagged count."""
 
     theta: float
     mask: ContactMask
@@ -397,5 +436,15 @@ class FrameResult:
             raise UsageError("a frame result has angles exactly when contact was detected")
         if (self.region.state is ContactState.NO_CONTACT) == contact:
             raise UsageError("a frame result's region is NoContact exactly without contact")
-        if not contact and self.theta != 0.0:
-            raise UsageError("theta must be 0 when no contact is detected")
+        if not contact:
+            if self.theta != 0.0:
+                raise UsageError("theta must be 0 when no contact is detected")
+            return
+        shapes = self.angles.angles.shape, self.mask.flags.shape
+        if shapes[0] != shapes[1]:
+            raise UsageError("a frame result's angle record has shape %s, its mask %s" % shapes)
+        members, flagged = len(self.region.members), self.mask.n_flagged
+        ratio = self.region.stick_ratio
+        if ratio != members / flagged:
+            raise UsageError(f"a frame result's stick ratio must be {members} members / "
+                             f"{flagged} flagged, got {ratio!r}")

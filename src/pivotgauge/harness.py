@@ -108,9 +108,10 @@ def _sweep_errors(config: FullConfig) -> tuple[np.ndarray, np.ndarray]:
                 with contextlib.suppress(InsufficientDataError):
                     base = baseline_least_squares(config.grid, frame, result.mask)
                     baseline[angle_pos, trial] = abs(base - theta)
-            # Its angle record would otherwise stay alive through the next
-            # trial and raise the sweep's peak memory.
-            del result
+            # The frame and the result's angle record would otherwise stay
+            # alive while the next trial makes its noise and frame copy, and
+            # raise the sweep's peak memory.
+            del result, frame
     return proposed, baseline
 
 

@@ -131,9 +131,9 @@ def grow_stick_region(
 
     neighbors = grid.neighbors
     admissible_mask = mask.flags & angles.valid
-    admissible = admissible_mask.tolist()
-    # A marker's admissible entry is cleared when it is reached, so the list
-    # is also the seen-set. The centre is flagged and valid, so the
+    admissible = bytearray(admissible_mask.tobytes())
+    # A marker's admissible entry is cleared when it is reached, so the bytes
+    # are also the seen-set. The centre is flagged and valid, so the
     # certificate covers its angle too.
     admissible[center] = False
     # The centre is admitted untested: for angles and epsilon_angle below
@@ -148,16 +148,15 @@ def grow_stick_region(
                     admissible[nbr] = False
                     members.append(nbr)
     else:
-        pos = grid.reference_positions
-        cx, cy = pos[center].tolist()
-        # Python floats, as .tolist() gives them, of only the markers visited.
-        dist = np.hypot(pos[:, 0] - cx, pos[:, 1] - cy).item
+        # The frontier holds ranks in the grid's (distance, index) order, as
+        # Python ints: a heap of ints pops what a heap of those pairs would.
+        rank, order = map(memoryview, grid.distance_order(center))
         phi = angles.angles.item
         epsilon, threshold = cfg.epsilon_angle, cfg.delta_phi_th
         mean = phi(center)
-        frontier = [(0.0, center)]  # popped first: only the centre is at distance 0
+        frontier = [rank[center]]  # popped first: it is alone
         while frontier:
-            _, idx = heappop(frontier)
+            idx = order[heappop(frontier)]
             if idx != center:
                 angle = phi(idx)
                 if not normalized_angle_difference(angle, mean, epsilon) < threshold:
@@ -167,7 +166,7 @@ def grow_stick_region(
             for nbr in neighbors[idx]:
                 if admissible[nbr]:
                     admissible[nbr] = False
-                    heappush(frontier, (dist(nbr), nbr))
+                    heappush(frontier, rank[nbr])
 
     n_flagged = mask.n_flagged
     if len(members) < cfg.min_stick_markers:

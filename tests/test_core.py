@@ -23,7 +23,14 @@ from pivotgauge import (
     detect_contact,
     line_feature_angles,
 )
-from pivotgauge.core import MAX_DISPLACEMENT_MM, MAX_GRID_MM, MAX_MARKERS, MIN_PITCH_MM, finite_pair
+from pivotgauge.core import (
+    KEPT_CENTRE_ORDERS,
+    MAX_DISPLACEMENT_MM,
+    MAX_GRID_MM,
+    MAX_MARKERS,
+    MIN_PITCH_MM,
+    finite_pair,
+)
 from pivotgauge.segmentation import NO_CONTACT_REGION
 from conftest import half_curl
 
@@ -136,6 +143,39 @@ def test_neighbor_table_shares_one_int_per_index():
     entries = [index for neighbors in table for index in neighbors]
     assert len(set(map(id, entries))) == len(set(entries)) == grid.n_markers
     assert held < 40 * 1024
+
+
+@pytest.mark.parametrize(
+    "grid, dtype",
+    [
+        (MarkerGrid(), np.uint16),
+        # Off-centre: position differences round, so mirror markers can differ in distance.
+        (MarkerGrid(rows=7, cols=9, pitch=0.7, origin=(123.456, -98.7)), np.uint8),
+        (MarkerGrid(rows=300, cols=300, pitch=1.3, origin=(-4.1e5, 7.7e5)), np.uint32),
+    ],
+)
+def test_distance_order_is_a_kept_stable_argsort(grid, dtype):
+    pos, n = grid.reference_positions, grid.n_markers
+    centers = list(range(0, n, n // (KEPT_CENTRE_ORDERS + 1)))[: KEPT_CENTRE_ORDERS + 1]
+    kept = {}
+    for center in centers:
+        rank, order = kept[center] = grid.distance_order(center)
+        cx, cy = pos[center].tolist()
+        fresh = np.argsort(np.hypot(pos[:, 0] - cx, pos[:, 1] - cy), kind="stable")
+        assert order.dtype == rank.dtype == dtype
+        assert np.array_equal(order, fresh) and np.array_equal(rank[fresh], np.arange(n))
+        assert not (rank.flags.writeable or order.flags.writeable)
+        assert grid.distance_order(center) is kept[center]
+    # Nine centres asked for: the first was dropped, the other eight are kept.
+    first, *rest = centers
+    for center in reversed(rest):
+        assert grid.distance_order(center) is kept[center]
+    again = grid.distance_order(first)
+    assert again is not kept[first]
+    assert all(np.array_equal(a, b) for a, b in zip(again, kept[first]))
+    for center in (-1, n, 1.0, True, np.int64(1)):
+        with pytest.raises(UsageError, match="^center must"):
+            grid.distance_order(center)
 
 
 def test_frame_validates_shape_and_finiteness():
@@ -279,3 +319,40 @@ def test_frame_result_holds_each_fact_once():
         held = FrameResult(theta, contact, angles, stick).theta
         assert held == 5.0 and type(held) is float
     assert FrameResult(0, no_contact, None, NO_CONTACT_REGION).theta == 0.0
+
+
+def test_regions_refuse_a_ratio_or_a_no_contact_they_cannot_have():
+    for ratio in (-0.1, 1.5, math.nan, "0.5", None):
+        with pytest.raises(UsageError, match="^stick_ratio must"):
+            StickRegion(frozenset({0}), 1.0, ContactState.STICK, ratio)
+    for members, mean, ratio in ((frozenset({0}), 0.0, 0.0), (frozenset(), 0.0, 0.5),
+                                 (frozenset(), 3.0, 0.0), (frozenset(), math.nan, 0.0)):
+        with pytest.raises(UsageError, match="^a NoContact region has no members"):
+            StickRegion(members, mean, ContactState.NO_CONTACT, ratio)
+    for ratio in (0, 0.0, 1, 1.0):
+        assert StickRegion(frozenset({0}), -2.0, ContactState.STICK, ratio).stick_ratio == ratio
+    assert StickRegion(frozenset(), 0.0, ContactState.NO_CONTACT, 0.0) == NO_CONTACT_REGION
+
+
+def test_frame_result_refuses_records_of_different_grids_and_a_wrong_ratio():
+    flags = np.ones(4, dtype=bool)
+    contact = ContactMask(flags, center_index=0)
+    angles16 = LineFeatureAngles(np.zeros(16), np.ones(16, dtype=bool))
+    # A 4-marker mask, a 16-marker angle record and 2 members where 4 are flagged.
+    region = StickRegion(frozenset({0, 99}), -1.0, ContactState.STICK, 0.25)
+    with pytest.raises(UsageError, match=r"angle record has shape \(16,\), its mask \(4,\)$"):
+        FrameResult(1.0, contact, angles16, region)
+    angles = LineFeatureAngles(np.zeros(4), flags)
+    with pytest.raises(UsageError, match="stick ratio must be 2 members / 4 flagged, got 0.25"):
+        FrameResult(1.0, contact, angles, region)
+    partial = ContactMask(np.array([True, True, True, False]), center_index=1)
+    assert partial.n_flagged == 3 and type(partial.n_flagged) is int
+    for members in (frozenset(), frozenset({1}), frozenset({0, 1, 2})):
+        ratio = len(members) / 3
+        state = ContactState.MACRO_SLIP if len(members) < 3 else ContactState.STICK
+        result = FrameResult(1.0, partial, angles, StickRegion(members, -1.0, state, ratio))
+        assert result.region.stick_ratio == ratio
+        # The ratio is the one division growth makes, so one ulp off is refused.
+        for wrong in ((ratio + 0.25) % 1.0, math.nextafter(ratio, 0.5)):
+            with pytest.raises(UsageError, match="stick ratio must be"):
+                FrameResult(1.0, partial, angles, StickRegion(members, -1.0, state, wrong))

@@ -70,8 +70,9 @@ def test_soft_mode_applies_correction():
 
 
 def test_no_contact_forces_zero():
-    region = StickRegion(frozenset(), 3.0, ContactState.NO_CONTACT, 0.0)
-    assert estimate_rotation(region, RIGID) == 0.0
+    # A NoContact region's mean is 0; the soft offset (l_xy - l_yx) / 2 would not be.
+    assert estimate_rotation(NO_CONTACT_REGION, RIGID) == 0.0
+    assert estimate_rotation(NO_CONTACT_REGION, SoftnessParams(k=0.2, l_xy=1.0)) == 0.0
 
 
 def test_estimator_antisymmetry_exact():

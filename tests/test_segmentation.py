@@ -239,14 +239,23 @@ FIELD_KINDS = ("random", "certified", "edge", "near_eps", "mixed", "underflow")
     lo=st.floats(0.06, 20.0),
     fraction=st.floats(0.0, 0.9),
     rel=st.one_of(st.floats(-3e-9, 3e-9), st.integers(-4, 4).map(lambda k: k * 2.0**-52)),
+    # An off-centre origin: position differences round, so distances that
+    # would tie on a centred grid may differ in their last bits.
+    origin=st.one_of(st.none(), st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))),
+    more_centers=st.integers(0, 3),
 )
 # A 3x3 field of 1e-170 with epsilon 1e-200, every marker flagged and valid
 # and the centre at index 4: the centre's difference to itself is inf.
 @example(kind="underflow", rows=3, cols=3, pitch=1.0, base=0.0, spread=1.0, seed=241,
-         delta_phi_th=0.4, sign=1.0, lo=1.0, fraction=0.0, rel=0.0)
+         delta_phi_th=0.4, sign=1.0, lo=1.0, fraction=0.0, rel=0.0, origin=None, more_centers=0)
+# Ten centres on one grid, then back: the grid keeps the orders of eight, so
+# the walk back reuses kept orders and remakes dropped ones.
+@example(kind="random", rows=6, cols=7, pitch=0.7, base=3.0, spread=2.0, seed=7,
+         delta_phi_th=0.4, sign=1.0, lo=1.0, fraction=0.0, rel=0.0,
+         origin=(123.456, -98.7), more_centers=9)
 def test_growth_matches_loop_oracle(kind, rows, cols, pitch, base, spread, seed, delta_phi_th,
-                                    sign, lo, fraction, rel):
-    grid = MarkerGrid(rows=rows, cols=cols, pitch=pitch)
+                                    sign, lo, fraction, rel, origin, more_centers):
+    grid = MarkerGrid(rows=rows, cols=cols, pitch=pitch, origin=origin)
     rng = np.random.default_rng(seed)
     n = grid.n_markers
     center = int(rng.integers(n))
@@ -292,6 +301,38 @@ def test_growth_matches_loop_oracle(kind, rows, cols, pitch, base, spread, seed,
         assert certified
     elif kind == "mixed":
         assert not certified
+    # More centres among the admissible markers, grown on the same grid object.
+    extra = rng.permutation(np.flatnonzero(flags & valid))[:more_centers].tolist()
+    for other_center in extra + extra[::-1]:
+        other_mask = ContactMask(flags, center_index=other_center)
+        region = grow_stick_region(grid, other_mask, angles, cfg)
+        members, mean_angle, state = loop_grow_stick_region(grid, other_mask, angles, cfg)
+        assert (region.members, region.mean_angle, region.state) == (members, mean_angle, state)
+
+
+def test_heap_growth_makes_each_centres_distance_order_once():
+    grid = MarkerGrid(rows=6, cols=7, pitch=0.9, origin=(10.3, -4.4))
+    rng = np.random.default_rng(3)
+    n = grid.n_markers
+    everywhere = np.ones(n, dtype=bool)
+    # Angles of both signs: no certificate, so every call takes the heap.
+    angles = LineFeatureAngles(rng.choice([-1.0, 1.0], n) * (1.0 + rng.random(n)), everywhere)
+    centers = (8, 30, 8, 8, 30, 17, 30, 8)
+    masks = [ContactMask(everywhere, center_index=center) for center in centers]
+    expected = [loop_grow_stick_region(grid, mask, angles, CFG) for mask in masks]
+    hypot, made = np.hypot, []
+
+    def counting(*args, **kwargs):
+        made.append(args)
+        return hypot(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "hypot", counting)
+        for mask, (members, mean_angle, state) in zip(masks, expected):
+            region, certified = _grow_with_branch(grid, mask, angles, CFG)
+            assert not certified
+            assert (region.members, region.mean_angle, region.state) == (members, mean_angle, state)
+    assert len(made) == len(set(centers))
 
 
 def test_growth_rejects_at_exact_threshold():
