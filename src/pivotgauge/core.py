@@ -21,7 +21,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -55,9 +55,25 @@ SIDES = ((0, -1), (0, 1), (-1, 0), (1, 0))
 # the oldest is dropped first. The static sweep at the README's compare
 # settings grows from 4 centres, the three-lift replay from 1.
 KEPT_CENTRE_ORDERS = 8
+# Most (centre, admissible set) pairs whose connected component a grid keeps
+# (MarkerGrid.component); the oldest is dropped first. A three-lift replay
+# grows certified regions from 5 to 9 such pairs.
+KEPT_COMPONENTS = 8
 _FLOAT_MAX = sys.float_info.max  # an int beyond it has no float value
 _REALS = (int, float, np.integer, np.floating)  # bool is an int: refused separately
 _ROWS = (list, tuple, range, np.ndarray)  # kinds of rows, and of sequences of them
+
+
+def _kept(store: dict, limit: int, key: Any, make: Callable[..., Any], *args: Any) -> Any:
+    """``store[key]``, made as ``make(*args)`` when missing. ``store`` holds
+    the last ``limit`` values made and drops the oldest first."""
+    found = store.get(key)
+    if found is None:
+        found = make(*args)
+        if len(store) >= limit:
+            del store[next(iter(store))]
+        store[key] = found
+    return found
 
 
 class UsageError(ValueError):
@@ -201,6 +217,8 @@ class MarkerGrid:
         pos.setflags(write=False)
         object.__setattr__(self, "_positions", pos)
         object.__setattr__(self, "_distance_orders", {})  # centre -> (rank, order)
+        # (centre, admissible mask bytes) -> (members, index)
+        object.__setattr__(self, "_components", {})
 
     @property
     def n_markers(self) -> int:
@@ -254,6 +272,10 @@ class MarkerGrid:
         mask.setflags(write=False)
         return mask
 
+    def _check_center(self, center: Any) -> None:
+        if type(center) is not int or not 0 <= center < self.n_markers:
+            raise UsageError(f"center must be an int marker index, got {center!r}")
+
     def distance_order(self, center: int) -> tuple[np.ndarray, np.ndarray]:
         """``(rank, order)`` of the markers by distance to marker ``center``,
         ties by lower index: ``order`` lists the indices nearest first and
@@ -261,25 +283,54 @@ class MarkerGrid:
         read-only arrays of the smallest unsigned dtype that holds
         ``n_markers - 1``. The orders of the last ``KEPT_CENTRE_ORDERS``
         centres asked for are kept, the oldest dropped first."""
-        if type(center) is not int or not 0 <= center < self.n_markers:
-            raise UsageError(f"center must be an int marker index, got {center!r}")
+        self._check_center(center)
         kept = self._distance_orders  # type: ignore[attr-defined]
-        found = kept.get(center)
-        if found is None:
-            pos = self._positions  # type: ignore[attr-defined]
-            cx, cy = pos[center].tolist()
-            # A stable sort of the distances orders ties by index.
-            order = np.argsort(np.hypot(pos[:, 0] - cx, pos[:, 1] - cy), kind="stable")
-            dtype = np.min_scalar_type(self.n_markers - 1)
-            rank = np.empty(self.n_markers, dtype=dtype)
-            rank[order] = np.arange(self.n_markers, dtype=dtype)
-            found = rank, order.astype(dtype)
-            for arr in found:
-                arr.setflags(write=False)
-            if len(kept) >= KEPT_CENTRE_ORDERS:
-                del kept[next(iter(kept))]
-            kept[center] = found
+        return _kept(kept, KEPT_CENTRE_ORDERS, center, self._distance_order, center)
+
+    def _distance_order(self, center: int) -> tuple[np.ndarray, np.ndarray]:
+        pos = self._positions  # type: ignore[attr-defined]
+        cx, cy = pos[center].tolist()
+        # A stable sort of the distances orders ties by index.
+        order = np.argsort(np.hypot(pos[:, 0] - cx, pos[:, 1] - cy), kind="stable")
+        dtype = np.min_scalar_type(self.n_markers - 1)
+        rank = np.empty(self.n_markers, dtype=dtype)
+        rank[order] = np.arange(self.n_markers, dtype=dtype)
+        found = rank, order.astype(dtype)
+        for arr in found:
+            arr.setflags(write=False)
         return found
+
+    def component(self, center: int, admissible: np.ndarray) -> tuple[frozenset[int], np.ndarray]:
+        """``(members, index)``: the 4-connected component of the markers
+        where the bool mask ``admissible`` is True that holds marker
+        ``center``, as a frozenset and as a read-only ascending ``intp`` index
+        array. ``center`` must be admissible. The components of the last
+        ``KEPT_COMPONENTS`` (centre, admissible set) pairs asked for are
+        kept, the oldest dropped first."""
+        self._check_center(center)
+        if not (isinstance(admissible, np.ndarray) and admissible.dtype == bool):
+            kind = getattr(admissible, "dtype", type(admissible).__name__)
+            raise UsageError(f"admissible mask must be a bool array, got {kind}")
+        self.require("admissible mask", admissible.shape)
+        key = center, admissible.tobytes()
+        kept = self._components  # type: ignore[attr-defined]
+        return _kept(kept, KEPT_COMPONENTS, key, self._component, *key)
+
+    def _component(self, center: int, admissible: bytes) -> tuple[frozenset[int], np.ndarray]:
+        seen = bytearray(admissible)  # an entry is cleared when it is reached
+        if not seen[center]:
+            raise UsageError(f"center {center} is not an admissible marker")
+        seen[center] = False
+        neighbors = self.neighbors
+        members = [center]
+        for idx in members:  # appended to while walked: breadth first
+            for nbr in neighbors[idx]:
+                if seen[nbr]:
+                    seen[nbr] = False
+                    members.append(nbr)
+        index = np.fromiter(sorted(members), dtype=np.intp, count=len(members))
+        index.setflags(write=False)
+        return frozenset(members), index
 
 
 @dataclass(frozen=True, eq=False)

@@ -116,8 +116,12 @@ def grow_stick_region(
     Flagged markers without a valid angle are not admissible and do not
     carry connectivity. When every pair of admissible angles provably passes
     the admission test (``features.admission_certain``), growth reduces to
-    the 4-connected component of admissible markers around the centre, found
-    breadth-first without the heap or the per-marker test; the result is the same.
+    the 4-connected component of admissible markers around the centre, which
+    the grid finds breadth-first without the heap or the per-marker test; the
+    result is the same. The grid keeps the components of the last 8 (centre,
+    admissible set) pairs (``MarkerGrid.component``), about 10 KB each for a
+    150-marker component, so a patch that holds still is walked once; the
+    mean is taken from each frame's own angles.
     """
     grid.require("contact mask", mask.flags.shape)
     grid.require("angle record", angles.angles.shape)
@@ -129,25 +133,22 @@ def grow_stick_region(
             members=frozenset(), mean_angle=0.0, state=ContactState.MACRO_SLIP, stick_ratio=0.0
         )
 
-    neighbors = grid.neighbors
     admissible_mask = mask.flags & angles.valid
-    admissible = bytearray(admissible_mask.tobytes())
-    # A marker's admissible entry is cleared when it is reached, so the bytes
-    # are also the seen-set. The centre is flagged and valid, so the
-    # certificate covers its angle too.
-    admissible[center] = False
-    # The centre is admitted untested: for angles and epsilon_angle below
-    # ~1e-162 their squares underflow and its difference to itself is inf.
-    members = [center]
     if admission_certain(angles.angles[admissible_mask], cfg.delta_phi_th, cfg.epsilon_angle):
         # Every admission test would pass, so the region is the centre's
-        # 4-connected admissible component, whatever the visiting order.
-        for idx in members:  # appended to while walked: breadth first
-            for nbr in neighbors[idx]:
-                if admissible[nbr]:
-                    admissible[nbr] = False
-                    members.append(nbr)
+        # 4-connected admissible component, whatever the visiting order. The
+        # centre is flagged and valid, so the certificate covers its angle too.
+        members, index = grid.component(center, admissible_mask)
+        mean_angle = float(angles.angles[index].sum() / len(index))
     else:
+        neighbors = grid.neighbors
+        admissible = bytearray(admissible_mask.tobytes())
+        # A marker's admissible entry is cleared when it is reached, so the
+        # bytes are also the seen-set.
+        admissible[center] = False
+        # The centre is admitted untested: for angles and epsilon_angle below
+        # ~1e-162 their squares underflow and its difference to itself is inf.
+        grown = [center]
         # The frontier holds ranks in the grid's (distance, index) order, as
         # Python ints: a heap of ints pops what a heap of those pairs would.
         rank, order = map(memoryview, grid.distance_order(center))
@@ -161,12 +162,14 @@ def grow_stick_region(
                 angle = phi(idx)
                 if not normalized_angle_difference(angle, mean, epsilon) < threshold:
                     continue
-                members.append(idx)
-                mean += (angle - mean) / len(members)
+                grown.append(idx)
+                mean += (angle - mean) / len(grown)
             for nbr in neighbors[idx]:
                 if admissible[nbr]:
                     admissible[nbr] = False
                     heappush(frontier, rank[nbr])
+        members = frozenset(grown)
+        mean_angle = float(angles.angles[sorted(grown)].sum() / len(grown))
 
     n_flagged = mask.n_flagged
     if len(members) < cfg.min_stick_markers:
@@ -176,8 +179,8 @@ def grow_stick_region(
     else:
         state = ContactState.INCIPIENT_SLIP
     return StickRegion(
-        members=frozenset(members),
-        mean_angle=float(angles.angles[sorted(members)].sum() / len(members)),
+        members=members,
+        mean_angle=mean_angle,
         state=state,
         stick_ratio=len(members) / n_flagged,
     )

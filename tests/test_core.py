@@ -25,6 +25,7 @@ from pivotgauge import (
 )
 from pivotgauge.core import (
     KEPT_CENTRE_ORDERS,
+    KEPT_COMPONENTS,
     MAX_DISPLACEMENT_MM,
     MAX_GRID_MM,
     MAX_MARKERS,
@@ -176,6 +177,42 @@ def test_distance_order_is_a_kept_stable_argsort(grid, dtype):
     for center in (-1, n, 1.0, True, np.int64(1)):
         with pytest.raises(UsageError, match="^center must"):
             grid.distance_order(center)
+
+
+def test_component_is_the_kept_admissible_component_of_its_centre():
+    grid = MarkerGrid(rows=3, cols=4)
+    # Two components: the left column with the top row, and the right column.
+    admissible = np.zeros(12, dtype=bool)
+    admissible[[0, 1, 2, 4, 8, 7, 11]] = True
+    members, index = grid.component(8, admissible)
+    assert members == {0, 1, 2, 4, 8} and index.tolist() == [0, 1, 2, 4, 8]
+    assert index.dtype == np.intp and not index.flags.writeable
+    assert grid.component(1, admissible)[0] == members
+    assert grid.component(11, admissible)[0] == {7, 11}
+    kept = grid.component(8, admissible)
+    assert kept[0] is members and kept[1] is index
+    # Eight more (centre, admissible set) pairs drop the first one.
+    for center in range(KEPT_COMPONENTS):
+        grid.component(center, np.ones(12, dtype=bool))
+    again = grid.component(8, admissible)
+    assert again[0] == members and again[0] is not members
+
+
+def test_component_refuses_a_bad_centre_or_mask():
+    grid = MarkerGrid(rows=3, cols=4)
+    admissible = np.ones(12, dtype=bool)
+    for center in (-1, 12, 1.0, True, np.int64(1)):
+        with pytest.raises(UsageError, match="^center must"):
+            grid.component(center, admissible)
+    for mask in (np.ones(11, dtype=bool), np.ones((12, 1), dtype=bool)):
+        with pytest.raises(UsageError, match="^admissible mask has shape"):
+            grid.component(0, mask)
+    for mask in (np.ones(12), [True] * 12):
+        with pytest.raises(UsageError, match="^admissible mask must be a bool array"):
+            grid.component(0, mask)
+    admissible[5] = False
+    with pytest.raises(UsageError, match="^center 5 is not an admissible marker"):
+        grid.component(5, admissible)
 
 
 def test_frame_validates_shape_and_finiteness():

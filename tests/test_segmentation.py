@@ -253,6 +253,11 @@ FIELD_KINDS = ("random", "certified", "edge", "near_eps", "mixed", "underflow")
 @example(kind="random", rows=6, cols=7, pitch=0.7, base=3.0, spread=2.0, seed=7,
          delta_phi_th=0.4, sign=1.0, lo=1.0, fraction=0.0, rel=0.0,
          origin=(123.456, -98.7), more_centers=9)
+# The same for certified growth from ten admissible sets: the grid keeps the
+# components of eight (centre, admissible set) pairs.
+@example(kind="certified", rows=6, cols=7, pitch=1.0, base=0.0, spread=1.0, seed=5,
+         delta_phi_th=0.4, sign=-1.0, lo=2.0, fraction=0.5, rel=0.0, origin=None,
+         more_centers=9)
 def test_growth_matches_loop_oracle(kind, rows, cols, pitch, base, spread, seed, delta_phi_th,
                                     sign, lo, fraction, rel, origin, more_centers):
     grid = MarkerGrid(rows=rows, cols=cols, pitch=pitch, origin=origin)
@@ -301,10 +306,29 @@ def test_growth_matches_loop_oracle(kind, rows, cols, pitch, base, spread, seed,
         assert certified
     elif kind == "mixed":
         assert not certified
-    # More centres among the admissible markers, grown on the same grid object.
-    extra = rng.permutation(np.flatnonzero(flags & valid))[:more_centers].tolist()
-    for other_center in extra + extra[::-1]:
-        other_mask = ContactMask(flags, center_index=other_center)
+    admissible = np.flatnonzero(flags & valid)
+    if certified:
+        # A second certified field over the same mask, its admissible angles
+        # shuffled, reuses the component the grid kept for the first.
+        shuffled = phi.copy()
+        shuffled[admissible] = rng.permutation(phi[admissible])
+        again = LineFeatureAngles(shuffled, valid)
+        region_again, still_certified = _grow_with_branch(grid, mask, again, cfg)
+        assert still_certified and region_again.members is region.members
+        members, mean_angle, state = loop_grow_stick_region(grid, mask, again, cfg)
+        assert region_again.members == members
+        assert region_again.mean_angle == mean_angle
+        assert region_again.state is state
+        assert region_again.stick_ratio == len(members) / mask.n_flagged
+    # More centres among the admissible markers, grown on the same grid object,
+    # each with the centres before it left out: distinct admissible sets.
+    extra = rng.permutation(admissible)[:more_centers].tolist()
+    other_masks = []
+    for i, other_center in enumerate(extra):
+        other_flags = flags.copy()
+        other_flags[extra[:i]] = False
+        other_masks.append(ContactMask(other_flags, center_index=other_center))
+    for other_mask in other_masks + other_masks[::-1]:
         region = grow_stick_region(grid, other_mask, angles, cfg)
         members, mean_angle, state = loop_grow_stick_region(grid, other_mask, angles, cfg)
         assert (region.members, region.mean_angle, region.state) == (members, mean_angle, state)
@@ -333,6 +357,51 @@ def test_heap_growth_makes_each_centres_distance_order_once():
             assert not certified
             assert (region.members, region.mean_angle, region.state) == (members, mean_angle, state)
     assert len(made) == len(set(centers))
+
+
+def test_certified_growth_walks_each_kept_component_once():
+    grid = MarkerGrid(rows=6, cols=7, pitch=0.9)
+    rng = np.random.default_rng(4)
+    n = grid.n_markers
+    flags = rng.random(n) < 0.8
+    flags[20] = True
+    everywhere = np.ones(n, dtype=bool)
+    mask = ContactMask(flags, center_index=20)
+    # Three fields of one sign within 5% of each other: every one is certified.
+    fields = [LineFeatureAngles(base * (1.0 + 0.05 * rng.random(n)), everywhere)
+              for base in (2.0, 3.0, -4.0)]
+    walk, walks = MarkerGrid._component, []
+
+    def counting(self, *args):
+        walks.append(args)
+        return walk(self, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(MarkerGrid, "_component", counting)
+        regions = []
+        for angles in fields:
+            region, certified = _grow_with_branch(grid, mask, angles, CFG)
+            members, mean_angle, state = loop_grow_stick_region(grid, mask, angles, CFG)
+            assert certified
+            assert (region.members, region.mean_angle, region.state) == (members, mean_angle, state)
+            regions.append(region)
+        assert len(walks) == 1
+        assert all(region.members is regions[0].members for region in regions)
+        assert len({region.mean_angle for region in regions}) == 3
+        # One marker of the component fewer is another admissible set.
+        fewer = flags.copy()
+        fewer[max(regions[0].members)] = False
+        fewer_mask = ContactMask(fewer, center_index=20)
+        region = grow_stick_region(grid, fewer_mask, fields[0], CFG)
+        assert len(walks) == 2
+        assert region.members == loop_grow_stick_region(grid, fewer_mask, fields[0], CFG)[0]
+        assert len(region.members) < len(regions[0].members)
+        members, index = grid.component(20, flags)
+        assert len(walks) == 2
+    assert members is regions[0].members
+    assert index.tolist() == sorted(members)
+    with pytest.raises(ValueError, match="read-only"):
+        index[0] = 0
 
 
 def test_growth_rejects_at_exact_threshold():
