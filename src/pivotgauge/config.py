@@ -169,8 +169,11 @@ def three_lift_scenario() -> SimScenario:
 def apply_overrides(document: dict[str, Any], overrides: list[str]) -> dict[str, Any]:
     """Apply ``section.key=value`` override strings to a raw document.
 
-    Values are parsed as JSON when possible, else kept as strings.
+    Values are parsed as JSON when possible, else kept as strings. A
+    document that is not an object is refused as ``build_config`` refuses it.
     """
+    if not isinstance(document, dict):
+        raise ConfigError("config document must be a JSON object")
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override must look like section.key=value, got '{item}'")

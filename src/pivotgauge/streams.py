@@ -16,6 +16,12 @@ reproduces bit-identical values. This holds for finite values only, which
 the part of its line after ``"t"`` is formatted once per ``GroundTruth``
 object: the frames of a hold, which share one truth, reuse that text.
 
+``read_frames`` parses each frame line with ``json.loads``. When the line's
+text shows that every leaf is a number, as on each line ``write_frame``
+writes, its rows are read into an array in one pass; any other line goes
+through the number rule of ``Frame``, and both give the same frame or the
+same warning.
+
 CSV output is RFC-4180-style with a header row, ``.`` decimal separator
 and 6 significant digits for every float cell; other cells (counts,
 states) are written with ``str``.
@@ -25,7 +31,9 @@ from __future__ import annotations
 
 import functools
 import json
+from contextlib import suppress
 from dataclasses import asdict
+from itertools import chain
 from typing import IO, Any, Iterable, Iterator, Optional
 
 import numpy as np
@@ -111,7 +119,7 @@ class NumberedLines:
 def read_header(lines: Iterator[str]) -> MarkerGrid:
     """Parse the stream header into a grid; malformed header is fatal."""
     for line in lines:
-        if line.strip():
+        if line and not line.isspace():
             break
     else:
         raise StreamFormatError("empty stream: no header line")
@@ -128,6 +136,25 @@ def read_header(lines: Iterator[str]) -> MarkerGrid:
         raise StreamFormatError(f"bad stream header: {exc}") from exc
 
 
+def _numbers_at_once(line: Any, d: Any) -> Any:
+    """A frame line's rows ``d`` as the array the number rule would make of
+    them, read in one pass, or ``d`` itself when its text cannot vouch for them.
+
+    The keys ``t`` and ``d`` take four ``"``, so a ``str`` line with exactly
+    four holds no other string, and one with no ``u`` or ``a`` holds no
+    ``true``, ``null``, ``false``, ``NaN`` or ``\\u`` escape. Every leaf json
+    made of it is then an int, a float, a list or ``{}``. ``np.fromiter``
+    refuses the last two and an int beyond float range, and converts the rest
+    as the number rule does, so when each row has three leaves its array is
+    the rule's own. Any other line, a bytes line from a binary file included,
+    keeps its rows, and the rule gives their frame or its warning."""
+    if type(line) is str and line.count('"') == 4 and "u" not in line and "a" not in line:
+        with suppress(TypeError, ValueError, OverflowError):
+            if set(map(len, d)) == {3}:
+                return np.fromiter(chain.from_iterable(d), float, count=3 * len(d)).reshape(-1, 3)
+    return d
+
+
 def read_frames(lines: Iterator[str], grid: MarkerGrid, warn: IO[str]) -> Iterator[Frame]:
     """Yield frames from NDJSON lines, skipping malformed ones with a warning
     to ``warn``.
@@ -142,11 +169,12 @@ def read_frames(lines: Iterator[str], grid: MarkerGrid, warn: IO[str]) -> Iterat
         lines = NumberedLines(lines, read=1)
     last_t: Optional[float] = None
     for line in lines:
-        if not line.strip():
+        if not line or line.isspace():
             continue
         try:
             obj = json.loads(line)
-            frame = Frame(timestamp=obj["t"], displacements=obj["d"])
+            t, d = obj["t"], obj["d"]
+            frame = Frame(timestamp=t, displacements=_numbers_at_once(line, d))
             grid.require("frame", (frame.n_markers,))
             if last_t is not None and not frame.timestamp > last_t:
                 raise ValueError(f"out-of-order frame: t={frame.timestamp} not after t={last_t}")

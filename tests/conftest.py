@@ -371,6 +371,28 @@ def reference_write_truth(out, t: float, truth: GroundTruth) -> None:
     )
 
 
+def reference_read_frames(lines, grid: MarkerGrid, warn):
+    """The frame reader with every line's rows through the number rule:
+    ``Frame(obj["t"], obj["d"])`` on each parsed line, lines numbered as
+    following a header on line 1. The package's reader, which reads some
+    lines' rows in one pass, must give the same frames and warnings."""
+    last_t = None
+    for lineno, line in enumerate(lines, start=2):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+            frame = Frame(obj["t"], obj["d"])
+            grid.require("frame", (frame.n_markers,))
+            if last_t is not None and not frame.timestamp > last_t:
+                raise ValueError(f"out-of-order frame: t={frame.timestamp} not after t={last_t}")
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+            print(f"warning: skipping frame line {lineno}: {exc}", file=warn)
+            continue
+        last_t = frame.timestamp
+        yield frame
+
+
 def finite_steps_and_slopes(points) -> bool:
     """The breakpoint rule on neighbouring rows of a well-formed list, in
     Python floats: every t step and every slope is finite."""

@@ -26,6 +26,7 @@ from pivotgauge.core import (
 from pivotgauge.harness import estimate_from_stream, run_dynamic, run_static_sweep
 from pivotgauge.simulate import SimScenario, frame_count, iter_trajectory
 from pivotgauge.streams import (
+    NumberedLines,
     StreamFormatError,
     fmt,
     read_frames,
@@ -36,7 +37,9 @@ from pivotgauge.streams import (
     write_truth,
 )
 
-from conftest import reference_write_frame, reference_write_truth, run_times
+from conftest import reference_read_frames, reference_write_frame, reference_write_truth, run_times
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_default_config_builds():
@@ -118,6 +121,17 @@ def test_config_document_and_its_sections_are_objects(tmp_path, capsys):
     listed.write_text("[]")
     assert main(["sweep", "--config", str(listed)]) == 2
     assert "error: config document must be a JSON object" in capsys.readouterr().err
+    # An override, or a flag that stands for one, is refused on the same
+    # document, before any output, not walked into.
+    out = tmp_path / "out.csv"
+    for text in ("[]", '"x"', "null"):
+        listed.write_text(text)
+        for args in (["dynamic", "--set", "grid.rows=3"], ["dynamic", "--seed", "1"],
+                     ["sweep", "--trials", "1"]):
+            assert main([*args, "--config", str(listed), "--out", str(out)]) == 2, (text, args)
+            captured = capsys.readouterr()
+            assert captured.out == "" and not out.exists(), (text, args)
+            assert captured.err.endswith("error: config document must be a JSON object\n")
     scalar = tmp_path / "scalar.json"
     scalar.write_text('{"scenario": 5}')
     assert main(["dynamic", "--config", str(scalar), "--set", "scenario.rng_seed=1"]) == 2
@@ -511,6 +525,164 @@ def test_read_frames_survives_hostile_lines(data):
     nonblank = [lineno for lineno, line in enumerate(lines, start=2) if line.strip()]
     assert len(set(warned)) == len(warned) and set(warned) <= set(nonblank)
     assert len(frames) + len(warnings) == len(nonblank)
+
+
+# Leaf texts a frame line may hold instead of a written float: literals,
+# strings, containers, non-finite and out-of-range numbers, which the reader
+# must leave to the number rule, and ints and other number forms, which it
+# may read in one pass only as that rule reads them.
+_LEAVES = ("true", "false", "null", '"1.5"', '"-2"', '"1e3"', '"t"', "{}", "[]", "[1.5]",
+           "1" + "0" * 400, "NaN", "Infinity", "-Infinity", "1e400", "123456789012345678901234567",
+           "-0", "7", "1E-3", "-0.0", "5e-324", "1e-400")
+# What may follow the rows: extra keys with and without an a or u, in name or
+# value, and repeated keys, whose last value json keeps.
+_TAILS = (', "k": 1', ', "a": 1', ', "u": 1', ', "x": true', ', "x": "abc"', ', "note": []',
+          ', "t": -1', ', "d": [[0, 0, 0]]', ', "d": {}')
+_BAD_TIMES = ('"0.5"', "true", "false", "null", "NaN", "Infinity", "[]", "{}", "1" + "0" * 400)
+_BLANKS = ("", "\n", " \t\n", "\x1c\n", "\u3000\n")
+
+
+def _rows_text(rows: list[list[str]]) -> str:
+    return "[" + ", ".join("[" + ", ".join(row) + "]" for row in rows) + "]"
+
+
+def _frame_line(t: str, d: str, tail: str = "") -> str:
+    """A frame line as ``write_frame`` lays it out, from its texts."""
+    return '{"t": ' + t + ', "d": ' + d + tail + "}\n"
+
+
+def _variants(t: str, rows: list[list[str]]) -> list:
+    """The hostile variants of the frame line with timestamp text ``t`` and leaf texts ``rows``."""
+    def leaf(text: str) -> str:
+        changed = [row[:] for row in rows]
+        changed[-1][1] = text
+        return _rows_text(changed)
+
+    d = _rows_text(rows)
+    lines = [_frame_line(t, leaf(text)) for text in _LEAVES]
+    lines += [_frame_line(t, _rows_text(rows[:-1] + [rows[-1][:2]])),  # ragged rows
+              _frame_line(t, _rows_text(rows[:-1] + [rows[-1] + ["0.5"]]))]
+    lines += [_frame_line(t, d, tail) for tail in _TAILS]
+    lines += [_frame_line(bad, d) for bad in _BAD_TIMES]
+    lines += [_frame_line(t, shape) for shape in ("[]", "{}", "3", "[[]]", "[" + d + "]")]
+    # An escaped key names t too, and a binary file's line is bytes.
+    lines += [_frame_line(t, d).replace('"t"', '"\\u0074"'), _frame_line(t, d).encode()]
+    return lines + list(_BLANKS)
+
+
+def _written(t, d) -> tuple[str, str, list[list[str]]]:
+    """A frame's written line, and its timestamp and leaf texts."""
+    out = io.StringIO()
+    frame = Frame(timestamp=t, displacements=d)
+    write_frame(out, frame)
+    rows = [[repr(x) for x in row] for row in frame.displacements.tolist()]
+    return out.getvalue(), repr(frame.timestamp), rows
+
+
+@st.composite
+def _replay_lines(draw):
+    grid = MarkerGrid(rows=draw(st.integers(2, 3)), cols=draw(st.integers(2, 3)))
+    component = st.one_of(st.floats(-5.0, 5.0), st.sampled_from([MAX_DISPLACEMENT_MM, -0.0]))
+    times = st.lists(st.one_of(st.integers(-5, 5), st.floats(-10.0, 10.0)), max_size=8, unique=True)
+    lines = []
+    for t in sorted(draw(times)):
+        d = draw(st.lists(component, min_size=3 * grid.n_markers, max_size=3 * grid.n_markers))
+        written, t_text, rows = _written(t, np.reshape(d, (-1, 3)))
+        assert _frame_line(t_text, _rows_text(rows)) == written
+        lines.append(draw(st.one_of(st.just(written), st.sampled_from(_variants(t_text, rows)))))
+    if draw(st.booleans()):
+        lines = draw(st.permutations(lines))
+    return grid, lines
+
+
+def _every_variant() -> tuple[MarkerGrid, list]:
+    """Each variant of a 2x2 grid's line at its own time, after a written
+    line of an earlier time: no variant is skipped as out of order."""
+    d = np.arange(12.0).reshape(4, 3) / 7
+    lines = []
+    for k in range(len(_variants("0", [["0"] * 3] * 4))):
+        lines.append(_written(2 * k, d)[0])
+        lines.append(_variants(*_written(2 * k + 1, d)[1:])[k])
+    return MarkerGrid(rows=2, cols=2), lines
+
+
+def _frames_and_warnings(reader, lines, grid) -> tuple[list, str]:
+    warn = io.StringIO()
+    frames = [(type(f.timestamp), f.timestamp.hex(), f.displacements.shape,
+               f.displacements.tobytes()) for f in reader(iter(lines), grid, warn=warn)]
+    return frames, warn.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@example(case=_every_variant())
+@given(case=_replay_lines())
+def test_read_frames_matches_the_number_rule_on_every_line(case):
+    grid, lines = case
+    got = _frames_and_warnings(read_frames, lines, grid)
+    assert got == _frames_and_warnings(reference_read_frames, lines, grid)
+
+
+def test_every_variant_keeps_its_frame_or_warning():
+    # Each written line gives a frame. Of the variants, blank lines give
+    # nothing, and those json reads as the written line would be, ints and
+    # other number forms among them, give frames; the rest give warnings.
+    grid, lines = _every_variant()
+    frames, warned = _frames_and_warnings(read_frames, lines, grid)
+    warned = warned.splitlines()
+    assert len(frames) + len(warned) + len(_BLANKS) == len(lines)
+    # Six number forms, six extra keys, the escaped key and the bytes line.
+    assert len(frames) == len(lines) // 2 + 14
+    finite, width, bounded = ("displacements must be finite numbers, got ",
+                              "displacements must be rows of 3 numbers, got widths ",
+                              "displacements must lie within +-1e+06 mm")
+    objects = "displacements must be lists, tuples or arrays of numbers, got dict"
+    assert [w.split(": ", 2)[2] for w in warned] == [
+        *[finite + name for name in ("bool", "bool", "NoneType", *["str"] * 4, "dict", "list",
+                                     "list")],
+        "displacements contain non-finite values",  # the int beyond float range
+        *[bounded] * 5,  # NaN, +-Infinity, 1e400 and an int beyond the bound
+        width + "[2, 3]", width + "[3, 4]",  # the ragged rows
+        "out-of-order frame: t=-1.0 not after t=60.0",  # json keeps the last "t"
+        "frame has shape (1,), grid expects (4,)",  # and the last "d"
+        objects,
+        *["frame timestamp must be a finite number, got " + value
+          for value in ("'0.5'", "True", "False", "None", "nan", "inf", "[]", "{}",
+                        "1" + "0" * 400)],
+        width + "[]", objects, "displacements must be a sequence of rows of 3 numbers",
+        width + "[0]", width + "[4]",
+    ]
+
+
+def test_writer_lines_are_read_in_one_pass(tmp_path, monkeypatch):
+    stream = tmp_path / "three-lift.ndjson"
+    assert main(["simulate", "--config", "three-lift", "--out", str(stream)]) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a line reached the number rule")
+
+    monkeypatch.setattr("pivotgauge.core.number_rows", refuse)
+    for path in (GOLDEN / "simulate-small.ndjson", stream):
+        with open(path, encoding="utf-8") as handle:
+            lines = NumberedLines(handle)
+            grid = read_header(lines)
+            warn = io.StringIO()
+            assert len(list(read_frames(lines, grid, warn=warn))) == lines.lineno - 1
+        assert warn.getvalue() == "" and lines.lineno == len(path.read_text().splitlines())
+    # A line left to the number rule, here one with an extra key, fails loudly.
+    written, _, _ = _written(0.0, np.zeros((grid.n_markers, 3)))
+    with pytest.raises(AssertionError, match="reached the number rule"):
+        list(read_frames(iter([written.replace("}\n", ', "k": 1}\n')]), grid, warn=warn))
+
+
+@pytest.mark.parametrize("name", ["estimate-hostile", "simulate-small"])
+def test_a_binary_stream_replays_as_its_text(name):
+    results = []
+    for mode in ("r", "rb"):
+        out, warn = io.StringIO(), io.StringIO()
+        with open(GOLDEN / f"{name}.ndjson", mode) as handle:
+            assert estimate_from_stream(handle, load_config(None), out, warn=warn) > 0
+        results.append((out.getvalue(), warn.getvalue()))
+    assert results[0] == results[1]
 
 
 def _stream_header(rows: int, cols: int) -> str:

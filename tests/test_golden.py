@@ -21,7 +21,14 @@ every bit, so the scenario keeps decay exponent 2, which numpy squares
 exactly: only sin, cos, hypot, sqrt and the seeded normal draws set them.
 ``simulate-small-hold`` pins the same grid through a ramp, a hold of angle
 and stick radius, and a ramp back. It was written before frames of a hold
-shared one field, and its bytes equal what the ``json.dumps`` writers give."""
+shared one field, and its bytes equal what the ``json.dumps`` writers give.
+
+``estimate-hostile`` replays the hold's frames among hostile lines: ``true``,
+``false`` and ``null`` leaves, a string leaf, a ragged row, an int beyond
+float range, ``NaN`` and ``Infinity``, an out-of-order line, a string
+timestamp, a blank line and a frame with an extra key. Its CSV and warnings
+were written before the reader took a frame line's rows in one pass, when
+every line went through the number rule of ``Frame``."""
 
 from __future__ import annotations
 
@@ -42,6 +49,7 @@ _RUNS = {
     "compare-light-press-trials5": ["compare", *_LIGHT_PRESS],
     "sweep-three-lift-trials5": ["sweep", "--config", "three-lift", "--trials", "5"],
     "compare-three-lift-trials5": ["compare", "--config", "three-lift", "--trials", "5"],
+    "estimate-hostile": ["estimate", "--in", str(GOLDEN / "estimate-hostile.ndjson")],
 }
 # A 4x5 grid turning from 0 to 9 degrees while it shifts, over four frames.
 _SMALL_SIMULATE = [
