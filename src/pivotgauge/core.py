@@ -57,7 +57,9 @@ SIDES = ((0, -1), (0, 1), (-1, 0), (1, 0))
 KEPT_CENTRE_ORDERS = 8
 # Most (centre, admissible set) pairs whose connected component a grid keeps
 # (MarkerGrid.component); the oldest is dropped first. A three-lift replay
-# grows certified regions from 5 to 9 such pairs.
+# grows certified regions from 5 to 9 such pairs. Each costs about 2.7 KB for a
+# 150-marker component on a 400-marker grid (its sorted index and a
+# one-byte-per-marker key).
 KEPT_COMPONENTS = 8
 _FLOAT_MAX = sys.float_info.max  # an int beyond it has no float value
 _REALS = (int, float, np.integer, np.floating)  # bool is an int: refused separately
@@ -217,7 +219,7 @@ class MarkerGrid:
         pos.setflags(write=False)
         object.__setattr__(self, "_positions", pos)
         object.__setattr__(self, "_distance_orders", {})  # centre -> (rank, order)
-        # (centre, admissible mask bytes) -> (members, index)
+        # (centre, admissible mask bytes) -> member index
         object.__setattr__(self, "_components", {})
 
     @property
@@ -300,13 +302,12 @@ class MarkerGrid:
             arr.setflags(write=False)
         return found
 
-    def component(self, center: int, admissible: np.ndarray) -> tuple[frozenset[int], np.ndarray]:
-        """``(members, index)``: the 4-connected component of the markers
-        where the bool mask ``admissible`` is True that holds marker
-        ``center``, as a frozenset and as a read-only ascending ``intp`` index
-        array. ``center`` must be admissible. The components of the last
-        ``KEPT_COMPONENTS`` (centre, admissible set) pairs asked for are
-        kept, the oldest dropped first."""
+    def component(self, center: int, admissible: np.ndarray) -> np.ndarray:
+        """The 4-connected component of the markers where the bool mask
+        ``admissible`` is True that holds marker ``center``, as a read-only
+        ascending ``intp`` index array. ``center`` must be admissible. The
+        components of the last ``KEPT_COMPONENTS`` (centre, admissible set)
+        pairs asked for are kept, the oldest dropped first."""
         self._check_center(center)
         if not (isinstance(admissible, np.ndarray) and admissible.dtype == bool):
             kind = getattr(admissible, "dtype", type(admissible).__name__)
@@ -316,7 +317,7 @@ class MarkerGrid:
         kept = self._components  # type: ignore[attr-defined]
         return _kept(kept, KEPT_COMPONENTS, key, self._component, *key)
 
-    def _component(self, center: int, admissible: bytes) -> tuple[frozenset[int], np.ndarray]:
+    def _component(self, center: int, admissible: bytes) -> np.ndarray:
         seen = bytearray(admissible)  # an entry is cleared when it is reached
         if not seen[center]:
             raise UsageError(f"center {center} is not an admissible marker")
@@ -330,7 +331,7 @@ class MarkerGrid:
                     members.append(nbr)
         index = np.fromiter(sorted(members), dtype=np.intp, count=len(members))
         index.setflags(write=False)
-        return frozenset(members), index
+        return index
 
 
 @dataclass(frozen=True, eq=False)
@@ -421,24 +422,38 @@ class LineFeatureAngles:
         object.__setattr__(self, "valid", valid)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StickRegion:
     """The grown set of sticking markers with its mean feature angle.
 
+    ``members`` are the region's marker indices, strictly ascending, given
+    as a list, a tuple or an integer array and held as a read-only ``intp``
+    array (an array of its own is kept, as ``frozen_array`` keeps one).
     ``stick_ratio`` is |members| / |flagged contact markers|, within [0, 1].
     A NoContact region has no members, ratio 0 and mean 0.
     """
 
-    members: frozenset[int]
+    members: np.ndarray
     mean_angle: float
     state: ContactState
     stick_ratio: float
 
     def __post_init__(self) -> None:
+        members = np.asarray(self.members)
+        # Neither a float (which would truncate) nor a bool mask is an index,
+        # and a set has no order: numpy makes it a 0-d object array.
+        if members.ndim != 1 or (members.size and members.dtype.kind not in "iu"):
+            raise UsageError("stick members must be a list, tuple or 1-d array of integer "
+                             f"indices, got {type(self.members).__name__} of {members.dtype}, "
+                             f"shape {members.shape}")
+        members = frozen_array(members, np.intp)
+        if members.size and (members.item(0) < 0 or np.count_nonzero(members[1:] <= members[:-1])):
+            raise UsageError("stick members must be strictly ascending non-negative indices")
+        object.__setattr__(self, "members", members)
         if not 0.0 <= finite_number(self.stick_ratio, "stick_ratio") <= 1.0:
             raise UsageError(f"stick_ratio must lie in [0, 1], got {self.stick_ratio!r}")
         if self.state is ContactState.NO_CONTACT and (
-                self.members or self.stick_ratio or self.mean_angle):
+                len(members) or self.stick_ratio or self.mean_angle):
             raise UsageError("a NoContact region has no members, ratio 0 and mean angle 0")
 
 
@@ -472,8 +487,9 @@ class FrameResult:
     ``angles`` (None exactly when no contact was detected, as none are
     computed then) and the stick ``region``, NoContact exactly then too.
     ``theta`` is a finite float, 0 when there is no contact. The mask and
-    the angle record have one length, and with contact the region's stick
-    ratio is its member count over the mask's flagged count."""
+    the angle record have one length, and with contact the region's members
+    lie within it and its stick ratio is its member count over the mask's
+    flagged count."""
 
     theta: float
     mask: ContactMask
@@ -494,8 +510,12 @@ class FrameResult:
         shapes = self.angles.angles.shape, self.mask.flags.shape
         if shapes[0] != shapes[1]:
             raise UsageError("a frame result's angle record has shape %s, its mask %s" % shapes)
-        members, flagged = len(self.region.members), self.mask.n_flagged
+        members, n_markers = self.region.members, len(self.mask.flags)
+        if len(members) and members.item(-1) >= n_markers:  # ascending: the last is the largest
+            raise UsageError(f"a frame result's stick member {members.item(-1)} lies outside "
+                             f"its {n_markers}-marker mask")
+        count, flagged = len(members), self.mask.n_flagged
         ratio = self.region.stick_ratio
-        if ratio != members / flagged:
-            raise UsageError(f"a frame result's stick ratio must be {members} members / "
+        if ratio != count / flagged:
+            raise UsageError(f"a frame result's stick ratio must be {count} members / "
                              f"{flagged} flagged, got {ratio!r}")

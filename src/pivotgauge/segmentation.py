@@ -24,9 +24,11 @@ from .features import admission_certain, normalized_angle_difference
 # Keeps the tangential-deviation score term finite for a motionless patch.
 _SCORE_EPSILON_MM = 1e-6
 
-# The region of every frame without a detected contact.
+# The region of every frame without a detected contact. Its empty member
+# index, read-only, is shared by every region without members: it fits every grid.
 NO_CONTACT_REGION = StickRegion(
-    members=frozenset(), mean_angle=0.0, state=ContactState.NO_CONTACT, stick_ratio=0.0
+    members=np.empty(0, dtype=np.intp), mean_angle=0.0, state=ContactState.NO_CONTACT,
+    stick_ratio=0.0,
 )
 
 
@@ -119,9 +121,11 @@ def grow_stick_region(
     the 4-connected component of admissible markers around the centre, which
     the grid finds breadth-first without the heap or the per-marker test; the
     result is the same. The grid keeps the components of the last 8 (centre,
-    admissible set) pairs (``MarkerGrid.component``), about 10 KB each for a
-    150-marker component, so a patch that holds still is walked once; the
-    mean is taken from each frame's own angles.
+    admissible set) pairs (``MarkerGrid.component``), about 2.7 KB each for a
+    150-marker component on a 400-marker grid (its sorted index and a
+    one-byte-per-marker key), so a patch that holds still is walked once; the
+    mean is taken from each frame's own angles. ``members`` is a read-only
+    ascending ``intp`` index on every path.
     """
     grid.require("contact mask", mask.flags.shape)
     grid.require("angle record", angles.angles.shape)
@@ -130,7 +134,8 @@ def grow_stick_region(
         return NO_CONTACT_REGION
     if not angles.valid[center]:
         return StickRegion(
-            members=frozenset(), mean_angle=0.0, state=ContactState.MACRO_SLIP, stick_ratio=0.0
+            members=NO_CONTACT_REGION.members, mean_angle=0.0, state=ContactState.MACRO_SLIP,
+            stick_ratio=0.0,
         )
 
     admissible_mask = mask.flags & angles.valid
@@ -138,8 +143,7 @@ def grow_stick_region(
         # Every admission test would pass, so the region is the centre's
         # 4-connected admissible component, whatever the visiting order. The
         # centre is flagged and valid, so the certificate covers its angle too.
-        members, index = grid.component(center, admissible_mask)
-        mean_angle = float(angles.angles[index].sum() / len(index))
+        members = grid.component(center, admissible_mask)
     else:
         neighbors = grid.neighbors
         admissible = bytearray(admissible_mask.tobytes())
@@ -168,13 +172,14 @@ def grow_stick_region(
                 if admissible[nbr]:
                     admissible[nbr] = False
                     heappush(frontier, rank[nbr])
-        members = frozenset(grown)
-        mean_angle = float(angles.angles[sorted(grown)].sum() / len(grown))
+        members = np.fromiter(sorted(grown), dtype=np.intp, count=len(grown))
 
-    n_flagged = mask.n_flagged
-    if len(members) < cfg.min_stick_markers:
+    # The sum over ascending indices: the same values in the same order on either path.
+    count, n_flagged = len(members), mask.n_flagged
+    mean_angle = float(angles.angles[members].sum() / count)
+    if count < cfg.min_stick_markers:
         state = ContactState.MACRO_SLIP
-    elif len(members) == n_flagged:
+    elif count == n_flagged:
         state = ContactState.STICK
     else:
         state = ContactState.INCIPIENT_SLIP
@@ -182,5 +187,5 @@ def grow_stick_region(
         members=members,
         mean_angle=mean_angle,
         state=state,
-        stick_ratio=len(members) / n_flagged,
+        stick_ratio=count / n_flagged,
     )

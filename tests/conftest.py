@@ -242,7 +242,7 @@ def reference_grow_stick_region(grid: MarkerGrid, mask, angles, cfg) -> StickReg
     """``loop_grow_stick_region`` as the package's ``StickRegion``."""
     members, mean_angle, state = loop_grow_stick_region(grid, mask, angles, cfg)
     ratio = len(members) / mask.n_flagged if mask.contact_detected else 0.0
-    return StickRegion(members=members, mean_angle=mean_angle, state=state, stick_ratio=ratio)
+    return StickRegion(members=sorted(members), mean_angle=mean_angle, state=state, stick_ratio=ratio)
 
 
 def reference_decay_profile(rho: np.ndarray, r_s: float, a: float, gamma: float) -> np.ndarray:

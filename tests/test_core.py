@@ -184,18 +184,17 @@ def test_component_is_the_kept_admissible_component_of_its_centre():
     # Two components: the left column with the top row, and the right column.
     admissible = np.zeros(12, dtype=bool)
     admissible[[0, 1, 2, 4, 8, 7, 11]] = True
-    members, index = grid.component(8, admissible)
-    assert members == {0, 1, 2, 4, 8} and index.tolist() == [0, 1, 2, 4, 8]
+    index = grid.component(8, admissible)
+    assert index.tolist() == [0, 1, 2, 4, 8]
     assert index.dtype == np.intp and not index.flags.writeable
-    assert grid.component(1, admissible)[0] == members
-    assert grid.component(11, admissible)[0] == {7, 11}
-    kept = grid.component(8, admissible)
-    assert kept[0] is members and kept[1] is index
+    assert grid.component(1, admissible).tolist() == index.tolist()
+    assert grid.component(11, admissible).tolist() == [7, 11]
+    assert grid.component(8, admissible) is index
     # Eight more (centre, admissible set) pairs drop the first one.
     for center in range(KEPT_COMPONENTS):
         grid.component(center, np.ones(12, dtype=bool))
     again = grid.component(8, admissible)
-    assert again[0] == members and again[0] is not members
+    assert again.tolist() == index.tolist() and again is not index
 
 
 def test_component_refuses_a_bad_centre_or_mask():
@@ -342,7 +341,7 @@ def test_frame_result_holds_each_fact_once():
     flags = np.ones(4, dtype=bool)
     no_contact, contact = ContactMask(~flags), ContactMask(flags, center_index=0)
     angles = LineFeatureAngles(np.zeros(4), flags)
-    stick = StickRegion(frozenset(range(4)), -5.0, ContactState.STICK, 1.0)
+    stick = StickRegion([0, 1, 2, 3], -5.0, ContactState.STICK, 1.0)
     # A no-contact frame counted as contact with theta = 5 by the filter.
     with pytest.raises(UsageError, match="^theta must be 0 when no contact is detected$"):
         FrameResult(5.0, no_contact, None, NO_CONTACT_REGION)
@@ -361,14 +360,15 @@ def test_frame_result_holds_each_fact_once():
 def test_regions_refuse_a_ratio_or_a_no_contact_they_cannot_have():
     for ratio in (-0.1, 1.5, math.nan, "0.5", None):
         with pytest.raises(UsageError, match="^stick_ratio must"):
-            StickRegion(frozenset({0}), 1.0, ContactState.STICK, ratio)
-    for members, mean, ratio in ((frozenset({0}), 0.0, 0.0), (frozenset(), 0.0, 0.5),
-                                 (frozenset(), 3.0, 0.0), (frozenset(), math.nan, 0.0)):
+            StickRegion([0], 1.0, ContactState.STICK, ratio)
+    for members, mean, ratio in (([0], 0.0, 0.0), ([], 0.0, 0.5),
+                                 ([], 3.0, 0.0), ([], math.nan, 0.0)):
         with pytest.raises(UsageError, match="^a NoContact region has no members"):
             StickRegion(members, mean, ContactState.NO_CONTACT, ratio)
     for ratio in (0, 0.0, 1, 1.0):
-        assert StickRegion(frozenset({0}), -2.0, ContactState.STICK, ratio).stick_ratio == ratio
-    assert StickRegion(frozenset(), 0.0, ContactState.NO_CONTACT, 0.0) == NO_CONTACT_REGION
+        assert StickRegion([0], -2.0, ContactState.STICK, ratio).stick_ratio == ratio
+    empty = StickRegion([], 0.0, ContactState.NO_CONTACT, 0.0)
+    assert empty.members.tolist() == NO_CONTACT_REGION.members.tolist() == []
 
 
 def test_frame_result_refuses_records_of_different_grids_and_a_wrong_ratio():
@@ -376,7 +376,7 @@ def test_frame_result_refuses_records_of_different_grids_and_a_wrong_ratio():
     contact = ContactMask(flags, center_index=0)
     angles16 = LineFeatureAngles(np.zeros(16), np.ones(16, dtype=bool))
     # A 4-marker mask, a 16-marker angle record and 2 members where 4 are flagged.
-    region = StickRegion(frozenset({0, 99}), -1.0, ContactState.STICK, 0.25)
+    region = StickRegion([0, 3], -1.0, ContactState.STICK, 0.25)
     with pytest.raises(UsageError, match=r"angle record has shape \(16,\), its mask \(4,\)$"):
         FrameResult(1.0, contact, angles16, region)
     angles = LineFeatureAngles(np.zeros(4), flags)
@@ -384,7 +384,7 @@ def test_frame_result_refuses_records_of_different_grids_and_a_wrong_ratio():
         FrameResult(1.0, contact, angles, region)
     partial = ContactMask(np.array([True, True, True, False]), center_index=1)
     assert partial.n_flagged == 3 and type(partial.n_flagged) is int
-    for members in (frozenset(), frozenset({1}), frozenset({0, 1, 2})):
+    for members in ([], [1], [0, 1, 2]):
         ratio = len(members) / 3
         state = ContactState.MACRO_SLIP if len(members) < 3 else ContactState.STICK
         result = FrameResult(1.0, partial, angles, StickRegion(members, -1.0, state, ratio))
@@ -393,3 +393,35 @@ def test_frame_result_refuses_records_of_different_grids_and_a_wrong_ratio():
         for wrong in ((ratio + 0.25) % 1.0, math.nextafter(ratio, 0.5)):
             with pytest.raises(UsageError, match="stick ratio must be"):
                 FrameResult(1.0, partial, angles, StickRegion(members, -1.0, state, wrong))
+
+
+def test_frame_result_refuses_a_stick_member_outside_its_mask():
+    # One flagged marker of four, a ratio of 1.0 and a member index beyond the grid.
+    contact = ContactMask(np.array([False, True, False, False]), center_index=1)
+    angles = LineFeatureAngles(np.zeros(4), np.ones(4, dtype=bool))
+    region = StickRegion([7], -1.0, ContactState.STICK, 1.0)
+    with pytest.raises(UsageError, match="^a frame result's stick member 7 lies outside its "
+                                         "4-marker mask$"):
+        FrameResult(1.0, contact, angles, region)
+    FrameResult(1.0, contact, angles, StickRegion([3], -1.0, ContactState.STICK, 1.0))
+
+
+@pytest.mark.parametrize("members, held", [
+    ([], []), ((), []), ([3], [3]), ((0, 2, 5), [0, 2, 5]), (np.arange(3), [0, 1, 2]),
+    (np.array([1, 7], dtype=np.int32), [1, 7]), (np.arange(6, dtype=np.uint8)[::2], [0, 2, 4]),
+    # Refused: floats, which would truncate, a bool mask, 2-d input, a
+    # duplicate, a descending or negative index, and sets, which have no order.
+    ([0.5], None), (np.array([1.0, 2.0]), None), (np.array([True, False, True]), None),
+    ([[0, 1]], None), (np.arange(4).reshape(2, 2), None), ([1, 1], None), ([2, 1], None),
+    ([-1, 2], None), ({1, 2}, None), (frozenset({1, 2}), None), (frozenset(), None),
+])
+def test_stick_members_are_an_ascending_index_array(members, held):
+    if held is None:
+        with pytest.raises(UsageError, match="^stick members must"):
+            StickRegion(members, 1.0, ContactState.STICK, 0.5)
+        return
+    region = StickRegion(members, 1.0, ContactState.STICK, 0.5)
+    assert region.members.dtype == np.intp and not region.members.flags.writeable
+    if isinstance(members, np.ndarray) and members.flags.writeable:
+        members[...] = 0  # a view or another dtype: the region holds its own copy
+    assert region.members.tolist() == held

@@ -44,7 +44,7 @@ FILTER_FLAGS = np.ones(FILTER_GRID.n_markers, dtype=bool)
 
 
 def region_with(mean_angle, state=ContactState.STICK, ratio=1.0):
-    return StickRegion(members=frozenset({0, 1, 2}), mean_angle=mean_angle,
+    return StickRegion(members=[0, 1, 2], mean_angle=mean_angle,
                        state=state, stick_ratio=ratio)
 
 
@@ -53,7 +53,7 @@ def frame_result(theta, state=ContactState.STICK, ratio=1.0):
     if state is ContactState.NO_CONTACT:
         return FrameResult(theta, ContactMask(~FILTER_FLAGS), None, NO_CONTACT_REGION)
     angles = LineFeatureAngles(np.full(FILTER_GRID.n_markers, -theta), FILTER_FLAGS)
-    region = StickRegion(frozenset(range(FILTER_GRID.n_markers)), -theta, state, ratio)
+    region = StickRegion(np.arange(FILTER_GRID.n_markers), -theta, state, ratio)
     return FrameResult(theta, ContactMask(FILTER_FLAGS, center_index=0), angles, region)
 
 
@@ -223,7 +223,10 @@ def test_frame_result_has_angles_exactly_when_contact_was_detected(grid20):
     result = estimate_frame(grid20, frame, CFG, RIGID)
     assert result.mask.contact_detected
     assert result.angles.angles.tobytes() == line_feature_angles(grid20, frame).angles.tobytes()
-    assert result.region == grow_stick_region(grid20, result.mask, result.angles, CFG)
+    region = grow_stick_region(grid20, result.mask, result.angles, CFG)
+    assert result.region.members.tolist() == region.members.tolist()
+    assert (result.region.mean_angle, result.region.state) == (region.mean_angle, region.state)
+    assert result.region.stick_ratio == region.stick_ratio
     for angles, mask in ((None, result.mask), (result.angles, NO_CONTACT.mask)):
         with pytest.raises(UsageError, match="angles exactly when contact was detected"):
             FrameResult(result.theta, mask, angles, result.region)

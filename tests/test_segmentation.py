@@ -61,7 +61,7 @@ def test_shear_without_a_marker_pressed_in_is_no_contact(grid20, dz):
     assert not mask.contact_detected and mask.n_flagged == 0
     result = estimate_frame(grid20, frame, CFG, SoftnessParams())
     assert result.region.state is ContactState.NO_CONTACT and result.theta == 0.0
-    assert result.region.members == frozenset()
+    assert result.region.members.tolist() == []
     assert result.angles is None  # none are computed without contact
 
 
@@ -112,7 +112,7 @@ def test_uniform_rotation_grows_full_patch(grid20):
     angles = line_feature_angles(grid20, frame)
     region = grow_stick_region(grid20, mask, angles, CFG)
     assert region.state is ContactState.STICK
-    assert region.members == frozenset(np.flatnonzero(mask.flags))
+    assert region.members.tolist() == np.flatnonzero(mask.flags).tolist()
     assert region.stick_ratio == 1.0
 
 
@@ -155,7 +155,7 @@ def test_no_contact_mask_passthrough(grid20):
     angles = LineFeatureAngles(np.zeros(grid20.n_markers), np.ones(grid20.n_markers, bool))
     region = grow_stick_region(grid20, mask, angles, CFG)
     assert region.state is ContactState.NO_CONTACT
-    assert region.members == frozenset()
+    assert region.members.tolist() == []
     assert region.stick_ratio == 0.0
 
 
@@ -169,7 +169,7 @@ def test_invalid_center_degenerates_to_macro_slip(grid20):
     broken = LineFeatureAngles(angles.angles, bad_valid)
     region = grow_stick_region(grid20, mask, broken, CFG)
     assert region.state is ContactState.MACRO_SLIP
-    assert region.members == frozenset()
+    assert region.members.tolist() == []
 
 
 def test_region_is_four_connected_and_contains_center(grid20):
@@ -296,7 +296,7 @@ def test_growth_matches_loop_oracle(kind, rows, cols, pitch, base, spread, seed,
     region, certified = _grow_with_branch(grid, mask, angles, cfg)
     event(f"{kind}, certified={certified}")
     members, mean_angle, state = loop_grow_stick_region(grid, mask, angles, cfg)
-    assert region.members == members
+    assert region.members.tolist() == sorted(members)
     assert region.mean_angle == mean_angle
     assert region.state is state
     assert region.stick_ratio == len(members) / mask.n_flagged
@@ -316,7 +316,7 @@ def test_growth_matches_loop_oracle(kind, rows, cols, pitch, base, spread, seed,
         region_again, still_certified = _grow_with_branch(grid, mask, again, cfg)
         assert still_certified and region_again.members is region.members
         members, mean_angle, state = loop_grow_stick_region(grid, mask, again, cfg)
-        assert region_again.members == members
+        assert region_again.members.tolist() == sorted(members)
         assert region_again.mean_angle == mean_angle
         assert region_again.state is state
         assert region_again.stick_ratio == len(members) / mask.n_flagged
@@ -331,7 +331,7 @@ def test_growth_matches_loop_oracle(kind, rows, cols, pitch, base, spread, seed,
     for other_mask in other_masks + other_masks[::-1]:
         region = grow_stick_region(grid, other_mask, angles, cfg)
         members, mean_angle, state = loop_grow_stick_region(grid, other_mask, angles, cfg)
-        assert (region.members, region.mean_angle, region.state) == (members, mean_angle, state)
+        assert (region.members.tolist(), region.mean_angle, region.state) == (sorted(members), mean_angle, state)
 
 
 def test_heap_growth_makes_each_centres_distance_order_once():
@@ -355,7 +355,7 @@ def test_heap_growth_makes_each_centres_distance_order_once():
         for mask, (members, mean_angle, state) in zip(masks, expected):
             region, certified = _grow_with_branch(grid, mask, angles, CFG)
             assert not certified
-            assert (region.members, region.mean_angle, region.state) == (members, mean_angle, state)
+            assert (region.members.tolist(), region.mean_angle, region.state) == (sorted(members), mean_angle, state)
     assert len(made) == len(set(centers))
 
 
@@ -383,7 +383,7 @@ def test_certified_growth_walks_each_kept_component_once():
             region, certified = _grow_with_branch(grid, mask, angles, CFG)
             members, mean_angle, state = loop_grow_stick_region(grid, mask, angles, CFG)
             assert certified
-            assert (region.members, region.mean_angle, region.state) == (members, mean_angle, state)
+            assert (region.members.tolist(), region.mean_angle, region.state) == (sorted(members), mean_angle, state)
             regions.append(region)
         assert len(walks) == 1
         assert all(region.members is regions[0].members for region in regions)
@@ -394,12 +394,11 @@ def test_certified_growth_walks_each_kept_component_once():
         fewer_mask = ContactMask(fewer, center_index=20)
         region = grow_stick_region(grid, fewer_mask, fields[0], CFG)
         assert len(walks) == 2
-        assert region.members == loop_grow_stick_region(grid, fewer_mask, fields[0], CFG)[0]
+        assert region.members.tolist() == sorted(loop_grow_stick_region(grid, fewer_mask, fields[0], CFG)[0])
         assert len(region.members) < len(regions[0].members)
-        members, index = grid.component(20, flags)
+        index = grid.component(20, flags)
         assert len(walks) == 2
-    assert members is regions[0].members
-    assert index.tolist() == sorted(members)
+    assert index is regions[0].members
     with pytest.raises(ValueError, match="read-only"):
         index[0] = 0
 
@@ -421,7 +420,7 @@ def test_growth_rejects_at_exact_threshold():
             )
             angles = LineFeatureAngles(phi, np.ones(grid.n_markers, bool))
             region = grow_stick_region(grid, mask, angles, cfg)
-            assert region.members == {center}
+            assert region.members.tolist() == [center]
             assert region.state is ContactState.MACRO_SLIP
 
 
@@ -433,7 +432,7 @@ def test_growth_is_deterministic(grid20):
     angles = line_feature_angles(grid20, frame)
     first = grow_stick_region(grid20, mask, angles, CFG)
     second = grow_stick_region(grid20, mask, angles, CFG)
-    assert first.members == second.members
+    assert first.members.tolist() == second.members.tolist()
     assert first.mean_angle == second.mean_angle
 
 
@@ -456,7 +455,7 @@ def test_huge_threshold_admits_whole_patch(grid20):
     angles = line_feature_angles(grid20, frame)
     open_cfg = SegmentationConfig(delta_phi_th=1e9)
     region = grow_stick_region(grid20, mask, angles, open_cfg)
-    assert region.members == frozenset(np.flatnonzero(mask.flags))
+    assert region.members.tolist() == np.flatnonzero(mask.flags).tolist()
     assert region.state is ContactState.STICK
 
 
