@@ -155,6 +155,26 @@ def whole_number(value: Any, name: str) -> int:
     return int(value)
 
 
+def check_displacements(d: np.ndarray) -> None:
+    """Refuse a component beyond +-``MAX_DISPLACEMENT_MM``, nan included; allocates nothing."""
+    if not (-MAX_DISPLACEMENT_MM <= d.min() and d.max() <= MAX_DISPLACEMENT_MM):
+        raise UsageError(f"displacements must lie within +-{MAX_DISPLACEMENT_MM:g} mm")
+
+
+def _made(cls: type, **fields: Any) -> Any:
+    """A ``cls`` record of ``fields``, derived ones (``n_flagged``) included, each
+    array made read-only, without the public checks: for a kernel's own record,
+    which its checked inputs guarantee and its public constructor would make alike."""
+    record = object.__new__(cls)
+    for name, value in fields.items():
+        if type(value) is np.ndarray:
+            value.setflags(write=False)
+        # Field by field, as the public constructor does, so the record shares its
+        # class's attribute keys: a __dict__.update would cost ~130 B more per record.
+        object.__setattr__(record, name, value)
+    return record
+
+
 def frozen_array(value: Any, dtype: type) -> np.ndarray:
     """``value`` as a read-only ``dtype`` array whose values never change: a
     view, which its base could still write, is copied; an array of its own is kept."""
@@ -359,9 +379,7 @@ class Frame:
             raise UsageError(f"displacements must be real numbers, got dtype {d.dtype}")
         if d.ndim != 2 or d.shape[1] != 3 or not len(d):
             raise UsageError(f"displacements must be (n, 3), got shape {d.shape}")
-        # Also refuses nan and +-inf, and allocates nothing.
-        if not (-MAX_DISPLACEMENT_MM <= d.min() and d.max() <= MAX_DISPLACEMENT_MM):
-            raise UsageError(f"displacements must lie within +-{MAX_DISPLACEMENT_MM:g} mm")
+        check_displacements(d)
         d.setflags(write=False)
         object.__setattr__(self, "displacements", d)
         object.__setattr__(self, "timestamp", t)

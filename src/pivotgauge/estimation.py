@@ -35,6 +35,7 @@ from .core import (
     SoftnessParams,
     StickRegion,
     UsageError,
+    _made,
     finite_number,
 )
 from .features import line_feature_angles
@@ -115,7 +116,8 @@ def estimate_frame(
     if mask.contact_detected:
         angles = line_feature_angles(grid, frame)
         region = grow_stick_region(grid, mask, angles, cfg)
-    return FrameResult(estimate_rotation(region, softness), mask, angles, region)
+    return _made(FrameResult, theta=estimate_rotation(region, softness), mask=mask, angles=angles,
+                 region=region)
 
 
 @dataclass(eq=False)

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .core import SIDES, Frame, LineFeatureAngles, MarkerGrid
+from .core import SIDES, Frame, LineFeatureAngles, MarkerGrid, _made
 
 # Segment shorter than this fraction of the pitch is considered collapsed.
 DEGENERATE_LENGTH_RATIO = 0.01
@@ -75,10 +75,10 @@ def line_feature_angles(grid: MarkerGrid, frame: Frame) -> LineFeatureAngles:
 
     if count is grid.neighbor_count:  # no short segment: every marker has 2 or more
         angle_sum /= count
-        return LineFeatureAngles(angles=angle_sum, valid=grid.all_markers)
+        return _made(LineFeatureAngles, angles=angle_sum, valid=grid.all_markers)
     valid = count >= 2
     angles = np.where(valid, angle_sum, 0.0) / np.maximum(count, 1)
-    return LineFeatureAngles(angles=angles, valid=valid)
+    return _made(LineFeatureAngles, angles=angles, valid=valid)
 
 
 def normalized_angle_difference(phi_i: float, phi_bar: float, epsilon: float) -> float:

@@ -109,8 +109,8 @@ def _sweep_errors(config: FullConfig) -> tuple[np.ndarray, np.ndarray]:
                     base = baseline_least_squares(config.grid, frame, result.mask)
                     baseline[angle_pos, trial] = abs(base - theta)
             # The frame and the result's angle record would otherwise stay
-            # alive while the next trial makes its noise and frame copy, and
-            # raise the sweep's peak memory.
+            # alive while the next trial makes its noisy frame, and raise the
+            # sweep's peak memory.
             del result, frame
     return proposed, baseline
 

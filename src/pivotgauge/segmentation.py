@@ -16,6 +16,7 @@ from .core import (
     MarkerGrid,
     StickRegion,
     UsageError,
+    _made,
     finite_number,
     whole_number,
 )
@@ -63,6 +64,11 @@ class SegmentationConfig:
         object.__setattr__(self, "min_stick_markers", markers)
 
 
+def _no_contact(grid: MarkerGrid) -> ContactMask:
+    return _made(ContactMask, flags=np.zeros(grid.n_markers, dtype=bool), center_index=None,
+                 n_flagged=0)
+
+
 def detect_contact(grid: MarkerGrid, frame: Frame, cfg: SegmentationConfig) -> ContactMask:
     """Flag contact markers and pick the assumed stick centre.
 
@@ -80,7 +86,7 @@ def detect_contact(grid: MarkerGrid, frame: Frame, cfg: SegmentationConfig) -> C
     dz = disp[:, 2]
     top = dz.max()
     if not top > 0:  # nothing is pressed in
-        return ContactMask(flags=np.zeros(grid.n_markers, dtype=bool))
+        return _no_contact(grid)
     flags = dz >= cfg.normal_filter_ratio * top  # the deepest marker at least
     flagged_idx = flags.nonzero()[0]
     n = flagged_idx.size
@@ -99,8 +105,8 @@ def detect_contact(grid: MarkerGrid, frame: Frame, cfg: SegmentationConfig) -> C
     row = disp[center]
     modulus = math.sqrt(row.dot(row))
     if modulus <= cfg.contact_threshold:
-        return ContactMask(flags=np.zeros(grid.n_markers, dtype=bool))
-    return ContactMask(flags=flags, center_index=center)
+        return _no_contact(grid)
+    return _made(ContactMask, flags=flags, center_index=center, n_flagged=n)
 
 
 def grow_stick_region(
@@ -133,10 +139,8 @@ def grow_stick_region(
     if center is None:
         return NO_CONTACT_REGION
     if not angles.valid[center]:
-        return StickRegion(
-            members=NO_CONTACT_REGION.members, mean_angle=0.0, state=ContactState.MACRO_SLIP,
-            stick_ratio=0.0,
-        )
+        return _made(StickRegion, members=NO_CONTACT_REGION.members, mean_angle=0.0,
+                     state=ContactState.MACRO_SLIP, stick_ratio=0.0)
 
     admissible_mask = mask.flags & angles.valid
     if admission_certain(angles.angles[admissible_mask], cfg.delta_phi_th, cfg.epsilon_angle):
@@ -183,9 +187,5 @@ def grow_stick_region(
         state = ContactState.STICK
     else:
         state = ContactState.INCIPIENT_SLIP
-    return StickRegion(
-        members=members,
-        mean_angle=mean_angle,
-        state=state,
-        stick_ratio=count / n_flagged,
-    )
+    return _made(StickRegion, members=members, mean_angle=mean_angle, state=state,
+                 stick_ratio=count / n_flagged)

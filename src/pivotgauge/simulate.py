@@ -32,6 +32,8 @@ from .core import (
     MarkerGrid,
     SoftnessParams,
     UsageError,
+    _made,
+    check_displacements,
     finite_number,
     finite_pair,
     frozen_array,
@@ -363,7 +365,9 @@ def generate_frame(
     equal the field's bit for bit (a hold), reuses the read-only field and
     the same ``GroundTruth`` object and draws only its noise. Every field of
     the scenario is made from its one ``_geometry``. ``t`` is read by the
-    number rule before any field is made or kept.
+    number rule before any field is made or kept. The frame holds the noisy
+    array made for it, or the read-only noiseless field when ``noise_sigma``
+    is 0, and is refused beyond the displacement bound, as ``Frame`` refuses.
     """
     t = finite_number(t, "t")
     memo = scenario._field_memo  # type: ignore[attr-defined]
@@ -385,7 +389,8 @@ def generate_frame(
         noise *= scenario.noise_sigma
         noise += displacements
         displacements = noise
-    return Frame(timestamp=t, displacements=displacements), truth
+    check_displacements(displacements)
+    return _made(Frame, timestamp=t, displacements=displacements), truth
 
 
 def frame_count(t0: float, t1: float, rate: float) -> int:

@@ -38,7 +38,7 @@ from typing import IO, Any, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .core import Frame, MarkerGrid, finite_pair
+from .core import Frame, MarkerGrid, finite_number, finite_pair
 from .simulate import GroundTruth
 
 
@@ -92,10 +92,13 @@ def _truth_body(truth: GroundTruth) -> str:
 
 
 def write_truth(out: IO[str], t: float, truth: GroundTruth) -> None:
-    """One truth line at ``t``, with the bytes ``json.dumps`` would give."""
+    """One truth line at ``t``, with the bytes ``json.dumps`` would give.
+    ``t`` is read by the number rule, so the line is strict JSON; a time that
+    breaks it is refused and nothing is written."""
+    value = finite_number(t, "truth time")
     # An int stays an int, and a float subclass such as np.float64, whose
     # repr names its type, is written as its float, as json.dumps does.
-    out.write('{"t": %r' % (t if type(t) is int else float(t)) + _truth_body(truth))
+    out.write('{"t": %r' % (t if type(t) is int else value) + _truth_body(truth))
 
 
 class NumberedLines:

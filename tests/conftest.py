@@ -11,6 +11,7 @@ import heapq
 import json
 import math
 import os
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from pivotgauge import (
     StickRegion,
     normalized_angle_difference,
 )
+from pivotgauge import segmentation
 from pivotgauge.features import DEGENERATE_LENGTH_RATIO
 from pivotgauge.segmentation import _SCORE_EPSILON_MM
 from pivotgauge.simulate import (
@@ -36,6 +38,23 @@ from pivotgauge.simulate import (
     _contact_taper,
     _hertz_dz,
 )
+
+
+@contextmanager
+def certificates_asked():
+    """The admission certificates (``features.admission_certain`` results)
+    that stick-region growth asks for while the block runs, in order: True
+    for the certified path, False for the heap, none when growth returns
+    before it (no contact, or a centre without a valid angle)."""
+    certificate, held = segmentation.admission_certain, []
+
+    def recording(*args):
+        held.append(certificate(*args))
+        return held[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(segmentation, "admission_certain", recording)
+        yield held
 
 
 def brute_force_feature_angle(grid: MarkerGrid, frame: Frame, index: int) -> float | None:

@@ -15,7 +15,8 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from pivotgauge import (
-    ConfigError, ContactState, Frame, GroundTruth, MarkerGrid, generate_frame, load_config
+    ConfigError, ContactState, Frame, GroundTruth, MarkerGrid, UsageError, generate_frame,
+    load_config,
 )
 from pivotgauge.cli import main
 from pivotgauge.config import apply_overrides, build_config, load_document, three_lift_scenario
@@ -423,6 +424,21 @@ def test_writers_give_the_json_dumps_bytes(case):
     reference_write_truth(lines[3], t, truth)
     assert lines[0].getvalue() == lines[1].getvalue()
     assert lines[2].getvalue() == lines[3].getvalue()
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, np.float64(math.nan), True, False,
+                               10**400, "0.5", None],
+                         ids=["nan", "inf", "-inf", "np-nan", "True", "False", "huge-int", "str",
+                              "None"])
+def test_write_truth_refuses_a_time_that_breaks_the_number_rule(t):
+    # NaN and +-inf would be written as the bare words nan and inf, and True as
+    # 1.0 where json.dumps writes true: no line would be strict JSON.
+    truth = GroundTruth(theta=1.5, stick_mask=[True, False], slip_field=[[0.0, 0.5], [1.0, -2.0]],
+                        contact_mask_true=[True, True])
+    out = io.StringIO()
+    with pytest.raises(UsageError, match=r"^truth time must be a finite number, got "):
+        write_truth(out, t, truth)
+    assert out.getvalue() == ""
 
 
 def test_ndjson_round_trip_is_exact():

@@ -218,6 +218,59 @@ def test_baseline_and_proposed_agree_on_full_stick(grid20):
         assert baseline == pytest.approx(theta, abs=1e-9)
 
 
+def exactness_bound(pitch: float, rho: float) -> float:
+    """The contact radius from which a full stick's estimate is exact: every
+    flagged marker lies within sqrt((1 - rho^2) a^2 + rho^2 p^2 / 2) of the
+    centre of rotation, and with its neighbours within that plus p <= a, every
+    segment it averages turns rigidly by the object's angle."""
+    return pitch * (1.0 + math.sqrt(1.0 - rho * rho * (1.0 - rho * rho / 2.0))) / (rho * rho)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    pitch=st.floats(0.3, 2.0),
+    rho=st.floats(0.2, 0.9),
+    over=st.floats(1.0, 1.3),
+    extra=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+    origin=st.one_of(st.none(), st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0))),
+    place=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    theta=st.floats(-20.0, 20.0),
+    translation=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    max_indent=st.floats(0.6, 2.0),
+)
+def test_a_full_stick_at_or_above_the_exactness_bound_is_estimated_exactly(
+        pitch, rho, over, extra, origin, place, theta, translation, max_indent):
+    # At or above the bound, and wide enough that a patch centred on a corner
+    # of the grid still flags 3 markers (r_f >= 1.5 p), so that it is no MacroSlip.
+    a = over * max(exactness_bound(pitch, rho), 1.5 * pitch / math.sqrt(1.0 - rho * rho))
+    span = math.ceil(2.0 * a / pitch)
+    grid = MarkerGrid(rows=span + 1 + extra[0], cols=span + 1 + extra[1], pitch=pitch,
+                      origin=origin)
+    low, high = grid.reference_positions[0], grid.reference_positions[-1]
+    cor = tuple(low + np.asarray(place) * (high - low))  # anywhere in the marker span
+    # The centre presses in at least rho * 0.94 * max_indent > 0.1, the contact threshold.
+    scenario = SimScenario(grid=grid, contact_radius=a, max_indent=max_indent, cor=cor,
+                           theta_trajectory=theta, translation_trajectory=translation,
+                           noise_sigma=0.0)
+    frame, _truth = generate_frame(scenario, 0.0)
+    result = estimate_frame(grid, frame, SegmentationConfig(normal_filter_ratio=rho), RIGID)
+    assert result.region.state is ContactState.STICK
+    assert result.region.members.tolist() == np.flatnonzero(result.mask.flags).tolist()
+    assert abs(result.theta - theta) <= 1e-9
+
+
+def test_a_full_stick_below_the_exactness_bound_is_biased():
+    # At 3 pitches (the bound is 7.54 at rho = 0.5), segments of the flagged
+    # markers reach out of the patch, where the field is tapered.
+    assert exactness_bound(1.0, CFG.normal_filter_ratio) > 7.5
+    errors = []
+    for theta in (5.0, 10.0, 20.0):
+        scenario = SimScenario(contact_radius=3.0, theta_trajectory=theta, noise_sigma=0.0)
+        frame, _truth = generate_frame(scenario, 0.0)
+        errors.append(abs(estimate_frame(scenario.grid, frame, CFG, RIGID).theta - theta))
+    assert max(errors) > 0.1
+
+
 def test_frame_result_has_angles_exactly_when_contact_was_detected(grid20):
     frame, _ = generate_frame(SimScenario(theta_trajectory=10.0, noise_sigma=0.0), 0.0)
     result = estimate_frame(grid20, frame, CFG, RIGID)

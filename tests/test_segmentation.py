@@ -26,8 +26,9 @@ from pivotgauge import (
     normalized_angle_difference,
     three_lift_scenario,
 )
-from pivotgauge import segmentation
-from conftest import brute_force_flags, f1_against_mask, loop_grow_stick_region
+from conftest import (
+    brute_force_flags, certificates_asked, f1_against_mask, loop_grow_stick_region
+)
 
 
 CFG = SegmentationConfig()
@@ -202,14 +203,7 @@ def _spread_for_bound(bound: float) -> float:
 
 def _grow_with_branch(grid, mask, angles, cfg):
     """``grow_stick_region`` and whether its admission certificate held."""
-    certificate, held = segmentation.admission_certain, []
-
-    def recording(*args):
-        held.append(certificate(*args))
-        return held[-1]
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(segmentation, "admission_certain", recording)
+    with certificates_asked() as held:
         region = grow_stick_region(grid, mask, angles, cfg)
     assert len(held) == 1
     return region, held[0]

@@ -630,6 +630,23 @@ def test_every_accepted_scenario_makes_frames_within_the_displacement_bound(data
         assert np.isfinite(truth.slip_field).all()
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_a_noise_draw_beyond_the_bound_is_refused(monkeypatch, sign):
+    # A real draw exceeds the scenario's load-time allowance with a chance of
+    # about 1e-23, so only a draw made to exceed it reaches the frame's bound check.
+    scn = SimScenario(noise_sigma=0.005)
+
+    class Beyond:
+        def standard_normal(self, shape):
+            noise = np.zeros(shape)
+            noise[7, 1] = sign * 2 * MAX_DISPLACEMENT_MM / scn.noise_sigma
+            return noise
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: Beyond())
+    with pytest.raises(UsageError, match=r"^displacements must lie within \+-1e\+06 mm$"):
+        generate_frame(scn, 0.0)
+
+
 def test_piecewise_linear_needs_two_rows_of_strictly_increasing_t():
     for points in ([[0.0, 1.0]], [[0.0], [1.0]]):
         with pytest.raises(UsageError, match=r"^piecewise-linear input needs >= 2 rows"):
