@@ -21,7 +21,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 import numpy as np
 
@@ -40,9 +40,9 @@ MAX_DISPLACEMENT_MM = 1e6
 # so no product or sum the kernels take of positions and displacements overflows.
 MAX_GRID_MM = 1e6
 # Largest softness constant: k (a shear-modulus ratio) and |l_xy|, |l_yx|
-# (degrees), far beyond any elastomer and object. A mean angle lies within
-# +-180 degrees, so every estimate stays within about 2e8 degrees and no
-# filter sum or error mean of estimates can overflow.
+# (degrees), far beyond any elastomer and object. A region's mean angle lies
+# within +-180 degrees (StickRegion refuses any other), so every estimate stays
+# within about 2e8 degrees and no filter sum or error mean of estimates can overflow.
 MAX_SOFTNESS = 1e6
 # Smallest grid pitch, in mm: a nanometre, far below any marker pitch. Kernels
 # divide displacements by the pitch, so a subnormal one would overflow them.
@@ -51,31 +51,9 @@ MIN_PITCH_MM = 1e-6
 # previous row) and down. The one definition of the grid's 4-neighbour
 # topology and of the order in which a marker's sides are visited.
 SIDES = ((0, -1), (0, 1), (-1, 0), (1, 0))
-# Most centres whose distance order a grid keeps (MarkerGrid.distance_order);
-# the oldest is dropped first. The static sweep at the README's compare
-# settings grows from 4 centres, the three-lift replay from 1.
-KEPT_CENTRE_ORDERS = 8
-# Most (centre, admissible set) pairs whose connected component a grid keeps
-# (MarkerGrid.component); the oldest is dropped first. A three-lift replay
-# grows certified regions from 5 to 9 such pairs. Each costs about 2.7 KB for a
-# 150-marker component on a 400-marker grid (its sorted index and a
-# one-byte-per-marker key).
-KEPT_COMPONENTS = 8
 _FLOAT_MAX = sys.float_info.max  # an int beyond it has no float value
 _REALS = (int, float, np.integer, np.floating)  # bool is an int: refused separately
 _ROWS = (list, tuple, range, np.ndarray)  # kinds of rows, and of sequences of them
-
-
-def _kept(store: dict, limit: int, key: Any, make: Callable[..., Any], *args: Any) -> Any:
-    """``store[key]``, made as ``make(*args)`` when missing. ``store`` holds
-    the last ``limit`` values made and drops the oldest first."""
-    found = store.get(key)
-    if found is None:
-        found = make(*args)
-        if len(store) >= limit:
-            del store[next(iter(store))]
-        store[key] = found
-    return found
 
 
 class UsageError(ValueError):
@@ -238,9 +216,6 @@ class MarkerGrid:
         pos = np.column_stack([ox + jj.ravel() * pitch, oy + ii.ravel() * pitch])
         pos.setflags(write=False)
         object.__setattr__(self, "_positions", pos)
-        object.__setattr__(self, "_distance_orders", {})  # centre -> (rank, order)
-        # (centre, admissible mask bytes) -> member index
-        object.__setattr__(self, "_components", {})
 
     @property
     def n_markers(self) -> int:
@@ -293,65 +268,6 @@ class MarkerGrid:
         mask = np.ones(self.n_markers, dtype=bool)
         mask.setflags(write=False)
         return mask
-
-    def _check_center(self, center: Any) -> None:
-        if type(center) is not int or not 0 <= center < self.n_markers:
-            raise UsageError(f"center must be an int marker index, got {center!r}")
-
-    def distance_order(self, center: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(rank, order)`` of the markers by distance to marker ``center``,
-        ties by lower index: ``order`` lists the indices nearest first and
-        ``rank`` is its inverse, each marker's place in that order. Both are
-        read-only arrays of the smallest unsigned dtype that holds
-        ``n_markers - 1``. The orders of the last ``KEPT_CENTRE_ORDERS``
-        centres asked for are kept, the oldest dropped first."""
-        self._check_center(center)
-        kept = self._distance_orders  # type: ignore[attr-defined]
-        return _kept(kept, KEPT_CENTRE_ORDERS, center, self._distance_order, center)
-
-    def _distance_order(self, center: int) -> tuple[np.ndarray, np.ndarray]:
-        pos = self._positions  # type: ignore[attr-defined]
-        cx, cy = pos[center].tolist()
-        # A stable sort of the distances orders ties by index.
-        order = np.argsort(np.hypot(pos[:, 0] - cx, pos[:, 1] - cy), kind="stable")
-        dtype = np.min_scalar_type(self.n_markers - 1)
-        rank = np.empty(self.n_markers, dtype=dtype)
-        rank[order] = np.arange(self.n_markers, dtype=dtype)
-        found = rank, order.astype(dtype)
-        for arr in found:
-            arr.setflags(write=False)
-        return found
-
-    def component(self, center: int, admissible: np.ndarray) -> np.ndarray:
-        """The 4-connected component of the markers where the bool mask
-        ``admissible`` is True that holds marker ``center``, as a read-only
-        ascending ``intp`` index array. ``center`` must be admissible. The
-        components of the last ``KEPT_COMPONENTS`` (centre, admissible set)
-        pairs asked for are kept, the oldest dropped first."""
-        self._check_center(center)
-        if not (isinstance(admissible, np.ndarray) and admissible.dtype == bool):
-            kind = getattr(admissible, "dtype", type(admissible).__name__)
-            raise UsageError(f"admissible mask must be a bool array, got {kind}")
-        self.require("admissible mask", admissible.shape)
-        key = center, admissible.tobytes()
-        kept = self._components  # type: ignore[attr-defined]
-        return _kept(kept, KEPT_COMPONENTS, key, self._component, *key)
-
-    def _component(self, center: int, admissible: bytes) -> np.ndarray:
-        seen = bytearray(admissible)  # an entry is cleared when it is reached
-        if not seen[center]:
-            raise UsageError(f"center {center} is not an admissible marker")
-        seen[center] = False
-        neighbors = self.neighbors
-        members = [center]
-        for idx in members:  # appended to while walked: breadth first
-            for nbr in neighbors[idx]:
-                if seen[nbr]:
-                    seen[nbr] = False
-                    members.append(nbr)
-        index = np.fromiter(sorted(members), dtype=np.intp, count=len(members))
-        index.setflags(write=False)
-        return index
 
 
 @dataclass(frozen=True, eq=False)
@@ -423,7 +339,7 @@ class LineFeatureAngles:
     """Per-marker local rotation angle of the displacement field, degrees.
 
     ``valid`` is False where too few usable neighbour segments exist;
-    ``angles`` is 0.0 there.
+    ``angles`` is 0.0 there. A valid angle lies within +-180 degrees.
     """
 
     angles: np.ndarray
@@ -434,8 +350,8 @@ class LineFeatureAngles:
         valid = frozen_array(self.valid, bool)
         if angles.shape != valid.shape:
             raise UsageError("angles and valid must have matching shapes")
-        if not np.isfinite(angles[valid]).all():
-            raise UsageError("valid angles must be finite")
+        if not (np.abs(angles[valid]) <= 180.0).all():  # nan included
+            raise UsageError("valid angles must be finite and lie within +-180 degrees")
         object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "valid", valid)
 
@@ -448,7 +364,9 @@ class StickRegion:
     as a list, a tuple or an integer array and held as a read-only ``intp``
     array (an array of its own is kept, as ``frozen_array`` keeps one).
     ``stick_ratio`` is |members| / |flagged contact markers|, within [0, 1].
-    A NoContact region has no members, ratio 0 and mean 0.
+    ``mean_angle`` is a finite number of degrees within +-180, as a mean of
+    valid angles is, and ``state`` a ``ContactState``. A NoContact region has
+    no members, ratio 0 and mean 0.
     """
 
     members: np.ndarray
@@ -470,9 +388,13 @@ class StickRegion:
         object.__setattr__(self, "members", members)
         if not 0.0 <= finite_number(self.stick_ratio, "stick_ratio") <= 1.0:
             raise UsageError(f"stick_ratio must lie in [0, 1], got {self.stick_ratio!r}")
+        if not isinstance(self.state, ContactState):
+            raise UsageError(f"a region's state must be a ContactState, got {self.state!r}")
         if self.state is ContactState.NO_CONTACT and (
                 len(members) or self.stick_ratio or self.mean_angle):
             raise UsageError("a NoContact region has no members, ratio 0 and mean angle 0")
+        if not abs(finite_number(self.mean_angle, "mean_angle")) <= 180.0:
+            raise UsageError(f"mean_angle must lie within +-180 degrees, got {self.mean_angle!r}")
 
 
 @dataclass(frozen=True)

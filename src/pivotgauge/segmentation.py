@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from heapq import heappop, heappush
 from dataclasses import dataclass
@@ -109,6 +110,46 @@ def detect_contact(grid: MarkerGrid, frame: Frame, cfg: SegmentationConfig) -> C
     return _made(ContactMask, flags=flags, center_index=center, n_flagged=n)
 
 
+# Keyed by the grid's value (a frozen dataclass): the positions of equal grids
+# differ at most in the sign of a zero, which np.hypot ignores.
+@functools.lru_cache(maxsize=8)
+def _distance_order(grid: MarkerGrid, center: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(rank, order)`` of the markers by distance to marker ``center``,
+    ties by lower index: ``order`` lists the indices nearest first and
+    ``rank`` is its inverse, each marker's place in that order. Both are
+    read-only arrays of the smallest unsigned dtype that holds ``n_markers - 1``."""
+    pos = grid.reference_positions
+    cx, cy = pos[center].tolist()
+    # A stable sort of the distances orders ties by index.
+    order = np.argsort(np.hypot(pos[:, 0] - cx, pos[:, 1] - cy), kind="stable")
+    dtype = np.min_scalar_type(grid.n_markers - 1)
+    rank = np.empty(grid.n_markers, dtype=dtype)
+    rank[order] = np.arange(grid.n_markers, dtype=dtype)
+    found = rank, order.astype(dtype)
+    for arr in found:
+        arr.setflags(write=False)
+    return found
+
+
+@functools.lru_cache(maxsize=8)
+def _component(grid: MarkerGrid, center: int, admissible_bytes: bytes) -> np.ndarray:
+    """The 4-connected component that holds the admissible marker ``center``
+    of the markers set in ``admissible_bytes`` (a bool mask's bytes), as a
+    read-only ascending ``intp`` index."""
+    seen = bytearray(admissible_bytes)  # an entry is cleared when it is reached
+    seen[center] = False
+    neighbors = grid.neighbors
+    members = [center]
+    for idx in members:  # appended to while walked: breadth first
+        for nbr in neighbors[idx]:
+            if seen[nbr]:
+                seen[nbr] = False
+                members.append(nbr)
+    index = np.fromiter(sorted(members), dtype=np.intp, count=len(members))
+    index.setflags(write=False)
+    return index
+
+
 def grow_stick_region(
     grid: MarkerGrid,
     mask: ContactMask,
@@ -124,14 +165,15 @@ def grow_stick_region(
     Flagged markers without a valid angle are not admissible and do not
     carry connectivity. When every pair of admissible angles provably passes
     the admission test (``features.admission_certain``), growth reduces to
-    the 4-connected component of admissible markers around the centre, which
-    the grid finds breadth-first without the heap or the per-marker test; the
-    result is the same. The grid keeps the components of the last 8 (centre,
-    admissible set) pairs (``MarkerGrid.component``), about 2.7 KB each for a
-    150-marker component on a 400-marker grid (its sorted index and a
-    one-byte-per-marker key), so a patch that holds still is walked once; the
-    mean is taken from each frame's own angles. ``members`` is a read-only
-    ascending ``intp`` index on every path.
+    the 4-connected component of admissible markers around the centre, found
+    breadth-first without the heap or the per-marker test; the result is the
+    same. The frontier orders of the last 8 (grid, centre) keys and the
+    components of the last 8 (grid, centre, admissible set) keys are kept
+    (``_distance_order`` and ``_component``, least recently used dropped
+    first), so a patch that holds still is walked once; the mean is taken
+    from each frame's own angles. Equal grids share their entries, and each
+    cache holds up to 8 grids alive until their keys are dropped. ``members``
+    is a read-only ascending ``intp`` index on every path.
     """
     grid.require("contact mask", mask.flags.shape)
     grid.require("angle record", angles.angles.shape)
@@ -147,7 +189,7 @@ def grow_stick_region(
         # Every admission test would pass, so the region is the centre's
         # 4-connected admissible component, whatever the visiting order. The
         # centre is flagged and valid, so the certificate covers its angle too.
-        members = grid.component(center, admissible_mask)
+        members = _component(grid, center, admissible_mask.tobytes())
     else:
         neighbors = grid.neighbors
         admissible = bytearray(admissible_mask.tobytes())
@@ -157,9 +199,9 @@ def grow_stick_region(
         # The centre is admitted untested: for angles and epsilon_angle below
         # ~1e-162 their squares underflow and its difference to itself is inf.
         grown = [center]
-        # The frontier holds ranks in the grid's (distance, index) order, as
+        # The frontier holds ranks in the (distance, index) order, as
         # Python ints: a heap of ints pops what a heap of those pairs would.
-        rank, order = map(memoryview, grid.distance_order(center))
+        rank, order = map(memoryview, _distance_order(grid, center))
         phi = angles.angles.item
         epsilon, threshold = cfg.epsilon_angle, cfg.delta_phi_th
         mean = phi(center)

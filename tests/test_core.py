@@ -24,15 +24,13 @@ from pivotgauge import (
     line_feature_angles,
 )
 from pivotgauge.core import (
-    KEPT_CENTRE_ORDERS,
-    KEPT_COMPONENTS,
     MAX_DISPLACEMENT_MM,
     MAX_GRID_MM,
     MAX_MARKERS,
     MIN_PITCH_MM,
     finite_pair,
 )
-from pivotgauge.segmentation import NO_CONTACT_REGION
+from pivotgauge.segmentation import NO_CONTACT_REGION, _component, _distance_order
 from conftest import half_curl
 
 
@@ -156,62 +154,75 @@ def test_neighbor_table_shares_one_int_per_index():
     ],
 )
 def test_distance_order_is_a_kept_stable_argsort(grid, dtype):
+    _distance_order.cache_clear()
     pos, n = grid.reference_positions, grid.n_markers
-    centers = list(range(0, n, n // (KEPT_CENTRE_ORDERS + 1)))[: KEPT_CENTRE_ORDERS + 1]
+    kept_keys = _distance_order.cache_info().maxsize
+    centers = list(range(0, n, n // (kept_keys + 1)))[: kept_keys + 1]
     kept = {}
     for center in centers:
-        rank, order = kept[center] = grid.distance_order(center)
+        rank, order = kept[center] = _distance_order(grid, center)
         cx, cy = pos[center].tolist()
         fresh = np.argsort(np.hypot(pos[:, 0] - cx, pos[:, 1] - cy), kind="stable")
         assert order.dtype == rank.dtype == dtype
         assert np.array_equal(order, fresh) and np.array_equal(rank[fresh], np.arange(n))
         assert not (rank.flags.writeable or order.flags.writeable)
-        assert grid.distance_order(center) is kept[center]
+        assert _distance_order(grid, center) is kept[center]
     # Nine centres asked for: the first was dropped, the other eight are kept.
     first, *rest = centers
     for center in reversed(rest):
-        assert grid.distance_order(center) is kept[center]
-    again = grid.distance_order(first)
+        assert _distance_order(grid, center) is kept[center]
+    again = _distance_order(grid, first)
     assert again is not kept[first]
     assert all(np.array_equal(a, b) for a, b in zip(again, kept[first]))
-    for center in (-1, n, 1.0, True, np.int64(1)):
-        with pytest.raises(UsageError, match="^center must"):
-            grid.distance_order(center)
 
 
 def test_component_is_the_kept_admissible_component_of_its_centre():
+    _component.cache_clear()
     grid = MarkerGrid(rows=3, cols=4)
     # Two components: the left column with the top row, and the right column.
     admissible = np.zeros(12, dtype=bool)
     admissible[[0, 1, 2, 4, 8, 7, 11]] = True
-    index = grid.component(8, admissible)
+    key = admissible.tobytes()
+    index = _component(grid, 8, key)
     assert index.tolist() == [0, 1, 2, 4, 8]
     assert index.dtype == np.intp and not index.flags.writeable
-    assert grid.component(1, admissible).tolist() == index.tolist()
-    assert grid.component(11, admissible).tolist() == [7, 11]
-    assert grid.component(8, admissible) is index
-    # Eight more (centre, admissible set) pairs drop the first one.
-    for center in range(KEPT_COMPONENTS):
-        grid.component(center, np.ones(12, dtype=bool))
-    again = grid.component(8, admissible)
+    assert _component(grid, 1, key).tolist() == index.tolist()
+    assert _component(grid, 11, key).tolist() == [7, 11]
+    assert _component(grid, 8, key) is index
+    # Eight more (centre, admissible set) pairs drop the least recently asked for.
+    for center in range(_component.cache_info().maxsize):
+        _component(grid, center, np.ones(12, dtype=bool).tobytes())
+    again = _component(grid, 8, key)
     assert again.tolist() == index.tolist() and again is not index
 
 
-def test_component_refuses_a_bad_centre_or_mask():
-    grid = MarkerGrid(rows=3, cols=4)
-    admissible = np.ones(12, dtype=bool)
-    for center in (-1, 12, 1.0, True, np.int64(1)):
-        with pytest.raises(UsageError, match="^center must"):
-            grid.component(center, admissible)
-    for mask in (np.ones(11, dtype=bool), np.ones((12, 1), dtype=bool)):
-        with pytest.raises(UsageError, match="^admissible mask has shape"):
-            grid.component(0, mask)
-    for mask in (np.ones(12), [True] * 12):
-        with pytest.raises(UsageError, match="^admissible mask must be a bool array"):
-            grid.component(0, mask)
-    admissible[5] = False
-    with pytest.raises(UsageError, match="^center 5 is not an admissible marker"):
-        grid.component(5, admissible)
+def test_equal_grids_share_one_kept_entry():
+    _distance_order.cache_clear()
+    _component.cache_clear()
+    # Equal values, built from other numbers: a signed zero and a whole float.
+    grid = MarkerGrid(rows=3, cols=4, origin=(0.0, 0.0))
+    twin = MarkerGrid(rows=3.0, cols=np.int64(4), pitch=1, origin=(-0.0, -0.0))
+    assert twin is not grid and twin == grid
+    order = _distance_order(grid, 5)
+    assert _distance_order(twin, 5) is order
+    pos = twin.reference_positions
+    fresh = np.argsort(np.hypot(pos[:, 0] - pos[5, 0], pos[:, 1] - pos[5, 1]), kind="stable")
+    assert np.array_equal(order[1], fresh)
+    key = np.ones(12, dtype=bool).tobytes()
+    assert _component(twin, 5, key) is _component(grid, 5, key)
+    assert _distance_order.cache_info().currsize == _component.cache_info().currsize == 1
+    assert _distance_order(MarkerGrid(rows=4, cols=3), 5) is not order
+
+
+def test_an_entry_asked_for_again_survives_a_ninth_key():
+    _distance_order.cache_clear()
+    grid = MarkerGrid(rows=4, cols=4)
+    limit = _distance_order.cache_info().maxsize
+    kept = [_distance_order(grid, center) for center in range(limit)]
+    assert _distance_order(grid, 0) is kept[0]  # now the most recently used
+    _distance_order(grid, limit)  # a ninth key drops centre 1, the least recently used
+    assert _distance_order(grid, 0) is kept[0]
+    assert _distance_order(grid, 1) is not kept[1]
 
 
 def test_frame_validates_shape_and_finiteness():
@@ -259,11 +270,27 @@ def test_one_grid_check_for_every_per_marker_record():
 def test_angle_record_checks_its_own_arrays():
     with pytest.raises(UsageError, match="^angles and valid must have matching shapes$"):
         LineFeatureAngles(np.zeros(4), np.ones(3, dtype=bool))
-    for value in (math.nan, math.inf):
-        with pytest.raises(UsageError, match="^valid angles must be finite$"):
+    for value in (math.nan, math.inf, -1e308, math.nextafter(180.0, math.inf)):
+        with pytest.raises(UsageError, match="^valid angles must be finite and lie within "
+                                             r"\+-180 degrees$"):
             LineFeatureAngles(np.array([0.0, value]), np.array([True, True]))
     # An invalid entry may hold anything: it is never read.
     assert LineFeatureAngles(np.array([0.0, math.nan]), np.array([True, False])).valid[0]
+    assert LineFeatureAngles(np.array([-180.0, 180.0]), np.array([True, True])).valid.all()
+
+
+def test_regions_refuse_a_mean_angle_beyond_180_degrees_or_a_state_of_another_type():
+    for mean in (math.nan, math.inf, -1e308, math.nextafter(-180.0, -math.inf), 181, True, "1"):
+        with pytest.raises(UsageError, match="^mean_angle must"):
+            StickRegion([0], mean, ContactState.STICK, 1.0)
+    for mean in (-180.0, 180, np.float32(-3.5)):
+        assert StickRegion([0], mean, ContactState.STICK, 1.0).mean_angle == mean
+    for state in ("Stick", None, 1):
+        with pytest.raises(UsageError, match="^a region's state must be a ContactState"):
+            StickRegion([0], 1.0, state, 1.0)
+    # Growth can no longer be handed angles whose mean overflows.
+    with pytest.raises(UsageError, match="^valid angles must"):
+        LineFeatureAngles(np.full(9, 1e308), np.ones(9, dtype=bool))
 
 
 def test_frame_refuses_non_finite_timestamp():

@@ -26,6 +26,7 @@ from pivotgauge import (
     normalized_angle_difference,
     three_lift_scenario,
 )
+from pivotgauge.segmentation import _component, _distance_order
 from conftest import (
     brute_force_flags, certificates_asked, f1_against_mask, loop_grow_stick_region
 )
@@ -242,13 +243,13 @@ FIELD_KINDS = ("random", "certified", "edge", "near_eps", "mixed", "underflow")
 # and the centre at index 4: the centre's difference to itself is inf.
 @example(kind="underflow", rows=3, cols=3, pitch=1.0, base=0.0, spread=1.0, seed=241,
          delta_phi_th=0.4, sign=1.0, lo=1.0, fraction=0.0, rel=0.0, origin=None, more_centers=0)
-# Ten centres on one grid, then back: the grid keeps the orders of eight, so
+# Ten centres on one grid, then back: growth keeps the orders of eight, so
 # the walk back reuses kept orders and remakes dropped ones.
 @example(kind="random", rows=6, cols=7, pitch=0.7, base=3.0, spread=2.0, seed=7,
          delta_phi_th=0.4, sign=1.0, lo=1.0, fraction=0.0, rel=0.0,
          origin=(123.456, -98.7), more_centers=9)
-# The same for certified growth from ten admissible sets: the grid keeps the
-# components of eight (centre, admissible set) pairs.
+# The same for certified growth from ten admissible sets: growth keeps the
+# components of eight (grid, centre, admissible set) keys.
 @example(kind="certified", rows=6, cols=7, pitch=1.0, base=0.0, spread=1.0, seed=5,
          delta_phi_th=0.4, sign=-1.0, lo=2.0, fraction=0.5, rel=0.0, origin=None,
          more_centers=9)
@@ -264,11 +265,17 @@ def test_growth_matches_loop_oracle(kind, rows, cols, pitch, base, spread, seed,
     flags[center] = valid[center] = True
     phi = base + spread * rng.standard_normal(n)
     epsilon = SegmentationConfig().epsilon_angle
+    if kind in ("certified", "edge"):
+        # A valid angle lies within +-180 degrees, so a field's ratio hi / lo
+        # is capped (bound 50 is a ratio of about 2502) and lo scaled to fit,
+        # a degree clear of rounding: the rule's difference depends on that
+        # ratio alone, and lo stays above epsilon.
+        width = _spread_for_bound(min(fraction * delta_phi_th, 50.0))
+        lo = min(lo, 179.0 / (1.0 + width))
     if kind == "certified":
-        width = _spread_for_bound(fraction * delta_phi_th)
         phi = np.where(flags, sign * lo * (1.0 + width * rng.random(n)), -phi)
     elif kind == "edge":
-        hi = lo * (1.0 + _spread_for_bound(fraction * delta_phi_th))
+        hi = lo * (1.0 + width)
         phi = sign * np.where(rng.random(n) < 0.5, lo, hi)
         phi[center] = sign * lo
         delta_phi_th = max(normalized_angle_difference(hi, lo, epsilon) * (1.0 + rel), 1e-300)
@@ -329,6 +336,7 @@ def test_growth_matches_loop_oracle(kind, rows, cols, pitch, base, spread, seed,
 
 
 def test_heap_growth_makes_each_centres_distance_order_once():
+    _distance_order.cache_clear()
     grid = MarkerGrid(rows=6, cols=7, pitch=0.9, origin=(10.3, -4.4))
     rng = np.random.default_rng(3)
     n = grid.n_markers
@@ -354,6 +362,7 @@ def test_heap_growth_makes_each_centres_distance_order_once():
 
 
 def test_certified_growth_walks_each_kept_component_once():
+    _component.cache_clear()
     grid = MarkerGrid(rows=6, cols=7, pitch=0.9)
     rng = np.random.default_rng(4)
     n = grid.n_markers
@@ -364,34 +373,26 @@ def test_certified_growth_walks_each_kept_component_once():
     # Three fields of one sign within 5% of each other: every one is certified.
     fields = [LineFeatureAngles(base * (1.0 + 0.05 * rng.random(n)), everywhere)
               for base in (2.0, 3.0, -4.0)]
-    walk, walks = MarkerGrid._component, []
-
-    def counting(self, *args):
-        walks.append(args)
-        return walk(self, *args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(MarkerGrid, "_component", counting)
-        regions = []
-        for angles in fields:
-            region, certified = _grow_with_branch(grid, mask, angles, CFG)
-            members, mean_angle, state = loop_grow_stick_region(grid, mask, angles, CFG)
-            assert certified
-            assert (region.members.tolist(), region.mean_angle, region.state) == (sorted(members), mean_angle, state)
-            regions.append(region)
-        assert len(walks) == 1
-        assert all(region.members is regions[0].members for region in regions)
-        assert len({region.mean_angle for region in regions}) == 3
-        # One marker of the component fewer is another admissible set.
-        fewer = flags.copy()
-        fewer[max(regions[0].members)] = False
-        fewer_mask = ContactMask(fewer, center_index=20)
-        region = grow_stick_region(grid, fewer_mask, fields[0], CFG)
-        assert len(walks) == 2
-        assert region.members.tolist() == sorted(loop_grow_stick_region(grid, fewer_mask, fields[0], CFG)[0])
-        assert len(region.members) < len(regions[0].members)
-        index = grid.component(20, flags)
-        assert len(walks) == 2
+    regions = []
+    for angles in fields:
+        region, certified = _grow_with_branch(grid, mask, angles, CFG)
+        members, mean_angle, state = loop_grow_stick_region(grid, mask, angles, CFG)
+        assert certified
+        assert (region.members.tolist(), region.mean_angle, region.state) == (sorted(members), mean_angle, state)
+        regions.append(region)
+    assert _component.cache_info().misses == 1
+    assert all(region.members is regions[0].members for region in regions)
+    assert len({region.mean_angle for region in regions}) == 3
+    # One marker of the component fewer is another admissible set.
+    fewer = flags.copy()
+    fewer[max(regions[0].members)] = False
+    fewer_mask = ContactMask(fewer, center_index=20)
+    region = grow_stick_region(grid, fewer_mask, fields[0], CFG)
+    assert _component.cache_info().misses == 2
+    assert region.members.tolist() == sorted(loop_grow_stick_region(grid, fewer_mask, fields[0], CFG)[0])
+    assert len(region.members) < len(regions[0].members)
+    index = _component(grid, 20, flags.tobytes())
+    assert _component.cache_info().misses == 2
     assert index is regions[0].members
     with pytest.raises(ValueError, match="read-only"):
         index[0] = 0
